@@ -48,11 +48,8 @@ from .spaces import (
 )
 from .cauchy import (
     AdjointResiduals,
-    FourierRepresentation,
     PlemeljResidual,
     adjoint_residuals,
-    apply_P,
-    apply_Q,
     apply_S,
     cauchy_offcurve,
     conjugation_H,
@@ -64,7 +61,6 @@ from .toeplitz import (
     DichotomyVerdict,
     KernelReport,
     Symbol,
-    ToeplitzSection,
     block_identity_residual,
     companion_apply,
     dichotomy_probe,

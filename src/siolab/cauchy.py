@@ -27,14 +27,11 @@ from .curves import JordanCurve
 from .spaces import function_values
 
 __all__ = [
-    "FourierRepresentation",
     "PlemeljResidual",
     "AdjointResiduals",
     "apply_S",
     "apply_S_batch",
     "apply_S_error_estimate",
-    "apply_P",
-    "apply_Q",
     "riesz_projections",
     "cauchy_offcurve",
     "plemelj_residual",
@@ -45,43 +42,6 @@ __all__ = [
 ]
 
 MIN_QUADRATURE_NODES = 64
-
-
-@dataclass(frozen=True)
-class FourierRepresentation:
-    """Coefficients c_m of a circle function for modes m in [-degree, degree]."""
-
-    coefficients: np.ndarray
-    degree: int
-
-    def __post_init__(self):
-        c = np.asarray(self.coefficients, dtype=complex)
-        object.__setattr__(self, "coefficients", c)
-        if c.size != 2 * self.degree + 1:
-            raise ValueError("coefficient array must have length 2*degree + 1")
-
-    @classmethod
-    def from_samples(cls, values: np.ndarray, degree: int) -> "FourierRepresentation":
-        v = np.asarray(values, dtype=complex)
-        n = v.size
-        if n < 2 * degree + 2:
-            raise ValueError("need more samples than resolved modes to avoid aliasing")
-        spectrum = np.fft.fft(v) / n
-        modes = np.fft.fftfreq(n, 1.0 / n).astype(int)
-        coeff = np.zeros(2 * degree + 1, dtype=complex)
-        for m in range(-degree, degree + 1):
-            coeff[m + degree] = spectrum[modes == m][0]
-        return cls(coeff, degree)
-
-    def mode(self, k: int) -> complex:
-        if abs(k) > self.degree:
-            return 0.0 + 0.0j
-        return complex(self.coefficients[k + self.degree])
-
-    def to_samples(self, n_nodes: int) -> np.ndarray:
-        phi = 2.0 * np.pi * np.arange(n_nodes) / n_nodes
-        k = np.arange(-self.degree, self.degree + 1)
-        return np.exp(1j * np.outer(phi, k)) @ self.coefficients
 
 
 @dataclass(frozen=True)
@@ -157,18 +117,23 @@ def _quadrature_S(
     return out[:, 0] if single else out
 
 
+def _resolve_backend(curve: JordanCurve, backend: str) -> str:
+    """Map ``auto`` to ``fft`` on the flagged unit circle, else ``quadrature``."""
+    if backend == "auto":
+        return "fft" if curve.is_unit_circle else "quadrature"
+    if backend not in ("fft", "quadrature"):
+        raise ValueError(f"unknown backend {backend!r}")
+    if backend == "fft" and not curve.is_unit_circle:
+        raise ValueError("fft backend requires the flagged unit circle")
+    return backend
+
+
 def apply_S_batch(curve: JordanCurve, F: np.ndarray, backend: str = "auto") -> np.ndarray:
     """Apply S to the columns of F (shape (n_nodes, m)) in one pass."""
     F = np.asarray(F, dtype=complex)
-    if backend == "auto":
-        backend = "fft" if curve.is_unit_circle else "quadrature"
-    if backend == "fft":
-        if not curve.is_unit_circle:
-            raise ValueError("fft backend requires the flagged unit circle")
+    if _resolve_backend(curve, backend) == "fft":
         return _circle_multiplier(F)
-    if backend == "quadrature":
-        return _quadrature_S(curve, F)
-    raise ValueError(f"unknown backend {backend!r}")
+    return _quadrature_S(curve, F)
 
 
 def apply_S(curve: JordanCurve, f, backend: str = "auto") -> np.ndarray:
@@ -205,14 +170,6 @@ def riesz_projections(curve: JordanCurve, f, backend: str = "auto") -> tuple[np.
     v = function_values(f)
     pf = 0.5 * (v + apply_S_batch(curve, v, backend))
     return pf, v - pf
-
-
-def apply_P(curve: JordanCurve, f, backend: str = "auto") -> np.ndarray:
-    return riesz_projections(curve, f, backend)[0]
-
-
-def apply_Q(curve: JordanCurve, f, backend: str = "auto") -> np.ndarray:
-    return riesz_projections(curve, f, backend)[1]
 
 
 def cauchy_offcurve(curve: JordanCurve, f, z, chunk: int = 512) -> np.ndarray | complex:
@@ -280,8 +237,7 @@ def plemelj_residual(
     count = 512 if targets is None else int(targets)
     stride = max(1, n // count)
     t_idx = np.arange(0, n, stride)
-    use_fft = backend == "fft" or (backend == "auto" and curve.is_unit_circle)
-    if use_fft:
+    if _resolve_backend(curve, backend) == "fft":
         sv = apply_S_batch(curve, v, "fft")[t_idx]
     else:
         sv = _quadrature_S(curve, v, rows=t_idx)
@@ -310,16 +266,23 @@ def plemelj_residual(
 
 
 def conjugation_H(curve: JordanCurve, f) -> np.ndarray:
-    """Antilinear involution (H f)(tau) = exp(-i theta(tau)) conj(f(tau))."""
+    """Antilinear involution (H f)(tau) = exp(-i theta(tau)) conj(f(tau)).
+
+    Node samples run along the last axis, so a 2-d input maps row by row.
+    """
     return np.exp(-1j * curve.tangent_angles) * np.conj(function_values(f))
+
+
+def _weighted_l2(curve: JordanCurve, X: np.ndarray) -> np.ndarray:
+    """Norm in the weighted pairing along the last (node) axis."""
+    return np.sqrt(np.sum(np.abs(X) ** 2 * curve.arc_weights, axis=-1))
 
 
 def mode_basis(curve: JordanCurve, modes) -> np.ndarray:
     """Rows tau^k for k in ``modes``, normalized in the weighted pairing."""
     modes = np.asarray(modes, dtype=int)
     B = curve.nodes[None, :] ** modes[:, None]
-    norms = np.sqrt(np.sum(np.abs(B) ** 2 * curve.arc_weights[None, :], axis=1))
-    return B / norms[:, None]
+    return B / _weighted_l2(curve, B)[:, None]
 
 
 def operator_matrix(curve: JordanCurve, applied: np.ndarray, basis: np.ndarray) -> np.ndarray:
@@ -344,12 +307,11 @@ def adjoint_residuals(curve: JordanCurve, basis_size: int, backend: str = "auto"
     B = mode_basis(curve, modes)
     SB = apply_S_batch(curve, B.T, backend).T
     PB, QB = 0.5 * (B + SB), 0.5 * (B - SB)
-    HB = np.exp(-1j * curve.tangent_angles)[None, :] * np.conj(B)
+    HB = conjugation_H(curve, B)
     SHB = apply_S_batch(curve, HB.T, backend).T
-    H = lambda X: np.exp(-1j * curve.tangent_angles)[None, :] * np.conj(X)
-    HSH = H(SHB)
-    HPH = H(0.5 * (HB + SHB))
-    HQH = H(0.5 * (HB - SHB))
+    HSH = conjugation_H(curve, SHB)
+    HPH = conjugation_H(curve, 0.5 * (HB + SHB))
+    HQH = conjugation_H(curve, 0.5 * (HB - SHB))
 
     M = lambda X: operator_matrix(curve, X, B)
     rs = float(np.abs(M(SB).conj().T + M(HSH)).max())

@@ -24,6 +24,7 @@ from .cauchy import (
     adjoint_residuals,
     apply_S,
     apply_S_batch,
+    centered_modes,
     mode_basis,
     operator_matrix,
     plemelj_residual,
@@ -51,10 +52,6 @@ from .toeplitz import dichotomy_probe, symbol_from_coefficients, symbol_from_pre
 EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_FAULT = 3
-
-
-class NumericalFault(RuntimeError):
-    """An internal invariant failed numerically (not a usage error)."""
 
 
 @dataclass(frozen=True)
@@ -160,7 +157,7 @@ def _provenance(cfg: ExperimentConfig, operations: list[str]) -> dict:
 def _exponent(spec: str, curve):
     if spec.startswith("csv:"):
         rows = np.loadtxt(spec[4:], delimiter=",", ndmin=2)
-        return exponent_from_values(rows[:, 1], spec)
+        return exponent_from_values(rows[:, 1])
     return exponent_from_preset(spec, curve)
 
 
@@ -184,7 +181,10 @@ def _function(spec: str, curve, rng: np.random.Generator) -> np.ndarray:
         return ((theta >= t0) & (theta < t1)).astype(complex)
     if head == "pole":
         re, im = (float(x) for x in args.split(","))
-        return 1.0 / (curve.nodes - (re + 1j * im))
+        offset = curve.nodes - (re + 1j * im)
+        if np.any(offset == 0.0):
+            raise ValueError(f"pole {spec!r} lies on a curve node")
+        return 1.0 / offset
     if head == "csv":
         rows = np.loadtxt(args, delimiter=",", ndmin=2)
         if rows.shape[0] != curve.n_nodes:
@@ -273,8 +273,7 @@ def run_sio_check(cfg: ExperimentConfig) -> tuple[ReportBundle, str | None]:
     rng = np.random.default_rng(cfg.seed)
     N = 32
 
-    modes = np.arange(-N // 2, N - N // 2)
-    B = mode_basis(curve, modes)
+    B = mode_basis(curve, centered_modes(N))
     SB = apply_S_batch(curve, B.T).T
     PB, QB = 0.5 * (B + SB), 0.5 * (B - SB)
     PPB = 0.5 * (PB + apply_S_batch(curve, PB.T).T)
@@ -418,7 +417,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("sio-check", parents=[common])
     sp.add_argument("--exponent", type=str, default=None)
     sp.add_argument("--trials", type=int, default=None)
-    sp.add_argument("--report", dest="format", choices=["json", "csv"], default=None)
 
     sp = sub.add_parser("dichotomy", parents=[common])
     sp.add_argument("--symbol", type=str, default=None)
@@ -474,9 +472,6 @@ def main(argv=None) -> int:
             print(f"numerical fault: {fault}", file=sys.stderr)
             return EXIT_FAULT
         return EXIT_OK
-    except NumericalFault as exc:
-        print(f"numerical fault: {exc}", file=sys.stderr)
-        return EXIT_FAULT
     except (ValueError, OSError, KeyError, json.JSONDecodeError) as exc:
         print(f"validation error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION

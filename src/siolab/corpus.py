@@ -8,7 +8,6 @@ from .curves import JordanCurve
 
 __all__ = [
     "random_trig_polynomial",
-    "random_analytic_polynomial",
     "indicator_arc",
     "rational_function",
     "rational_corpus",
@@ -22,13 +21,6 @@ def random_trig_polynomial(curve: JordanCurve, rng: np.random.Generator,
     k = np.arange(-degree, degree + 1)
     coeff = rng.standard_normal(k.size) + 1j * rng.standard_normal(k.size)
     return np.exp(1j * np.outer(theta, k)) @ coeff
-
-
-def random_analytic_polynomial(curve: JordanCurve, rng: np.random.Generator,
-                               degree: int = 8) -> np.ndarray:
-    """Random polynomial in tau (nonnegative modes only); lies on the analytic side."""
-    coeff = rng.standard_normal(degree + 1) + 1j * rng.standard_normal(degree + 1)
-    return np.polynomial.polynomial.polyval(curve.nodes, coeff)
 
 
 def indicator_arc(curve: JordanCurve, center_index: int, width_nodes: int) -> np.ndarray:

@@ -27,7 +27,6 @@ __all__ = [
     "make_perturbed_circle",
     "curve_from_name",
     "portion_length",
-    "portion_under_resolved",
     "default_epsilon_grid",
     "refine_epsilon_grid",
     "carleson_constant",
@@ -50,7 +49,6 @@ class JordanCurve:
     total_length: float
     name: str = "curve"
     is_unit_circle: bool = False
-    closed_flag: bool = True
 
     def __post_init__(self):
         nodes = np.asarray(self.nodes, dtype=complex)
@@ -67,8 +65,6 @@ class JordanCurve:
             raise ValueError("arc weights must be positive")
         if not np.isclose(weights.sum(), self.total_length, rtol=1e-12, atol=0.0):
             raise ValueError("total_length must equal the sum of arc weights")
-        if not self.closed_flag:
-            raise ValueError("only closed curves are supported")
 
     @property
     def n_nodes(self) -> int:
@@ -82,13 +78,6 @@ class JordanCurve:
     def complex_measure(self) -> np.ndarray:
         """Quadrature weights for integration against d(tau) instead of |d(tau)|."""
         return self.unit_tangents * self.arc_weights
-
-    def neighbor_spacing(self, index: int) -> float:
-        """Chord distance from a node to its nearest neighbor."""
-        n = self.n_nodes
-        left = abs(self.nodes[index] - self.nodes[(index - 1) % n])
-        right = abs(self.nodes[(index + 1) % n] - self.nodes[index])
-        return float(min(left, right))
 
     def max_spacing(self) -> float:
         return float(np.abs(np.roll(self.nodes, -1) - self.nodes).max())
@@ -288,12 +277,6 @@ def portion_length(curve: JordanCurve, t_index: int, epsilon: float) -> float:
         raise ValueError("epsilon must be positive")
     d = np.abs(curve.nodes - curve.nodes[t_index])
     return float(curve.arc_weights[d < epsilon].sum())
-
-
-def portion_under_resolved(curve: JordanCurve, t_index: int, epsilon: float) -> bool:
-    """True when epsilon falls below the node spacing at t, so the portion
-    captures nothing beyond the center node."""
-    return epsilon <= curve.neighbor_spacing(t_index)
 
 
 def default_epsilon_grid(curve: JordanCurve, n_eps: int = 64) -> np.ndarray:

@@ -23,6 +23,7 @@ __all__ = [
     "exponent_from_preset",
     "essential_bounds",
     "conjugate_exponent_r",
+    "check_conjugate_triple",
     "dominance_check",
     "log_holder_constant",
     "partition_infinity_sets",
@@ -35,7 +36,6 @@ class ExponentFunction:
     """Exponent values on curve nodes; np.inf marks the infinity set."""
 
     values: np.ndarray
-    closed_form_tag: str = ""
 
     def __post_init__(self):
         v = np.asarray(self.values, dtype=float)
@@ -48,10 +48,6 @@ class ExponentFunction:
     @property
     def n_nodes(self) -> int:
         return self.values.size
-
-    @property
-    def infinity_mask(self) -> np.ndarray:
-        return np.isinf(self.values)
 
     @property
     def is_constant(self) -> bool:
@@ -76,12 +72,12 @@ class LogHolderReport:
     band_maxima: tuple[float, ...] = ()
 
 
-def exponent_constant(value: float, n_nodes: int, tag: str = "") -> ExponentFunction:
-    return ExponentFunction(np.full(n_nodes, float(value)), tag or f"constant:{value:g}")
+def exponent_constant(value: float, n_nodes: int) -> ExponentFunction:
+    return ExponentFunction(np.full(n_nodes, float(value)))
 
 
-def exponent_from_values(values, tag: str = "") -> ExponentFunction:
-    return ExponentFunction(np.asarray(values, dtype=float), tag)
+def exponent_from_values(values) -> ExponentFunction:
+    return ExponentFunction(np.asarray(values, dtype=float))
 
 
 _SIN_FORM = re.compile(
@@ -99,7 +95,7 @@ def exponent_from_preset(spec: str, curve: JordanCurve) -> ExponentFunction:
     spec = spec.strip()
     theta = np.angle(curve.nodes)
     if spec.lower() in ("inf", "infinity"):
-        return exponent_constant(np.inf, curve.n_nodes, "inf")
+        return exponent_constant(np.inf, curve.n_nodes)
     try:
         value = float(spec)
     except ValueError:
@@ -111,16 +107,16 @@ def exponent_from_preset(spec: str, curve: JordanCurve) -> ExponentFunction:
         base = float(m.group(1))
         amp = float(m.group(2)) if m.group(2) else 1.0
         trig = np.sin(theta) if m.group(3) == "sin" else np.cos(theta)
-        return exponent_from_values(base + amp * np.abs(trig), spec)
+        return exponent_from_values(base + amp * np.abs(trig))
     head, _, args = spec.partition(":")
     if head == "step":
         a, b = (float(x) for x in args.split(","))
-        return exponent_from_values(np.where(theta >= 0.0, a, b), spec)
+        return exponent_from_values(np.where(theta >= 0.0, a, b))
     if head == "logsmooth":
         base, amp = (float(x) for x in args.split(","))
         with np.errstate(divide="ignore"):
             vals = base + amp / np.log(np.e + 1.0 / np.abs(theta))
-        return exponent_from_values(vals, spec)
+        return exponent_from_values(vals)
     raise ValueError(f"unknown exponent preset {spec!r}")
 
 
@@ -161,19 +157,15 @@ def conjugate_exponent_r(p: ExponentFunction, q: ExponentFunction) -> ExponentFu
     r = np.full(p.n_nodes, np.inf)
     pos = inv > 0.0
     r[pos] = 1.0 / inv[pos]
-    tag = ""
-    if p.closed_form_tag and q.closed_form_tag:
-        tag = f"conjugate({p.closed_form_tag},{q.closed_form_tag})"
-    return ExponentFunction(r, tag)
+    return ExponentFunction(r)
 
 
-def partition_infinity_sets(
+def check_conjugate_triple(
     p: ExponentFunction, q: ExponentFunction, r: ExponentFunction
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Split nodes into (gamma1, gamma2, gamma3) for a conjugate triple.
+) -> None:
+    """Raise ValueError unless 1/q = 1/p + 1/r within 1e-12 at every node.
 
-    gamma1 = {p = inf}, gamma2 = {r = inf} minus gamma1, gamma3 = the rest;
-    on gamma1 the triple forces q = r, on gamma2 it forces p = q < inf.
+    Triples from :func:`conjugate_exponent_r` meet it to a few ulps.
     """
     if not (p.n_nodes == q.n_nodes == r.n_nodes):
         raise ValueError("exponent triple lives on different node sets")
@@ -184,6 +176,17 @@ def partition_infinity_sets(
         raise ValueError(
             f"triple violates 1/q = 1/p + 1/r at {bad.size} nodes, first {bad[:8].tolist()}"
         )
+
+
+def partition_infinity_sets(
+    p: ExponentFunction, q: ExponentFunction, r: ExponentFunction
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Split nodes into (gamma1, gamma2, gamma3) for a conjugate triple.
+
+    gamma1 = {p = inf}, gamma2 = {r = inf} minus gamma1, gamma3 = the rest;
+    on gamma1 the triple forces q = r, on gamma2 it forces p = q < inf.
+    """
+    check_conjugate_triple(p, q, r)
     g1 = np.isinf(p.values)
     g2 = np.isinf(r.values) & ~g1
     g3 = ~(g1 | g2)

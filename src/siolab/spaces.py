@@ -15,13 +15,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .corpus import indicator_arc, random_trig_polynomial
 from .curves import JordanCurve
 from .exponents import (
     ExponentFunction,
+    check_conjugate_triple,
     conjugate_exponent_r,
     dominance_check,
     partition_infinity_sets,
-    reciprocal,
 )
 
 __all__ = [
@@ -30,7 +31,6 @@ __all__ = [
     "UnitBallCheck",
     "HolderCheck",
     "MODULAR_TOL",
-    "CONSTANT_EQUIV_ALLOWANCE",
     "VARIABLE_EQUIV_ALLOWANCE",
     "modular",
     "luxemburg_norm",
@@ -48,9 +48,8 @@ __all__ = [
 MODULAR_TOL = 1e-12
 MAX_BISECTIONS = 200
 
-# Norm-equivalence envelopes for the multiplier identity: exact for constant
-# exponents, an engineering allowance for variable ones.
-CONSTANT_EQUIV_ALLOWANCE = 1.0
+# Norm-equivalence envelope for the multiplier identity with variable
+# exponents, an engineering allowance; for constant exponents it is exact.
 VARIABLE_EQUIV_ALLOWANCE = 4.0
 
 
@@ -256,13 +255,6 @@ def unit_ball_check(curve: JordanCurve, f, p: ExponentFunction, gamma=None) -> U
     return UnitBallCheck(m_ok, n_ok, rho, nrm, m_ok == n_ok or boundary)
 
 
-def _validate_triple(p, q, r):
-    lhs = reciprocal(q.values)
-    rhs = reciprocal(p.values) + reciprocal(r.values)
-    if np.any(np.abs(lhs - rhs) > 1e-9):
-        raise ValueError("exponent triple violates 1/q = 1/p + 1/r")
-
-
 def holder_check(
     curve: JordanCurve,
     f,
@@ -273,7 +265,7 @@ def holder_check(
     gamma=None,
 ) -> HolderCheck:
     """Compare ||fg||_q against ||f||_p ||g||_r for a conjugate triple."""
-    _validate_triple(p, q, r)
+    check_conjugate_triple(p, q, r)
     fv = function_values(f)
     gv = function_values(g)
     lhs = norm_value(curve, fv * gv, q, gamma)
@@ -355,7 +347,6 @@ def multiplier_norm_lower(
     mask = _combined_mask(curve, a, gamma)
     av = function_values(a)
     n = curve.n_nodes
-    theta = np.angle(curve.nodes)
     rng = np.random.default_rng(0) if rng is None else rng
 
     candidates: list[np.ndarray] = [np.ones(n, dtype=complex)]
@@ -364,23 +355,16 @@ def multiplier_norm_lower(
     center = int(np.argmax(masked_abs))
     for frac in (0.5, 0.125, 1 / 32, 1 / 128):
         half = max(1, int(n * frac / 2))
-        sel = np.zeros(n, dtype=complex)
-        idx = (center + np.arange(-half, half + 1)) % n
-        sel[idx] = 1.0
-        candidates.append(sel)
+        candidates.append(indicator_arc(curve, center, 2 * half + 1))
     # random arcs and random trigonometric polynomials
     while len(candidates) < max(8, trials):
         if rng.random() < 0.3:
             start = int(rng.integers(0, n))
             width = int(rng.integers(1, max(2, n // 4)))
-            sel = np.zeros(n, dtype=complex)
-            sel[(start + np.arange(width)) % n] = 1.0
-            candidates.append(sel)
+            candidates.append(indicator_arc(curve, start + width // 2, width))
         else:
             deg = int(rng.integers(0, 9))
-            coeff = rng.standard_normal(2 * deg + 1) + 1j * rng.standard_normal(2 * deg + 1)
-            k = np.arange(-deg, deg + 1)
-            candidates.append(np.exp(1j * np.outer(theta, k)) @ coeff)
+            candidates.append(random_trig_polynomial(curve, rng, deg))
     # analytic witness built from the theorem value
     c = multiplier_norm_via_theorem(curve, a, p, q, gamma)
     if np.isfinite(c) and c > 0.0:

@@ -15,13 +15,19 @@ from dataclasses import dataclass
 import numpy as np
 
 from .curves import JordanCurve
-from .cauchy import apply_S_batch, mode_basis, operator_matrix, riesz_projections
+from .cauchy import (
+    _weighted_l2,
+    apply_S_batch,
+    conjugation_H,
+    mode_basis,
+    operator_matrix,
+    riesz_projections,
+)
 from .exponents import ExponentFunction, dominance_check
 from .spaces import function_values
 
 __all__ = [
     "Symbol",
-    "ToeplitzSection",
     "KernelReport",
     "BlockIdentityResiduals",
     "DichotomyVerdict",
@@ -52,7 +58,6 @@ class Symbol:
     coefficients: np.ndarray
     degree: int
     name: str = "symbol"
-    membership_tags: tuple[str, ...] = ()
     exact_band: bool = False
 
     def __post_init__(self):
@@ -80,32 +85,6 @@ class Symbol:
     @property
     def is_zero(self) -> bool:
         return not self.coefficients.any() and not self.values.any()
-
-    @property
-    def bandwidth(self) -> int:
-        mags = np.abs(self.coefficients)
-        if mags.max() == 0.0:
-            return 0
-        nz = np.flatnonzero(mags > 1e-12 * mags.max())
-        return int(max(abs(nz.min() - self.degree), abs(nz.max() - self.degree)))
-
-
-@dataclass(frozen=True)
-class ToeplitzSection:
-    """Rectangular truncation, constant along diagonals.
-
-    For ``which='T'`` the entries are a_{j-k}; the companion uses the
-    reflected coefficients a_{k-j}, i.e. it acts on the negative-frequency
-    coefficients of the anti-analytic side.
-    """
-
-    matrix: np.ndarray
-    which: str
-    symbol_name: str = "symbol"
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return self.matrix.shape
 
 
 @dataclass(frozen=True)
@@ -162,7 +141,7 @@ class DichotomyVerdict:
 
 
 def symbol_from_samples(curve: JordanCurve, values, degree: int, name: str = "symbol",
-                        tags: tuple[str, ...] = (), exact_band: bool = False) -> Symbol:
+                        exact_band: bool = False) -> Symbol:
     """Build a symbol from node samples on the unit circle (FFT coefficients).
 
     Pass ``exact_band=True`` only when the samples come from a trigonometric
@@ -177,17 +156,13 @@ def symbol_from_samples(curve: JordanCurve, values, degree: int, name: str = "sy
         raise ValueError("samples contain non-finite values; build from coefficients instead")
     n = v.size
     if n < 2 * degree + 2:
-        raise ValueError("not enough samples for the requested degree")
+        raise ValueError("not enough samples for the requested degree (aliasing)")
     spectrum = np.fft.fft(v) / n
-    modes = np.fft.fftfreq(n, 1.0 / n).astype(int)
-    coeff = np.zeros(2 * degree + 1, dtype=complex)
-    for m in range(-degree, degree + 1):
-        coeff[m + degree] = spectrum[modes == m][0]
-    return Symbol(v, coeff, degree, name, tags, exact_band)
+    coeff = spectrum[np.arange(-degree, degree + 1) % n]
+    return Symbol(v, coeff, degree, name, exact_band)
 
 
-def symbol_from_coefficients(coefficients, n_nodes: int, name: str = "symbol",
-                             tags: tuple[str, ...] = ()) -> Symbol:
+def symbol_from_coefficients(coefficients, n_nodes: int, name: str = "symbol") -> Symbol:
     """Build a symbol from coefficients a_k, k = -K..K; samples are synthesized."""
     c = np.asarray(coefficients, dtype=complex)
     if c.size % 2 == 0:
@@ -196,7 +171,7 @@ def symbol_from_coefficients(coefficients, n_nodes: int, name: str = "symbol",
     phi = 2.0 * np.pi * np.arange(n_nodes) / n_nodes
     k = np.arange(-degree, degree + 1)
     values = np.exp(1j * np.outer(phi, k)) @ c
-    return Symbol(values, c, degree, name, tags, exact_band=True)
+    return Symbol(values, c, degree, name, exact_band=True)
 
 
 def _gauss_panels(edges: np.ndarray, points: int = 16) -> tuple[np.ndarray, np.ndarray]:
@@ -246,8 +221,7 @@ def symbol_from_preset(spec: str, curve: JordanCurve, degree: int = 300,
     spec = spec.strip()
     head, _, args = spec.partition(":")
     if head == "one":
-        return symbol_from_samples(curve, np.ones(curve.n_nodes), 0, "one", ("L^inf",),
-                                   exact_band=True)
+        return symbol_from_samples(curve, np.ones(curve.n_nodes), 0, "one", exact_band=True)
     if head == "monomial":
         k = int(args)
         if abs(k) > degree:
@@ -255,14 +229,13 @@ def symbol_from_preset(spec: str, curve: JordanCurve, degree: int = 300,
         c = np.zeros(2 * abs(k) + 1, dtype=complex) if k else np.ones(1, dtype=complex)
         if k:
             c[abs(k) + k] = 1.0
-        return symbol_from_coefficients(c, curve.n_nodes, spec, ("L^inf",))
+        return symbol_from_coefficients(c, curve.n_nodes, spec)
     if head == "cos":
-        return symbol_from_samples(curve, np.cos(theta).astype(complex), 1, "cos", ("L^inf",),
+        return symbol_from_samples(curve, np.cos(theta).astype(complex), 1, "cos",
                                    exact_band=True)
     if head == "one-plus-cos2":
         return symbol_from_samples(
-            curve, (1.0 + np.cos(theta) ** 2).astype(complex), 2, spec, ("L^inf",),
-            exact_band=True,
+            curve, (1.0 + np.cos(theta) ** 2).astype(complex), 2, spec, exact_band=True
         )
     if head == "singular":
         s = float(args)
@@ -270,18 +243,13 @@ def symbol_from_preset(spec: str, curve: JordanCurve, degree: int = 300,
         phi = np.angle(curve.nodes)
         with np.errstate(divide="ignore"):
             values = np.abs(np.exp(1j * phi) - 1.0) ** s
-        sym = Symbol(values, coeff, degree, spec, (f"L^r for r < {-1.0 / s:g}",))
-        return sym
+        return Symbol(values, coeff, degree, spec)
     if head == "trig-random":
         deg = int(args)
         rng = np.random.default_rng(0) if rng is None else rng
         c = rng.standard_normal(2 * deg + 1) + 1j * rng.standard_normal(2 * deg + 1)
-        return symbol_from_coefficients(c, curve.n_nodes, spec, ("L^inf",))
+        return symbol_from_coefficients(c, curve.n_nodes, spec)
     raise ValueError(f"unknown symbol preset {spec!r}")
-
-
-def _weighted_l2(curve: JordanCurve, v: np.ndarray) -> float:
-    return float(np.sqrt(np.sum(np.abs(v) ** 2 * curve.arc_weights)))
 
 
 def toeplitz_apply(curve: JordanCurve, a: Symbol, f, tol: float = 1e-8,
@@ -310,12 +278,12 @@ def companion_apply(curve: JordanCurve, a: Symbol, g, tol: float = 1e-8,
     return riesz_projections(curve, a.values * v, backend)[1]
 
 
-def finite_section(a: Symbol, m: int, n: int, which: str = "T",
-                   ) -> ToeplitzSection:
+def finite_section(a: Symbol, m: int, n: int, which: str = "T") -> np.ndarray:
     """Rectangular m x n truncation of T(a) or of its companion.
 
     T entries are a_{j-k} on output modes 0..m-1 and input modes 0..n-1;
-    the companion reads the reflected coefficients a_{k-j}.
+    the companion reads the reflected coefficients a_{k-j}, i.e. it acts on
+    the negative-frequency coefficients of the anti-analytic side.
     """
     if m <= 0 or n <= 0:
         raise ValueError("section shape must be positive")
@@ -333,12 +301,12 @@ def finite_section(a: Symbol, m: int, n: int, which: str = "T",
         M = a.coefficient_window(kmin, n - 1)[(k - j) - kmin]
     else:
         raise ValueError("which must be 'T' or 'companion'")
-    return ToeplitzSection(M, which, a.name)
+    return M
 
 
 def numerical_kernel(section, threshold: float = 1e-8) -> KernelReport:
     """Numerical kernel dimension by relative singular-value threshold."""
-    M = section.matrix if isinstance(section, ToeplitzSection) else np.asarray(section)
+    M = np.asarray(section)
     if M.size == 0:
         raise ValueError("empty matrix")
     svals = np.linalg.svd(M, compute_uv=False)
@@ -371,23 +339,17 @@ def block_identity_residual(curve: JordanCurve, a: Symbol, basis_size: int,
     def S(X):
         return apply_S_batch(curve, X.T, backend).T
 
-    def H(X):
-        return np.exp(-1j * curve.tangent_angles)[None, :] * np.conj(X)
-
-    def l2(X):
-        return np.sqrt(np.sum(np.abs(X) ** 2 * curve.arc_weights[None, :], axis=1))
-
     SB = S(B)
     PB, QB = 0.5 * (B + SB), B - 0.5 * (B + SB)
     aPB = av[None, :] * PB
     op1 = 0.5 * (aPB + S(aPB)) + QB          # (PaP + Q) basis-wise
-    HB = H(B)
+    HB = conjugation_H(curve, B)
     SHB = S(HB)
     PHB = 0.5 * (HB + SHB)
     QHB = HB - PHB
     aQHB = av[None, :] * QHB
     op2_H = PHB + 0.5 * (aQHB - S(aQHB))     # (P + QaQ) applied to H(basis)
-    conj_op = H(op2_H)                       # H (P + QaQ) H
+    conj_op = conjugation_H(curve, op2_H)    # H (P + QaQ) H
 
     M = lambda X: operator_matrix(curve, X, B)
     M1 = M(op1)
@@ -398,8 +360,8 @@ def block_identity_residual(curve: JordanCurve, a: Symbol, basis_size: int,
     # analytic inputs may not leak to the anti-analytic side, and vice versa
     out_plus = op1[plus]
     s_out = S(out_plus)
-    leak_plus = float(l2(out_plus - 0.5 * (out_plus + s_out)).max())
-    pass_minus = float(l2(op1[minus] - B[minus]).max())
+    leak_plus = float(_weighted_l2(curve, out_plus - 0.5 * (out_plus + s_out)).max())
+    pass_minus = float(_weighted_l2(curve, op1[minus] - B[minus]).max())
     off = max(leak_plus, pass_minus)
 
     Ma = M(av[None, :] * B)
@@ -407,7 +369,7 @@ def block_identity_residual(curve: JordanCurve, a: Symbol, basis_size: int,
 
     section_res = float("nan")
     if curve.is_unit_circle and (a.exact_band or a.degree >= N):
-        sec = finite_section(a, N + 1, N + 1, "T").matrix
+        sec = finite_section(a, N + 1, N + 1, "T")
         section_res = float(np.abs(M1[np.ix_(plus, plus)] - sec).max())
     return BlockIdentityResiduals(off, adjoint, mult, section_res, basis_size)
 

@@ -5,10 +5,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from siolab.cauchy import (
-    FourierRepresentation,
     adjoint_residuals,
-    apply_P,
-    apply_Q,
     apply_S,
     cauchy_offcurve,
     conjugation_H,
@@ -16,6 +13,7 @@ from siolab.cauchy import (
     riesz_projections,
 )
 from siolab.curves import make_unit_circle
+from siolab.toeplitz import symbol_from_coefficients, symbol_from_samples
 
 
 def modes(curve, k):
@@ -97,12 +95,13 @@ def test_projection_idempotent_on_ellipse(ellipse4096):
         rng.standard_normal(17) + 1j * rng.standard_normal(17)
     )
     f = f / np.abs(f).max()
-    pf = apply_P(ellipse4096, f)
-    assert np.abs(apply_P(ellipse4096, pf) - pf).max() < 1e-8
-    qf = apply_Q(ellipse4096, f)
-    assert np.abs(apply_Q(ellipse4096, qf) - qf).max() < 1e-8
-    assert np.abs(apply_Q(ellipse4096, pf)).max() < 1e-8
-    assert np.abs(apply_P(ellipse4096, qf)).max() < 1e-8
+    pf, qf = riesz_projections(ellipse4096, f)
+    ppf, qpf = riesz_projections(ellipse4096, pf)
+    pqf, qqf = riesz_projections(ellipse4096, qf)
+    assert np.abs(ppf - pf).max() < 1e-8
+    assert np.abs(qqf - qf).max() < 1e-8
+    assert np.abs(qpf).max() < 1e-8
+    assert np.abs(pqf).max() < 1e-8
 
 
 # ------------------------------------------------------------------ off-curve
@@ -164,6 +163,8 @@ def test_plemelj_rejects_bad_offsets(circle512):
         plemelj_residual(circle512, np.ones(512), [])
     with pytest.raises(ValueError):
         plemelj_residual(circle512, np.ones(512), [-0.1])
+    with pytest.raises(ValueError, match="unknown backend"):
+        plemelj_residual(circle512, np.ones(512), [0.1], backend="bogus")
 
 
 # ---------------------------------------------------------------- conjugation
@@ -228,13 +229,14 @@ def test_fourier_roundtrip_bandlimited(circle512, rng):
     k = np.arange(-10, 11)
     coeff = rng.standard_normal(21) + 1j * rng.standard_normal(21)
     f = np.exp(1j * np.outer(np.angle(circle512.nodes), k)) @ coeff
-    rep = FourierRepresentation.from_samples(f, 10)
+    rep = symbol_from_samples(circle512, f, 10)
     assert np.abs(rep.coefficients - coeff).max() < 1e-12
-    assert np.abs(rep.to_samples(512) - f).max() < 1e-10
-    assert rep.mode(3) == pytest.approx(coeff[13])
-    assert rep.mode(99) == 0.0
+    resampled = symbol_from_coefficients(rep.coefficients, 512).values
+    assert np.abs(resampled - f).max() < 1e-10
+    assert rep.coefficient(3) == pytest.approx(coeff[13])
+    assert rep.coefficient(99) == 0.0
 
 
 def test_fourier_rejects_aliasing():
     with pytest.raises(ValueError, match="aliasing"):
-        FourierRepresentation.from_samples(np.ones(16), 8)
+        symbol_from_samples(make_unit_circle(16), np.ones(16), 8)

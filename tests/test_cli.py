@@ -41,6 +41,10 @@ def test_validation_errors_exit_2(tmp_path):
                 "--out", str(tmp_path / "b")]) == EXIT_VALIDATION
     assert run(["carleson", "--curve", "does-not-exist", "--n", "512",
                 "--out", str(tmp_path / "c")]) == EXIT_VALIDATION
+    # z = 1 is node 0 of the circle: the samples would hold an infinity
+    assert run(["norm", "--curve", "circle", "--n", "4096", "--function", "pole:1,0",
+                "--out", str(tmp_path / "d")]) == EXIT_VALIDATION
+    assert not (tmp_path / "d" / "report.json").exists()
 
 
 def test_multiplier_subcommand(tmp_path):
@@ -102,7 +106,7 @@ def test_carleson_subcommand(tmp_path):
 def test_sio_check_subcommand_csv(tmp_path):
     out = tmp_path / "sio"
     code = run(["sio-check", "--curve", "circle", "--n", "1024",
-                "--exponent", "2", "--out", str(out), "--report", "csv", "--trials", "4"])
+                "--exponent", "2", "--out", str(out), "--format", "csv", "--trials", "4"])
     assert code == EXIT_OK
     res = json.loads((out / "report.json").read_text())["results"]
     assert res["projection_residuals"]["P2_minus_P"] < 1e-12

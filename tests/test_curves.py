@@ -14,7 +14,6 @@ from siolab.curves import (
     make_square,
     make_unit_circle,
     portion_length,
-    portion_under_resolved,
     refine_epsilon_grid,
 )
 
@@ -54,15 +53,6 @@ def test_perturbed_circle_discrete_tangent_second_order():
 def test_circle_rejects_small_n():
     with pytest.raises(ValueError):
         make_unit_circle(7)
-
-
-def test_open_curves_rejected():
-    from siolab.curves import JordanCurve
-
-    c = make_unit_circle(64)
-    with pytest.raises(ValueError, match="closed"):
-        JordanCurve(c.nodes, c.arc_weights, c.tangent_angles, c.total_length,
-                    closed_flag=False)
 
 
 def test_parametric_circle_matches_builtin():
@@ -138,13 +128,9 @@ def test_portion_whole_curve_and_closed_form(circle4096):
     assert portion_length(c, 0, 2.5) == pytest.approx(TWO_PI, rel=1e-12)
     # chord eps=1 captures the arc of half-angle 2 arcsin(1/2), length 2 pi / 3
     assert portion_length(c, 17, 1.0) == pytest.approx(2.0 * np.pi / 3.0, rel=1e-3)
-
-
-def test_portion_under_resolved(circle4096):
+    # below the node spacing the portion is the center node's own weight
     h = TWO_PI / 4096
-    assert portion_under_resolved(circle4096, 5, h / 10)
-    assert not portion_under_resolved(circle4096, 5, 10 * h)
-    assert portion_length(circle4096, 5, h / 10) == pytest.approx(h, rel=1e-12)
+    assert portion_length(c, 5, h / 10) == pytest.approx(h, rel=1e-12)
 
 
 @settings(max_examples=30, deadline=None)

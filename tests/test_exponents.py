@@ -6,6 +6,7 @@ from hypothesis.extra.numpy import arrays
 
 from siolab.curves import make_unit_circle
 from siolab.exponents import (
+    check_conjugate_triple,
     conjugate_exponent_r,
     dominance_check,
     essential_bounds,
@@ -88,6 +89,7 @@ def test_conjugate_recombination_identity(pair):
     lhs = reciprocal(q.values)
     rhs = reciprocal(p.values) + reciprocal(r.values)
     assert np.abs(lhs - rhs).max() <= 1e-12
+    check_conjugate_triple(p, q, r)
 
 
 @settings(max_examples=60, deadline=None)

@@ -189,6 +189,13 @@ def test_holder_rejects_bad_triple(circle512):
             exponent_constant(4.0, 512), exponent_constant(2.0, 512),
             exponent_constant(3.0, 512),
         )
+    # 1/r is off by 1e-10, far above the rounding of conjugate_exponent_r
+    r = exponent_from_values(np.full(512, 1.0 / (0.25 + 1e-10)))
+    with pytest.raises(ValueError, match="1/q"):
+        holder_check(
+            circle512, np.ones(512), np.ones(512),
+            exponent_constant(4.0, 512), exponent_constant(2.0, 512), r,
+        )
 
 
 def test_holder_randomized_ratio_bound(circle512, rng):

@@ -71,26 +71,26 @@ def test_singular_exponent_validation():
 
 def test_shift_section_is_subdiagonal(circle1024):
     a = symbol_from_preset("monomial:1", circle1024)
-    M = finite_section(a, 4, 4, "T").matrix
+    M = finite_section(a, 4, 4, "T")
     assert np.array_equal(M, np.diag(np.ones(3), -1))
 
 
 def test_tridiagonal_section(circle1024):
     a = symbol_from_coefficients(np.array([1.0, 2.0, 1.0], dtype=complex), 1024)
-    M = finite_section(a, 3, 3, "T").matrix.real
+    M = finite_section(a, 3, 3, "T").real
     assert np.array_equal(M, np.array([[2, 1, 0], [1, 2, 1], [0, 1, 2]]))
 
 
 def test_real_symbol_gives_hermitian_square_section(circle1024):
     a = symbol_from_preset("singular:-0.25", circle1024, degree=64)
-    M = finite_section(a, 32, 32, "T").matrix
+    M = finite_section(a, 32, 32, "T")
     assert np.abs(M - M.conj().T).max() < 1e-14
 
 
 def test_section_constant_diagonals(circle1024):
     rng = np.random.default_rng(8)
     a = symbol_from_preset("trig-random:6", circle1024, rng=rng)
-    M = finite_section(a, 9, 5, "T").matrix
+    M = finite_section(a, 9, 5, "T")
     for d in range(-4, 9):
         diag = np.diagonal(M, -d)
         assert np.abs(diag - diag[0]).max() < 1e-15
@@ -107,8 +107,8 @@ def test_section_degree_validation(circle1024):
 def test_companion_reflects_coefficients(circle1024):
     rng = np.random.default_rng(9)
     a = symbol_from_preset("trig-random:3", circle1024, rng=rng)
-    T = finite_section(a, 6, 6, "T").matrix
-    C = finite_section(a, 6, 6, "companion").matrix
+    T = finite_section(a, 6, 6, "T")
+    C = finite_section(a, 6, 6, "companion")
     assert np.abs(C - T.T).max() < 1e-15
 
 
@@ -175,13 +175,13 @@ def test_matrix_apply_consistency(circle1024):
     rng = np.random.default_rng(10)
     a = symbol_from_preset("trig-random:4", circle1024, rng=rng)
     n = 8
-    sec = finite_section(a, n, n, "T").matrix
+    sec = finite_section(a, n, n, "T")
     for col in range(n):
         out = toeplitz_apply(circle1024, a, mode(circle1024, col))
         spectrum = np.fft.fft(out) / out.size
         got = spectrum[:n]
         assert np.abs(got - sec[:, col]).max() < 1e-10
-    csec = finite_section(a, n, n, "companion").matrix
+    csec = finite_section(a, n, n, "companion")
     for col in range(n):
         out = companion_apply(circle1024, a, mode(circle1024, -(col + 1)))
         spectrum = np.fft.fft(out) / out.size
@@ -197,8 +197,8 @@ def test_linearity_of_sections(circle1024):
     combo = symbol_from_coefficients(
         alpha * a.coefficient_window(-8, 8) + beta * b.coefficient_window(-8, 8), 1024
     )
-    lhs = finite_section(combo, 6, 6, "T").matrix
-    rhs = alpha * finite_section(a, 6, 6, "T").matrix + beta * finite_section(b, 6, 6, "T").matrix
+    lhs = finite_section(combo, 6, 6, "T")
+    rhs = alpha * finite_section(a, 6, 6, "T") + beta * finite_section(b, 6, 6, "T")
     assert np.abs(lhs - rhs).max() < 1e-12
 
 
@@ -229,7 +229,7 @@ def test_block_identities_ellipse(ellipse4096):
     from siolab.toeplitz import Symbol
 
     values = 1.0 + 0.6 * np.cos(theta)
-    sym = Symbol(values.astype(complex), a.coefficients, 1, "ellipse-sym", (), True)
+    sym = Symbol(values.astype(complex), a.coefficients, 1, "ellipse-sym", exact_band=True)
     res = block_identity_residual(ellipse4096, sym, 16)
     assert res.off_block < 1e-3
     assert res.adjoint < 1e-3
@@ -292,7 +292,7 @@ def test_dichotomy_verdict_record_schema(circle1024):
 def test_section_norm_bounded_by_sup_for_p2(circle1024):
     # on the analytic side of L^2 the operator norm is at most max |a|
     a = symbol_from_preset("one-plus-cos2", circle1024)
-    M = finite_section(a, 40, 32, "T").matrix
+    M = finite_section(a, 40, 32, "T")
     sigma_max = np.linalg.svd(M, compute_uv=False)[0]
     assert sigma_max <= np.abs(a.values).max() * (1.0 + 1e-10)
 
@@ -321,7 +321,7 @@ def test_unbounded_symbol_bound_via_sections(circle1024, rng):
     integral, _ = quad(lambda phi: (2 * np.sin(phi / 2)) ** (3 * s), 0, np.pi, points=[0])
     na3 = (2 * integral) ** (1.0 / 3.0)
     deg_f = 8
-    sec = finite_section(a, 200, deg_f + 1, "T").matrix
+    sec = finite_section(a, 200, deg_f + 1, "T")
     phi = np.angle(circle1024.nodes)
     for _ in range(5):
         coeff = rng.standard_normal(deg_f + 1) + 1j * rng.standard_normal(deg_f + 1)
