@@ -5,14 +5,16 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from siolab.cauchy import (
+    _quadrature_S,
     adjoint_residuals,
     apply_S,
     cauchy_offcurve,
     conjugation_H,
     plemelj_residual,
     riesz_projections,
+    s_path,
 )
-from siolab.curves import make_unit_circle
+from siolab.curves import curve_from_name, make_ellipse, make_unit_circle
 from siolab.toeplitz import symbol_from_coefficients, symbol_from_samples
 
 
@@ -61,14 +63,39 @@ def test_quadrature_refuses_tiny_curves():
         apply_S(tiny, np.ones(32), backend="quadrature")
 
 
-def test_quadrature_error_estimate_bounds_true_error(ellipse4096):
-    from siolab.cauchy import apply_S_error_estimate
+def test_split_S_spectral_on_ellipse():
+    curve = make_ellipse(2.0, 1.0, 256)
+    assert s_path(curve) == "split"
+    f = 1.0 / (curve.nodes - 2.3)  # pole outside: S f = f
+    assert np.abs(apply_S(curve, f) - f).max() < 1e-12
 
-    f = 1.0 / (ellipse4096.nodes - (3.0 + 1.0j))
-    true_error = np.abs(apply_S(ellipse4096, f) - f).max()
-    estimate = apply_S_error_estimate(ellipse4096, f)
-    assert true_error <= 10.0 * estimate  # coarse-grid comparison is conservative
-    assert estimate < 1e-8
+
+def test_split_S_perturbed_circle():
+    # the smooth part needs more than 128 coarse rows here
+    curve = curve_from_name("perturbed-circle:0.3,12", 1024)
+    assert s_path(curve) == "split"
+    f = 1.0 / (curve.nodes - 2.3)
+    assert np.abs(apply_S(curve, f) - f).max() < 1e-11
+
+
+def test_split_and_dense_agree_on_ellipse():
+    # the split is exact to rounding, so the gap is the dense path's h^5 error
+    gaps = []
+    for n in (256, 2048):
+        curve = make_ellipse(2.0, 1.0, n)
+        f = 1.0 / (curve.nodes - 2.3)
+        split = apply_S(curve, f)
+        assert np.abs(split - f).max() < 1e-11
+        gaps.append(np.abs(split - _quadrature_S(curve, f)).max())
+    assert gaps[0] < 1e-4
+    assert gaps[1] < 1e-8
+    assert gaps[0] / gaps[1] > 8.0**4  # at least fourth order
+
+
+def test_dense_path_only_for_unresolved_curves():
+    assert s_path(curve_from_name("square", 256)) == "dense"
+    assert s_path(make_unit_circle(256)) == "fft"
+    assert s_path(make_unit_circle(256), backend="quadrature") == "split"
 
 
 # ---------------------------------------------------------------- projections

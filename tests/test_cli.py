@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+import siolab.cauchy as cauchy
 import siolab.cli as cli
 from siolab.cli import EXIT_FAULT, EXIT_OK, EXIT_VALIDATION, main
 from siolab.toeplitz import DichotomyVerdict
@@ -124,6 +125,53 @@ def test_sio_check_reports_log_holder_failure_for_step(tmp_path):
     res = json.loads((out / "report.json").read_text())["results"]
     assert res["log_holder"]["holds"] is False
     assert np.isfinite(res["norm_ratio_max"])  # sweep still runs alongside
+
+
+def test_sio_check_faults_when_a_residual_exceeds_its_threshold(tmp_path, capsys):
+    # the dense path converges to first order on the square: adjoint residual 9.5e-2
+    out = tmp_path / "square"
+    code = run(["sio-check", "--curve", "square", "--n", "1024", "--trials", "2",
+                "--out", str(out)])
+    assert code == EXIT_FAULT
+    assert "adjoint S residual" in capsys.readouterr().err
+    assert (out / "report.json").exists()  # still written for the post-mortem
+
+    out = tmp_path / "ellipse"
+    code = run(["sio-check", "--curve", "ellipse:2,1", "--n", "1024", "--trials", "2",
+                "--out", str(out)])
+    assert code == EXIT_OK
+    res = json.loads((out / "report.json").read_text())["results"]
+    threshold = cli.S_RESIDUAL_THRESHOLDS["split"]
+    assert max(res["projection_residuals"].values()) < threshold
+    assert max(res["adjoint_residuals"].values()) < threshold
+
+
+def test_smooth_curves_skip_the_dense_kernel(tmp_path, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("dense kernel built on a smooth curve")
+
+    dense = cauchy._quadrature_S
+    monkeypatch.setattr(cauchy, "_quadrature_S", refuse)
+    for curve in ("ellipse:2,1", "perturbed-circle:0.1,5"):
+        code = run(["sio-check", "--curve", curve, "--n", "1024", "--trials", "2",
+                    "--out", str(tmp_path / curve.replace(":", "-"))])
+        assert code == EXIT_OK
+
+    calls = []
+    monkeypatch.setattr(cauchy, "_quadrature_S",
+                        lambda *args, **kwargs: calls.append(1) or dense(*args, **kwargs))
+    run(["sio-check", "--curve", "square", "--n", "256", "--trials", "2",
+         "--out", str(tmp_path / "square")])
+    assert calls
+
+
+def test_json_out_path_without_verdict_file(tmp_path):
+    # only dichotomy writes verdict.json; other commands just use the parent directory
+    out = tmp_path / "n" / "x.json"
+    code = run(["norm", "--curve", "circle", "--n", "512", "--out", str(out)])
+    assert code == EXIT_OK
+    assert (tmp_path / "n" / "report.json").exists()
+    assert not out.exists()
 
 
 def test_determinism_identical_bytes(tmp_path):
