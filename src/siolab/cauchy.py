@@ -292,17 +292,24 @@ def riesz_projections(curve: JordanCurve, f, backend: str = "auto") -> tuple[np.
 def cauchy_offcurve(curve: JordanCurve, f, z, chunk: int = 128) -> np.ndarray | complex:
     """Cauchy integral (1/(2 pi i)) int f(tau)/(tau - z) dtau at points off the curve.
 
-    Accuracy degrades within about two node spacings of the curve; such
-    targets trigger a warning. Points on a node are rejected. Targets are
-    taken ``chunk`` at a time; 128 keeps each temporary under 8 MB at 4096
-    nodes, which the allocator reuses instead of faulting in fresh pages.
+    ``f`` holds node values of shape (n,) or, for a stack of functions, (n, m)
+    with one function per column. The result has one entry per target, with
+    the m columns along a trailing axis for a stack; a scalar z gives a
+    complex number (shape (m,) for a stack). Accuracy degrades within about
+    two node spacings of the curve; such targets trigger a warning. Points on
+    a node are rejected. Targets are taken ``chunk`` at a time; 128 keeps each
+    temporary under 8 MB at 4096 nodes, which the allocator reuses instead of
+    faulting in fresh pages. Each chunk builds the kernel 1/(tau - z) once and
+    applies it to every column by the same matrix-vector product, so a column
+    of a stack is bitwise the 1-D result.
     """
     v = function_values(f)
     zs = np.atleast_1d(np.asarray(z, dtype=complex))
     tau = curve.nodes
     dtau = curve.complex_measure
+    columns = [v * dtau] if v.ndim == 1 else [v[:, j] * dtau for j in range(v.shape[1])]
     dist = np.empty(zs.size)
-    out = np.empty(zs.size, dtype=complex)
+    out = np.empty((len(columns), zs.size), dtype=complex)
     for s in range(0, zs.size, chunk):
         rows = slice(s, min(s + chunk, zs.size))
         D = tau[None, :] - zs[rows, None]
@@ -310,14 +317,18 @@ def cauchy_offcurve(curve: JordanCurve, f, z, chunk: int = 128) -> np.ndarray | 
         dist[rows] = dmin
         if np.any(dmin == 0.0):
             raise ValueError("evaluation point lies on a curve node")
-        out[rows] = (1.0 / D) @ (v * dtau) / (2j * np.pi)
+        K = 1.0 / D
+        for j, weighted in enumerate(columns):
+            out[j, rows] = K @ weighted / (2j * np.pi)
     if np.any(dist < 2.0 * curve.max_spacing()):
         warnings.warn(
             "evaluation point within two node spacings of the curve; "
             "quadrature error bound degraded",
             stacklevel=2,
         )
-    return out if np.ndim(z) else complex(out[0])
+    if v.ndim == 1:
+        return out[0] if np.ndim(z) else complex(out[0, 0])
+    return out.T if np.ndim(z) else out[:, 0]
 
 
 def _lagrange_at_zero(x: np.ndarray) -> np.ndarray:
@@ -335,13 +346,19 @@ def plemelj_residual(
     offsets,
     targets: int | None = None,
     backend: str = "auto",
-) -> PlemeljResidual:
+) -> PlemeljResidual | list[PlemeljResidual]:
     """Compare interior/exterior Cauchy boundary limits with P f and Q f.
 
     The Cauchy integrals are evaluated at t +- delta * (interior normal)
     for each approach distance delta in ``offsets``; with two or more
     offsets the boundary value is Richardson-extrapolated to delta -> 0,
     removing the O(delta) one-sided Taylor error before comparison.
+
+    ``f`` is one function (shape (n,)) or a stack of functions (shape
+    (m, n), one per row); a stack returns one residual per row, each equal
+    to the one-function result. S is applied to each function on its own,
+    while the off-curve kernel at each offset is built once for the whole
+    stack.
 
     The exterior transform carries the orientation that keeps the unbounded
     component on the left, i.e. the negated curve integral; with the plain
@@ -351,37 +368,38 @@ def plemelj_residual(
     offs = np.asarray(sorted(float(d) for d in offsets), dtype=float)
     if offs.size == 0 or np.any(offs <= 0):
         raise ValueError("offsets must be positive")
-    v = function_values(f)
+    values = function_values(f)
+    stack = np.atleast_2d(values)
     n = curve.n_nodes
     count = 512 if targets is None else int(targets)
     stride = max(1, n // count)
     t_idx = np.arange(0, n, stride)
-    if s_path(curve, backend) == "dense":
-        sv = _quadrature_S(curve, v, rows=t_idx)
-    else:
-        sv = apply_S_batch(curve, v, backend)[t_idx]
-    pf, qf = 0.5 * (v[t_idx] + sv), 0.5 * (v[t_idx] - sv)
+    dense = s_path(curve, backend) == "dense"
+    sv = np.array([_quadrature_S(curve, v, rows=t_idx) if dense
+                   else apply_S_batch(curve, v, backend)[t_idx] for v in stack])
+    pf, qf = 0.5 * (stack[:, t_idx] + sv), 0.5 * (stack[:, t_idx] - sv)
     normal = 1j * curve.unit_tangents[t_idx]  # interior on the left
     base = curve.nodes[t_idx]
 
-    plus_vals = np.empty((offs.size, t_idx.size), dtype=complex)
+    plus_vals = np.empty((stack.shape[0], offs.size, t_idx.size), dtype=complex)
     minus_vals = np.empty_like(plus_vals)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         for i, d in enumerate(offs):
-            plus_vals[i] = cauchy_offcurve(curve, v, base + d * normal)
-            minus_vals[i] = -cauchy_offcurve(curve, v, base - d * normal)
-    per_plus = tuple(float(np.abs(plus_vals[i] - pf).max()) for i in range(offs.size))
-    per_minus = tuple(float(np.abs(minus_vals[i] - qf).max()) for i in range(offs.size))
-    if offs.size >= 2:
-        w = _lagrange_at_zero(offs)
-        plus0 = w @ plus_vals
-        minus0 = w @ minus_vals
-        res_plus = float(np.abs(plus0 - pf).max())
-        res_minus = float(np.abs(minus0 - qf).max())
-    else:
-        res_plus, res_minus = per_plus[0], per_minus[0]
-    return PlemeljResidual(res_plus, res_minus, tuple(offs), per_plus, per_minus)
+            plus_vals[:, i] = cauchy_offcurve(curve, stack.T, base + d * normal).T
+            minus_vals[:, i] = -cauchy_offcurve(curve, stack.T, base - d * normal).T
+    w = _lagrange_at_zero(offs) if offs.size >= 2 else None
+    results = []
+    for plus, minus, p_f, q_f in zip(plus_vals, minus_vals, pf, qf):
+        per_plus = tuple(float(np.abs(plus[i] - p_f).max()) for i in range(offs.size))
+        per_minus = tuple(float(np.abs(minus[i] - q_f).max()) for i in range(offs.size))
+        if w is not None:
+            res_plus = float(np.abs(w @ plus - p_f).max())
+            res_minus = float(np.abs(w @ minus - q_f).max())
+        else:
+            res_plus, res_minus = per_plus[0], per_minus[0]
+        results.append(PlemeljResidual(res_plus, res_minus, tuple(offs), per_plus, per_minus))
+    return results[0] if values.ndim == 1 else results
 
 
 def conjugation_H(curve: JordanCurve, f) -> np.ndarray:

@@ -39,6 +39,7 @@ from .curves import (
 )
 from .exponents import exponent_from_preset, exponent_from_values, log_holder_constant
 from .spaces import (
+    CERTIFICATE_TOL,
     VARIABLE_EQUIV_ALLOWANCE,
     luxemburg_norm,
     multiplier_norm_lower,
@@ -228,6 +229,9 @@ def run_norm(cfg: ExperimentConfig) -> tuple[ReportBundle, str | None]:
     bundle = ReportBundle(results, {"norms": table},
                           _provenance(cfg, ["luxemburg_norm", "unit_ball_check"]), {})
     fault = None if ball.consistent else "unit-ball equivalence violated numerically"
+    if not res.certified:
+        fault = (f"Luxemburg norm not certified: modular {res.modular_at_value:.3g} "
+                 f"at value {res.value:.6g} is not within {CERTIFICATE_TOL:g} of 1")
     return bundle, fault
 
 
@@ -303,14 +307,13 @@ def run_sio_check(cfg: ExperimentConfig) -> tuple[ReportBundle, str | None]:
 
     adj = adjoint_residuals(curve, N)
     offsets = [0.08, 0.04, 0.02, 0.01]
-    plemelj_rows = []
-    for name, f in rational_corpus(curve, rng, count=4):
-        r = plemelj_residual(curve, f, offsets, targets=256)
-        plemelj_rows.append({"item": name, "op": "plemelj_residual",
-                             "residual_plus": r.residual_plus,
-                             "residual_minus": r.residual_minus})
+    names, functions = zip(*rational_corpus(curve, rng, count=4))
+    plemelj = plemelj_residual(curve, np.array(functions), offsets, targets=256)
+    plemelj_rows = [{"item": name, "op": "plemelj_residual",
+                     "residual_plus": r.residual_plus, "residual_minus": r.residual_minus}
+                    for name, r in zip(names, plemelj)]
 
-    polys = np.array([random_trig_polynomial(curve, rng, degree=12) for _ in range(cfg.trials)])
+    polys = random_trig_polynomial(curve, rng, degree=12, count=cfg.trials)
     s_polys = apply_S_batch(curve, polys.T).T
     ratio_rows = []
     for i, (f, sf) in enumerate(zip(polys, s_polys)):

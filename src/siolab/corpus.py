@@ -15,12 +15,29 @@ __all__ = [
 
 
 def random_trig_polynomial(curve: JordanCurve, rng: np.random.Generator,
-                           degree: int = 8) -> np.ndarray:
-    """Random complex trigonometric polynomial in the node angles."""
+                           degree: int = 8, count: int | None = None) -> np.ndarray:
+    """Random complex trigonometric polynomial in the node angles.
+
+    With ``count=None`` one polynomial, shape (n,); otherwise ``count`` of
+    them, one per row of a (count, n) array. The table exp(i k theta) is built
+    once; each polynomial draws its real then its imaginary coefficients, so
+    row i is bitwise the (i+1)-th of ``count`` one-polynomial calls on the
+    same generator.
+    """
     theta = np.angle(curve.nodes)
     k = np.arange(-degree, degree + 1)
-    coeff = rng.standard_normal(k.size) + 1j * rng.standard_normal(k.size)
-    return np.exp(1j * np.outer(theta, k)) @ coeff
+    table = np.exp(1j * np.outer(theta, k))
+
+    def draw() -> np.ndarray:
+        coeff = rng.standard_normal(k.size) + 1j * rng.standard_normal(k.size)
+        return table @ coeff
+
+    if count is None:
+        return draw()
+    polys = np.empty((count, curve.n_nodes), dtype=complex)
+    for i in range(count):
+        polys[i] = draw()
+    return polys
 
 
 def indicator_arc(curve: JordanCurve, center_index: int, width_nodes: int) -> np.ndarray:

@@ -204,7 +204,10 @@ def log_holder_constant(
     The verdict combines three requirements: 1 < p_- <= p_+ < inf, a finite
     estimate, and no rising trend of the dyadic band maxima (see
     :class:`LogHolderReport`). The estimate is monotone under nested node
-    refinement since the pair set only grows. Rows are scanned ``chunk`` at a
+    refinement since the pair set only grows. A constant exponent (the
+    H^p -> H^q case) has |p(t) - p(tau)| = 0 on every pair, so it returns
+    ``LogHolderReport(bounds_ok, 0.0, None, p_minus, p_plus, ())`` without a
+    scan, which is what the scan gives. Rows are scanned ``chunk`` at a
     time; 128 rows keep each pair temporary under 8 MB at 4096 nodes (512
     rows made this scan the peak memory of ``sio-check``).
     """
@@ -214,6 +217,8 @@ def log_holder_constant(
     bounds_ok = (1.0 < p_minus) and np.isfinite(p_plus)
     if not np.isfinite(p_plus):
         return LogHolderReport(False, np.inf, None, p_minus, p_plus)
+    if p.is_constant:
+        return LogHolderReport(bool(bounds_ok), 0.0, None, p_minus, p_plus, ())
 
     step = max(1, curve.n_nodes // max_nodes)
     idx = np.arange(0, curve.n_nodes, step)

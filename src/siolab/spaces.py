@@ -31,6 +31,7 @@ __all__ = [
     "UnitBallCheck",
     "HolderCheck",
     "MODULAR_TOL",
+    "CERTIFICATE_TOL",
     "VARIABLE_EQUIV_ALLOWANCE",
     "modular",
     "luxemburg_norm",
@@ -42,10 +43,11 @@ __all__ = [
     "multiplier_norm_lower",
 ]
 
-# Bisection target on the modular. Tighter than the 1e-10 certificate carried
+# Bisection target on the modular. Tighter than the CERTIFICATE_TOL carried
 # by NormResult so that norm arithmetic (triangle inequality and friends)
 # stays reliable at 1e-10 slack.
 MODULAR_TOL = 1e-12
+CERTIFICATE_TOL = 1e-10
 MAX_BISECTIONS = 200
 
 # Norm-equivalence envelope for the multiplier identity with variable
@@ -82,13 +84,22 @@ class SampledFunction:
 class NormResult:
     """Luxemburg norm together with its convergence certificate.
 
-    For 0 < value < inf the modular of f/value lies within 1e-10 of 1.
+    ``certified`` says whether the certificate holds: for 0 < value < inf the
+    modular of f/value lies within CERTIFICATE_TOL of 1; the values 0 and inf
+    need no modular. An uncertified result is returned, not raised, so
+    callers decide whether it is a fault.
     """
 
     value: float
     modular_at_value: float
     bisection_iterations: int
     bracket: tuple[float, float]
+
+    @property
+    def certified(self) -> bool:
+        if self.value == 0.0 or self.value == np.inf:
+            return True
+        return abs(self.modular_at_value - 1.0) <= CERTIFICATE_TOL
 
 
 @dataclass(frozen=True)
@@ -193,7 +204,7 @@ def luxemburg_norm(
         pc = float(p_fin[0])
         value = float(vmax * np.sum((v_fin / vmax) ** pc * w_fin) ** (1.0 / pc))
         got = rho(value)
-        if abs(got - 1.0) <= 1e-10:
+        if abs(got - 1.0) <= CERTIFICATE_TOL:
             return NormResult(value, got, 0, (value, value))
         # fall through on the rare precision miss and polish by bisection
 

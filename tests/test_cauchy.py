@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from siolab.cauchy import (
+    PlemeljResidual,
     _quadrature_S,
     adjoint_residuals,
     apply_S,
@@ -14,6 +15,7 @@ from siolab.cauchy import (
     riesz_projections,
     s_path,
 )
+from siolab.corpus import rational_corpus
 from siolab.curves import curve_from_name, make_ellipse, make_unit_circle
 from siolab.toeplitz import symbol_from_coefficients, symbol_from_samples
 
@@ -161,6 +163,31 @@ def test_offcurve_warns_near_curve(circle512):
         cauchy_offcurve(circle512, one, circle512.nodes[17])
 
 
+def test_offcurve_stack_matches_one_function_calls():
+    curve = make_ellipse(2.0, 1.0, 512)
+    rng = np.random.default_rng(5)
+    F = rng.standard_normal((512, 3)) + 1j * rng.standard_normal((512, 3))
+    # 300 targets span three chunks of 128, inside and outside the ellipse
+    angles = np.exp(2j * np.pi * rng.random(300))
+    z = np.where(np.arange(300) % 2 == 0, 0.5 * rng.random(300), 3.0 + rng.random(300)) * angles
+    stacked = cauchy_offcurve(curve, F, z)
+    assert stacked.shape == (300, 3)
+    for j in range(3):
+        assert np.array_equal(stacked[:, j], cauchy_offcurve(curve, F[:, j], z))
+    single = cauchy_offcurve(curve, F, 0.3 + 0.1j)
+    assert single.shape == (3,)
+    assert np.array_equal(single, [cauchy_offcurve(curve, F[:, j], 0.3 + 0.1j)
+                                   for j in range(3)])
+
+
+def test_offcurve_stack_keeps_the_node_and_near_curve_checks(circle512):
+    F = np.ones((512, 4), dtype=complex)
+    with pytest.warns(UserWarning, match="two node spacings"):
+        cauchy_offcurve(circle512, F, [0.2, 1.0 - 1e-4])
+    with pytest.raises(ValueError, match="on a curve node"):
+        cauchy_offcurve(circle512, F, [0.2, circle512.nodes[17]])
+
+
 # -------------------------------------------------------------------- Plemelj
 
 def test_plemelj_exterior_pole_identity(circle8192):
@@ -183,6 +210,19 @@ def test_plemelj_raw_offsets_shrink(ellipse8192):
     raw = r.per_offset_minus
     assert raw[0] < raw[-1]  # offsets are sorted ascending
     assert r.residual_minus < raw[0]
+
+
+@pytest.mark.parametrize("name, n", [("ellipse:2,1", 1024), ("square", 256),
+                                     ("circle", 1024)])
+def test_plemelj_stack_matches_one_function_calls(name, n):
+    curve = curve_from_name(name, n)
+    functions = [f for _, f in rational_corpus(curve, np.random.default_rng(3), count=4)]
+    offsets = [0.08, 0.04, 0.02, 0.01]
+    stacked = plemelj_residual(curve, np.array(functions), offsets, targets=64)
+    assert stacked == [plemelj_residual(curve, f, offsets, targets=64) for f in functions]
+    one = plemelj_residual(curve, np.array(functions[:1]), [0.05], targets=64)
+    assert one == [plemelj_residual(curve, functions[0], [0.05], targets=64)]
+    assert isinstance(plemelj_residual(curve, functions[0], [0.05]), PlemeljResidual)
 
 
 def test_plemelj_rejects_bad_offsets(circle512):

@@ -165,6 +165,33 @@ def test_smooth_curves_skip_the_dense_kernel(tmp_path, monkeypatch):
     assert calls
 
 
+def test_sio_check_builds_one_offcurve_kernel_per_offset(tmp_path, monkeypatch):
+    # the 4 corpus functions share each off-curve kernel: 4 offsets x 2 sides
+    shapes = []
+    offcurve = cauchy.cauchy_offcurve
+
+    def counting(curve, f, z, **kwargs):
+        shapes.append(np.shape(f))
+        return offcurve(curve, f, z, **kwargs)
+
+    monkeypatch.setattr(cauchy, "cauchy_offcurve", counting)
+    code = run(["sio-check", "--curve", "circle", "--n", "512", "--trials", "2",
+                "--out", str(tmp_path / "sio")])
+    assert code == EXIT_OK
+    assert shapes == [(512, 4)] * 8
+
+
+def test_norm_uncertified_result_exits_3(tmp_path, capsys):
+    out = tmp_path / "huge"
+    code = run(["norm", "--curve", "circle", "--n", "512", "--exponent", "1e308",
+                "--function", "const:2", "--out", str(out)])
+    assert code == EXIT_FAULT
+    err = capsys.readouterr().err
+    assert "modular 0" in err and "1e-10" in err
+    report = json.loads((out / "report.json").read_text())
+    assert "certified" not in report["results"]  # report layout unchanged
+
+
 def test_json_out_path_without_verdict_file(tmp_path):
     # only dichotomy writes verdict.json; other commands just use the parent directory
     out = tmp_path / "n" / "x.json"

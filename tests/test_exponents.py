@@ -6,6 +6,7 @@ from hypothesis.extra.numpy import arrays
 
 from siolab.curves import make_unit_circle
 from siolab.exponents import (
+    LogHolderReport,
     check_conjugate_triple,
     conjugate_exponent_r,
     dominance_check,
@@ -134,6 +135,19 @@ def test_log_holder_constant_exponent(circle1024):
     rep = log_holder_constant(exponent_constant(2.0, 1024), circle1024)
     assert rep.holds
     assert rep.constant_estimate == 0.0
+    # a constant exponent skips the scan and returns what the scan would
+    assert rep == LogHolderReport(True, 0.0, None, 2.0, 2.0, ())
+    assert type(rep.holds) is bool
+    one = log_holder_constant(exponent_constant(1.0, 1024), circle1024)
+    assert one == LogHolderReport(False, 0.0, None, 1.0, 1.0, ())
+
+
+def test_log_holder_variable_exponent_is_scanned(circle1024):
+    rep = log_holder_constant(exponent_from_preset("2+abs(sin)", circle1024), circle1024)
+    assert rep.holds
+    assert rep.constant_estimate > 0.0
+    assert rep.worst_pair is not None
+    assert rep.band_maxima
 
 
 def test_log_holder_step_fails(circle4096):

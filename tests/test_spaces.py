@@ -79,6 +79,7 @@ def test_norm_constant_function_closed_form(circle1024):
 def test_norm_zero_function(circle512):
     res = luxemburg_norm(circle512, np.zeros(512), exponent_constant(3.0, 512))
     assert res.value == 0.0
+    assert res.certified
 
 
 def test_norm_infinite_exponent(circle512):
@@ -115,6 +116,7 @@ def test_norm_fixed_point_random_corpus(circle512):
         res = luxemburg_norm(circle512, f, p)
         assert 0.0 < res.value < np.inf
         assert abs(res.modular_at_value - 1.0) <= 1e-10
+        assert res.certified
         # independent recomputation of the modular at the returned value
         assert modular(circle512, f / res.value, p) == pytest.approx(1.0, abs=1e-9)
 
@@ -135,6 +137,19 @@ def test_norm_of_infinite_samples_is_inf(circle512):
     f[3] = np.inf
     res = luxemburg_norm(circle512, f, exponent_constant(2.0, 512))
     assert res.value == np.inf
+    assert res.certified
+
+
+def test_norm_reports_a_failed_certificate(circle512):
+    # (f / lam)^1e308 underflows to 0 or overflows to inf for every lam near 2,
+    # so no bisection step brings the modular near 1
+    f = np.full(512, 2.0, dtype=complex)
+    p = exponent_constant(1e308, 512)
+    res = luxemburg_norm(circle512, f, p)
+    assert 0.0 < res.value < np.inf
+    assert abs(res.modular_at_value - 1.0) > 1e-10
+    assert not res.certified
+    assert norm_value(circle512, f, p) == res.value  # returned, not raised
 
 
 # ------------------------------------------------------------- unit ball
