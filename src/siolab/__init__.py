@@ -35,7 +35,6 @@ from .exponents import (
 from .spaces import (
     HolderCheck,
     NormResult,
-    SampledFunction,
     UnitBallCheck,
     holder_check,
     luxemburg_norm,

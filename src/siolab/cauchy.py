@@ -1,16 +1,18 @@
 """The Cauchy singular integral S and its companions on a Jordan curve.
 
-Three paths realize S; ``s_path`` names the one that runs.
+``apply_S`` is the one entry point; it takes one function (shape (n,)) or a
+stack (shape (n, m), one per column). Three paths realize S, chosen from the
+curve alone; ``s_path`` names the one that runs.
 
 * ``fft``: on the flagged unit circle S is the exact Fourier multiplier:
   nonnegative modes pass through, negative modes flip sign. Exact to
   rounding.
-* ``split``: off the circle (or with ``backend="quadrature"``), when the
-  spectrum of dtau/dsigma is resolved, the kernel is split into the periodic
-  Hilbert kernel (1/2) cot((s - s0)/2), applied by the same sign(k)
-  multiplier, plus a smooth remainder taken by the trapezoid rule at a few
-  target rows and interpolated by FFT. Spectral: about 3e-13 from n = 256
-  on the 2:1 ellipse, with a rounding floor that grows like n eps.
+* ``split``: off the circle, when the spectrum of dtau/dsigma is resolved,
+  the kernel is split into the periodic Hilbert kernel (1/2) cot((s - s0)/2),
+  applied by the same sign(k) multiplier, plus a smooth remainder taken by
+  the trapezoid rule at a few target rows and interpolated by FFT.
+  Spectral: about 3e-13 from n = 256 on the 2:1 ellipse, with a rounding
+  floor that grows like n eps.
 * ``dense``: otherwise (the square, whose dtau/dsigma jumps at the corners)
   the principal value is computed on the full n x n kernel with the
   constant part split off,
@@ -35,13 +37,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .curves import JordanCurve
-from .spaces import function_values
 
 __all__ = [
     "PlemeljResidual",
     "AdjointResiduals",
     "apply_S",
-    "apply_S_batch",
     "s_path",
     "riesz_projections",
     "cauchy_offcurve",
@@ -53,6 +53,11 @@ __all__ = [
 ]
 
 MIN_QUADRATURE_NODES = 64
+# Target rows per block of the n-column kernels of the dense and split paths.
+KERNEL_ROWS = 512
+# Targets per block of the off-curve sums; 128 keeps each temporary under 8 MB
+# at 4096 nodes, which the allocator reuses instead of faulting in fresh pages.
+OFFCURVE_ROWS = 128
 
 
 @dataclass(frozen=True)
@@ -96,7 +101,6 @@ def _quadrature_S(
     curve: JordanCurve,
     F: np.ndarray,
     rows: np.ndarray | None = None,
-    chunk: int = 512,
 ) -> np.ndarray:
     """Dense principal-value quadrature of S, optionally at target rows only.
 
@@ -106,8 +110,6 @@ def _quadrature_S(
     1.2e-9 at n = 2048) and first order on the square (with the pole at
     3 + i: 1.6e-3 at n = 256, 1.0e-4 at n = 4096).
     """
-    if curve.n_nodes < MIN_QUADRATURE_NODES:
-        raise ValueError(f"quadrature backend needs at least {MIN_QUADRATURE_NODES} nodes")
     tau = curve.nodes
     dtau = curve.complex_measure
     single = F.ndim == 1
@@ -123,13 +125,13 @@ def _quadrature_S(
     G = df_dt / (n * dtau[idx])[:, None]
     acc = np.empty((idx.size, V.shape[1]), dtype=complex)
     row_sums = np.empty(idx.size, dtype=complex)
-    for s in range(0, idx.size, chunk):
-        block = idx[s : s + chunk]
+    for s in range(0, idx.size, KERNEL_ROWS):
+        block = idx[s : s + KERNEL_ROWS]
         with np.errstate(divide="ignore", invalid="ignore"):
             A = dtau[None, :] / (tau[None, :] - tau[block, None])
         A[np.arange(block.size), block] = 0.0
-        acc[s : s + chunk] = A @ V
-        row_sums[s : s + chunk] = A.sum(axis=1)
+        acc[s : s + KERNEL_ROWS] = A @ V
+        row_sums[s : s + KERNEL_ROWS] = A.sum(axis=1)
     acc -= row_sums[:, None] * V[idx]
     acc += G * dtau[idx, None]
     out = V[idx] + acc / (1j * np.pi)
@@ -171,15 +173,17 @@ def _velocity(curve: JordanCurve) -> np.ndarray | None:
     return velocity
 
 
-def s_path(curve: JordanCurve, backend: str = "auto") -> str:
+def s_path(curve: JordanCurve) -> str:
     """Which realization of S runs: ``fft``, ``split`` or ``dense``.
 
-    ``auto`` is ``fft`` on the flagged unit circle. Off it (and for
-    ``quadrature``) the kernel split runs when the spectrum of dtau/dsigma is
-    resolved, and the dense kernel otherwise.
+    ``fft`` on the flagged unit circle. Off it the kernel split runs when the
+    spectrum of dtau/dsigma is resolved, and the dense kernel otherwise; both
+    need MIN_QUADRATURE_NODES nodes.
     """
-    if _resolve_backend(curve, backend) == "fft":
+    if curve.is_unit_circle:
         return "fft"
+    if curve.n_nodes < MIN_QUADRATURE_NODES:
+        raise ValueError(f"the dense and split paths need at least {MIN_QUADRATURE_NODES} nodes")
     return "dense" if _velocity(curve) is None else "split"
 
 
@@ -204,8 +208,6 @@ def _split_S(curve: JordanCurve, F: np.ndarray) -> np.ndarray:
     J. Comput. Phys. 227, 2008).
     """
     n = curve.n_nodes
-    if n < MIN_QUADRATURE_NODES:
-        raise ValueError(f"quadrature backend needs at least {MIN_QUADRATURE_NODES} nodes")
     velocity = _velocity(curve)
     single = F.ndim == 1
     V = F[:, None] if single else F
@@ -218,16 +220,16 @@ def _split_S(curve: JordanCurve, F: np.ndarray) -> np.ndarray:
     half_cot[1:] = 0.5 / np.tan(np.pi * np.arange(1, n) / n)
     index = np.arange(n)
 
-    def smooth_rows(rows: np.ndarray, chunk: int = 512) -> np.ndarray:
+    def smooth_rows(rows: np.ndarray) -> np.ndarray:
         """(1/(pi i)) times the trapezoid rule for R f, at the target rows."""
         out = np.empty((rows.size, V.shape[1]), dtype=complex)
-        for s in range(0, rows.size, chunk):
-            block = rows[s : s + chunk]
+        for s in range(0, rows.size, KERNEL_ROWS):
+            block = rows[s : s + KERNEL_ROWS]
             with np.errstate(divide="ignore", invalid="ignore"):
                 R = velocity[None, :] / (tau[None, :] - tau[block, None])
             R -= half_cot[(index[None, :] - block[:, None]) % n]
             R[np.arange(block.size), block] = diagonal[block]
-            out[s : s + chunk] = R @ V
+            out[s : s + KERNEL_ROWS] = R @ V
         return out * (2.0 / (1j * n))
 
     # the coarse grid is every stride-th node: the fewest rows (>= 64) that
@@ -251,45 +253,33 @@ def _split_S(curve: JordanCurve, F: np.ndarray) -> np.ndarray:
     return out[:, 0] if single else out
 
 
-def _resolve_backend(curve: JordanCurve, backend: str) -> str:
-    """Map ``auto`` to ``fft`` on the flagged unit circle, else ``quadrature``."""
-    if backend == "auto":
-        return "fft" if curve.is_unit_circle else "quadrature"
-    if backend not in ("fft", "quadrature"):
-        raise ValueError(f"unknown backend {backend!r}")
-    if backend == "fft" and not curve.is_unit_circle:
-        raise ValueError("fft backend requires the flagged unit circle")
-    return backend
+def apply_S(curve: JordanCurve, f) -> np.ndarray:
+    """Cauchy singular integral of f on the curve nodes, by the path ``s_path`` names.
 
-
-def apply_S_batch(curve: JordanCurve, F: np.ndarray, backend: str = "auto") -> np.ndarray:
-    """Apply S to the columns of F (shape (n_nodes, m)) in one pass."""
-    F = np.asarray(F, dtype=complex)
-    path = s_path(curve, backend)
+    ``f`` has shape (n,) or, for a stack of functions, (n, m) with one
+    function per column; a stack is taken in one pass.
+    """
+    f = np.asarray(f, dtype=complex)
+    path = s_path(curve)
     if path == "fft":
-        return _circle_multiplier(F)
+        return _circle_multiplier(f)
     if path == "split":
-        return _split_S(curve, F)
-    return _quadrature_S(curve, F)
+        return _split_S(curve, f)
+    return _quadrature_S(curve, f)
 
 
-def apply_S(curve: JordanCurve, f, backend: str = "auto") -> np.ndarray:
-    """Cauchy singular integral of f on the curve nodes."""
-    return apply_S_batch(curve, function_values(f), backend)
-
-
-def riesz_projections(curve: JordanCurve, f, backend: str = "auto") -> tuple[np.ndarray, np.ndarray]:
+def riesz_projections(curve: JordanCurve, f) -> tuple[np.ndarray, np.ndarray]:
     """(P f, Q f) with P = (I + S)/2, Q = (I - S)/2; P f + Q f = f exactly.
 
     Q f is formed as f - P f so the resolution of the identity holds to the
     last bit, not merely to rounding.
     """
-    v = function_values(f)
-    pf = 0.5 * (v + apply_S_batch(curve, v, backend))
+    v = np.asarray(f, dtype=complex)
+    pf = 0.5 * (v + apply_S(curve, v))
     return pf, v - pf
 
 
-def cauchy_offcurve(curve: JordanCurve, f, z, chunk: int = 128) -> np.ndarray | complex:
+def cauchy_offcurve(curve: JordanCurve, f, z) -> np.ndarray | complex:
     """Cauchy integral (1/(2 pi i)) int f(tau)/(tau - z) dtau at points off the curve.
 
     ``f`` holds node values of shape (n,) or, for a stack of functions, (n, m)
@@ -297,21 +287,20 @@ def cauchy_offcurve(curve: JordanCurve, f, z, chunk: int = 128) -> np.ndarray | 
     the m columns along a trailing axis for a stack; a scalar z gives a
     complex number (shape (m,) for a stack). Accuracy degrades within about
     two node spacings of the curve; such targets trigger a warning. Points on
-    a node are rejected. Targets are taken ``chunk`` at a time; 128 keeps each
-    temporary under 8 MB at 4096 nodes, which the allocator reuses instead of
-    faulting in fresh pages. Each chunk builds the kernel 1/(tau - z) once and
-    applies it to every column by the same matrix-vector product, so a column
-    of a stack is bitwise the 1-D result.
+    a node are rejected. Targets are taken OFFCURVE_ROWS at a time; each block
+    builds the kernel 1/(tau - z) once and applies it to every column by the
+    same matrix-vector product, so a column of a stack is bitwise the 1-D
+    result.
     """
-    v = function_values(f)
+    v = np.asarray(f, dtype=complex)
     zs = np.atleast_1d(np.asarray(z, dtype=complex))
     tau = curve.nodes
     dtau = curve.complex_measure
     columns = [v * dtau] if v.ndim == 1 else [v[:, j] * dtau for j in range(v.shape[1])]
     dist = np.empty(zs.size)
     out = np.empty((len(columns), zs.size), dtype=complex)
-    for s in range(0, zs.size, chunk):
-        rows = slice(s, min(s + chunk, zs.size))
+    for s in range(0, zs.size, OFFCURVE_ROWS):
+        rows = slice(s, min(s + OFFCURVE_ROWS, zs.size))
         D = tau[None, :] - zs[rows, None]
         dmin = np.abs(D).min(axis=1)
         dist[rows] = dmin
@@ -344,8 +333,7 @@ def plemelj_residual(
     curve: JordanCurve,
     f,
     offsets,
-    targets: int | None = None,
-    backend: str = "auto",
+    targets: int = 512,
 ) -> PlemeljResidual | list[PlemeljResidual]:
     """Compare interior/exterior Cauchy boundary limits with P f and Q f.
 
@@ -368,15 +356,14 @@ def plemelj_residual(
     offs = np.asarray(sorted(float(d) for d in offsets), dtype=float)
     if offs.size == 0 or np.any(offs <= 0):
         raise ValueError("offsets must be positive")
-    values = function_values(f)
+    values = np.asarray(f, dtype=complex)
     stack = np.atleast_2d(values)
     n = curve.n_nodes
-    count = 512 if targets is None else int(targets)
-    stride = max(1, n // count)
+    stride = max(1, n // int(targets))
     t_idx = np.arange(0, n, stride)
-    dense = s_path(curve, backend) == "dense"
+    dense = s_path(curve) == "dense"
     sv = np.array([_quadrature_S(curve, v, rows=t_idx) if dense
-                   else apply_S_batch(curve, v, backend)[t_idx] for v in stack])
+                   else apply_S(curve, v)[t_idx] for v in stack])
     pf, qf = 0.5 * (stack[:, t_idx] + sv), 0.5 * (stack[:, t_idx] - sv)
     normal = 1j * curve.unit_tangents[t_idx]  # interior on the left
     base = curve.nodes[t_idx]
@@ -407,7 +394,7 @@ def conjugation_H(curve: JordanCurve, f) -> np.ndarray:
 
     Node samples run along the last axis, so a 2-d input maps row by row.
     """
-    return np.exp(-1j * curve.tangent_angles) * np.conj(function_values(f))
+    return np.exp(-1j * curve.tangent_angles) * np.conj(np.asarray(f, dtype=complex))
 
 
 def _weighted_l2(curve: JordanCurve, X: np.ndarray) -> np.ndarray:
@@ -433,7 +420,7 @@ def centered_modes(basis_size: int) -> np.ndarray:
     return np.arange(-half, basis_size - half)
 
 
-def adjoint_residuals(curve: JordanCurve, basis_size: int, backend: str = "auto") -> AdjointResiduals:
+def adjoint_residuals(curve: JordanCurve, basis_size: int) -> AdjointResiduals:
     """Matrix-level residuals of S* = -HSH, P* = HQH, Q* = HPH.
 
     Matrix elements of the adjoints come for free from the pairing,
@@ -442,10 +429,10 @@ def adjoint_residuals(curve: JordanCurve, basis_size: int, backend: str = "auto"
     """
     modes = centered_modes(basis_size)
     B = mode_basis(curve, modes)
-    SB = apply_S_batch(curve, B.T, backend).T
+    SB = apply_S(curve, B.T).T
     PB, QB = 0.5 * (B + SB), 0.5 * (B - SB)
     HB = conjugation_H(curve, B)
-    SHB = apply_S_batch(curve, HB.T, backend).T
+    SHB = apply_S(curve, HB.T).T
     HSH = conjugation_H(curve, SHB)
     HPH = conjugation_H(curve, 0.5 * (HB + SHB))
     HQH = conjugation_H(curve, 0.5 * (HB - SHB))

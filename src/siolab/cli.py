@@ -22,7 +22,7 @@ import numpy as np
 from . import __version__
 from .cauchy import (
     adjoint_residuals,
-    apply_S_batch,
+    apply_S,
     centered_modes,
     mode_basis,
     operator_matrix,
@@ -246,10 +246,10 @@ def run_multiplier(cfg: ExperimentConfig) -> tuple[ReportBundle, str | None]:
     witness_value = 0.0
     if np.isfinite(theorem) and theorem > 0.0:
         w = multiplier_witness(curve, a, p, q, theorem, 1e-3 * theorem)
-        if w.values.any():
-            wn = norm_value(curve, w.values, p)
+        if w.any():
+            wn = norm_value(curve, w, p)
             if wn > 0:
-                witness_value = norm_value(curve, a * w.values / wn, q)
+                witness_value = norm_value(curve, a * w / wn, q)
     allowance = 1.0 if (p.is_constant and q.is_constant) else VARIABLE_EQUIV_ALLOWANCE
     results = {
         "theorem_value": theorem,
@@ -295,13 +295,13 @@ def run_sio_check(cfg: ExperimentConfig) -> tuple[ReportBundle, str | None]:
     N = 32
 
     B = mode_basis(curve, centered_modes(N))
-    SB = apply_S_batch(curve, B.T).T
+    SB = apply_S(curve, B.T).T
     PB, QB = 0.5 * (B + SB), 0.5 * (B - SB)
-    PPB = 0.5 * (PB + apply_S_batch(curve, PB.T).T)
+    PPB = 0.5 * (PB + apply_S(curve, PB.T).T)
     M = lambda X: operator_matrix(curve, X, B)
     proj = {
         "P2_minus_P": float(np.abs(M(PPB) - M(PB)).max()),
-        "PQ": float(np.abs(M(0.5 * (QB + apply_S_batch(curve, QB.T).T))).max()),
+        "PQ": float(np.abs(M(0.5 * (QB + apply_S(curve, QB.T).T))).max()),
         "P_plus_Q_minus_I": float(np.abs(M(PB + QB) - M(B)).max()),
     }
 
@@ -314,7 +314,7 @@ def run_sio_check(cfg: ExperimentConfig) -> tuple[ReportBundle, str | None]:
                     for name, r in zip(names, plemelj)]
 
     polys = random_trig_polynomial(curve, rng, degree=12, count=cfg.trials)
-    s_polys = apply_S_batch(curve, polys.T).T
+    s_polys = apply_S(curve, polys.T).T
     ratio_rows = []
     for i, (f, sf) in enumerate(zip(polys, s_polys)):
         nf = norm_value(curve, f, p)
@@ -477,7 +477,10 @@ def config_from_args(args: argparse.Namespace) -> tuple[ExperimentConfig, str | 
     unknown = set(merged) - valid
     if unknown:
         raise ValueError(f"unknown config keys {sorted(unknown)}")
-    return replace(ExperimentConfig(), **merged), verdict_file
+    cfg = replace(ExperimentConfig(), **merged)
+    if cfg.trials < 1:
+        raise ValueError(f"config key 'trials' must be at least 1, got {cfg.trials}")
+    return cfg, verdict_file
 
 
 def main(argv=None) -> int:

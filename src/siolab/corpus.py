@@ -67,17 +67,20 @@ def rational_corpus(curve: JordanCurve, rng: np.random.Generator, count: int = 1
     Interior pole candidates sit well inside (scaled toward the origin),
     exterior ones well outside; every pole keeps at least ``min_distance``
     from the nodes so one-sided Taylor expansions of the Cauchy integrals
-    stay tame.
+    stay tame. An interior pole keeps min(min_distance, 0.85 min |tau|): the
+    origin lies inside, so retreating toward it always meets that bound.
     """
     tau = curve.nodes
-    r_in = 0.25 * float(np.abs(tau).min())
+    r_min = float(np.abs(tau).min())
+    r_in = 0.25 * r_min
     r_out = 2.0 * float(np.abs(tau).max())
 
     def place(radius: float, angle: float, inward: bool) -> complex:
         # retreat toward the safe side until the distance constraint holds
+        need = min(min_distance, 0.85 * r_min) if inward else min_distance
         for _ in range(8):
             z0 = radius * np.exp(1j * angle)
-            if float(np.abs(tau - z0).min()) >= min_distance:
+            if float(np.abs(tau - z0).min()) >= need:
                 return z0
             radius = radius * 0.5 if inward else radius * 2.0
         raise ValueError(f"no admissible pole at angle {angle:.3f}")

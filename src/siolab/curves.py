@@ -82,8 +82,9 @@ class JordanCurve:
     def max_spacing(self) -> float:
         return float(np.abs(np.roll(self.nodes, -1) - self.nodes).max())
 
-    def approximate_diameter(self, samples: int = 512) -> float:
-        step = max(1, self.n_nodes // samples)
+    def approximate_diameter(self) -> float:
+        """Largest distance between nodes of a subsample of at most about 512."""
+        step = max(1, self.n_nodes // 512)
         z = self.nodes[::step]
         d = np.abs(z[:, None] - z[None, :])
         return float(d.max())
@@ -156,7 +157,6 @@ def make_parametric_curve(
     derivative: Callable,
     n_nodes: int,
     name: str = "parametric",
-    validate_simple: bool = True,
 ) -> JordanCurve:
     """Sample a 1-periodic parametrization at t_j = j/n.
 
@@ -177,7 +177,7 @@ def make_parametric_curve(
     weights = speed / n_nodes
     angles = np.angle(deriv)
     curve = JordanCurve(nodes, weights, angles, float(weights.sum()), name=name)
-    if validate_simple and not _polyline_is_simple(curve.nodes):
+    if not _polyline_is_simple(curve.nodes):
         raise ValueError(f"curve {name!r} fails the self-intersection check")
     return curve
 
@@ -279,13 +279,13 @@ def portion_length(curve: JordanCurve, t_index: int, epsilon: float) -> float:
     return float(curve.arc_weights[d < epsilon].sum())
 
 
-def default_epsilon_grid(curve: JordanCurve, n_eps: int = 64) -> np.ndarray:
-    """Log-spaced radii from twice the coarsest node spacing to the diameter."""
+def default_epsilon_grid(curve: JordanCurve) -> np.ndarray:
+    """64 log-spaced radii from twice the coarsest node spacing to the diameter."""
     lo = 2.0 * curve.max_spacing()
     hi = curve.approximate_diameter()
     if lo >= hi:
         raise ValueError("curve too coarse for a radius grid")
-    return np.geomspace(lo, hi, n_eps)
+    return np.geomspace(lo, hi, 64)
 
 
 def refine_epsilon_grid(grid: np.ndarray) -> np.ndarray:
@@ -298,7 +298,7 @@ def refine_epsilon_grid(grid: np.ndarray) -> np.ndarray:
 def carleson_constant(
     curve: JordanCurve,
     epsilon_grid: np.ndarray | None = None,
-    t_subsample: int | None = None,
+    t_subsample: int = 256,
 ) -> CarlesonReport:
     """Estimate the Carleson constant sup |portion(t, eps)| / eps on a grid.
 
@@ -311,8 +311,7 @@ def carleson_constant(
     if np.any(eps <= 0):
         raise ValueError("epsilon grid must be positive")
     eps = np.sort(eps)
-    count = 256 if t_subsample is None else int(t_subsample)
-    stride = max(1, curve.n_nodes // count)
+    stride = max(1, curve.n_nodes // int(t_subsample))
     t_indices = np.arange(0, curve.n_nodes, stride)
 
     best = -np.inf

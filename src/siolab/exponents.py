@@ -181,10 +181,10 @@ def check_conjugate_triple(
 def partition_infinity_sets(
     p: ExponentFunction, q: ExponentFunction, r: ExponentFunction
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Split nodes into (gamma1, gamma2, gamma3) for a conjugate triple.
+    """Split the nodes into the index sets (G1, G2, G3) for a conjugate triple.
 
-    gamma1 = {p = inf}, gamma2 = {r = inf} minus gamma1, gamma3 = the rest;
-    on gamma1 the triple forces q = r, on gamma2 it forces p = q < inf.
+    G1 = {p = inf}, G2 = {r = inf} minus G1, G3 = the rest; on G1 the triple
+    forces q = r, on G2 it forces p = q < inf.
     """
     check_conjugate_triple(p, q, r)
     g1 = np.isinf(p.values)
@@ -193,11 +193,15 @@ def partition_infinity_sets(
     return np.flatnonzero(g1), np.flatnonzero(g2), np.flatnonzero(g3)
 
 
+# Rows per block of the log-Hoelder pair scan: under 8 MB per temporary at
+# 4096 nodes (512 rows made this scan the peak memory of ``sio-check``).
+SCAN_ROWS = 128
+
+
 def log_holder_constant(
     p: ExponentFunction,
     curve: JordanCurve,
     max_nodes: int = 4096,
-    chunk: int = 128,
 ) -> LogHolderReport:
     """Estimate the log-Hoelder constant of p over node pairs closer than 1/2.
 
@@ -207,9 +211,8 @@ def log_holder_constant(
     refinement since the pair set only grows. A constant exponent (the
     H^p -> H^q case) has |p(t) - p(tau)| = 0 on every pair, so it returns
     ``LogHolderReport(bounds_ok, 0.0, None, p_minus, p_plus, ())`` without a
-    scan, which is what the scan gives. Rows are scanned ``chunk`` at a
-    time; 128 rows keep each pair temporary under 8 MB at 4096 nodes (512
-    rows made this scan the peak memory of ``sio-check``).
+    scan, which is what the scan gives. Rows are scanned SCAN_ROWS at a
+    time.
     """
     if p.n_nodes != curve.n_nodes:
         raise ValueError("exponent and curve node counts differ")
@@ -229,8 +232,8 @@ def log_holder_constant(
     worst = None
     n_bands = 64
     bands = np.zeros(n_bands)
-    for s in range(0, idx.size, chunk):
-        rows = slice(s, min(s + chunk, idx.size))
+    for s in range(0, idx.size, SCAN_ROWS):
+        rows = slice(s, min(s + SCAN_ROWS, idx.size))
         d = np.abs(z[rows, None] - z[None, :])
         mask = (d > 0.0) & (d < 0.5)
         if not mask.any():

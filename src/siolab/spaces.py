@@ -1,7 +1,7 @@
 """Modulars, Luxemburg--Nakano norms, and pointwise-multiplier norms.
 
-The modular of f over a node set gamma is the quadrature of |f|^p off the
-infinity set of the exponent plus the sup of |f| on it. The norm is the
+The modular of f over the curve is the quadrature of |f|^p off the infinity
+set of the exponent plus the sup of |f| on it. The norm is the
 smallest lambda with modular(f / lambda) <= 1; since the modular is
 continuous and strictly decreasing in lambda wherever it is positive and
 finite, a bracketing bisection pins the root. Constant exponents take the
@@ -26,7 +26,6 @@ from .exponents import (
 )
 
 __all__ = [
-    "SampledFunction",
     "NormResult",
     "UnitBallCheck",
     "HolderCheck",
@@ -53,31 +52,6 @@ MAX_BISECTIONS = 200
 # Norm-equivalence envelope for the multiplier identity with variable
 # exponents, an engineering allowance; for constant exponents it is exact.
 VARIABLE_EQUIV_ALLOWANCE = 4.0
-
-
-@dataclass(frozen=True)
-class SampledFunction:
-    """Complex values on curve nodes, optionally restricted to a node subset."""
-
-    values: np.ndarray
-    support_mask: np.ndarray | None = None
-
-    def __post_init__(self):
-        v = np.asarray(self.values, dtype=complex)
-        object.__setattr__(self, "values", v)
-        if v.ndim != 1:
-            raise ValueError("sampled values must be a 1-d array")
-        if self.support_mask is not None:
-            m = np.asarray(self.support_mask, dtype=bool)
-            object.__setattr__(self, "support_mask", m)
-            if m.shape != v.shape:
-                raise ValueError("support mask shape differs from values")
-            if not m.any():
-                raise ValueError("support mask selects a zero-measure node set")
-
-    @property
-    def n_nodes(self) -> int:
-        return self.values.size
 
 
 @dataclass(frozen=True)
@@ -119,45 +93,21 @@ class HolderCheck:
     fault: bool
 
 
-def function_values(f) -> np.ndarray:
-    """Accept a SampledFunction or a bare array."""
-    if isinstance(f, SampledFunction):
-        return f.values
-    return np.asarray(f, dtype=complex)
-
-
-def _combined_mask(curve: JordanCurve, f, gamma) -> np.ndarray:
-    n = curve.n_nodes
-    mask = np.ones(n, dtype=bool)
-    if isinstance(f, SampledFunction) and f.support_mask is not None:
-        mask &= f.support_mask
-    if gamma is not None:
-        g = np.asarray(gamma)
-        if g.dtype == bool:
-            if g.shape != (n,):
-                raise ValueError("gamma mask shape differs from the curve")
-            mask &= g
-        else:
-            sel = np.zeros(n, dtype=bool)
-            sel[g.astype(int)] = True
-            mask &= sel
-    if not mask.any():
-        raise ValueError("gamma has zero measure on this curve")
-    v = function_values(f)
-    if v.size != n:
+def _node_values(curve: JordanCurve, f) -> np.ndarray:
+    """Values of f, which must have one sample per curve node."""
+    v = np.asarray(f, dtype=complex)
+    if v.size != curve.n_nodes:
         raise ValueError("function and curve node counts differ")
-    return mask
+    return v
 
 
-def _modular_parts(curve, f, p, gamma):
-    mask = _combined_mask(curve, f, gamma)
-    v = np.abs(function_values(f))
+def _modular_parts(curve, f, p):
+    v = np.abs(_node_values(curve, f))
     pv = p.values
     if pv.size != curve.n_nodes:
         raise ValueError("exponent and curve node counts differ")
-    fin = mask & np.isfinite(pv)
-    infm = mask & np.isinf(pv)
-    return v[fin], pv[fin], curve.arc_weights[fin], v[infm]
+    fin = np.isfinite(pv)  # exponents hold no nan, so ~fin is the infinity set
+    return v[fin], pv[fin], curve.arc_weights[fin], v[~fin]
 
 
 def _modular_value(v_fin, p_fin, w_fin, v_inf, lam: float = 1.0) -> float:
@@ -167,26 +117,20 @@ def _modular_value(v_fin, p_fin, w_fin, v_inf, lam: float = 1.0) -> float:
     return integral + sup
 
 
-def modular(curve: JordanCurve, f, p: ExponentFunction, gamma=None) -> float:
-    """Variable-exponent modular of f over gamma; inf is a valid result."""
-    v_fin, p_fin, w_fin, v_inf = _modular_parts(curve, f, p, gamma)
+def modular(curve: JordanCurve, f, p: ExponentFunction) -> float:
+    """Variable-exponent modular of f over the curve; inf is a valid result."""
+    v_fin, p_fin, w_fin, v_inf = _modular_parts(curve, f, p)
     return _modular_value(v_fin, p_fin, w_fin, v_inf)
 
 
-def luxemburg_norm(
-    curve: JordanCurve,
-    f,
-    p: ExponentFunction,
-    gamma=None,
-    tol: float = MODULAR_TOL,
-) -> NormResult:
+def luxemburg_norm(curve: JordanCurve, f, p: ExponentFunction) -> NormResult:
     """Smallest lambda > 0 with modular(f / lambda) <= 1.
 
     Returns 0 for the zero function and inf when no finite lambda brings the
     modular down to 1 (for example when f is infinite on a positive-measure
-    part of gamma).
+    part of the curve).
     """
-    v_fin, p_fin, w_fin, v_inf = _modular_parts(curve, f, p, gamma)
+    v_fin, p_fin, w_fin, v_inf = _modular_parts(curve, f, p)
     if (v_fin.size == 0 or not v_fin.any()) and (v_inf.size == 0 or not v_inf.any()):
         return NormResult(0.0, 0.0, 0, (0.0, 0.0))
     vmax = max(v_fin.max() if v_fin.size else 0.0, v_inf.max() if v_inf.size else 0.0)
@@ -237,7 +181,7 @@ def luxemburg_norm(
         err = abs(r - 1.0)
         if err < best_err:
             best_lam, best_err = mid, err
-        if err <= tol:
+        if err <= MODULAR_TOL:
             return NormResult(mid, r, iterations, bracket)
         if r > 1.0:
             lo = mid
@@ -248,39 +192,32 @@ def luxemburg_norm(
     return NormResult(best_lam, rho(best_lam), iterations, bracket)
 
 
-def norm_value(curve: JordanCurve, f, p: ExponentFunction, gamma=None) -> float:
-    return luxemburg_norm(curve, f, p, gamma).value
+def norm_value(curve: JordanCurve, f, p: ExponentFunction) -> float:
+    return luxemburg_norm(curve, f, p).value
 
 
-def unit_ball_check(curve: JordanCurve, f, p: ExponentFunction, gamma=None) -> UnitBallCheck:
+def unit_ball_check(curve: JordanCurve, f, p: ExponentFunction) -> UnitBallCheck:
     """Evaluate 'modular <= 1' and 'norm <= 1' independently.
 
     The two are equivalent, so disagreement away from the boundary is a
     numerical fault, flagged rather than raised.
     """
-    rho = modular(curve, f, p, gamma)
-    nrm = luxemburg_norm(curve, f, p, gamma).value
+    rho = modular(curve, f, p)
+    nrm = luxemburg_norm(curve, f, p).value
     m_ok = rho <= 1.0
     n_ok = nrm <= 1.0
     boundary = abs(rho - 1.0) <= 1e-9 or abs(nrm - 1.0) <= 1e-9
     return UnitBallCheck(m_ok, n_ok, rho, nrm, m_ok == n_ok or boundary)
 
 
-def holder_check(
-    curve: JordanCurve,
-    f,
-    g,
-    p: ExponentFunction,
-    q: ExponentFunction,
-    r: ExponentFunction,
-    gamma=None,
-) -> HolderCheck:
+def holder_check(curve: JordanCurve, f, g, p: ExponentFunction, q: ExponentFunction,
+                 r: ExponentFunction) -> HolderCheck:
     """Compare ||fg||_q against ||f||_p ||g||_r for a conjugate triple."""
     check_conjugate_triple(p, q, r)
-    fv = function_values(f)
-    gv = function_values(g)
-    lhs = norm_value(curve, fv * gv, q, gamma)
-    rhs = norm_value(curve, fv, p, gamma) * norm_value(curve, gv, r, gamma)
+    fv = np.asarray(f, dtype=complex)
+    gv = np.asarray(g, dtype=complex)
+    lhs = norm_value(curve, fv * gv, q)
+    rhs = norm_value(curve, fv, p) * norm_value(curve, gv, r)
     if lhs == 0.0:
         return HolderCheck(lhs, rhs, 0.0, False)
     if rhs == 0.0:
@@ -289,7 +226,7 @@ def holder_check(
 
 
 def multiplier_norm_via_theorem(
-    curve: JordanCurve, a, p: ExponentFunction, q: ExponentFunction, gamma=None
+    curve: JordanCurve, a, p: ExponentFunction, q: ExponentFunction
 ) -> float:
     """||a|| in L^r for the conjugate exponent r.
 
@@ -298,21 +235,14 @@ def multiplier_norm_via_theorem(
     VARIABLE_EQUIV_ALLOWANCE envelope).
     """
     r = conjugate_exponent_r(p, q)
-    return norm_value(curve, a, r, gamma)
+    return norm_value(curve, a, r)
 
 
-def multiplier_witness(
-    curve: JordanCurve,
-    a,
-    p: ExponentFunction,
-    q: ExponentFunction,
-    c: float,
-    eps: float,
-    gamma=None,
-) -> SampledFunction:
+def multiplier_witness(curve: JordanCurve, a, p: ExponentFunction, q: ExponentFunction,
+                       c: float, eps: float) -> np.ndarray:
     """Near-extremal trial function for the multiplier norm of a.
 
-    On the finite-exponent part of gamma where a(t) != 0 it equals
+    On the finite-exponent part of the curve where a(t) != 0 it equals
     ((c + eps) / a) (|a| / (c + eps))^(r/q), so |witness| =
     (|a| / (c + eps))^(r/p); elsewhere it vanishes. With c at least the
     multiplier norm its p-modular stays <= 1.
@@ -321,18 +251,17 @@ def multiplier_witness(
         raise ValueError("witness needs c > 0 and eps > 0")
     r = conjugate_exponent_r(p, q)
     _, _, g3 = partition_infinity_sets(p, q, r)
-    mask = _combined_mask(curve, a, gamma)
+    av = _node_values(curve, a)
     sel = np.zeros(curve.n_nodes, dtype=bool)
     sel[g3] = True
-    av = function_values(a)
     # nodes sampling an integrable singularity as inf form a null set
-    mask = mask & sel & (av != 0.0) & np.isfinite(av)
+    mask = sel & (av != 0.0) & np.isfinite(av)
     out = np.zeros(curve.n_nodes, dtype=complex)
     if mask.any():
         ratio = np.abs(av[mask]) / (c + eps)
         power = r.values[mask] / q.values[mask]
         out[mask] = (c + eps) / av[mask] * ratio**power
-    return SampledFunction(out)
+    return out
 
 
 def multiplier_norm_lower(
@@ -342,7 +271,6 @@ def multiplier_norm_lower(
     q: ExponentFunction,
     trials: int = 32,
     rng: np.random.Generator | None = None,
-    gamma=None,
 ) -> float:
     """Certified lower bound for the multiplier norm of a from X_p to X_q.
 
@@ -355,15 +283,16 @@ def multiplier_norm_lower(
     ok, viol = dominance_check(p, q)
     if not ok:
         raise ValueError(f"dominance q <= p fails at nodes {viol[:8].tolist()}")
-    mask = _combined_mask(curve, a, gamma)
-    av = function_values(a)
+    av = _node_values(curve, a)
+    # trials vanish where the samples are non-finite (a null set for
+    # integrable singularities); their bounds stay certified
+    finite = np.isfinite(av)
     n = curve.n_nodes
     rng = np.random.default_rng(0) if rng is None else rng
 
     candidates: list[np.ndarray] = [np.ones(n, dtype=complex)]
     # indicator arcs centered at the largest finite |a|
-    masked_abs = np.where(mask & np.isfinite(av), np.abs(av), -1.0)
-    center = int(np.argmax(masked_abs))
+    center = int(np.argmax(np.where(finite, np.abs(av), -1.0)))
     for frac in (0.5, 0.125, 1 / 32, 1 / 128):
         half = max(1, int(n * frac / 2))
         candidates.append(indicator_arc(curve, center, 2 * half + 1))
@@ -377,25 +306,22 @@ def multiplier_norm_lower(
             deg = int(rng.integers(0, 9))
             candidates.append(random_trig_polynomial(curve, rng, deg))
     # analytic witness built from the theorem value
-    c = multiplier_norm_via_theorem(curve, a, p, q, gamma)
+    c = multiplier_norm_via_theorem(curve, a, p, q)
     if np.isfinite(c) and c > 0.0:
-        witness = multiplier_witness(curve, a, p, q, c, 1e-3 * c, gamma)
-        if witness.values.any():
-            candidates.append(witness.values)
+        witness = multiplier_witness(curve, a, p, q, c, 1e-3 * c)
+        if witness.any():
+            candidates.append(witness)
 
     best = 0.0
-    # trials vanish where the samples are non-finite (a null set for
-    # integrable singularities); their bounds stay certified
-    trial_mask = mask & np.isfinite(av)
     for g in candidates:
-        g = np.where(trial_mask, g, 0.0)
-        ng = norm_value(curve, g, p, gamma)
+        g = np.where(finite, g, 0.0)
+        ng = norm_value(curve, g, p)
         if not np.isfinite(ng) or ng <= 0.0:
             continue
         with np.errstate(invalid="ignore"):
             product = av * g / ng
         product = np.where(g == 0.0, 0.0, product)  # inf * 0 artifacts
-        val = norm_value(curve, product, q, gamma)
+        val = norm_value(curve, product, q)
         # a divergent discrete modular (inf sample of a under g) certifies nothing
         if np.isfinite(val) and val > best:
             best = float(val)

@@ -17,14 +17,13 @@ import numpy as np
 from .curves import JordanCurve
 from .cauchy import (
     _weighted_l2,
-    apply_S_batch,
+    apply_S,
     conjugation_H,
     mode_basis,
     operator_matrix,
     riesz_projections,
 )
 from .exponents import ExponentFunction, dominance_check
-from .spaces import function_values
 
 __all__ = [
     "Symbol",
@@ -149,7 +148,7 @@ def symbol_from_samples(curve: JordanCurve, values, degree: int, name: str = "sy
     """
     if not curve.is_unit_circle:
         raise ValueError("Fourier coefficients by FFT need the unit circle")
-    v = function_values(values)
+    v = np.asarray(values, dtype=complex)
     if v.size != curve.n_nodes:
         raise ValueError("sample count differs from the curve")
     if not np.all(np.isfinite(v)):
@@ -252,30 +251,29 @@ def symbol_from_preset(spec: str, curve: JordanCurve, degree: int = 300,
     raise ValueError(f"unknown symbol preset {spec!r}")
 
 
-def toeplitz_apply(curve: JordanCurve, a: Symbol, f, tol: float = 1e-8,
-                   backend: str = "auto") -> np.ndarray:
-    """T(a) f = P(a f) for f on the analytic side (P f = f up to tol)."""
-    v = function_values(f)
+# Largest relative wrong-side part of an input to T(a) or its companion.
+SIDE_TOL = 1e-8
+
+
+def _compress(curve: JordanCurve, a: Symbol, f, side: int, name: str) -> np.ndarray:
+    """The ``side`` part (0: P, 1: Q) of a f, for f on that side up to SIDE_TOL."""
+    v = np.asarray(f, dtype=complex)
     if not np.all(np.isfinite(a.values)):
         raise ValueError("symbol samples are not finite; use finite sections instead")
-    pf, qf = riesz_projections(curve, v, backend)
     scale = _weighted_l2(curve, v)
-    if scale > 0 and _weighted_l2(curve, qf) > tol * scale:
-        raise ValueError("input is not on the analytic side (P f != f)")
-    return riesz_projections(curve, a.values * v, backend)[0]
+    if scale > 0 and _weighted_l2(curve, riesz_projections(curve, v)[1 - side]) > SIDE_TOL * scale:
+        raise ValueError(f"input is not on the {name}")
+    return riesz_projections(curve, a.values * v)[side]
 
 
-def companion_apply(curve: JordanCurve, a: Symbol, g, tol: float = 1e-8,
-                    backend: str = "auto") -> np.ndarray:
+def toeplitz_apply(curve: JordanCurve, a: Symbol, f) -> np.ndarray:
+    """T(a) f = P(a f) for f on the analytic side (P f = f up to SIDE_TOL)."""
+    return _compress(curve, a, f, 0, "analytic side (P f != f)")
+
+
+def companion_apply(curve: JordanCurve, a: Symbol, g) -> np.ndarray:
     """Companion operator g -> Q(a g) for g on the anti-analytic side."""
-    v = function_values(g)
-    if not np.all(np.isfinite(a.values)):
-        raise ValueError("symbol samples are not finite; use finite sections instead")
-    pf, qf = riesz_projections(curve, v, backend)
-    scale = _weighted_l2(curve, v)
-    if scale > 0 and _weighted_l2(curve, pf) > tol * scale:
-        raise ValueError("input is not on the anti-analytic side (Q g != g)")
-    return riesz_projections(curve, a.values * v, backend)[1]
+    return _compress(curve, a, g, 1, "anti-analytic side (Q g != g)")
 
 
 def finite_section(a: Symbol, m: int, n: int, which: str = "T") -> np.ndarray:
@@ -317,8 +315,8 @@ def numerical_kernel(section, threshold: float = 1e-8) -> KernelReport:
     return KernelReport(dim, float(svals[-1]), smax)
 
 
-def block_identity_residual(curve: JordanCurve, a: Symbol, basis_size: int,
-                            backend: str = "auto") -> BlockIdentityResiduals:
+def block_identity_residual(curve: JordanCurve, a: Symbol,
+                            basis_size: int) -> BlockIdentityResiduals:
     """Verify the operator-block identities behind the companion construction.
 
     On modes [-N, N]: PaP + Q must act block diagonally (analytic inputs land
@@ -337,7 +335,7 @@ def block_identity_residual(curve: JordanCurve, a: Symbol, basis_size: int,
         raise ValueError("block identities need finite symbol samples")
 
     def S(X):
-        return apply_S_batch(curve, X.T, backend).T
+        return apply_S(curve, X.T).T
 
     SB = S(B)
     PB, QB = 0.5 * (B + SB), B - 0.5 * (B + SB)

@@ -227,8 +227,8 @@ def test_criterion_07_multiplier_theorem(circle1024):
             ok &= gap <= 0.05 and lower <= theorem * (1.0 + 1e-9)
             if r_is_finite:
                 w = multiplier_witness(c, a, p, q, theorem, 1e-3 * theorem)
-                wn = norm_value(c, w.values, p)
-                achieved = norm_value(c, a * w.values / wn, q) if wn > 0 else 0.0
+                wn = norm_value(c, w, p)
+                achieved = norm_value(c, a * w / wn, q) if wn > 0 else 0.0
                 witness_gap = abs(achieved - theorem) / theorem
                 worst_witness_gap = max(worst_witness_gap, witness_gap)
                 ok &= witness_gap <= 0.02

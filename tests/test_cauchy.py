@@ -7,6 +7,7 @@ from hypothesis.extra.numpy import arrays
 from siolab.cauchy import (
     PlemeljResidual,
     _quadrature_S,
+    _split_S,
     adjoint_residuals,
     apply_S,
     cauchy_offcurve,
@@ -15,7 +16,7 @@ from siolab.cauchy import (
     riesz_projections,
     s_path,
 )
-from siolab.corpus import rational_corpus
+from siolab.corpus import random_trig_polynomial, rational_corpus
 from siolab.curves import curve_from_name, make_ellipse, make_unit_circle
 from siolab.toeplitz import symbol_from_coefficients, symbol_from_samples
 
@@ -54,15 +55,17 @@ def test_quadrature_backend_matches_circle_multiplier(circle8192):
     f = np.exp(1j * np.outer(np.angle(circle8192.nodes), k)) @ (
         rng.standard_normal(25) + 1j * rng.standard_normal(25)
     )
-    exact = apply_S(circle8192, f, backend="fft")
-    quadrature = apply_S(circle8192, f, backend="quadrature")
-    assert np.abs(exact - quadrature).max() < 1e-5
+    # the circle runs the exact multiplier; the split is checked against it
+    assert s_path(circle8192) == "fft"
+    exact = apply_S(circle8192, f)
+    split = _split_S(circle8192, f)
+    assert np.abs(exact - split).max() < 1e-10
 
 
 def test_quadrature_refuses_tiny_curves():
-    tiny = make_unit_circle(32)
+    tiny = make_ellipse(2.0, 1.0, 32)
     with pytest.raises(ValueError, match="at least"):
-        apply_S(tiny, np.ones(32), backend="quadrature")
+        apply_S(tiny, np.ones(32))
 
 
 def test_split_S_spectral_on_ellipse():
@@ -97,7 +100,6 @@ def test_split_and_dense_agree_on_ellipse():
 def test_dense_path_only_for_unresolved_curves():
     assert s_path(curve_from_name("square", 256)) == "dense"
     assert s_path(make_unit_circle(256)) == "fft"
-    assert s_path(make_unit_circle(256), backend="quadrature") == "split"
 
 
 # ---------------------------------------------------------------- projections
@@ -230,8 +232,6 @@ def test_plemelj_rejects_bad_offsets(circle512):
         plemelj_residual(circle512, np.ones(512), [])
     with pytest.raises(ValueError):
         plemelj_residual(circle512, np.ones(512), [-0.1])
-    with pytest.raises(ValueError, match="unknown backend"):
-        plemelj_residual(circle512, np.ones(512), [0.1], backend="bogus")
 
 
 # ---------------------------------------------------------------- conjugation
@@ -280,10 +280,10 @@ def test_adjoint_identities_ellipse(ellipse4096):
 
 def test_adjoint_sum_is_identity_adjoint(circle1024):
     # P* + Q* = (P + Q)* = I*; equivalent to the pairing matrix of I
-    from siolab.cauchy import apply_S_batch, mode_basis, operator_matrix, centered_modes
+    from siolab.cauchy import mode_basis, operator_matrix, centered_modes
 
     B = mode_basis(circle1024, centered_modes(16))
-    SB = apply_S_batch(circle1024, B.T).T
+    SB = apply_S(circle1024, B.T).T
     PB, QB = 0.5 * (B + SB), 0.5 * (B - SB)
     M = lambda X: operator_matrix(circle1024, X, B)
     lhs = M(PB).conj().T + M(QB).conj().T
@@ -307,3 +307,22 @@ def test_fourier_roundtrip_bandlimited(circle512, rng):
 def test_fourier_rejects_aliasing():
     with pytest.raises(ValueError, match="aliasing"):
         symbol_from_samples(make_unit_circle(16), np.ones(16), 8)
+
+
+@pytest.mark.parametrize("name", ["circle", "ellipse:2,1", "perturbed-circle:0.3,12", "square"])
+def test_apply_S_stack_matches_one_column_calls(name):
+    # one path per curve: fft (bitwise), split (the stack's tail check may
+    # refine further than one column's) and dense
+    curve = curve_from_name(name, 1024)
+    rng = np.random.default_rng(3)
+    F = np.column_stack(
+        [random_trig_polynomial(curve, rng, d) for d in (0, 3, 12, 40)]
+        + [v for _, v in rational_corpus(curve, rng, count=3)]
+    )
+    stack = apply_S(curve, F)
+    columns = np.column_stack([apply_S(curve, F[:, j]) for j in range(F.shape[1])])
+    assert stack.shape == F.shape
+    if s_path(curve) == "fft":
+        assert np.array_equal(stack, columns)
+    else:
+        assert np.abs(stack - columns).max() <= 1e-12 * np.abs(F).max()

@@ -46,6 +46,11 @@ def test_validation_errors_exit_2(tmp_path):
     assert run(["norm", "--curve", "circle", "--n", "4096", "--function", "pole:1,0",
                 "--out", str(tmp_path / "d")]) == EXIT_VALIDATION
     assert not (tmp_path / "d" / "report.json").exists()
+    for i, argv in enumerate((["sio-check", "--trials", "0"], ["sio-check", "--trials", "-1"],
+                              ["multiplier", "--trials", "-3"])):
+        out = tmp_path / f"trials{i}"
+        assert run([*argv, "--n", "256", "--out", str(out)]) == EXIT_VALIDATION
+        assert not (out / "report.json").exists()
 
 
 def test_multiplier_subcommand(tmp_path):
