@@ -27,6 +27,11 @@ curve alone; ``s_path`` names the one that runs.
 The Riesz projections are P = (I + S)/2 and Q = (I - S)/2, the conjugation
 is (H f)(tau) = exp(-i theta(tau)) conj(f(tau)), and adjoints are taken with
 respect to the weighted pairing <f, g> = sum f conj(g) w.
+
+``cauchy_offcurve`` takes the off-curve Cauchy integral by the trapezoid rule
+at any target, on any curve. ``plemelj_residual`` needs those sums at
+(1 -+ delta) tau_t; on the unit circle it takes the same trapezoid sums by
+FFT, since with equispaced nodes they are a discrete convolution.
 """
 
 from __future__ import annotations
@@ -95,6 +100,27 @@ def _circle_multiplier(values: np.ndarray) -> np.ndarray:
     if values.ndim > 1:
         sign = sign[:, None]
     return np.fft.ifft(spectrum * sign, axis=0)
+
+
+def _circle_offcurve(spectrum: np.ndarray, rho: float) -> np.ndarray:
+    """Off-curve trapezoid sums at rho * tau_t for every node t of the unit circle.
+
+    ``spectrum`` is fft(f) / n along the last axis. The sum
+    (1/n) sum_j f_j tau_j / (tau_j - rho tau_t), which is what
+    ``cauchy_offcurve`` takes at z = rho tau_t, is a discrete convolution.
+    Expanding the kernel in powers of rho (inside) or 1/rho (outside) and
+    folding the modes mod n gives it exactly, as one inverse FFT:
+    n ifft(c_r rho^r) / (1 - rho^n) for |rho| < 1 and
+    -n ifft(c_r rho^(r - n)) / (1 - rho^-n) outside (Henrici, Applied and
+    Computational Complex Analysis III, 1986, ch. 13).
+    """
+    n = spectrum.shape[-1]
+    r = np.arange(n)
+    if abs(rho) < 1.0:
+        weights = rho**r / (1.0 - rho**n)
+    else:
+        weights = -(rho ** (r - n)) / (1.0 - rho**-n)
+    return n * np.fft.ifft(spectrum * weights, axis=-1)
 
 
 def _quadrature_S(
@@ -344,9 +370,12 @@ def plemelj_residual(
 
     ``f`` is one function (shape (n,)) or a stack of functions (shape
     (m, n), one per row); a stack returns one residual per row, each equal
-    to the one-function result. S is applied to each function on its own,
-    while the off-curve kernel at each offset is built once for the whole
-    stack.
+    to the one-function result. Off the circle S is applied to each
+    function on its own, while the off-curve kernel at each offset is built
+    once for the whole stack. On the unit circle (the ``fft`` path) S takes
+    the stack in one call, and for offsets in (0, 2) the off-curve sums are
+    the same trapezoid sums that ``cauchy_offcurve`` takes, evaluated
+    exactly by one FFT of the stack and one inverse FFT per offset and side.
 
     The exterior transform carries the orientation that keeps the unbounded
     component on the left, i.e. the negated curve integral; with the plain
@@ -356,25 +385,36 @@ def plemelj_residual(
     offs = np.asarray(sorted(float(d) for d in offsets), dtype=float)
     if offs.size == 0 or np.any(offs <= 0):
         raise ValueError("offsets must be positive")
+    if int(targets) < 1:
+        raise ValueError(f"targets must be at least 1, got {targets}")
     values = np.asarray(f, dtype=complex)
     stack = np.atleast_2d(values)
     n = curve.n_nodes
     stride = max(1, n // int(targets))
     t_idx = np.arange(0, n, stride)
-    dense = s_path(curve) == "dense"
-    sv = np.array([_quadrature_S(curve, v, rows=t_idx) if dense
-                   else apply_S(curve, v)[t_idx] for v in stack])
+    path = s_path(curve)
+    if path == "fft":
+        sv = apply_S(curve, stack.T).T[:, t_idx]
+    else:
+        sv = np.array([_quadrature_S(curve, v, rows=t_idx) if path == "dense"
+                       else apply_S(curve, v)[t_idx] for v in stack])
     pf, qf = 0.5 * (stack[:, t_idx] + sv), 0.5 * (stack[:, t_idx] - sv)
     normal = 1j * curve.unit_tangents[t_idx]  # interior on the left
     base = curve.nodes[t_idx]
+    # on the circle the interior normal is -tau, so the targets are (1 -+ d) tau
+    spectrum = np.fft.fft(stack, axis=1) / n if path == "fft" else None
 
     plus_vals = np.empty((stack.shape[0], offs.size, t_idx.size), dtype=complex)
     minus_vals = np.empty_like(plus_vals)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         for i, d in enumerate(offs):
-            plus_vals[:, i] = cauchy_offcurve(curve, stack.T, base + d * normal).T
-            minus_vals[:, i] = -cauchy_offcurve(curve, stack.T, base - d * normal).T
+            if spectrum is not None and d < 2.0:
+                plus_vals[:, i] = _circle_offcurve(spectrum, 1.0 - d)[:, t_idx]
+                minus_vals[:, i] = -_circle_offcurve(spectrum, 1.0 + d)[:, t_idx]
+            else:
+                plus_vals[:, i] = cauchy_offcurve(curve, stack.T, base + d * normal).T
+                minus_vals[:, i] = -cauchy_offcurve(curve, stack.T, base - d * normal).T
     w = _lagrange_at_zero(offs) if offs.size >= 2 else None
     results = []
     for plus, minus, p_f, q_f in zip(plus_vals, minus_vals, pf, qf):

@@ -310,6 +310,8 @@ def carleson_constant(
         raise ValueError("empty epsilon grid")
     if np.any(eps <= 0):
         raise ValueError("epsilon grid must be positive")
+    if int(t_subsample) < 1:
+        raise ValueError(f"t_subsample must be at least 1, got {t_subsample}")
     eps = np.sort(eps)
     stride = max(1, curve.n_nodes // int(t_subsample))
     t_indices = np.arange(0, curve.n_nodes, stride)

@@ -1,9 +1,12 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+import siolab.cauchy as cauchy
 from siolab.cauchy import (
     PlemeljResidual,
     _quadrature_S,
@@ -232,6 +235,45 @@ def test_plemelj_rejects_bad_offsets(circle512):
         plemelj_residual(circle512, np.ones(512), [])
     with pytest.raises(ValueError):
         plemelj_residual(circle512, np.ones(512), [-0.1])
+
+
+def test_plemelj_rejects_targets_below_one(circle512):
+    for targets in (0, -3):
+        with pytest.raises(ValueError, match="targets must be at least 1"):
+            plemelj_residual(circle512, np.ones(512), [0.05], targets=targets)
+
+
+@pytest.mark.parametrize("n", [64, 512, 4096])
+def test_circle_plemelj_sums_match_the_direct_sum(n, monkeypatch):
+    # on the circle the off-curve sums are the trapezoid sums of cauchy_offcurve,
+    # taken by FFT; at n = 64 and offset 0.01, rho^n = 0.53 tests the mode folding
+    curve = make_unit_circle(n)
+    rng = np.random.default_rng(6)
+    F = np.array([f for _, f in rational_corpus(curve, rng, count=4)]
+                 + list(random_trig_polynomial(curve, rng, degree=12, count=2)))
+    spectrum = np.fft.fft(F, axis=1) / n
+    offsets = [0.3, 0.08, 0.01, 1.5]
+    normal = 1j * curve.unit_tangents
+
+    def direct(spectrum, rho):
+        # the targets the general path uses, base + (1 - rho) * interior normal
+        return cauchy_offcurve(curve, F.T, curve.nodes + (1.0 - rho) * normal).T
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # 0.01 lies within two node spacings for n <= 512
+        for d in offsets:
+            for rho in (1.0 - d, 1.0 + d):
+                fast = cauchy._circle_offcurve(spectrum, rho)
+                slow = direct(spectrum, rho)
+                assert np.abs(fast - slow).max() <= 1e-13 * np.abs(slow).max()
+
+    fast = plemelj_residual(curve, F, offsets, targets=64)
+    monkeypatch.setattr(cauchy, "_circle_offcurve", direct)
+    slow = plemelj_residual(curve, F, offsets, targets=64)
+    for a, b in zip(fast, slow):
+        assert a.offsets == b.offsets
+        for field in ("residual_plus", "residual_minus", "per_offset_plus", "per_offset_minus"):
+            assert np.abs(np.subtract(getattr(a, field), getattr(b, field))).max() <= 1e-13
 
 
 # ---------------------------------------------------------------- conjugation

@@ -170,20 +170,38 @@ def test_smooth_curves_skip_the_dense_kernel(tmp_path, monkeypatch):
     assert calls
 
 
+def _count_calls(monkeypatch, name):
+    """Record the shape of the second argument of every call to cauchy.<name>."""
+    shapes = []
+    original = getattr(cauchy, name)
+
+    def counting(curve, f, *args, **kwargs):
+        shapes.append(np.shape(f))
+        return original(curve, f, *args, **kwargs)
+
+    monkeypatch.setattr(cauchy, name, counting)
+    return shapes
+
+
 def test_sio_check_builds_one_offcurve_kernel_per_offset(tmp_path, monkeypatch):
     # the 4 corpus functions share each off-curve kernel: 4 offsets x 2 sides
-    shapes = []
-    offcurve = cauchy.cauchy_offcurve
-
-    def counting(curve, f, z, **kwargs):
-        shapes.append(np.shape(f))
-        return offcurve(curve, f, z, **kwargs)
-
-    monkeypatch.setattr(cauchy, "cauchy_offcurve", counting)
-    code = run(["sio-check", "--curve", "circle", "--n", "512", "--trials", "2",
+    shapes = _count_calls(monkeypatch, "cauchy_offcurve")
+    code = run(["sio-check", "--curve", "ellipse:2,1", "--n", "512", "--trials", "2",
                 "--out", str(tmp_path / "sio")])
     assert code == EXIT_OK
     assert shapes == [(512, 4)] * 8
+
+
+def test_sio_check_on_the_circle_takes_no_direct_offcurve_sum(tmp_path, monkeypatch):
+    # the circle's off-curve sums go by FFT, and S takes the corpus in one call
+    offcurve = _count_calls(monkeypatch, "cauchy_offcurve")
+    applied = _count_calls(monkeypatch, "apply_S")
+    code = run(["sio-check", "--curve", "circle", "--n", "512", "--trials", "2",
+                "--out", str(tmp_path / "sio")])
+    assert code == EXIT_OK
+    assert offcurve == []
+    # the other calls inside cauchy are adjoint_residuals' two 32-mode stacks
+    assert [s for s in applied if s != (512, 32)] == [(512, 4)]
 
 
 def test_norm_uncertified_result_exits_3(tmp_path, capsys):

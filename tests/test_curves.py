@@ -181,6 +181,12 @@ def test_carleson_rejects_empty_grid(circle1024):
         carleson_constant(circle1024, np.array([]))
 
 
+def test_carleson_rejects_t_subsample_below_one(circle1024):
+    for t_subsample in (0, -5):
+        with pytest.raises(ValueError, match="t_subsample must be at least 1"):
+            carleson_constant(circle1024, t_subsample=t_subsample)
+
+
 def test_curve_csv_roundtrip(circle1024):
     text = curve_to_csv(circle1024)
     lines = text.strip().splitlines()
