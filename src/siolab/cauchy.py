@@ -84,12 +84,22 @@ class PlemeljResidual:
 
 @dataclass(frozen=True)
 class AdjointResiduals:
-    """Max-norm defects of S* + HSH, P* - HQH, Q* - HPH on a mode basis."""
+    """The mode-basis certificate of P = (I + S)/2 and Q = (I - S)/2.
+
+    Max-norm defects of S* + HSH, P* - HQH, Q* - HPH (``s_residual``,
+    ``p_residual``, ``q_residual``) and of P^2 - P, PQ, P + Q - I
+    (``p2_minus_p``, ``pq``, ``p_plus_q_minus_i``), all as pairing matrices
+    on ``basis_size`` modes; ``s_matrix`` is the pairing matrix of S itself.
+    """
 
     s_residual: float
     p_residual: float
     q_residual: float
     basis_size: int
+    p2_minus_p: float
+    pq: float
+    p_plus_q_minus_i: float
+    s_matrix: np.ndarray
 
 
 def _circle_multiplier(values: np.ndarray) -> np.ndarray:
@@ -461,24 +471,34 @@ def centered_modes(basis_size: int) -> np.ndarray:
 
 
 def adjoint_residuals(curve: JordanCurve, basis_size: int) -> AdjointResiduals:
-    """Matrix-level residuals of S* = -HSH, P* = HQH, Q* = HPH.
+    """Matrix-level residuals of P^2 = P, PQ = 0, P + Q = I, S* = -HSH, P* = HQH, Q* = HPH.
 
-    Matrix elements of the adjoints come for free from the pairing,
-    (A*)_{ij} = conj(A_{ji}), so both sides of each identity are assembled
-    from forward applications only.
+    S is applied twice, to the stack [B | HB] of the mode basis and its
+    conjugate and then to SB, and only four pairing matrices are formed:
+    G = M(B), M(SB), M(S^2 B) and M(HSHB). The rest follow by linearity,
+    with H antilinear and H^2 = I: M(PB) = (G + M(SB))/2,
+    M(QB) = (G - M(SB))/2, M(S PB) = (M(SB) + M(S^2 B))/2,
+    M(S QB) = (M(SB) - M(S^2 B))/2, M(HPH B) = (G + M(HSHB))/2 and
+    M(HQH B) = (G - M(HSHB))/2. Matrix elements of the adjoints come for free
+    from the pairing, (A*)_{ij} = conj(A_{ji}), so both sides of each identity
+    are assembled from forward applications only.
     """
-    modes = centered_modes(basis_size)
-    B = mode_basis(curve, modes)
-    SB = apply_S(curve, B.T).T
-    PB, QB = 0.5 * (B + SB), 0.5 * (B - SB)
+    B = mode_basis(curve, centered_modes(basis_size))
     HB = conjugation_H(curve, B)
-    SHB = apply_S(curve, HB.T).T
-    HSH = conjugation_H(curve, SHB)
-    HPH = conjugation_H(curve, 0.5 * (HB + SHB))
-    HQH = conjugation_H(curve, 0.5 * (HB - SHB))
-
+    SB, SHB = np.split(apply_S(curve, np.concatenate([B, HB]).T).T, 2)
     M = lambda X: operator_matrix(curve, X, B)
-    rs = float(np.abs(M(SB).conj().T + M(HSH)).max())
-    rp = float(np.abs(M(PB).conj().T - M(HQH)).max())
-    rq = float(np.abs(M(QB).conj().T - M(HPH)).max())
-    return AdjointResiduals(rs, rp, rq, basis_size)
+    G, MS, MSS = M(B), M(SB), M(apply_S(curve, SB.T).T)
+    MHSH = M(conjugation_H(curve, SHB))
+
+    MP, MQ = 0.5 * (G + MS), 0.5 * (G - MS)
+    MSP, MSQ = 0.5 * (MS + MSS), 0.5 * (MS - MSS)
+    return AdjointResiduals(
+        s_residual=float(np.abs(MS.conj().T + MHSH).max()),
+        p_residual=float(np.abs(MP.conj().T - 0.5 * (G - MHSH)).max()),
+        q_residual=float(np.abs(MQ.conj().T - 0.5 * (G + MHSH)).max()),
+        basis_size=basis_size,
+        p2_minus_p=float(np.abs(0.5 * (MP + MSP) - MP).max()),
+        pq=float(np.abs(0.5 * (MQ + MSQ)).max()),
+        p_plus_q_minus_i=float(np.abs(MP + MQ - G).max()),
+        s_matrix=MS,
+    )

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv as csv_module
+import functools
 import hashlib
 import io
 import json
@@ -20,15 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .cauchy import (
-    adjoint_residuals,
-    apply_S,
-    centered_modes,
-    mode_basis,
-    operator_matrix,
-    plemelj_residual,
-    s_path,
-)
+from .cauchy import adjoint_residuals, apply_S, plemelj_residual, s_path
 from .corpus import random_trig_polynomial, rational_corpus
 from .curves import (
     carleson_constant,
@@ -292,20 +285,10 @@ def run_sio_check(cfg: ExperimentConfig) -> tuple[ReportBundle, str | None]:
     curve = curve_from_name(cfg.curve, cfg.n_nodes)
     p = _exponent(cfg.exponent, curve)
     rng = np.random.default_rng(cfg.seed)
-    N = 32
 
-    B = mode_basis(curve, centered_modes(N))
-    SB = apply_S(curve, B.T).T
-    PB, QB = 0.5 * (B + SB), 0.5 * (B - SB)
-    PPB = 0.5 * (PB + apply_S(curve, PB.T).T)
-    M = lambda X: operator_matrix(curve, X, B)
-    proj = {
-        "P2_minus_P": float(np.abs(M(PPB) - M(PB)).max()),
-        "PQ": float(np.abs(M(0.5 * (QB + apply_S(curve, QB.T).T))).max()),
-        "P_plus_Q_minus_I": float(np.abs(M(PB + QB) - M(B)).max()),
-    }
-
-    adj = adjoint_residuals(curve, N)
+    adj = adjoint_residuals(curve, 32)
+    proj = {"P2_minus_P": adj.p2_minus_p, "PQ": adj.pq,
+            "P_plus_Q_minus_I": adj.p_plus_q_minus_i}
     offsets = [0.08, 0.04, 0.02, 0.01]
     names, functions = zip(*rational_corpus(curve, rng, count=4))
     plemelj = plemelj_residual(curve, np.array(functions), offsets, targets=256)
@@ -338,7 +321,7 @@ def run_sio_check(cfg: ExperimentConfig) -> tuple[ReportBundle, str | None]:
     extra = {}
     if cfg.format == "csv":
         buf = io.StringIO()
-        for row in M(SB):
+        for row in adj.s_matrix:
             buf.write(",".join(f"{z.real!r}+{z.imag!r}j" for z in row) + "\n")
         extra["s_matrix.csv"] = buf.getvalue()
     if cfg.export_curve:
@@ -414,6 +397,7 @@ _RUNNERS = {
 }
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", type=str, default=None, help="JSON config file")

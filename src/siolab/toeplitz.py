@@ -393,6 +393,9 @@ def dichotomy_probe(
     injective when sigma_min stays above ``sigma_floor`` at every size with
     a nonincreasing-to-plateau trend. Both sides failing with persistent
     kernels raises the fault flag; anything murkier is under-resolved.
+    The trend is read in the order given, so ``sizes`` must be strictly
+    increasing, and ``aspect`` must be at least 1: a square or wide section
+    can have a kernel that the operator does not.
     """
     if a.is_zero:
         raise ValueError("zero symbol is excluded from the dichotomy probe")
@@ -402,6 +405,10 @@ def dichotomy_probe(
     sizes = tuple(int(n) for n in sizes)
     if not sizes:
         raise ValueError("need at least one section size")
+    if any(hi <= lo for lo, hi in zip(sizes, sizes[1:])):
+        raise ValueError(f"section sizes must be strictly increasing, got {list(sizes)}")
+    if int(aspect) < 1:
+        raise ValueError(f"aspect must be at least 1, got {aspect}")
 
     sig_t, sig_c, dim_t, dim_c = [], [], [], []
     for n in sizes:

@@ -320,6 +320,43 @@ def test_adjoint_identities_ellipse(ellipse4096):
     assert rep.q_residual < 1e-3
 
 
+def _direct_certificate(curve, basis_size):
+    """The mode-basis residuals by the direct formulas: S applied to PB and QB, 11 pairing matrices."""
+    from siolab.cauchy import centered_modes, mode_basis, operator_matrix
+
+    B = mode_basis(curve, centered_modes(basis_size))
+    SB = apply_S(curve, B.T).T
+    PB, QB = 0.5 * (B + SB), 0.5 * (B - SB)
+    PPB = 0.5 * (PB + apply_S(curve, PB.T).T)
+    PQB = 0.5 * (QB + apply_S(curve, QB.T).T)
+    HB = conjugation_H(curve, B)
+    SHB = apply_S(curve, HB.T).T
+    HSH = conjugation_H(curve, SHB)
+    HPH = conjugation_H(curve, 0.5 * (HB + SHB))
+    HQH = conjugation_H(curve, 0.5 * (HB - SHB))
+    M = lambda X: operator_matrix(curve, X, B)
+    return {
+        "p2_minus_p": np.abs(M(PPB) - M(PB)).max(),
+        "pq": np.abs(M(PQB)).max(),
+        "p_plus_q_minus_i": np.abs(M(PB + QB) - M(B)).max(),
+        "s_residual": np.abs(M(SB).conj().T + M(HSH)).max(),
+        "p_residual": np.abs(M(PB).conj().T - M(HQH)).max(),
+        "q_residual": np.abs(M(QB).conj().T - M(HPH)).max(),
+    }, M(SB)
+
+
+@pytest.mark.parametrize("name", ["circle", "ellipse:2,1", "square"])
+def test_certificate_by_linearity_matches_the_direct_formulas(name):
+    curve = curve_from_name(name, 512)
+    rep = adjoint_residuals(curve, 32)
+    direct, s_matrix = _direct_certificate(curve, 32)
+    for key, value in direct.items():
+        # absolute at rounding level; relative for the square's first-order 1e-2 residuals
+        assert abs(getattr(rep, key) - value) <= max(1e-14, 1e-12 * value), key
+    assert rep.s_matrix.shape == (32, 32)
+    assert np.abs(rep.s_matrix - s_matrix).max() < 1e-13
+
+
 def test_adjoint_sum_is_identity_adjoint(circle1024):
     # P* + Q* = (P + Q)* = I*; equivalent to the pairing matrix of I
     from siolab.cauchy import mode_basis, operator_matrix, centered_modes

@@ -47,8 +47,11 @@ def test_validation_errors_exit_2(tmp_path):
                 "--out", str(tmp_path / "d")]) == EXIT_VALIDATION
     assert not (tmp_path / "d" / "report.json").exists()
     for i, argv in enumerate((["sio-check", "--trials", "0"], ["sio-check", "--trials", "-1"],
-                              ["multiplier", "--trials", "-3"])):
-        out = tmp_path / f"trials{i}"
+                              ["multiplier", "--trials", "-3"],
+                              ["dichotomy", "--symbol", "monomial:1", "--aspect", "-3"],
+                              ["dichotomy", "--symbol", "monomial:1", "--aspect", "0"],
+                              ["dichotomy", "--symbol", "cos", "--sizes", "256,128,64,32,16"])):
+        out = tmp_path / f"bad{i}"
         assert run([*argv, "--n", "256", "--out", str(out)]) == EXIT_VALIDATION
         assert not (out / "report.json").exists()
 
@@ -119,7 +122,8 @@ def test_sio_check_subcommand_csv(tmp_path):
     # constant p = 2: the multiplier is an isometry on the mode basis
     assert res["norm_ratio_max"] <= 1.0 + 1e-10
     assert (out / "norm_ratios.csv").exists()
-    assert (out / "s_matrix.csv").exists()
+    rows = (out / "s_matrix.csv").read_text().splitlines()
+    assert len(rows) == 32 and all(len(row.split(",")) == 32 for row in rows)
 
 
 def test_sio_check_reports_log_holder_failure_for_step(tmp_path):
@@ -196,12 +200,14 @@ def test_sio_check_on_the_circle_takes_no_direct_offcurve_sum(tmp_path, monkeypa
     # the circle's off-curve sums go by FFT, and S takes the corpus in one call
     offcurve = _count_calls(monkeypatch, "cauchy_offcurve")
     applied = _count_calls(monkeypatch, "apply_S")
+    paired = _count_calls(monkeypatch, "operator_matrix")
     code = run(["sio-check", "--curve", "circle", "--n", "512", "--trials", "2",
                 "--out", str(tmp_path / "sio")])
     assert code == EXIT_OK
     assert offcurve == []
-    # the other calls inside cauchy are adjoint_residuals' two 32-mode stacks
-    assert [s for s in applied if s != (512, 32)] == [(512, 4)]
+    # the mode-basis certificate: S of [B | HB], then S of SB; then the corpus
+    assert applied == [(512, 64), (512, 32), (512, 4)]
+    assert paired == [(32, 512)] * 4
 
 
 def test_norm_uncertified_result_exits_3(tmp_path, capsys):

@@ -279,6 +279,26 @@ def test_dichotomy_rejects_dominance_violation(circle1024):
                         (16, 32))
 
 
+def test_dichotomy_rejects_sections_that_are_not_tall(circle1024):
+    # with aspect -3 the shift's wide sections have kernels and the probe
+    # called it companion-injective; aspect 0 faulted with "persistent kernels"
+    a = symbol_from_preset("monomial:1", circle1024)
+    p, q = exponent_constant(4.0, 1024), exponent_constant(2.0, 1024)
+    for aspect in (-3, 0):
+        with pytest.raises(ValueError, match="aspect must be at least 1"):
+            dichotomy_probe(a, p, q, (16, 32), aspect=aspect)
+
+
+def test_dichotomy_rejects_sizes_out_of_order(circle1024):
+    # read from 256 down, the rising sigma_min of cos looked under-resolved
+    a = symbol_from_preset("cos", circle1024)
+    p, q = exponent_constant(4.0, 1024), exponent_constant(2.0, 1024)
+    assert dichotomy_probe(a, p, q, (16, 32, 64, 128, 256)).verdict == "both"
+    for sizes in ((256, 128, 64, 32, 16), (16, 16, 32)):
+        with pytest.raises(ValueError, match="strictly increasing"):
+            dichotomy_probe(a, p, q, sizes)
+
+
 def test_dichotomy_verdict_record_schema(circle1024):
     a = symbol_from_preset("cos", circle1024)
     v = dichotomy_probe(a, exponent_constant(4.0, 1024), exponent_constant(2.0, 1024),
