@@ -322,7 +322,7 @@ def run_sio_check(cfg: ExperimentConfig) -> tuple[ReportBundle, str | None]:
     if cfg.format == "csv":
         buf = io.StringIO()
         for row in adj.s_matrix:
-            buf.write(",".join(f"{z.real!r}+{z.imag!r}j" for z in row) + "\n")
+            buf.write(",".join(repr(complex(z)) for z in row) + "\n")
         extra["s_matrix.csv"] = buf.getvalue()
     if cfg.export_curve:
         extra["curve.csv"] = curve_to_csv(curve)
@@ -340,6 +340,8 @@ def run_sio_check(cfg: ExperimentConfig) -> tuple[ReportBundle, str | None]:
 
 def run_dichotomy(cfg: ExperimentConfig) -> tuple[ReportBundle, str | None]:
     curve = curve_from_name(cfg.curve, cfg.n_nodes)
+    if not curve.is_unit_circle:
+        raise ValueError(f"finite sections exist only on the unit circle, not on {cfg.curve!r}")
     p = _exponent(cfg.p, curve)
     q = _exponent(cfg.q, curve)
     rng = np.random.default_rng(cfg.seed)

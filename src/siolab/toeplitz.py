@@ -281,7 +281,9 @@ def finite_section(a: Symbol, m: int, n: int, which: str = "T") -> np.ndarray:
 
     T entries are a_{j-k} on output modes 0..m-1 and input modes 0..n-1;
     the companion reads the reflected coefficients a_{k-j}, i.e. it acts on
-    the negative-frequency coefficients of the anti-analytic side.
+    the negative-frequency coefficients of the anti-analytic side. The
+    section is real (float64) when the coefficients it reads are real, so
+    its SVD runs in real arithmetic; otherwise it is complex.
     """
     if m <= 0 or n <= 0:
         raise ValueError("section shape must be positive")
@@ -293,13 +295,15 @@ def finite_section(a: Symbol, m: int, n: int, which: str = "T") -> np.ndarray:
     k = np.arange(n)[None, :]
     if which == "T":
         kmin = -(n - 1)
-        M = a.coefficient_window(kmin, m - 1)[(j - k) - kmin]
+        window, index = a.coefficient_window(kmin, m - 1), (j - k) - kmin
     elif which == "companion":
         kmin = -(m - 1)
-        M = a.coefficient_window(kmin, n - 1)[(k - j) - kmin]
+        window, index = a.coefficient_window(kmin, n - 1), (k - j) - kmin
     else:
         raise ValueError("which must be 'T' or 'companion'")
-    return M
+    if not window.imag.any():
+        window = window.real
+    return window[index]
 
 
 def numerical_kernel(section, threshold: float = 1e-8) -> KernelReport:

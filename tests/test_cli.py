@@ -6,6 +6,7 @@ import pytest
 import siolab.cauchy as cauchy
 import siolab.cli as cli
 from siolab.cli import EXIT_FAULT, EXIT_OK, EXIT_VALIDATION, main
+from siolab.curves import curve_from_name
 from siolab.toeplitz import DichotomyVerdict
 
 
@@ -50,7 +51,8 @@ def test_validation_errors_exit_2(tmp_path):
                               ["multiplier", "--trials", "-3"],
                               ["dichotomy", "--symbol", "monomial:1", "--aspect", "-3"],
                               ["dichotomy", "--symbol", "monomial:1", "--aspect", "0"],
-                              ["dichotomy", "--symbol", "cos", "--sizes", "256,128,64,32,16"])):
+                              ["dichotomy", "--symbol", "cos", "--sizes", "256,128,64,32,16"],
+                              ["dichotomy", "--curve", "ellipse:2,1", "--symbol", "monomial:1"])):
         out = tmp_path / f"bad{i}"
         assert run([*argv, "--n", "256", "--out", str(out)]) == EXIT_VALIDATION
         assert not (out / "report.json").exists()
@@ -124,6 +126,9 @@ def test_sio_check_subcommand_csv(tmp_path):
     assert (out / "norm_ratios.csv").exists()
     rows = (out / "s_matrix.csv").read_text().splitlines()
     assert len(rows) == 32 and all(len(row.split(",")) == 32 for row in rows)
+    written = np.array([[complex(entry) for entry in row.split(",")] for row in rows])
+    expected = cauchy.adjoint_residuals(curve_from_name("circle", 1024), 32).s_matrix
+    assert np.array_equal(written, expected)
 
 
 def test_sio_check_reports_log_holder_failure_for_step(tmp_path):

@@ -176,6 +176,31 @@ def test_carleson_ellipse_stable_under_refinement(ellipse4096):
     assert change < 0.02
 
 
+def _quicksort_carleson_scan(curve, eps, t_subsample):
+    """The scan with an unstable quicksort of each distance row."""
+    best, best_t, best_eps = -np.inf, 0, eps[0]
+    for i in range(0, curve.n_nodes, max(1, curve.n_nodes // t_subsample)):
+        d = np.abs(curve.nodes - curve.nodes[i])
+        order = np.argsort(d, kind="quicksort")
+        cum = np.cumsum(curve.arc_weights[order])
+        k = np.searchsorted(d[order], eps, side="left")
+        ratios = np.where(k > 0, cum[np.maximum(k - 1, 0)], 0.0) / eps
+        j = int(np.argmax(ratios))
+        if ratios[j] > best:
+            best, best_t, best_eps = float(ratios[j]), i, float(eps[j])
+    return best, complex(curve.nodes[best_t]), best_eps
+
+
+@pytest.mark.parametrize("name", ["circle", "ellipse:2,1", "perturbed-circle:0.3,12", "square"])
+def test_carleson_stable_sort_matches_the_quicksort_scan(name):
+    curve = curve_from_name(name, 4096)
+    base = default_epsilon_grid(curve)
+    for grid, t_subsample in ((base, 256), (refine_epsilon_grid(base), 512)):
+        report = carleson_constant(curve, grid, t_subsample=t_subsample)
+        got = (report.constant_estimate, report.argmax_point, report.argmax_radius)
+        assert got == _quicksort_carleson_scan(curve, np.sort(grid), t_subsample)
+
+
 def test_carleson_rejects_empty_grid(circle1024):
     with pytest.raises(ValueError):
         carleson_constant(circle1024, np.array([]))

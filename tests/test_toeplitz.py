@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.linalg import toeplitz as scipy_toeplitz
 from scipy.special import gammaln, gammasgn
 
+import siolab.toeplitz as toeplitz
 from siolab.exponents import exponent_constant
 from siolab.spaces import norm_value
 from siolab.toeplitz import (
@@ -110,6 +112,25 @@ def test_companion_reflects_coefficients(circle1024):
     T = finite_section(a, 6, 6, "T")
     C = finite_section(a, 6, 6, "companion")
     assert np.abs(C - T.T).max() < 1e-15
+
+
+def test_section_is_real_exactly_when_its_coefficients_are(circle1024):
+    rng = np.random.default_rng(10)
+    cases = {
+        "monomial:1": symbol_from_preset("monomial:1", circle1024),
+        "singular:-0.3": symbol_from_preset("singular:-0.3", circle1024, degree=40),
+        "real array": symbol_from_coefficients(np.array([0.5, -1.0, 3.0, 0.25, 2.0]), 1024),
+        "trig-random:3": symbol_from_preset("trig-random:3", circle1024, rng=rng),
+    }
+    for name, a in cases.items():
+        real = not a.coefficients.imag.any()
+        assert real == (name != "trig-random:3")
+        for which, sign in (("T", 1), ("companion", -1)):
+            M = finite_section(a, 19, 12, which)
+            assert M.dtype == (np.float64 if real else np.complex128), (name, which)
+            promoted = np.array([[a.coefficient(sign * (j - k)) for k in range(12)]
+                                 for j in range(19)])
+            assert np.array_equal(M, promoted), (name, which)
 
 
 # ----------------------------------------------------------------- svd probes
@@ -297,6 +318,39 @@ def test_dichotomy_rejects_sizes_out_of_order(circle1024):
     for sizes in ((256, 128, 64, 32, 16), (16, 16, 32)):
         with pytest.raises(ValueError, match="strictly increasing"):
             dichotomy_probe(a, p, q, sizes)
+
+
+def _complex_section(a, m, n, which):
+    """Test-side finite section, always complex, from scipy's Toeplitz builder."""
+    sign = 1 if which == "T" else -1
+    column = np.array([a.coefficient(sign * j) for j in range(m)], dtype=complex)
+    row = np.array([a.coefficient(-sign * k) for k in range(n)], dtype=complex)
+    return scipy_toeplitz(column, row)
+
+
+def test_dichotomy_on_real_sections_matches_the_complex_svd(circle1024, monkeypatch):
+    # real coefficients give float64 sections and a real SVD; the reference
+    # runs the probe on complex sections built test-side
+    p, q = exponent_constant(4.0, 1024), exponent_constant(2.0, 1024)
+    sizes = (16, 32, 64, 128, 256, 512)
+    symbols = [symbol_from_preset("monomial:1", circle1024),
+               symbol_from_preset("monomial:-2", circle1024),
+               symbol_from_preset("singular:-0.3", circle1024, degree=520),
+               symbol_from_preset("cos", circle1024),
+               symbol_from_preset("trig-random:3", circle1024, rng=np.random.default_rng(3)),
+               symbol_from_coefficients(np.array([0.5, -1.0, 3.0, 0.25, 2.0]), 1024)]
+    probes = [dichotomy_probe(a, p, q, sizes, aspect=8) for a in symbols]
+    monkeypatch.setattr(toeplitz, "finite_section", _complex_section)
+    for a, got in zip(symbols, probes):
+        ref = dichotomy_probe(a, p, q, sizes, aspect=8)
+        assert (got.verdict, got.fault) == (ref.verdict, ref.fault), a.name
+        assert got.kernel_dim_T == ref.kernel_dim_T, a.name
+        assert got.kernel_dim_companion == ref.kernel_dim_companion, a.name
+        # a few ulps of sigma_max, which sum |a_k| bounds
+        tol = 4.0 * np.finfo(float).eps * np.abs(a.coefficients).sum()
+        for side in ("sigma_min_T", "sigma_min_companion"):
+            diff = np.abs(np.subtract(getattr(got, side), getattr(ref, side))).max()
+            assert diff <= tol, (a.name, side, diff, tol)
 
 
 def test_dichotomy_verdict_record_schema(circle1024):
