@@ -14,29 +14,39 @@ __all__ = [
 ]
 
 
+def _trig_sampler(curve: JordanCurve, degree: int):
+    """draw(rng, d): a random trigonometric polynomial of degree d <= degree.
+
+    The table exp(i k theta), k = -degree..degree, is built once; degree d
+    uses its middle 2d + 1 columns. Each draw takes its real then its
+    imaginary coefficients from rng.
+    """
+    theta = np.angle(curve.nodes)
+    table = np.exp(1j * np.outer(theta, np.arange(-degree, degree + 1)))
+
+    def draw(rng: np.random.Generator, d: int) -> np.ndarray:
+        size = 2 * d + 1
+        coeff = rng.standard_normal(size) + 1j * rng.standard_normal(size)
+        return table[:, degree - d:degree + d + 1] @ coeff
+
+    return draw
+
+
 def random_trig_polynomial(curve: JordanCurve, rng: np.random.Generator,
                            degree: int = 8, count: int | None = None) -> np.ndarray:
     """Random complex trigonometric polynomial in the node angles.
 
     With ``count=None`` one polynomial, shape (n,); otherwise ``count`` of
-    them, one per row of a (count, n) array. The table exp(i k theta) is built
-    once; each polynomial draws its real then its imaginary coefficients, so
-    row i is bitwise the (i+1)-th of ``count`` one-polynomial calls on the
-    same generator.
+    them, one per row of a (count, n) array, from one table, so row i is
+    bitwise the (i+1)-th of ``count`` one-polynomial calls on the same
+    generator.
     """
-    theta = np.angle(curve.nodes)
-    k = np.arange(-degree, degree + 1)
-    table = np.exp(1j * np.outer(theta, k))
-
-    def draw() -> np.ndarray:
-        coeff = rng.standard_normal(k.size) + 1j * rng.standard_normal(k.size)
-        return table @ coeff
-
+    draw = _trig_sampler(curve, degree)
     if count is None:
-        return draw()
+        return draw(rng, degree)
     polys = np.empty((count, curve.n_nodes), dtype=complex)
     for i in range(count):
-        polys[i] = draw()
+        polys[i] = draw(rng, degree)
     return polys
 
 

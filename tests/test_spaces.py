@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy.optimize import brentq
 
+from siolab.cli import ExperimentConfig, run_norm
 from siolab.curves import make_unit_circle
 from siolab.exponents import (
     exponent_constant,
@@ -92,9 +93,10 @@ def test_norm_two_piece_exponent_scalar_oracle(circle1024):
     assert res.bracket[0] < res.value < res.bracket[1] or res.bracket[0] <= res.value
 
 
-def test_norm_fixed_point_random_corpus(circle512):
+def _fixed_point_corpus(curve):
+    """100 random functions, cycling through two constant and two variable exponents."""
     rng = np.random.default_rng(11)
-    theta = np.angle(circle512.nodes)
+    theta = np.angle(curve.nodes)
     presets = [
         exponent_constant(2.0, 512),
         exponent_constant(3.7, 512),
@@ -103,13 +105,59 @@ def test_norm_fixed_point_random_corpus(circle512):
     ]
     for i in range(100):
         f = rng.standard_normal(512) + 1j * rng.standard_normal(512)
-        p = presets[i % len(presets)]
+        yield f, presets[i % len(presets)]
+
+
+def test_norm_fixed_point_random_corpus(circle512):
+    for f, p in _fixed_point_corpus(circle512):
         res = luxemburg_norm(circle512, f, p)
         assert 0.0 < res.value < np.inf
         assert abs(res.modular_at_value - 1.0) <= 1e-10
         assert res.certified
         # independent recomputation of the modular at the returned value
         assert modular(circle512, f / res.value, p) == pytest.approx(1.0, abs=1e-9)
+
+
+def test_norm_newton_root_on_the_random_corpus(circle512):
+    # a handful of Newton steps in log(lambda) take the modular to rounding level
+    steps = []
+    for f, p in _fixed_point_corpus(circle512):
+        if np.all(p.values == p.values[0]):
+            continue  # closed form, no root search
+        res = luxemburg_norm(circle512, f, p)
+        steps.append(res.bisection_iterations)
+        assert abs(res.modular_at_value - 1.0) <= 1e-14
+    assert len(steps) == 50
+    assert 0 < min(steps) and max(steps) <= 8
+
+
+@pytest.mark.parametrize("which", ["2+abs(sin)", "two-piece", "inf-nodes"])
+def test_norm_homogeneous_from_1e_minus_300_to_1e300(circle512, which):
+    theta = np.angle(circle512.nodes)
+    with_inf = np.full(512, 2.0)
+    with_inf[::8] = np.inf
+    p = exponent_from_values({
+        "2+abs(sin)": 2.0 + np.abs(np.sin(theta)),
+        "two-piece": np.where(np.arange(512) < 256, 2.0, 4.0),
+        "inf-nodes": with_inf,
+    }[which])
+    rng = np.random.default_rng(4)
+    f = rng.standard_normal(512) + 1j * rng.standard_normal(512)
+    base = luxemburg_norm(circle512, f, p).value
+    for c in (1e-300, -3.7e-211, 1e-100j, 0.3, 7.0, -2.5e99, 6.1e211j, 1e300):
+        res = luxemburg_norm(circle512, c * f, p)
+        assert res.certified
+        assert res.value == pytest.approx(abs(c) * base, rel=1e-14)
+
+
+def test_run_norm_on_the_benchmark_norm_command():
+    # the lab-mix norm command: circle, n = 4096, 2+abs(sin), abs-cos
+    cfg = ExperimentConfig(command="norm", curve="circle", n_nodes=4096,
+                           exponent="2+abs(sin)", function="abs-cos")
+    bundle, fault = run_norm(cfg)
+    assert fault is None
+    assert abs(bundle.results["modular_at_value"] - 1.0) <= 1e-14
+    assert 0 < bundle.results["iterations"] <= 8
 
 
 def test_norm_with_infinity_nodes(circle512):
