@@ -60,9 +60,14 @@ __all__ = [
 MIN_QUADRATURE_NODES = 64
 # Target rows per block of the n-column kernels of the dense and split paths.
 KERNEL_ROWS = 512
-# Targets per block of the off-curve sums; 128 keeps each temporary under 8 MB
-# at 4096 nodes, which the allocator reuses instead of faulting in fresh pages.
-OFFCURVE_ROWS = 128
+# Bytes of split remainder rows a curve keeps (16 MiB: 128 rows at n = 8192);
+# a row set that would pass it is built afresh on every call.
+REMAINDER_BYTES = 16 * 2**20
+# Bytes of each n-column temporary of the off-curve sums (64 targets at 2048
+# nodes). The allocator reuses blocks this size across calls; at 4 MiB each
+# block of a sio-check pass on ellipse:2,1 (n = 2048) faulted in fresh pages,
+# 7,500 faults and about 30 ms a pass, one core.
+OFFCURVE_BYTES = 2 * 2**20
 
 
 @dataclass(frozen=True)
@@ -199,14 +204,16 @@ def _velocity(curve: JordanCurve) -> np.ndarray | None:
     The constructors store dtau/dt as n * complex_measure, so
     dtau/dsigma = n * complex_measure / (2 pi). Its spectrum counts as
     resolved when the top half of its modes is at rounding level; a corner
-    (the square) leaves a 1/k tail and is not.
+    (the square) leaves a 1/k tail and is not. Computed once per curve.
     """
-    n = curve.n_nodes
-    velocity = curve.complex_measure * (n / (2.0 * np.pi))
-    spectrum = np.fft.fft(velocity)
-    if _tail(spectrum) > _rounding_tolerance(n) * np.abs(spectrum).max():
-        return None
-    return velocity
+    memo = curve._memo
+    if "velocity" not in memo:
+        n = curve.n_nodes
+        velocity = curve.complex_measure * (n / (2.0 * np.pi))
+        spectrum = np.fft.fft(velocity)
+        resolved = _tail(spectrum) <= _rounding_tolerance(n) * np.abs(spectrum).max()
+        memo["velocity"] = velocity if resolved else None
+    return memo["velocity"]
 
 
 def s_path(curve: JordanCurve) -> str:
@@ -221,6 +228,54 @@ def s_path(curve: JordanCurve) -> str:
     if curve.n_nodes < MIN_QUADRATURE_NODES:
         raise ValueError(f"the dense and split paths need at least {MIN_QUADRATURE_NODES} nodes")
     return "dense" if _velocity(curve) is None else "split"
+
+
+def _split_kernel(curve: JordanCurve) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The split's velocity, its diagonal R(s0, s0) and the (1/2) cot row, once per curve."""
+    memo = curve._memo
+    if "split" not in memo:
+        n = curve.n_nodes
+        velocity = _velocity(curve)
+        k = np.fft.fftfreq(n, 1.0 / n)
+        if n % 2 == 0:
+            k[n // 2] = 0.0
+        diagonal = np.fft.ifft(np.fft.fft(velocity) * (1j * k)) / (2.0 * velocity)
+        half_cot = np.zeros(n)
+        half_cot[1:] = 0.5 / np.tan(np.pi * np.arange(1, n) / n)
+        memo["split"] = (velocity, diagonal, half_cot)
+    return memo["split"]
+
+
+def _remainder_block(curve: JordanCurve, block: np.ndarray) -> np.ndarray:
+    """R(s0, s) with s0 at the target nodes ``block`` (one row each) and s at every node."""
+    velocity, diagonal, half_cot = _split_kernel(curve)
+    n = curve.n_nodes
+    tau = curve.nodes
+    with np.errstate(divide="ignore", invalid="ignore"):
+        R = velocity[None, :] / (tau[None, :] - tau[block, None])
+    R -= half_cot[(np.arange(n)[None, :] - block[:, None]) % n]
+    R[np.arange(block.size), block] = diagonal[block]
+    return R
+
+
+def _remainder_blocks(curve: JordanCurve, start: int, step: int):
+    """Blocks of KERNEL_ROWS rows of R at the target nodes start, start + step, ...
+
+    A row set is built once per curve and kept in its memo while all kept rows
+    fit in REMAINDER_BYTES; a row set past that comes as a generator that
+    builds one block at a time, afresh on each call.
+    """
+    kept = curve._memo.setdefault("remainder", {})
+    if (start, step) in kept:
+        return kept[start, step]
+    n = curve.n_nodes
+    rows = np.arange(start, n, step)
+    blocks = (_remainder_block(curve, rows[s : s + KERNEL_ROWS])
+              for s in range(0, rows.size, KERNEL_ROWS))
+    held = sum(R.nbytes for row_set in kept.values() for R in row_set)
+    if held + rows.size * n * 16 <= REMAINDER_BYTES:
+        blocks = kept[start, step] = list(blocks)
+    return blocks
 
 
 def _split_S(curve: JordanCurve, F: np.ndarray) -> np.ndarray:
@@ -242,30 +297,23 @@ def _split_S(curve: JordanCurve, F: np.ndarray) -> np.ndarray:
     n = 128, then the rounding floor, 2.9e-13 at n = 256 and 7.9e-13 at
     n = 2048 (Kress, Linear Integral Equations, ch. 13; Helsing and Ojala,
     J. Comput. Phys. 227, 2008).
+
+    The rows of R, the velocity, the diagonal and the cot row are kept in the
+    curve's memo, so every call on one curve multiplies the same R blocks by
+    its own F, with its own doubling and tail test, and gives the bits it
+    would give on a fresh curve. Kept rows are capped at REMAINDER_BYTES:
+    ``sio-check`` on ``ellipse:2,1`` keeps 128 rows (4 MB at n = 2048,
+    16 MB at n = 8192); ``perturbed-circle:0.3,12`` at n = 4096 refines to
+    2048 rows (128 MB uncapped), of which it keeps the first 256 and builds
+    the other 1792 on each call.
     """
     n = curve.n_nodes
-    velocity = _velocity(curve)
     single = F.ndim == 1
     V = F[:, None] if single else F
-    tau = curve.nodes
-    k = np.fft.fftfreq(n, 1.0 / n)
-    if n % 2 == 0:
-        k[n // 2] = 0.0
-    diagonal = np.fft.ifft(np.fft.fft(velocity) * (1j * k)) / (2.0 * velocity)
-    half_cot = np.zeros(n)
-    half_cot[1:] = 0.5 / np.tan(np.pi * np.arange(1, n) / n)
-    index = np.arange(n)
 
-    def smooth_rows(rows: np.ndarray) -> np.ndarray:
-        """(1/(pi i)) times the trapezoid rule for R f, at the target rows."""
-        out = np.empty((rows.size, V.shape[1]), dtype=complex)
-        for s in range(0, rows.size, KERNEL_ROWS):
-            block = rows[s : s + KERNEL_ROWS]
-            with np.errstate(divide="ignore", invalid="ignore"):
-                R = velocity[None, :] / (tau[None, :] - tau[block, None])
-            R -= half_cot[(index[None, :] - block[:, None]) % n]
-            R[np.arange(block.size), block] = diagonal[block]
-            out[s : s + KERNEL_ROWS] = R @ V
+    def smooth_rows(start: int, step: int) -> np.ndarray:
+        """(1/(pi i)) times the trapezoid rule for R f, at target rows start::step."""
+        out = np.concatenate([R @ V for R in _remainder_blocks(curve, start, step)])
         return out * (2.0 / (1j * n))
 
     # the coarse grid is every stride-th node: the fewest rows (>= 64) that
@@ -273,7 +321,7 @@ def _split_S(curve: JordanCurve, F: np.ndarray) -> np.ndarray:
     stride = 1
     while n % (2 * stride) == 0 and n // (2 * stride) >= 64:
         stride *= 2
-    coarse = smooth_rows(index[::stride])
+    coarse = smooth_rows(0, stride)
     scale = _rounding_tolerance(n) * np.abs(V).max(axis=0)
     while stride > 1:
         spectrum = np.fft.fft(coarse, axis=0) / coarse.shape[0]
@@ -282,7 +330,7 @@ def _split_S(curve: JordanCurve, F: np.ndarray) -> np.ndarray:
         stride //= 2
         refined = np.empty((n // stride, V.shape[1]), dtype=complex)
         refined[0::2] = coarse
-        refined[1::2] = smooth_rows(index[stride :: 2 * stride])
+        refined[1::2] = smooth_rows(stride, 2 * stride)
         coarse = refined
     smooth = coarse if stride == 1 else _fft_interpolate(coarse, n)
     out = _circle_multiplier(V) - V.mean(axis=0) + smooth
@@ -323,10 +371,10 @@ def cauchy_offcurve(curve: JordanCurve, f, z) -> np.ndarray | complex:
     the m columns along a trailing axis for a stack; a scalar z gives a
     complex number (shape (m,) for a stack). Accuracy degrades within about
     two node spacings of the curve; such targets trigger a warning. Points on
-    a node are rejected. Targets are taken OFFCURVE_ROWS at a time; each block
-    builds the kernel 1/(tau - z) once and applies it to every column by the
-    same matrix-vector product, so a column of a stack is bitwise the 1-D
-    result.
+    a node are rejected. Targets are taken in blocks whose kernel takes
+    OFFCURVE_BYTES; each block builds the kernel 1/(tau - z) once and applies
+    it to every column by the same matrix-vector product, so a column of a
+    stack is bitwise the 1-D result.
     """
     v = np.asarray(f, dtype=complex)
     zs = np.atleast_1d(np.asarray(z, dtype=complex))
@@ -335,8 +383,9 @@ def cauchy_offcurve(curve: JordanCurve, f, z) -> np.ndarray | complex:
     columns = [v * dtau] if v.ndim == 1 else [v[:, j] * dtau for j in range(v.shape[1])]
     dist = np.empty(zs.size)
     out = np.empty((len(columns), zs.size), dtype=complex)
-    for s in range(0, zs.size, OFFCURVE_ROWS):
-        rows = slice(s, min(s + OFFCURVE_ROWS, zs.size))
+    chunk = max(1, OFFCURVE_BYTES // (16 * tau.size))
+    for s in range(0, zs.size, chunk):
+        rows = slice(s, min(s + chunk, zs.size))
         D = tau[None, :] - zs[rows, None]
         dmin = np.abs(D).min(axis=1)
         dist[rows] = dmin
@@ -482,7 +531,17 @@ def adjoint_residuals(curve: JordanCurve, basis_size: int) -> AdjointResiduals:
     M(HQH B) = (G - M(HSHB))/2. Matrix elements of the adjoints come for free
     from the pairing, (A*)_{ij} = conj(A_{ji}), so both sides of each identity
     are assembled from forward applications only.
+
+    On every path the curve needs MIN_QUADRATURE_NODES nodes and at least two
+    per basis mode: on fewer the modes alias (on the 16-node circle the 32
+    modes span 16 dimensions) and the residuals certify nothing.
     """
+    needed = max(MIN_QUADRATURE_NODES, 2 * basis_size)
+    if curve.n_nodes < needed:
+        raise ValueError(
+            f"a {basis_size}-mode certificate needs at least {needed} nodes, "
+            f"got {curve.n_nodes}"
+        )
     B = mode_basis(curve, centered_modes(basis_size))
     HB = conjugation_H(curve, B)
     SB, SHB = np.split(apply_S(curve, np.concatenate([B, HB]).T).T, 2)

@@ -1,4 +1,6 @@
+import gc
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -386,6 +388,78 @@ def test_fourier_roundtrip_bandlimited(circle512, rng):
 def test_fourier_rejects_aliasing():
     with pytest.raises(ValueError, match="aliasing"):
         symbol_from_samples(make_unit_circle(16), np.ones(16), 8)
+
+
+def _memo_stack(curve, rng):
+    """64 smooth columns for the split: trig polynomials and rational functions."""
+    return np.column_stack(
+        [random_trig_polynomial(curve, rng, d) for d in (0, 3, 12, 40) * 10]
+        + [v for _, v in rational_corpus(curve, rng, count=24)]
+    )
+
+
+def _kept_bytes(curve):
+    return sum(R.nbytes for blocks in curve._memo["remainder"].values() for R in blocks)
+
+
+@pytest.mark.parametrize("order", [(1, 4, 64), (64, 4, 1)])
+def test_split_on_a_warm_curve_is_bitwise_the_fresh_curve_result(order):
+    # each call keeps its own refinement, so the kept rows change no bit
+    warm = curve_from_name("ellipse:2,1", 2048)
+    F = _memo_stack(warm, np.random.default_rng(5))
+    for k in order:
+        f = F[:, 0] if k == 1 else F[:, :k]
+        fresh = curve_from_name("ellipse:2,1", 2048)
+        assert np.array_equal(apply_S(warm, f), apply_S(fresh, f))
+    assert _kept_bytes(warm) > 0
+
+
+def test_split_memo_stays_under_its_cap_on_a_wiggly_curve():
+    # refinement asks for 2048 rows (128 MB); rows past the cap are built per call
+    warm = curve_from_name("perturbed-circle:0.3,12", 4096)
+    F = np.column_stack([v for _, v in rational_corpus(warm, np.random.default_rng(0), count=4)])
+    first = apply_S(warm, F)
+    assert 0 < _kept_bytes(warm) <= cauchy.REMAINDER_BYTES
+    assert sum(R.shape[0] for blocks in warm._memo["remainder"].values() for R in blocks) < 2048
+    second = apply_S(warm, F[:, 0])
+    assert _kept_bytes(warm) <= cauchy.REMAINDER_BYTES
+    fresh = curve_from_name("perturbed-circle:0.3,12", 4096)
+    assert np.array_equal(first, apply_S(fresh, F))
+    assert np.array_equal(second, apply_S(curve_from_name("perturbed-circle:0.3,12", 4096),
+                                          F[:, 0]))
+
+
+def test_split_memo_lives_and_dies_with_its_curve():
+    curve = curve_from_name("ellipse:2,1", 512)
+    f = rational_corpus(curve, np.random.default_rng(1), count=1)[0][1]
+    apply_S(curve, f)
+    curve_ref = weakref.ref(curve)
+    block_ref = weakref.ref(next(iter(curve._memo["remainder"].values()))[0])
+    del curve
+    gc.collect()
+    assert curve_ref() is None and block_ref() is None
+
+    # a live curve with the same n shares nothing with another one
+    ellipse = curve_from_name("ellipse:2,1", 512)
+    apply_S(ellipse, f)
+    other = curve_from_name("perturbed-circle:0.1,5", 512)
+    assert other._memo == {}
+    g = rational_corpus(other, np.random.default_rng(2), count=1)[0][1]
+    assert np.array_equal(apply_S(other, g),
+                          apply_S(curve_from_name("perturbed-circle:0.1,5", 512), g))
+    ellipse_blocks = {id(R) for blocks in ellipse._memo["remainder"].values() for R in blocks}
+    assert not any(id(R) in ellipse_blocks
+                   for blocks in other._memo["remainder"].values() for R in blocks)
+
+
+def test_adjoint_residuals_refuse_an_aliasing_mode_basis():
+    # 32 modes on 16 (or 31) circle nodes span at most that many dimensions
+    for n in (16, 31, 63):
+        with pytest.raises(ValueError, match="at least 64 nodes"):
+            adjoint_residuals(make_unit_circle(n), 32)
+    with pytest.raises(ValueError, match="at least 128 nodes"):
+        adjoint_residuals(make_unit_circle(64), 64)
+    assert adjoint_residuals(make_unit_circle(64), 32).s_residual < 1e-13
 
 
 @pytest.mark.parametrize("name", ["circle", "ellipse:2,1", "perturbed-circle:0.3,12", "square"])

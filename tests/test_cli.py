@@ -47,6 +47,10 @@ def test_validation_errors_exit_2(tmp_path):
     assert run(["norm", "--curve", "circle", "--n", "4096", "--function", "pole:1,0",
                 "--out", str(tmp_path / "d")]) == EXIT_VALIDATION
     assert not (tmp_path / "d" / "report.json").exists()
+    # 16 circle nodes alias the 32-mode certificate basis
+    assert run(["sio-check", "--curve", "circle", "--n", "16",
+                "--out", str(tmp_path / "e")]) == EXIT_VALIDATION
+    assert not (tmp_path / "e" / "report.json").exists()
     for i, argv in enumerate((["sio-check", "--trials", "0"], ["sio-check", "--trials", "-1"],
                               ["multiplier", "--trials", "-3"],
                               ["dichotomy", "--symbol", "monomial:1", "--aspect", "-3"],
@@ -199,6 +203,18 @@ def test_sio_check_builds_one_offcurve_kernel_per_offset(tmp_path, monkeypatch):
                 "--out", str(tmp_path / "sio")])
     assert code == EXIT_OK
     assert shapes == [(512, 4)] * 8
+
+
+def test_sio_check_builds_each_remainder_block_once(tmp_path, monkeypatch):
+    # 7 applications of S (2 adjoint, 4 Plemelj, 1 norm-ratio stack) share
+    # the curve's 2 row blocks of 64 rows
+    applied = _count_calls(monkeypatch, "_split_S")
+    blocks = _count_calls(monkeypatch, "_remainder_block")
+    code = run(["sio-check", "--curve", "ellipse:2,1", "--n", "2048",
+                "--out", str(tmp_path / "sio")])
+    assert code == EXIT_OK
+    assert applied == [(2048, 64), (2048, 32)] + [(2048,)] * 4 + [(2048, 24)]
+    assert blocks == [(64,), (64,)]
 
 
 def test_sio_check_on_the_circle_takes_no_direct_offcurve_sum(tmp_path, monkeypatch):

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from siolab.curves import (
+    _polyline_is_simple,
     carleson_constant,
     curve_from_name,
     curve_to_csv,
@@ -111,6 +112,72 @@ def test_self_intersection_rejected():
 
     with pytest.raises(ValueError, match="self-intersection"):
         make_parametric_curve(pos, dpos, 256)
+
+
+def _all_pairs_is_simple(nodes, max_segments=768):
+    """The O(m^2) proper-crossing test over every pair of segments."""
+    step = max(1, int(np.ceil(nodes.size / max_segments)))
+    z = nodes[::step]
+    m = z.size
+    if m < 4:
+        return True
+    a = z
+    b = np.roll(z, -1)
+
+    def cross(u, v):
+        return np.imag(np.conj(u) * v)
+
+    d1 = cross((b - a)[None, :], a[:, None] - a[None, :])
+    d2 = cross((b - a)[None, :], b[:, None] - a[None, :])
+    d3 = cross((b - a)[:, None], a[None, :] - a[:, None])
+    d4 = cross((b - a)[:, None], b[None, :] - a[:, None])
+    crossing = (d1 * d2 < 0) & (d3 * d4 < 0)
+    idx = np.arange(m)
+    gap = np.abs(idx[:, None] - idx[None, :])
+    adjacent = (gap <= 1) | (gap >= m - 1)
+    return not bool((crossing & ~adjacent).any())
+
+
+def _figure_eight(t):
+    # a Gerono lemniscate, phase-shifted so that no node sits on its crossing
+    phi = TWO_PI * np.asarray(t) + 0.3
+    return np.cos(phi) + 0.5j * np.sin(2.0 * phi)
+
+
+def _figure_eight_derivative(t):
+    phi = TWO_PI * np.asarray(t) + 0.3
+    return TWO_PI * (-np.sin(phi) + 1j * np.cos(2.0 * phi))
+
+
+@pytest.mark.parametrize("n", [64, 1024, 2048, 8192])
+def test_pruned_simplicity_check_matches_all_pairs_on_the_zoo(n):
+    for spec in ("circle", "ellipse:2,1", "square", "perturbed-circle:0.1,5",
+                 "perturbed-circle:0.3,12", "perturbed-circle:0.9,12"):
+        nodes = curve_from_name(spec, n).nodes
+        assert _polyline_is_simple(nodes) is _all_pairs_is_simple(nodes) is True
+    eight = _figure_eight(np.arange(n) / n)
+    assert _polyline_is_simple(eight) is _all_pairs_is_simple(eight) is False
+
+
+def test_pruned_simplicity_check_matches_all_pairs_on_random_polygons():
+    # random walks mostly cross themselves; sorted-angle (star-shaped) polygons never do
+    rng = np.random.default_rng(11)
+    verdicts = set()
+    for m in (1, 2, 3, 4, 5, 7, 31, 32, 33, 64, 95, 100, 767, 768, 769, 1000, 2500):
+        for _ in range(4):
+            walk = np.cumsum(rng.normal(size=m) + 1j * rng.normal(size=m))
+            angles = np.sort(rng.uniform(0.0, TWO_PI, m))
+            star = rng.uniform(0.5, 1.5, m) * np.exp(1j * angles)
+            for z in (walk, star):
+                verdict = _polyline_is_simple(z)
+                assert verdict == _all_pairs_is_simple(z)
+                verdicts.add(verdict)
+    assert verdicts == {True, False}
+
+
+def test_figure_eight_rejected():
+    with pytest.raises(ValueError, match="self-intersection"):
+        make_parametric_curve(_figure_eight, _figure_eight_derivative, 1024)
 
 
 def test_curve_from_name_zoo():
