@@ -19,7 +19,6 @@ from .curves import (
     make_perturbed_circle,
     make_square,
     make_unit_circle,
-    portion_length,
 )
 from .exponents import (
     ExponentFunction,

@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .curves import JordanCurve
 from .cauchy import (
@@ -291,19 +292,18 @@ def finite_section(a: Symbol, m: int, n: int, which: str = "T") -> np.ndarray:
         raise ValueError(
             f"symbol coefficients reach degree {a.degree}, need {max(m, n) - 1}"
         )
-    j = np.arange(m)[:, None]
-    k = np.arange(n)[None, :]
+    # row j of T reads a_j, a_{j-1}, ..., a_{j-n+1} and row j of the companion
+    # a_{-j}, ..., a_{n-1-j}: each is the length-n slice at m-1-j of its window,
+    # so sliding views give the rows without an index matrix
     if which == "T":
-        kmin = -(n - 1)
-        window, index = a.coefficient_window(kmin, m - 1), (j - k) - kmin
+        window = a.coefficient_window(-(n - 1), m - 1)[::-1]
     elif which == "companion":
-        kmin = -(m - 1)
-        window, index = a.coefficient_window(kmin, n - 1), (k - j) - kmin
+        window = a.coefficient_window(-(m - 1), n - 1)
     else:
         raise ValueError("which must be 'T' or 'companion'")
     if not window.imag.any():
         window = window.real
-    return window[index]
+    return sliding_window_view(window, n)[::-1].copy()
 
 
 def numerical_kernel(section, threshold: float = 1e-8) -> KernelReport:

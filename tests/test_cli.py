@@ -6,7 +6,12 @@ import pytest
 import siolab.cauchy as cauchy
 import siolab.cli as cli
 from siolab.cli import EXIT_FAULT, EXIT_OK, EXIT_VALIDATION, main
-from siolab.curves import curve_from_name
+from siolab.curves import (
+    carleson_constant,
+    curve_from_name,
+    default_epsilon_grid,
+    refine_epsilon_grid,
+)
 from siolab.toeplitz import DichotomyVerdict
 
 
@@ -116,6 +121,50 @@ def test_carleson_subcommand(tmp_path):
     res = json.loads((out / "report.json").read_text())["results"]
     assert res["constant_estimate"] == pytest.approx(np.pi, rel=0.02)
     assert (out / "curve.csv").exists()
+
+
+def _two_scan_carleson_report(curve_name, n):
+    """``results`` and ``tables`` of ``carleson`` from two separate scans."""
+    curve = curve_from_name(curve_name, n)
+    base_grid = default_epsilon_grid(curve)
+    base = carleson_constant(curve, base_grid, t_subsample=256)
+    refined = carleson_constant(curve, refine_epsilon_grid(base_grid), t_subsample=512)
+    change = (refined.constant_estimate - base.constant_estimate) / base.constant_estimate
+    results = {
+        "constant_estimate": refined.constant_estimate,
+        "base_estimate": base.constant_estimate,
+        "refinement_change": change,
+        "argmax_radius": refined.argmax_radius,
+        "argmax_point": refined.argmax_point,
+        "grid": refined.grid_description(),
+    }
+    rows = [{"op": "carleson_constant", "grid": "base",
+             "estimate": base.constant_estimate},
+            {"op": "carleson_constant", "grid": "refined",
+             "estimate": refined.constant_estimate}]
+    return json.loads(json.dumps(cli._plain({"results": results, "tables": {"carleson": rows}})))
+
+
+@pytest.mark.parametrize("curve", ["circle", "ellipse:2,1", "square", "perturbed-circle:0.3,12"])
+@pytest.mark.parametrize("n", [1000, 3000, 4096])
+def test_carleson_one_scan_matches_the_two_scan_report(tmp_path, curve, n):
+    assert run(["carleson", "--curve", curve, "--n", str(n),
+                "--out", str(tmp_path)]) == EXIT_OK
+    report = json.loads((tmp_path / "report.json").read_text())
+    assert {k: report[k] for k in ("results", "tables")} == _two_scan_carleson_report(curve, n)
+
+
+def test_carleson_makes_one_scan(tmp_path, monkeypatch):
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return carleson_constant(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "carleson_constant", counting)
+    assert run(["carleson", "--curve", "ellipse:2,1", "--n", "1024",
+                "--out", str(tmp_path)]) == EXIT_OK
+    assert len(calls) == 1
 
 
 def test_sio_check_subcommand_csv(tmp_path):

@@ -14,11 +14,16 @@ from siolab.curves import (
     make_parametric_curve,
     make_square,
     make_unit_circle,
-    portion_length,
     refine_epsilon_grid,
 )
 
 TWO_PI = 2.0 * np.pi
+
+
+def portion_length(curve, t_index, epsilon):
+    """Arc measure of the portion {tau : |tau - t| < epsilon} around node t."""
+    d = np.abs(curve.nodes - curve.nodes[t_index])
+    return float(curve.arc_weights[d < epsilon].sum())
 
 
 def test_circle_total_length_and_weights():
@@ -271,6 +276,28 @@ def test_carleson_stable_sort_matches_the_quicksort_scan(name):
 def test_carleson_rejects_empty_grid(circle1024):
     with pytest.raises(ValueError):
         carleson_constant(circle1024, np.array([]))
+
+
+def test_carleson_rejects_non_finite_radii(circle1024):
+    for grid in ([np.nan, 1.0], [np.inf], [0.5, -np.inf], [np.nan]):
+        with pytest.raises(ValueError, match="epsilon grid must be finite"):
+            carleson_constant(circle1024, np.array(grid))
+
+
+@pytest.mark.parametrize("name", ["circle", "ellipse:2,1", "perturbed-circle:0.3,12", "square"])
+@pytest.mark.parametrize("n", [512, 1000, 3000, 4096])
+def test_carleson_coarse_estimate_is_the_separate_coarse_scan(name, n):
+    # the coarse level reads every other sorted radius at the centres for
+    # t_subsample // 2; at n = 3000 and 512 centres the strides (5 and 11)
+    # do not nest, and at 3 or 1 centres the coarse level has node 0 alone
+    curve = curve_from_name(name, n)
+    base = default_epsilon_grid(curve)
+    fine = refine_epsilon_grid(base)
+    assert np.array_equal(fine[::2], base)
+    for grid, t_subsample in ((fine, 512), (base[::-1], 256), (base[:7], 3), (base[:1], 1)):
+        report = carleson_constant(curve, grid, t_subsample=t_subsample)
+        coarse = carleson_constant(curve, np.sort(grid)[::2], max(1, t_subsample // 2))
+        assert report.coarse_estimate == coarse.constant_estimate
 
 
 def test_carleson_rejects_t_subsample_below_one(circle1024):
