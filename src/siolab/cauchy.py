@@ -10,7 +10,8 @@ curve alone; ``s_path`` names the one that runs.
 * ``split``: off the circle, when the spectrum of dtau/dsigma is resolved,
   the kernel is split into the periodic Hilbert kernel (1/2) cot((s - s0)/2),
   applied by the same sign(k) multiplier, plus a smooth remainder taken by
-  the trapezoid rule at a few target rows and interpolated by FFT.
+  the trapezoid rule at a few target rows and interpolated by FFT; both
+  parts meet in one spectrum and take one inverse FFT.
   Spectral: about 3e-13 from n = 256 on the 2:1 ellipse, with a rounding
   floor that grows like n eps.
 * ``dense``: otherwise (the square, whose dtau/dsigma jumps at the corners)
@@ -29,9 +30,9 @@ is (H f)(tau) = exp(-i theta(tau)) conj(f(tau)), and adjoints are taken with
 respect to the weighted pairing <f, g> = sum f conj(g) w.
 
 ``cauchy_offcurve`` takes the off-curve Cauchy integral by the trapezoid rule
-at any target, on any curve. ``plemelj_residual`` needs those sums at
-(1 -+ delta) tau_t; on the unit circle it takes the same trapezoid sums by
-FFT, since with equispaced nodes they are a discrete convolution.
+at any target, on any curve, in real arithmetic in one small workspace.
+``plemelj_residual`` needs those sums at (1 -+ delta) tau_t; on the unit
+circle it takes them by FFT, as with equispaced nodes they are a convolution.
 """
 
 from __future__ import annotations
@@ -63,11 +64,11 @@ KERNEL_ROWS = 512
 # Bytes of split remainder rows a curve keeps (16 MiB: 128 rows at n = 8192);
 # a row set that would pass it is built afresh on every call.
 REMAINDER_BYTES = 16 * 2**20
-# Bytes of each n-column temporary of the off-curve sums (64 targets at 2048
-# nodes). The allocator reuses blocks this size across calls; at 4 MiB each
-# block of a sio-check pass on ellipse:2,1 (n = 2048) faulted in fresh pages,
-# 7,500 faults and about 30 ms a pass, one core.
-OFFCURVE_BYTES = 2 * 2**20
+# Bytes of each of the four real n-column arrays of the off-curve sums'
+# workspace (16 targets at 2048 nodes), allocated once per call. Fastest in a
+# sweep from 32 KiB to 2 MiB on a sio-check pass on ellipse:2,1 (n = 2048),
+# one core: larger blocks fault in fresh pages on every call.
+OFFCURVE_BYTES = 2**18
 
 
 @dataclass(frozen=True)
@@ -190,14 +191,6 @@ def _tail(spectrum: np.ndarray) -> np.ndarray:
     return np.abs(spectrum[top]).max(axis=0)
 
 
-def _fft_interpolate(samples: np.ndarray, n: int) -> np.ndarray:
-    """Trigonometric interpolation of m equispaced rows to n rows (zero padding)."""
-    m = samples.shape[0]
-    padded = np.zeros((n, samples.shape[1]), dtype=complex)
-    padded[np.fft.fftfreq(m, 1.0 / m).astype(int) % n] = np.fft.fft(samples, axis=0)
-    return np.fft.ifft(padded, axis=0) * (n / m)
-
-
 def _velocity(curve: JordanCurve) -> np.ndarray | None:
     """Samples of dtau/dsigma at sigma = 2 pi j / n, or None if not resolved.
 
@@ -251,9 +244,12 @@ def _remainder_block(curve: JordanCurve, block: np.ndarray) -> np.ndarray:
     velocity, diagonal, half_cot = _split_kernel(curve)
     n = curve.n_nodes
     tau = curve.nodes
+    R = np.subtract(tau[None, :], tau[block, None])
     with np.errstate(divide="ignore", invalid="ignore"):
-        R = velocity[None, :] / (tau[None, :] - tau[block, None])
-    R -= half_cot[(np.arange(n)[None, :] - block[:, None]) % n]
+        np.divide(velocity[None, :], R, out=R)
+    # row b of the cot part is the cot row rolled by b, a window of it doubled
+    rolled = np.lib.stride_tricks.sliding_window_view(np.concatenate([half_cot, half_cot]), n)
+    R -= rolled[n - block]
     R[np.arange(block.size), block] = diagonal[block]
     return R
 
@@ -291,8 +287,10 @@ def _split_S(curve: JordanCurve, F: np.ndarray) -> np.ndarray:
     The smooth part takes the trapezoid rule over all n nodes at m
     equispaced target rows; m starts at 64 (or the first n / 2^j above it)
     and doubles, up to n, until the top half of the coarse spectrum is at
-    rounding level, and the m values
-    are interpolated to all nodes by zero-padded FFT. Measured for S f = f,
+    rounding level. That spectrum, zero-padded to n modes and scaled by n/m,
+    is added to the cot part's spectrum, sign(k) times that of f with mode
+    0 set to zero, and one inverse FFT gives S f at all nodes: the m values
+    are interpolated by zero padding. Measured for S f = f,
     f = 1/(tau - 2.3) on the 2:1 ellipse: error 2.9e-3 at n = 64, 1.3e-6 at
     n = 128, then the rounding floor, 2.9e-13 at n = 256 and 7.9e-13 at
     n = 2048 (Kress, Linear Integral Equations, ch. 13; Helsing and Ojala,
@@ -323,17 +321,19 @@ def _split_S(curve: JordanCurve, F: np.ndarray) -> np.ndarray:
         stride *= 2
     coarse = smooth_rows(0, stride)
     scale = _rounding_tolerance(n) * np.abs(V).max(axis=0)
-    while stride > 1:
-        spectrum = np.fft.fft(coarse, axis=0) / coarse.shape[0]
-        if np.all(_tail(spectrum) <= scale):
+    while True:
+        m = coarse.shape[0]
+        spectrum = np.fft.fft(coarse, axis=0)
+        if stride == 1 or np.all(_tail(spectrum / m) <= scale):
             break
         stride //= 2
         refined = np.empty((n // stride, V.shape[1]), dtype=complex)
         refined[0::2] = coarse
         refined[1::2] = smooth_rows(stride, 2 * stride)
         coarse = refined
-    smooth = coarse if stride == 1 else _fft_interpolate(coarse, n)
-    out = _circle_multiplier(V) - V.mean(axis=0) + smooth
+    total = np.fft.fft(V, axis=0) * np.sign(np.fft.fftfreq(n))[:, None]
+    total[np.fft.fftfreq(m, 1.0 / m).astype(int) % n] += spectrum * (n / m)
+    out = np.fft.ifft(total, axis=0)
     return out[:, 0] if single else out
 
 
@@ -371,30 +371,44 @@ def cauchy_offcurve(curve: JordanCurve, f, z) -> np.ndarray | complex:
     the m columns along a trailing axis for a stack; a scalar z gives a
     complex number (shape (m,) for a stack). Accuracy degrades within about
     two node spacings of the curve; such targets trigger a warning. Points on
-    a node are rejected. Targets are taken in blocks whose kernel takes
-    OFFCURVE_BYTES; each block builds the kernel 1/(tau - z) once and applies
-    it to every column by the same matrix-vector product, so a column of a
-    stack is bitwise the 1-D result.
+    a node and non-finite points are rejected. Targets go in blocks of
+    OFFCURVE_BYTES per real n-column array of one workspace per call. With
+    dx + i dy = tau - z and r = dx^2 + dy^2, 1/(tau - z) = A - iB for
+    A = dx/r, B = dy/r; A and B each take one real product with each
+    function's (n, 2) array [Re, Im] of f dtau, so a column of a stack is
+    bitwise the 1-D result.
     """
     v = np.asarray(f, dtype=complex)
     zs = np.atleast_1d(np.asarray(z, dtype=complex))
-    tau = curve.nodes
-    dtau = curve.complex_measure
-    columns = [v * dtau] if v.ndim == 1 else [v[:, j] * dtau for j in range(v.shape[1])]
-    dist = np.empty(zs.size)
-    out = np.empty((len(columns), zs.size), dtype=complex)
-    chunk = max(1, OFFCURVE_BYTES // (16 * tau.size))
+    if not np.all(np.isfinite(zs)):
+        raise ValueError("evaluation points must be finite")
+    x, y = curve.nodes.real.copy(), curve.nodes.imag.copy()
+    n = x.size
+    weighted = v.reshape(n, -1) * curve.complex_measure[:, None]
+    weights = [np.column_stack([w.real, w.imag]) for w in weighted.T]
+    chunk = max(1, OFFCURVE_BYTES // (8 * n))
+    work = np.empty((4, min(chunk, zs.size), n))
+    nearest = np.empty(zs.size)
+    out = np.empty((len(weights), zs.size), dtype=complex)
     for s in range(0, zs.size, chunk):
         rows = slice(s, min(s + chunk, zs.size))
-        D = tau[None, :] - zs[rows, None]
-        dmin = np.abs(D).min(axis=1)
-        dist[rows] = dmin
-        if np.any(dmin == 0.0):
+        dx, dy, r, square = work[:, : rows.stop - s]
+        np.subtract(x, zs.real[rows, None], out=dx)
+        np.subtract(y, zs.imag[rows, None], out=dy)
+        np.multiply(dx, dx, out=r)
+        r += np.multiply(dy, dy, out=square)
+        nearest[rows] = r.min(axis=1)
+        if np.any(nearest[rows] == 0.0):
             raise ValueError("evaluation point lies on a curve node")
-        K = 1.0 / D
-        for j, weighted in enumerate(columns):
-            out[j, rows] = K @ weighted / (2j * np.pi)
-    if np.any(dist < 2.0 * curve.max_spacing()):
+        inv = np.divide(1.0, r, out=r)
+        A = np.multiply(dx, inv, out=dx)
+        B = np.multiply(dy, inv, out=dy)
+        for j, w in enumerate(weights):
+            aw, bw = A @ w, B @ w
+            out[j, rows].real = aw[:, 0] + bw[:, 1]
+            out[j, rows].imag = aw[:, 1] - bw[:, 0]
+    out /= 2j * np.pi
+    if np.any(nearest < (2.0 * curve.max_spacing()) ** 2):
         warnings.warn(
             "evaluation point within two node spacings of the curve; "
             "quadrature error bound degraded",
@@ -428,22 +442,23 @@ def plemelj_residual(
     removing the O(delta) one-sided Taylor error before comparison.
 
     ``f`` is one function (shape (n,)) or a stack of functions (shape
-    (m, n), one per row); a stack returns one residual per row, each equal
-    to the one-function result. Off the circle S is applied to each
-    function on its own, while the off-curve kernel at each offset is built
-    once for the whole stack. On the unit circle (the ``fft`` path) S takes
-    the stack in one call, and for offsets in (0, 2) the off-curve sums are
-    the same trapezoid sums that ``cauchy_offcurve`` takes, evaluated
-    exactly by one FFT of the stack and one inverse FFT per offset and side.
+    (m, n), one per row); a stack returns one residual per row, and the
+    off-curve kernel at each offset is built once for it. Off the ``dense``
+    path (which takes each function at the target rows) S takes the stack in
+    one call; the split's tail test may then refine further than for one
+    function, so rows match the one-function results to rounding. On the
+    unit circle, for offsets in (0, 2), the off-curve sums are the trapezoid
+    sums of ``cauchy_offcurve``, taken exactly by one FFT of the stack and
+    one inverse FFT per offset and side. Offsets must be distinct.
 
     The exterior transform carries the orientation that keeps the unbounded
     component on the left, i.e. the negated curve integral; with the plain
     orientation the exterior limit would recover -Q f instead of Q f (take
     f(tau) = 1/(tau - z0) with z0 inside and compute residues).
     """
-    offs = np.asarray(sorted(float(d) for d in offsets), dtype=float)
-    if offs.size == 0 or np.any(offs <= 0):
-        raise ValueError("offsets must be positive")
+    offs = np.sort(np.asarray([float(d) for d in offsets], dtype=float))
+    if offs.size == 0 or not np.all(np.isfinite(offs) & (offs > 0)) or np.any(np.diff(offs) == 0):
+        raise ValueError("offsets must be positive, finite and distinct")
     if int(targets) < 1:
         raise ValueError(f"targets must be at least 1, got {targets}")
     values = np.asarray(f, dtype=complex)
@@ -452,11 +467,10 @@ def plemelj_residual(
     stride = max(1, n // int(targets))
     t_idx = np.arange(0, n, stride)
     path = s_path(curve)
-    if path == "fft":
-        sv = apply_S(curve, stack.T).T[:, t_idx]
+    if path == "dense":
+        sv = np.array([_quadrature_S(curve, v, rows=t_idx) for v in stack])
     else:
-        sv = np.array([_quadrature_S(curve, v, rows=t_idx) if path == "dense"
-                       else apply_S(curve, v)[t_idx] for v in stack])
+        sv = apply_S(curve, stack.T).T[:, t_idx]
     pf, qf = 0.5 * (stack[:, t_idx] + sv), 0.5 * (stack[:, t_idx] - sv)
     normal = 1j * curve.unit_tangents[t_idx]  # interior on the left
     base = curve.nodes[t_idx]

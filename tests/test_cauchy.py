@@ -1,4 +1,5 @@
 import gc
+import tracemalloc
 import warnings
 import weakref
 
@@ -46,12 +47,23 @@ def test_S_of_one_is_one_on_zoo(ellipse4096):
     assert np.abs(apply_S(ellipse4096, one) - 1.0).max() < 1e-12
 
 
-def test_S_rational_residue_identities(ellipse8192):
-    tau = ellipse8192.nodes
-    f_out = 1.0 / (tau - (3.0 + 1.0j))  # pole outside: S f = f
-    assert np.abs(apply_S(ellipse8192, f_out) - f_out).max() < 1e-6
-    f_in = 1.0 / (tau - 0.2j)  # pole inside: S f = -f
-    assert np.abs(apply_S(ellipse8192, f_in) + f_in).max() < 1e-6
+def test_S_rational_residue_identities():
+    # each bound is about 5x the largest error measured relative to max |f|
+    for name, n, path, bound in [
+        ("circle", 4096, "fft", 1e-14),  # 1.1e-15
+        ("ellipse:2,1", 8192, "split", 5e-12),  # 7.2e-13
+        ("perturbed-circle:0.1,5", 2048, "split", 5e-12),  # 2.6e-13
+        ("perturbed-circle:0.3,12", 4096, "split", 5e-12),  # 6.9e-13
+        ("square", 1024, "dense", 2e-2),  # 5.0e-3, first order at the corners
+    ]:
+        curve = curve_from_name(name, n)
+        assert s_path(curve) == path
+        tau = curve.nodes
+        for pole, sign in ((3.0 + 1.0j, 1.0), (0.2j, -1.0)):
+            # pole outside: S f = f; pole inside: S f = -f
+            f = 1.0 / (tau - pole)
+            error = np.abs(apply_S(curve, f) - sign * f).max() / np.abs(f).max()
+            assert error <= bound, (name, pole, error)
 
 
 def test_quadrature_backend_matches_circle_multiplier(circle8192):
@@ -195,6 +207,39 @@ def test_offcurve_stack_keeps_the_node_and_near_curve_checks(circle512):
         cauchy_offcurve(circle512, F, [0.2, circle512.nodes[17]])
 
 
+@pytest.mark.parametrize("bad", [np.nan, complex(0.2, np.inf), complex(np.nan, 0.1)])
+def test_offcurve_rejects_non_finite_targets(circle512, bad):
+    one = np.ones(512, dtype=complex)
+    with pytest.raises(ValueError, match="finite"):
+        cauchy_offcurve(circle512, one, bad)
+    with pytest.raises(ValueError, match="finite"):
+        cauchy_offcurve(circle512, np.ones((512, 2)), [0.2, bad])
+
+
+def test_offcurve_takes_an_empty_target_array(circle512):
+    assert cauchy_offcurve(circle512, np.ones(512), []).shape == (0,)
+    empty = np.array([], dtype=complex)
+    assert cauchy_offcurve(circle512, np.ones((512, 3)), empty).shape == (0, 3)
+
+
+def test_offcurve_peak_memory_on_the_sio_check_shape():
+    # the sio-ellipse Plemelj call: 4 functions at 256 targets on 2048 nodes;
+    # numpy reports its allocations to tracemalloc, so the peak is exact
+    curve = curve_from_name("ellipse:2,1", 2048)
+    F = np.column_stack([v for _, v in rational_corpus(curve, np.random.default_rng(0), count=4)])
+    idx = np.arange(0, 2048, 8)
+    z = curve.nodes[idx] + 0.04j * curve.unit_tangents[idx]
+    cauchy_offcurve(curve, F, z)  # warm the curve's cached spacing
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        cauchy_offcurve(curve, F, z)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * 2**20
+
+
 # -------------------------------------------------------------------- Plemelj
 
 def test_plemelj_exterior_pole_identity(circle8192):
@@ -226,7 +271,18 @@ def test_plemelj_stack_matches_one_function_calls(name, n):
     functions = [f for _, f in rational_corpus(curve, np.random.default_rng(3), count=4)]
     offsets = [0.08, 0.04, 0.02, 0.01]
     stacked = plemelj_residual(curve, np.array(functions), offsets, targets=64)
-    assert stacked == [plemelj_residual(curve, f, offsets, targets=64) for f in functions]
+    single = [plemelj_residual(curve, f, offsets, targets=64) for f in functions]
+    if s_path(curve) == "split":
+        # S takes the stack in one call, and its tail test may refine further
+        # than one function's, so the split agrees to rounding
+        scale = 1e-12 * np.abs(np.array(functions)).max()
+        for a, b in zip(stacked, single):
+            assert a.offsets == b.offsets
+            for field in ("residual_plus", "residual_minus", "per_offset_plus",
+                          "per_offset_minus"):
+                assert np.abs(np.subtract(getattr(a, field), getattr(b, field))).max() <= scale
+    else:
+        assert stacked == single
     one = plemelj_residual(curve, np.array(functions[:1]), [0.05], targets=64)
     assert one == [plemelj_residual(curve, functions[0], [0.05], targets=64)]
     assert isinstance(plemelj_residual(curve, functions[0], [0.05]), PlemeljResidual)
@@ -237,6 +293,12 @@ def test_plemelj_rejects_bad_offsets(circle512):
         plemelj_residual(circle512, np.ones(512), [])
     with pytest.raises(ValueError):
         plemelj_residual(circle512, np.ones(512), [-0.1])
+
+
+@pytest.mark.parametrize("offsets", [[0.05, 0.05], [0.05, np.nan], [np.inf], [0.02, 0.04, 0.02]])
+def test_plemelj_rejects_repeated_or_non_finite_offsets(circle512, offsets):
+    with pytest.raises(ValueError, match="distinct|finite"):
+        plemelj_residual(circle512, np.ones(512), offsets)
 
 
 def test_plemelj_rejects_targets_below_one(circle512):
@@ -450,6 +512,29 @@ def test_split_memo_lives_and_dies_with_its_curve():
     ellipse_blocks = {id(R) for blocks in ellipse._memo["remainder"].values() for R in blocks}
     assert not any(id(R) in ellipse_blocks
                    for blocks in other._memo["remainder"].values() for R in blocks)
+
+
+def _remainder_by_index_matrix(curve, block):
+    """R(s0, s) at the target nodes ``block``, its (1/2) cot rows gathered by (j - b) mod n."""
+    velocity, diagonal, half_cot = cauchy._split_kernel(curve)
+    n = curve.n_nodes
+    tau = curve.nodes
+    with np.errstate(divide="ignore", invalid="ignore"):
+        R = velocity[None, :] / (tau[None, :] - tau[block, None])
+    R -= half_cot[(np.arange(n)[None, :] - block[:, None]) % n]
+    R[np.arange(block.size), block] = diagonal[block]
+    return R
+
+
+@pytest.mark.parametrize("name, n", [("ellipse:2,1", 2048), ("perturbed-circle:0.3,12", 4096)])
+def test_remainder_block_is_bitwise_the_index_matrix_formula(name, n):
+    curve = curve_from_name(name, n)
+    for block in (np.arange(n - 40, n + 24) % n,  # wraps past node 0
+                  np.arange(0, n, 32),
+                  np.arange(n - 1, 0, -97),
+                  np.array([0, n - 1])):
+        assert np.array_equal(cauchy._remainder_block(curve, block),
+                              _remainder_by_index_matrix(curve, block))
 
 
 def test_adjoint_residuals_refuse_an_aliasing_mode_basis():

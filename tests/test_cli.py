@@ -255,14 +255,14 @@ def test_sio_check_builds_one_offcurve_kernel_per_offset(tmp_path, monkeypatch):
 
 
 def test_sio_check_builds_each_remainder_block_once(tmp_path, monkeypatch):
-    # 7 applications of S (2 adjoint, 4 Plemelj, 1 norm-ratio stack) share
-    # the curve's 2 row blocks of 64 rows
+    # 4 applications of S (2 adjoint, 1 Plemelj stack, 1 norm-ratio stack)
+    # share the curve's 2 row blocks of 64 rows
     applied = _count_calls(monkeypatch, "_split_S")
     blocks = _count_calls(monkeypatch, "_remainder_block")
     code = run(["sio-check", "--curve", "ellipse:2,1", "--n", "2048",
                 "--out", str(tmp_path / "sio")])
     assert code == EXIT_OK
-    assert applied == [(2048, 64), (2048, 32)] + [(2048,)] * 4 + [(2048, 24)]
+    assert applied == [(2048, 64), (2048, 32), (2048, 4), (2048, 24)]
     assert blocks == [(64,), (64,)]
 
 
