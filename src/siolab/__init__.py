@@ -32,10 +32,8 @@ from .exponents import (
     partition_infinity_sets,
 )
 from .spaces import (
-    HolderCheck,
     NormResult,
     UnitBallCheck,
-    holder_check,
     luxemburg_norm,
     modular,
     multiplier_norm_lower,
@@ -55,17 +53,13 @@ from .cauchy import (
     riesz_projections,
 )
 from .toeplitz import (
-    BlockIdentityResiduals,
     DichotomyVerdict,
     KernelReport,
     Symbol,
-    block_identity_residual,
-    companion_apply,
     dichotomy_probe,
     finite_section,
     numerical_kernel,
     symbol_from_coefficients,
     symbol_from_preset,
     symbol_from_samples,
-    toeplitz_apply,
 )

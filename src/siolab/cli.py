@@ -444,7 +444,9 @@ def config_from_args(args: argparse.Namespace) -> tuple[ExperimentConfig, str | 
     """Merge defaults, the optional config file, and explicit CLI flags."""
     base: dict = {}
     if args.config:
-        base.update(json.loads(Path(args.config).read_text()))
+        base = json.loads(Path(args.config).read_text())
+        if not isinstance(base, dict):
+            raise ValueError("config file must hold a JSON object")
     overrides = {}
     for key, value in vars(args).items():
         if key == "config" or value is None:
@@ -452,18 +454,29 @@ def config_from_args(args: argparse.Namespace) -> tuple[ExperimentConfig, str | 
         overrides[key] = value
     merged = {**base, **overrides}
     verdict_file = None
-    if "sizes" in merged and isinstance(merged["sizes"], str):
-        merged["sizes"] = tuple(int(x) for x in merged["sizes"].split(","))
-    if "sizes" in merged:
-        merged["sizes"] = tuple(int(x) for x in merged["sizes"])
+    sizes = merged.get("sizes")
+    if isinstance(sizes, str):
+        merged["sizes"] = tuple(int(x) for x in sizes.split(","))
+    elif isinstance(sizes, list):
+        merged["sizes"] = tuple(sizes)
+    valid = {f.name: type(f.default) for f in fields(ExperimentConfig)}
+    unknown = merged.keys() - valid
+    if unknown:
+        raise ValueError(f"unknown config keys {sorted(unknown)}")
+    for key, value in merged.items():
+        # exact types: a bool is not an int, and "4096" is not 4096
+        ok = type(value) is valid[key]
+        if key == "sizes":
+            ok = ok and all(type(n) is int for n in value)
+        if not ok:
+            kind = "list of ints" if key == "sizes" else valid[key].__name__
+            raise ValueError(f"config key {key!r} takes a {kind}, got {value!r}")
+    if merged.get("format", "json") not in ("json", "csv"):
+        raise ValueError(f"config key 'format' takes json or csv, got {merged['format']!r}")
     out = merged.get("out")
     if out and str(out).endswith(".json"):
         verdict_file = Path(out).name
         merged["out"] = str(Path(out).parent) or "."
-    valid = {f.name for f in fields(ExperimentConfig)}
-    unknown = set(merged) - valid
-    if unknown:
-        raise ValueError(f"unknown config keys {sorted(unknown)}")
     cfg = replace(ExperimentConfig(), **merged)
     if cfg.trials < 1:
         raise ValueError(f"config key 'trials' must be at least 1, got {cfg.trials}")

@@ -23,7 +23,6 @@ from .corpus import _trig_sampler, indicator_arc
 from .curves import JordanCurve
 from .exponents import (
     ExponentFunction,
-    check_conjugate_triple,
     conjugate_exponent_r,
     dominance_check,
     partition_infinity_sets,
@@ -32,7 +31,6 @@ from .exponents import (
 __all__ = [
     "NormResult",
     "UnitBallCheck",
-    "HolderCheck",
     "MODULAR_TOL",
     "CERTIFICATE_TOL",
     "VARIABLE_EQUIV_ALLOWANCE",
@@ -40,7 +38,6 @@ __all__ = [
     "luxemburg_norm",
     "norm_value",
     "unit_ball_check",
-    "holder_check",
     "multiplier_norm_via_theorem",
     "multiplier_witness",
     "multiplier_norm_lower",
@@ -92,14 +89,6 @@ class UnitBallCheck:
     modular_value: float
     norm_value: float
     consistent: bool
-
-
-@dataclass(frozen=True)
-class HolderCheck:
-    lhs: float
-    rhs_product: float
-    ratio: float
-    fault: bool
 
 
 def _node_values(curve: JordanCurve, f) -> np.ndarray:
@@ -238,21 +227,6 @@ def unit_ball_check(curve: JordanCurve, f, p: ExponentFunction) -> UnitBallCheck
     n_ok = nrm <= 1.0
     boundary = abs(rho - 1.0) <= 1e-9 or abs(nrm - 1.0) <= 1e-9
     return UnitBallCheck(m_ok, n_ok, rho, nrm, m_ok == n_ok or boundary)
-
-
-def holder_check(curve: JordanCurve, f, g, p: ExponentFunction, q: ExponentFunction,
-                 r: ExponentFunction) -> HolderCheck:
-    """Compare ||fg||_q against ||f||_p ||g||_r for a conjugate triple."""
-    check_conjugate_triple(p, q, r)
-    fv = np.asarray(f, dtype=complex)
-    gv = np.asarray(g, dtype=complex)
-    lhs = norm_value(curve, fv * gv, q)
-    rhs = norm_value(curve, fv, p) * norm_value(curve, gv, r)
-    if lhs == 0.0:
-        return HolderCheck(lhs, rhs, 0.0, False)
-    if rhs == 0.0:
-        return HolderCheck(lhs, rhs, np.inf, True)
-    return HolderCheck(lhs, rhs, lhs / rhs, False)
 
 
 def multiplier_norm_via_theorem(

@@ -16,30 +16,18 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .curves import JordanCurve
-from .cauchy import (
-    _weighted_l2,
-    apply_S,
-    conjugation_H,
-    mode_basis,
-    operator_matrix,
-    riesz_projections,
-)
 from .exponents import ExponentFunction, dominance_check
 
 __all__ = [
     "Symbol",
     "KernelReport",
-    "BlockIdentityResiduals",
     "DichotomyVerdict",
     "symbol_from_samples",
     "symbol_from_coefficients",
     "symbol_from_preset",
     "singular_power_coefficients",
-    "toeplitz_apply",
-    "companion_apply",
     "finite_section",
     "numerical_kernel",
-    "block_identity_residual",
     "dichotomy_probe",
 ]
 
@@ -67,11 +55,6 @@ class Symbol:
         if c.size != 2 * self.degree + 1:
             raise ValueError("coefficient array must have length 2*degree + 1")
 
-    def coefficient(self, k: int) -> complex:
-        if abs(k) > self.degree:
-            return 0.0 + 0.0j
-        return complex(self.coefficients[k + self.degree])
-
     def coefficient_window(self, kmin: int, kmax: int) -> np.ndarray:
         """Coefficients for modes kmin..kmax, zero-padded outside the band."""
         out = np.zeros(kmax - kmin + 1, dtype=complex)
@@ -92,23 +75,6 @@ class KernelReport:
     dim: int
     sigma_min: float
     sigma_max: float
-
-
-@dataclass(frozen=True)
-class BlockIdentityResiduals:
-    """Matrix residuals of the operator-block identities on modes [-N, N].
-
-    ``off_block``: PaP + Q must be block diagonal (Toeplitz section against
-    the identity), ``adjoint``: (PaP + Q)* = H (P + QaQ) H,
-    ``multiplication_adjoint``: (aI)* = conj(a) I, ``section_consistency``:
-    the analytic-side block equals the finite section (circle only, else nan).
-    """
-
-    off_block: float
-    adjoint: float
-    multiplication_adjoint: float
-    section_consistency: float
-    basis_size: int
 
 
 @dataclass(frozen=True)
@@ -252,31 +218,6 @@ def symbol_from_preset(spec: str, curve: JordanCurve, degree: int = 300,
     raise ValueError(f"unknown symbol preset {spec!r}")
 
 
-# Largest relative wrong-side part of an input to T(a) or its companion.
-SIDE_TOL = 1e-8
-
-
-def _compress(curve: JordanCurve, a: Symbol, f, side: int, name: str) -> np.ndarray:
-    """The ``side`` part (0: P, 1: Q) of a f, for f on that side up to SIDE_TOL."""
-    v = np.asarray(f, dtype=complex)
-    if not np.all(np.isfinite(a.values)):
-        raise ValueError("symbol samples are not finite; use finite sections instead")
-    scale = _weighted_l2(curve, v)
-    if scale > 0 and _weighted_l2(curve, riesz_projections(curve, v)[1 - side]) > SIDE_TOL * scale:
-        raise ValueError(f"input is not on the {name}")
-    return riesz_projections(curve, a.values * v)[side]
-
-
-def toeplitz_apply(curve: JordanCurve, a: Symbol, f) -> np.ndarray:
-    """T(a) f = P(a f) for f on the analytic side (P f = f up to SIDE_TOL)."""
-    return _compress(curve, a, f, 0, "analytic side (P f != f)")
-
-
-def companion_apply(curve: JordanCurve, a: Symbol, g) -> np.ndarray:
-    """Companion operator g -> Q(a g) for g on the anti-analytic side."""
-    return _compress(curve, a, g, 1, "anti-analytic side (Q g != g)")
-
-
 def finite_section(a: Symbol, m: int, n: int, which: str = "T") -> np.ndarray:
     """Rectangular m x n truncation of T(a) or of its companion.
 
@@ -317,63 +258,6 @@ def numerical_kernel(section, threshold: float = 1e-8) -> KernelReport:
         return KernelReport(min(M.shape), 0.0, 0.0)
     dim = int(np.count_nonzero(svals < threshold * smax))
     return KernelReport(dim, float(svals[-1]), smax)
-
-
-def block_identity_residual(curve: JordanCurve, a: Symbol,
-                            basis_size: int) -> BlockIdentityResiduals:
-    """Verify the operator-block identities behind the companion construction.
-
-    On modes [-N, N]: PaP + Q must act block diagonally (analytic inputs land
-    on the analytic side through the Toeplitz compression, anti-analytic
-    inputs pass through unchanged), its adjoint under the weighted pairing
-    must equal H (P + QaQ) H, and the adjoint of multiplication must be
-    multiplication by the conjugate. The block check is structural (wrong-side
-    projection defect of each output), so it applies on any curve; the
-    adjoint checks compare pairing matrices, which is basis independent.
-    """
-    N = basis_size
-    modes = np.arange(-N, N + 1)
-    B = mode_basis(curve, modes)
-    av = a.values
-    if not np.all(np.isfinite(av)):
-        raise ValueError("block identities need finite symbol samples")
-
-    def S(X):
-        return apply_S(curve, X.T).T
-
-    SB = S(B)
-    PB, QB = 0.5 * (B + SB), B - 0.5 * (B + SB)
-    aPB = av[None, :] * PB
-    op1 = 0.5 * (aPB + S(aPB)) + QB          # (PaP + Q) basis-wise
-    HB = conjugation_H(curve, B)
-    SHB = S(HB)
-    PHB = 0.5 * (HB + SHB)
-    QHB = HB - PHB
-    aQHB = av[None, :] * QHB
-    op2_H = PHB + 0.5 * (aQHB - S(aQHB))     # (P + QaQ) applied to H(basis)
-    conj_op = conjugation_H(curve, op2_H)    # H (P + QaQ) H
-
-    M = lambda X: operator_matrix(curve, X, B)
-    M1 = M(op1)
-    adjoint = float(np.abs(M1.conj().T - M(conj_op)).max())
-
-    plus = modes >= 0
-    minus = ~plus
-    # analytic inputs may not leak to the anti-analytic side, and vice versa
-    out_plus = op1[plus]
-    s_out = S(out_plus)
-    leak_plus = float(_weighted_l2(curve, out_plus - 0.5 * (out_plus + s_out)).max())
-    pass_minus = float(_weighted_l2(curve, op1[minus] - B[minus]).max())
-    off = max(leak_plus, pass_minus)
-
-    Ma = M(av[None, :] * B)
-    mult = float(np.abs(Ma.conj().T - M(np.conj(av)[None, :] * B)).max())
-
-    section_res = float("nan")
-    if curve.is_unit_circle and (a.exact_band or a.degree >= N):
-        sec = finite_section(a, N + 1, N + 1, "T")
-        section_res = float(np.abs(M1[np.ix_(plus, plus)] - sec).max())
-    return BlockIdentityResiduals(off, adjoint, mult, section_res, basis_size)
 
 
 def _trend_is_clean(seq: tuple[float, ...], jitter: float = 1.10) -> bool:

@@ -328,6 +328,28 @@ def test_config_rejects_unknown_keys(tmp_path):
     assert run(["norm", "--config", str(cfg), "--out", str(tmp_path / "x")]) == EXIT_VALIDATION
 
 
+@pytest.mark.parametrize("command, config", [
+    ("norm", {"n_nodes": "4096"}),
+    ("sio-check", {"trials": "5"}),
+    ("dichotomy", {"sizes": 16}),
+    ("norm", {"seed": "x"}),
+    ("norm", {"n_nodes": 4096.5}),
+    ("multiplier", {"p": 4}),
+    ("dichotomy", {"aspect": "8"}),
+    ("norm", [16, 32]),
+    ("norm", {"format": "xml"}),
+    ("carleson", {"export_curve": "yes"}),
+], ids=["n_nodes-str", "trials-str", "sizes-int", "seed-str", "n_nodes-float", "p-int",
+        "aspect-str", "top-level-list", "format-xml", "export_curve-str"])
+def test_config_rejects_malformed_values(tmp_path, capsys, command, config):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    out = tmp_path / "out"
+    assert run([command, "--config", str(cfg), "--out", str(out)]) == EXIT_VALIDATION
+    assert "validation error" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_symbol_coefficients_csv(tmp_path):
     coeffs = tmp_path / "coeffs.csv"
     coeffs.write_text("1,1.0,0.0\n")  # a(t) = t

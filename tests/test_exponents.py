@@ -125,10 +125,13 @@ def test_partition_examples():
 
 def test_partition_rejects_inconsistent_triple():
     n = 8
-    with pytest.raises(ValueError, match="1/q = 1/p"):
-        partition_infinity_sets(
-            exponent_constant(4.0, n), exponent_constant(2.0, n), exponent_constant(3.0, n)
-        )
+    p, q = exponent_constant(4.0, n), exponent_constant(2.0, n)
+    # the second 1/r is off by 1e-10, far above the rounding of conjugate_exponent_r
+    for r in (exponent_constant(3.0, n), exponent_from_values(np.full(n, 1.0 / (0.25 + 1e-10)))):
+        with pytest.raises(ValueError, match="1/q = 1/p"):
+            check_conjugate_triple(p, q, r)
+        with pytest.raises(ValueError, match="1/q = 1/p"):
+            partition_infinity_sets(p, q, r)
 
 
 def test_log_holder_constant_exponent(circle1024):

@@ -13,7 +13,6 @@ from siolab.exponents import (
     exponent_from_values,
 )
 from siolab.spaces import (
-    holder_check,
     luxemburg_norm,
     modular,
     multiplier_norm_lower,
@@ -207,9 +206,9 @@ def test_unit_ball_examples(circle1024):
 
 # ----------------------------------------------------------------- Hoelder
 
-def test_holder_constants_ratio_one(circle1024):
+def test_holder_constants_ratio_one(circle1024, holder_ratio):
     n = 1024
-    chk = holder_check(
+    lhs, rhs, ratio, fault = holder_ratio(
         circle1024,
         np.ones(n),
         np.ones(n),
@@ -217,42 +216,26 @@ def test_holder_constants_ratio_one(circle1024):
         exponent_constant(2.0, n),
         exponent_constant(4.0, n),
     )
-    assert chk.lhs == pytest.approx(np.sqrt(TWO_PI), rel=1e-12)
-    assert chk.rhs_product == pytest.approx(TWO_PI ** 0.25 * TWO_PI ** 0.25, rel=1e-12)
-    assert chk.ratio == pytest.approx(1.0, rel=1e-10)
-    assert not chk.fault
+    assert lhs == pytest.approx(np.sqrt(TWO_PI), rel=1e-12)
+    assert rhs == pytest.approx(TWO_PI ** 0.25 * TWO_PI ** 0.25, rel=1e-12)
+    assert ratio == pytest.approx(1.0, rel=1e-10)
+    assert not fault
 
 
-def test_holder_disjoint_supports(circle1024):
+def test_holder_disjoint_supports(circle1024, holder_ratio):
     n = 1024
     f = np.zeros(n, complex)
     g = np.zeros(n, complex)
     f[: n // 2] = 1.0
     g[n // 2 :] = 1.0
-    chk = holder_check(
+    lhs, _, ratio, fault = holder_ratio(
         circle1024, f, g,
         exponent_constant(4.0, n), exponent_constant(2.0, n), exponent_constant(4.0, n),
     )
-    assert chk.lhs == 0.0 and chk.ratio == 0.0
+    assert lhs == 0.0 and ratio == 0.0 and not fault
 
 
-def test_holder_rejects_bad_triple(circle512):
-    with pytest.raises(ValueError, match="1/q"):
-        holder_check(
-            circle512, np.ones(512), np.ones(512),
-            exponent_constant(4.0, 512), exponent_constant(2.0, 512),
-            exponent_constant(3.0, 512),
-        )
-    # 1/r is off by 1e-10, far above the rounding of conjugate_exponent_r
-    r = exponent_from_values(np.full(512, 1.0 / (0.25 + 1e-10)))
-    with pytest.raises(ValueError, match="1/q"):
-        holder_check(
-            circle512, np.ones(512), np.ones(512),
-            exponent_constant(4.0, 512), exponent_constant(2.0, 512), r,
-        )
-
-
-def test_holder_randomized_ratio_bound(circle512, rng):
+def test_holder_randomized_ratio_bound(circle512, rng, holder_ratio):
     n = 512
     theta = np.angle(circle512.nodes)
     triples = [
@@ -268,9 +251,19 @@ def test_holder_randomized_ratio_bound(circle512, rng):
             k = np.arange(-6, 7)
             f = np.exp(1j * np.outer(theta, k)) @ (rng.standard_normal(13) + 1j * rng.standard_normal(13))
             g = np.exp(1j * np.outer(theta, k)) @ (rng.standard_normal(13) + 1j * rng.standard_normal(13))
-            chk = holder_check(circle512, f, g, p, q, r)
-            worst = max(worst, chk.ratio)
+            worst = max(worst, holder_ratio(circle512, f, g, p, q, r)[2])
     assert worst <= 2.0 + 1e-10
+
+
+def test_holder_rejects_bad_triple(circle512, holder_ratio):
+    n = 512
+    p, q = exponent_constant(4.0, n), exponent_constant(2.0, n)
+    with pytest.raises(ValueError, match="1/q"):
+        holder_ratio(circle512, np.ones(n), np.ones(n), p, q, exponent_constant(3.0, n))
+    # 1/r is off by 1e-10, far above the rounding of conjugate_exponent_r
+    r = exponent_from_values(np.full(n, 1.0 / (0.25 + 1e-10)))
+    with pytest.raises(ValueError, match="1/q"):
+        holder_ratio(circle512, np.ones(n), np.ones(n), p, q, r)
 
 
 # ------------------------------------------------------------- multiplier

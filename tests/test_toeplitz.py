@@ -5,11 +5,11 @@ from scipy.linalg import toeplitz as scipy_toeplitz
 from scipy.special import gammaln, gammasgn
 
 import siolab.toeplitz as toeplitz
+from siolab.cauchy import riesz_projections
 from siolab.exponents import exponent_constant
 from siolab.spaces import norm_value
 from siolab.toeplitz import (
-    block_identity_residual,
-    companion_apply,
+    Symbol,
     dichotomy_probe,
     finite_section,
     numerical_kernel,
@@ -17,7 +17,6 @@ from siolab.toeplitz import (
     symbol_from_coefficients,
     symbol_from_preset,
     symbol_from_samples,
-    toeplitz_apply,
 )
 
 
@@ -29,13 +28,9 @@ def mode(curve, k):
 
 def test_symbol_coefficients_match_closed_forms(circle1024):
     cos = symbol_from_preset("cos", circle1024)
-    assert cos.coefficient(1) == pytest.approx(0.5, abs=1e-10)
-    assert cos.coefficient(-1) == pytest.approx(0.5, abs=1e-10)
-    assert cos.coefficient(0) == pytest.approx(0.0, abs=1e-10)
+    assert np.abs(cos.coefficient_window(-1, 1) - [0.5, 0.0, 0.5]).max() < 1e-10
     oc2 = symbol_from_preset("one-plus-cos2", circle1024)
-    assert oc2.coefficient(0) == pytest.approx(1.5, abs=1e-10)
-    assert oc2.coefficient(2) == pytest.approx(0.25, abs=1e-10)
-    assert oc2.coefficient(-2) == pytest.approx(0.25, abs=1e-10)
+    assert np.abs(oc2.coefficient_window(-2, 2) - [0.25, 0.0, 1.5, 0.0, 0.25]).max() < 1e-10
 
 
 def test_symbol_rejects_nonfinite_samples(circle1024):
@@ -122,14 +117,15 @@ def test_section_is_real_exactly_when_its_coefficients_are(circle1024):
         "real array": symbol_from_coefficients(np.array([0.5, -1.0, 3.0, 0.25, 2.0]), 1024),
         "trig-random:3": symbol_from_preset("trig-random:3", circle1024, rng=rng),
     }
+    j_minus_k = np.subtract.outer(np.arange(19), np.arange(12))
     for name, a in cases.items():
         real = not a.coefficients.imag.any()
         assert real == (name != "trig-random:3")
+        window = a.coefficient_window(-18, 18)
         for which, sign in (("T", 1), ("companion", -1)):
             M = finite_section(a, 19, 12, which)
             assert M.dtype == (np.float64 if real else np.complex128), (name, which)
-            promoted = np.array([[a.coefficient(sign * (j - k)) for k in range(12)]
-                                 for j in range(19)])
+            promoted = window[sign * j_minus_k + 18]
             assert np.array_equal(M, promoted), (name, which)
 
 
@@ -162,49 +158,22 @@ def test_kernel_rejects_empty():
         numerical_kernel(np.zeros((0, 3)))
 
 
-# -------------------------------------------------------------------- applies
-
-def test_toeplitz_apply_shift(circle1024):
-    a = symbol_from_preset("monomial:1", circle1024)
-    out = toeplitz_apply(circle1024, a, np.ones(1024, dtype=complex))
-    assert np.abs(out - mode(circle1024, 1)).max() < 1e-12
-
-
-def test_toeplitz_apply_backward_shift_kills_constant(circle1024):
-    a = symbol_from_preset("monomial:-1", circle1024)
-    out = toeplitz_apply(circle1024, a, np.ones(1024, dtype=complex))
-    assert np.abs(out).max() < 1e-12
-
-
-def test_toeplitz_apply_rejects_antianalytic_input(circle1024):
-    a = symbol_from_preset("one", circle1024)
-    with pytest.raises(ValueError, match="analytic side"):
-        toeplitz_apply(circle1024, a, mode(circle1024, -1))
-
-
-def test_companion_apply_examples(circle1024):
-    shift = symbol_from_preset("monomial:1", circle1024)
-    assert np.abs(companion_apply(circle1024, shift, mode(circle1024, -1))).max() < 1e-12
-    back = symbol_from_preset("monomial:-1", circle1024)
-    out = companion_apply(circle1024, back, mode(circle1024, -1))
-    assert np.abs(out - mode(circle1024, -2)).max() < 1e-12
-    with pytest.raises(ValueError, match="anti-analytic"):
-        companion_apply(circle1024, shift, mode(circle1024, 2))
-
+# ------------------------------------------------------ sections against S
 
 def test_matrix_apply_consistency(circle1024):
     rng = np.random.default_rng(10)
     a = symbol_from_preset("trig-random:4", circle1024, rng=rng)
     n = 8
+    # T(a) f = P(a f) and the companion g -> Q(a g), with P and Q from S
     sec = finite_section(a, n, n, "T")
     for col in range(n):
-        out = toeplitz_apply(circle1024, a, mode(circle1024, col))
+        out = riesz_projections(circle1024, a.values * mode(circle1024, col))[0]
         spectrum = np.fft.fft(out) / out.size
         got = spectrum[:n]
         assert np.abs(got - sec[:, col]).max() < 1e-10
     csec = finite_section(a, n, n, "companion")
     for col in range(n):
-        out = companion_apply(circle1024, a, mode(circle1024, -(col + 1)))
+        out = riesz_projections(circle1024, a.values * mode(circle1024, -(col + 1)))[1]
         spectrum = np.fft.fft(out) / out.size
         got = spectrum[[-(row + 1) for row in range(n)]]
         assert np.abs(got - csec[:, col]).max() < 1e-10
@@ -225,36 +194,22 @@ def test_linearity_of_sections(circle1024):
 
 # ------------------------------------------------------------ block identities
 
-def test_block_identities_identity_symbol(circle1024):
-    res = block_identity_residual(circle1024, symbol_from_preset("one", circle1024), 16)
-    assert res.off_block < 1e-12
-    assert res.adjoint < 1e-12
-    assert res.multiplication_adjoint < 1e-12
-    assert res.section_consistency < 1e-12
-
-
-def test_block_identities_trig_symbol(circle4096):
-    rng = np.random.default_rng(13)
-    a = symbol_from_preset("trig-random:8", circle4096, rng=rng)
-    res = block_identity_residual(circle4096, a, 64)
-    assert res.off_block < 1e-10
-    assert res.adjoint < 1e-10
-    assert res.multiplication_adjoint < 1e-10
-    assert res.section_consistency < 1e-10
-
-
-def test_block_identities_ellipse(ellipse4096):
-    theta = np.angle(ellipse4096.nodes)
-    a = symbol_from_coefficients(np.array([0.3, 1.0, 0.3], dtype=complex), 1)
-    # sample the same trig polynomial on the ellipse nodes
-    from siolab.toeplitz import Symbol
-
-    values = 1.0 + 0.6 * np.cos(theta)
-    sym = Symbol(values.astype(complex), a.coefficients, 1, "ellipse-sym", exact_band=True)
-    res = block_identity_residual(ellipse4096, sym, 16)
-    assert res.off_block < 1e-3
-    assert res.adjoint < 1e-3
-    assert res.multiplication_adjoint < 1e-3
+@pytest.mark.parametrize("curve_name, spec, N, tol", [
+    ("circle1024", "one", 16, 1e-12),
+    ("circle4096", "trig-random:8", 64, 1e-10),
+    ("ellipse4096", "1+0.6cos", 16, 1e-3),
+], ids=["circle-one", "circle-trig-random", "ellipse"])
+def test_block_identities(request, block_residuals, curve_name, spec, N, tol):
+    curve = request.getfixturevalue(curve_name)
+    if curve.is_unit_circle:
+        a = symbol_from_preset(spec, curve, rng=np.random.default_rng(13))
+    else:
+        # the trig polynomial 1 + 0.6 cos(theta) sampled on the ellipse nodes
+        values = 1.0 + 0.6 * np.cos(np.angle(curve.nodes))
+        a = Symbol(values, [0.3, 1.0, 0.3], 1, spec, exact_band=True)
+    res = block_residuals(curve, a, N)
+    assert ("section" in res) == curve.is_unit_circle
+    assert max(res.values()) < tol, res
 
 
 # ------------------------------------------------------------------ dichotomy
@@ -323,9 +278,9 @@ def test_dichotomy_rejects_sizes_out_of_order(circle1024):
 def _complex_section(a, m, n, which):
     """Test-side finite section, always complex, from scipy's Toeplitz builder."""
     sign = 1 if which == "T" else -1
-    column = np.array([a.coefficient(sign * j) for j in range(m)], dtype=complex)
-    row = np.array([a.coefficient(-sign * k) for k in range(n)], dtype=complex)
-    return scipy_toeplitz(column, row)
+    K = max(m, n)
+    window = a.coefficient_window(-K, K)
+    return scipy_toeplitz(window[K + sign * np.arange(m)], window[K - sign * np.arange(n)])
 
 
 def test_dichotomy_on_real_sections_matches_the_complex_svd(circle1024, monkeypatch):
@@ -380,7 +335,7 @@ def test_apply_norm_bound_over_corpus(circle1024, rng):
     for _ in range(10):
         coeff = rng.standard_normal(9) + 1j * rng.standard_normal(9)
         f = np.polynomial.polynomial.polyval(circle1024.nodes, coeff)
-        lhs = norm_value(circle1024, toeplitz_apply(circle1024, a, f), q2)
+        lhs = norm_value(circle1024, riesz_projections(circle1024, a.values * f)[0], q2)
         assert lhs <= na * norm_value(circle1024, f, p4) * (1.0 + 1e-9)
 
 
