@@ -32,6 +32,7 @@ from .exponents import (
     partition_infinity_sets,
 )
 from .spaces import (
+    MultiplierBounds,
     NormResult,
     UnitBallCheck,
     luxemburg_norm,
@@ -62,4 +63,5 @@ from .toeplitz import (
     symbol_from_coefficients,
     symbol_from_preset,
     symbol_from_samples,
+    symbol_values,
 )

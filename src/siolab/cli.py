@@ -36,12 +36,15 @@ from .spaces import (
     VARIABLE_EQUIV_ALLOWANCE,
     luxemburg_norm,
     multiplier_norm_lower,
-    multiplier_norm_via_theorem,
-    multiplier_witness,
     norm_value,
     unit_ball_check,
 )
-from .toeplitz import dichotomy_probe, symbol_from_coefficients, symbol_from_preset
+from .toeplitz import (
+    dichotomy_probe,
+    symbol_from_coefficients,
+    symbol_from_preset,
+    symbol_values,
+)
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -209,7 +212,6 @@ def run_norm(cfg: ExperimentConfig) -> tuple[ReportBundle, str | None]:
         "value": res.value,
         "modular_at_value": res.modular_at_value,
         "iterations": res.bisection_iterations,
-        "bracket": list(res.bracket),
         "unit_ball": {
             "modular_le_one": ball.modular_le_one,
             "norm_le_one": ball.norm_le_one,
@@ -233,21 +235,16 @@ def run_multiplier(cfg: ExperimentConfig) -> tuple[ReportBundle, str | None]:
     p = _exponent(cfg.p, curve)
     q = _exponent(cfg.q, curve)
     rng = np.random.default_rng(cfg.seed)
-    a = _symbol(cfg.symbol, curve, cfg.degree, rng).values
-    theorem = multiplier_norm_via_theorem(curve, a, p, q)
-    lower = multiplier_norm_lower(curve, a, p, q, trials=cfg.trials, rng=rng)
-    witness_value = 0.0
-    if np.isfinite(theorem) and theorem > 0.0:
-        w = multiplier_witness(curve, a, p, q, theorem, 1e-3 * theorem)
-        if w.any():
-            wn = norm_value(curve, w, p)
-            if wn > 0:
-                witness_value = norm_value(curve, a * w / wn, q)
+    # node values are all a multiplier reads, so a preset symbol takes any curve
+    a = (_symbol(cfg.symbol, curve, cfg.degree, rng).values if cfg.symbol.endswith(".csv")
+         else symbol_values(cfg.symbol, curve, cfg.degree, rng))
+    bounds = multiplier_norm_lower(curve, a, p, q, trials=cfg.trials, rng=rng)
+    theorem, lower = bounds.theorem_value, bounds.lower_bound
     allowance = 1.0 if (p.is_constant and q.is_constant) else VARIABLE_EQUIV_ALLOWANCE
     results = {
         "theorem_value": theorem,
         "lower_bound": lower,
-        "witness_value": witness_value,
+        "witness_value": bounds.witness_value,
         "lower_over_theorem": lower / theorem if theorem > 0 else 0.0,
         "equivalence_allowance": allowance,
     }

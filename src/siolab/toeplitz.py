@@ -25,6 +25,7 @@ __all__ = [
     "symbol_from_samples",
     "symbol_from_coefficients",
     "symbol_from_preset",
+    "symbol_values",
     "singular_power_coefficients",
     "finite_section",
     "numerical_kernel",
@@ -179,15 +180,33 @@ def singular_power_coefficients(s: float, degree: int) -> np.ndarray:
     return coeff.astype(complex)
 
 
+# presets defined by their node values: degree, and values at the node angles
+_SAMPLED_PRESETS = {
+    "one": (0, np.ones_like),
+    "cos": (1, np.cos),
+    "one-plus-cos2": (2, lambda theta: 1.0 + np.cos(theta) ** 2),
+}
+
+
+def symbol_values(spec: str, curve: JordanCurve, degree: int = 300,
+                  rng: np.random.Generator | None = None) -> np.ndarray:
+    """Node values of the preset symbol ``spec``; the sample-defined presets
+    need no Fourier coefficients, so they take any curve, not only the circle."""
+    head = spec.strip().partition(":")[0]
+    if head in _SAMPLED_PRESETS:
+        return _SAMPLED_PRESETS[head][1](np.angle(curve.nodes)).astype(complex)
+    return symbol_from_preset(spec, curve, degree, rng).values
+
+
 def symbol_from_preset(spec: str, curve: JordanCurve, degree: int = 300,
                        rng: np.random.Generator | None = None) -> Symbol:
     """Symbol zoo: ``one``, ``monomial:k``, ``cos``, ``one-plus-cos2``,
     ``singular:s``, ``trig-random:deg``."""
-    theta = np.angle(curve.nodes)
     spec = spec.strip()
     head, _, args = spec.partition(":")
-    if head == "one":
-        return symbol_from_samples(curve, np.ones(curve.n_nodes), 0, "one", exact_band=True)
+    if head in _SAMPLED_PRESETS:
+        return symbol_from_samples(curve, symbol_values(spec, curve),
+                                   _SAMPLED_PRESETS[head][0], spec, exact_band=True)
     if head == "monomial":
         k = int(args)
         if abs(k) > degree:
@@ -196,13 +215,6 @@ def symbol_from_preset(spec: str, curve: JordanCurve, degree: int = 300,
         if k:
             c[abs(k) + k] = 1.0
         return symbol_from_coefficients(c, curve.n_nodes, spec)
-    if head == "cos":
-        return symbol_from_samples(curve, np.cos(theta).astype(complex), 1, "cos",
-                                   exact_band=True)
-    if head == "one-plus-cos2":
-        return symbol_from_samples(
-            curve, (1.0 + np.cos(theta) ** 2).astype(complex), 2, spec, exact_band=True
-        )
     if head == "singular":
         s = float(args)
         coeff = singular_power_coefficients(s, degree)

@@ -220,7 +220,7 @@ def test_criterion_07_multiplier_theorem(circle1024):
         r_is_finite = p_val > q_val
         for a in symbols:
             theorem = multiplier_norm_via_theorem(c, a, p, q)
-            lower = multiplier_norm_lower(c, a, p, q, trials=24, rng=rng)
+            lower = multiplier_norm_lower(c, a, p, q, trials=24, rng=rng).lower_bound
             gap = abs(lower - theorem) / theorem
             worst_gap = max(worst_gap, gap)
             ok &= gap <= 0.05 and lower <= theorem * (1.0 + 1e-9)

@@ -5,6 +5,7 @@ import pytest
 
 import siolab.cauchy as cauchy
 import siolab.cli as cli
+import siolab.spaces as spaces
 from siolab.cli import EXIT_FAULT, EXIT_OK, EXIT_VALIDATION, main
 from siolab.curves import (
     carleson_constant,
@@ -61,7 +62,8 @@ def test_validation_errors_exit_2(tmp_path):
                               ["dichotomy", "--symbol", "monomial:1", "--aspect", "-3"],
                               ["dichotomy", "--symbol", "monomial:1", "--aspect", "0"],
                               ["dichotomy", "--symbol", "cos", "--sizes", "256,128,64,32,16"],
-                              ["dichotomy", "--curve", "ellipse:2,1", "--symbol", "monomial:1"])):
+                              ["dichotomy", "--curve", "ellipse:2,1", "--symbol", "monomial:1"],
+                              ["dichotomy", "--curve", "ellipse:2,1", "--symbol", "cos"])):
         out = tmp_path / f"bad{i}"
         assert run([*argv, "--n", "256", "--out", str(out)]) == EXIT_VALIDATION
         assert not (out / "report.json").exists()
@@ -232,16 +234,19 @@ def test_smooth_curves_skip_the_dense_kernel(tmp_path, monkeypatch):
     assert calls
 
 
-def _count_calls(monkeypatch, name):
-    """Record the shape of the second argument of every call to cauchy.<name>."""
+def _count_calls(monkeypatch, name, modules=(cauchy,)):
+    """Record the shape of the second argument of every call to <name> made
+    through the bindings of ``modules``; the first one defines it."""
     shapes = []
-    original = getattr(cauchy, name)
+    original = getattr(modules[0], name)
 
     def counting(curve, f, *args, **kwargs):
         shapes.append(np.shape(f))
         return original(curve, f, *args, **kwargs)
 
-    monkeypatch.setattr(cauchy, name, counting)
+    for module in modules:
+        if getattr(module, name, None) is original:
+            monkeypatch.setattr(module, name, counting)
     return shapes
 
 
@@ -280,13 +285,49 @@ def test_sio_check_on_the_circle_takes_no_direct_offcurve_sum(tmp_path, monkeypa
     assert paired == [(32, 512)] * 4
 
 
+def test_norm_command_takes_one_norm_and_one_unit_ball_norm(tmp_path, monkeypatch):
+    # the result's norm, and the unit-ball check's own evaluation of norm <= 1
+    norms = _count_calls(monkeypatch, "luxemburg_norm", (spaces, cli))
+    code = run(["norm", "--n", "512", "--exponent", "2+abs(sin)", "--function", "abs-cos",
+                "--out", str(tmp_path / "norm")])
+    assert code == EXIT_OK
+    assert norms == [(512,)] * 2
+
+
+def test_multiplier_command_takes_the_theorem_and_the_witness_once(tmp_path, monkeypatch):
+    theorem = _count_calls(monkeypatch, "multiplier_norm_via_theorem", (spaces, cli))
+    witness = _count_calls(monkeypatch, "multiplier_witness", (spaces, cli))
+    out = tmp_path / "mult"
+    code = run(["multiplier", "--p", "2+abs(sin)", "--q", "2", "--symbol", "one-plus-cos2",
+                "--n", "512", "--trials", "8", "--out", str(out)])
+    assert code == EXIT_OK
+    assert theorem == [(512,)] and witness == [(512,)]
+    res = json.loads((out / "report.json").read_text())["results"]
+    assert 0.0 < res["witness_value"] <= res["lower_bound"]
+
+
+@pytest.mark.parametrize("symbol", ["one", "cos", "one-plus-cos2", "monomial:2"])
+def test_multiplier_reads_node_values_on_any_curve(tmp_path, symbol):
+    out = tmp_path / "mult"
+    code = run(["multiplier", "--curve", "ellipse:2,1", "--n", "1024", "--symbol", symbol,
+                "--trials", "8", "--out", str(out)])
+    assert code == EXIT_OK
+    res = json.loads((out / "report.json").read_text())["results"]
+    assert 0.0 < res["lower_bound"] <= res["theorem_value"] * (1.0 + 1e-9)
+    if symbol == "one":  # p = 4, q = 2: the norm of 1 in L^4 is |curve|^(1/4)
+        length = curve_from_name("ellipse:2,1", 1024).arc_weights.sum()
+        assert res["theorem_value"] == pytest.approx(length ** 0.25, rel=1e-12)
+        assert res["lower_bound"] == pytest.approx(length ** 0.25, rel=1e-9)
+
+
 def test_norm_uncertified_result_exits_3(tmp_path, capsys):
     out = tmp_path / "huge"
     code = run(["norm", "--curve", "circle", "--n", "512", "--exponent", "1e308",
                 "--function", "const:2", "--out", str(out)])
     assert code == EXIT_FAULT
     err = capsys.readouterr().err
-    assert "modular 0" in err and "1e-10" in err
+    # (2 / lam)^1e308 is 0 or inf for every lam but 2, where the modular is 2 pi
+    assert "modular 6.28 at value 2 " in err and "1e-10" in err
     report = json.loads((out / "report.json").read_text())
     assert "certified" not in report["results"]  # report layout unchanged
 
