@@ -55,11 +55,9 @@ from .cauchy import (
 )
 from .toeplitz import (
     DichotomyVerdict,
-    KernelReport,
     Symbol,
     dichotomy_probe,
     finite_section,
-    numerical_kernel,
     symbol_from_coefficients,
     symbol_from_preset,
     symbol_from_samples,

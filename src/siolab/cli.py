@@ -193,11 +193,17 @@ def _function(spec: str, curve, rng: np.random.Generator) -> np.ndarray:
 def _symbol(spec: str, curve, degree: int, rng: np.random.Generator):
     if spec.endswith(".csv"):
         rows = np.loadtxt(spec, delimiter=",", ndmin=2)
+        if not np.all(np.isfinite(rows[:, 0]) & (rows[:, 0] == np.round(rows[:, 0]))):
+            raise ValueError(f"{spec}: the mode numbers k in column 1 must be integers")
         ks = rows[:, 0].astype(int)
+        if np.unique(ks).size != ks.size:
+            raise ValueError(f"{spec}: a mode number k is given more than once")
         K = int(np.abs(ks).max())
         coeff = np.zeros(2 * K + 1, dtype=complex)
-        coeff[ks + K] = rows[:, 1] + 1j * (rows[:, 2] if rows.shape[1] > 2 else 0.0)
-        return symbol_from_coefficients(coeff, curve.n_nodes, name=Path(spec).name)
+        coeff.real[ks + K] = rows[:, 1]
+        if rows.shape[1] > 2:  # set apart: 1j * inf would read as nan + inf j
+            coeff.imag[ks + K] = rows[:, 2]
+        return symbol_from_coefficients(coeff, curve, name=Path(spec).name)
     return symbol_from_preset(spec, curve, degree=degree, rng=rng)
 
 

@@ -6,10 +6,20 @@ rectangular truncations in the Fourier basis; tall sections (extra rows)
 probe injectivity without the spurious kernels square truncations invent.
 Density of the image is never tested directly: it is equivalent to
 triviality of the companion kernel, which is what the probe measures.
+
+Sections are read-only views of one coefficient window, so building them
+copies nothing. The probe builds every section first and then takes the
+singular values of the T sections on the calling thread while one worker
+thread takes the companion sections of the same shapes; LAPACK releases the
+GIL, and each SVD is the call a single thread would make, so the results are
+bitwise those of one thread. On a process allowed only one CPU the probe
+runs both sides on the calling thread.
 """
 
 from __future__ import annotations
 
+import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,7 +30,6 @@ from .exponents import ExponentFunction, dominance_check
 
 __all__ = [
     "Symbol",
-    "KernelReport",
     "DichotomyVerdict",
     "symbol_from_samples",
     "symbol_from_coefficients",
@@ -28,9 +37,17 @@ __all__ = [
     "symbol_values",
     "singular_power_coefficients",
     "finite_section",
-    "numerical_kernel",
     "dichotomy_probe",
 ]
+
+
+def _finite_coefficients(coefficients, name: str) -> np.ndarray:
+    """Coefficients as a complex array; values may be infinite (``singular:s``
+    at its node), but the sections read the a_k, so those must be finite."""
+    c = np.asarray(coefficients, dtype=complex)
+    if not np.all(np.isfinite(c)):
+        raise ValueError(f"symbol {name!r} has non-finite Fourier coefficients")
+    return c
 
 
 @dataclass(frozen=True)
@@ -51,7 +68,7 @@ class Symbol:
 
     def __post_init__(self):
         object.__setattr__(self, "values", np.asarray(self.values, dtype=complex))
-        c = np.asarray(self.coefficients, dtype=complex)
+        c = _finite_coefficients(self.coefficients, self.name)
         object.__setattr__(self, "coefficients", c)
         if c.size != 2 * self.degree + 1:
             raise ValueError("coefficient array must have length 2*degree + 1")
@@ -69,13 +86,6 @@ class Symbol:
     @property
     def is_zero(self) -> bool:
         return not self.coefficients.any() and not self.values.any()
-
-
-@dataclass(frozen=True)
-class KernelReport:
-    dim: int
-    sigma_min: float
-    sigma_max: float
 
 
 @dataclass(frozen=True)
@@ -129,13 +139,14 @@ def symbol_from_samples(curve: JordanCurve, values, degree: int, name: str = "sy
     return Symbol(v, coeff, degree, name, exact_band)
 
 
-def symbol_from_coefficients(coefficients, n_nodes: int, name: str = "symbol") -> Symbol:
-    """Build a symbol from coefficients a_k, k = -K..K; samples are synthesized."""
-    c = np.asarray(coefficients, dtype=complex)
+def symbol_from_coefficients(coefficients, curve: JordanCurve, name: str = "symbol") -> Symbol:
+    """Build a symbol from coefficients a_k, k = -K..K; its node values are
+    synthesized at the node angles, as the sampled presets read them."""
+    c = _finite_coefficients(coefficients, name)
     if c.size % 2 == 0:
         raise ValueError("coefficients must cover a symmetric mode range -K..K")
     degree = c.size // 2
-    phi = 2.0 * np.pi * np.arange(n_nodes) / n_nodes
+    phi = np.angle(curve.nodes)
     k = np.arange(-degree, degree + 1)
     values = np.exp(1j * np.outer(phi, k)) @ c
     return Symbol(values, c, degree, name, exact_band=True)
@@ -214,7 +225,7 @@ def symbol_from_preset(spec: str, curve: JordanCurve, degree: int = 300,
         c = np.zeros(2 * abs(k) + 1, dtype=complex) if k else np.ones(1, dtype=complex)
         if k:
             c[abs(k) + k] = 1.0
-        return symbol_from_coefficients(c, curve.n_nodes, spec)
+        return symbol_from_coefficients(c, curve, spec)
     if head == "singular":
         s = float(args)
         coeff = singular_power_coefficients(s, degree)
@@ -226,7 +237,7 @@ def symbol_from_preset(spec: str, curve: JordanCurve, degree: int = 300,
         deg = int(args)
         rng = np.random.default_rng(0) if rng is None else rng
         c = rng.standard_normal(2 * deg + 1) + 1j * rng.standard_normal(2 * deg + 1)
-        return symbol_from_coefficients(c, curve.n_nodes, spec)
+        return symbol_from_coefficients(c, curve, spec)
     raise ValueError(f"unknown symbol preset {spec!r}")
 
 
@@ -237,7 +248,9 @@ def finite_section(a: Symbol, m: int, n: int, which: str = "T") -> np.ndarray:
     the companion reads the reflected coefficients a_{k-j}, i.e. it acts on
     the negative-frequency coefficients of the anti-analytic side. The
     section is real (float64) when the coefficients it reads are real, so
-    its SVD runs in real arithmetic; otherwise it is complex.
+    its SVD runs in real arithmetic; otherwise it is complex. The section is
+    a read-only view of one length m + n - 1 coefficient window, not a copy:
+    copy it before writing to it.
     """
     if m <= 0 or n <= 0:
         raise ValueError("section shape must be positive")
@@ -256,20 +269,49 @@ def finite_section(a: Symbol, m: int, n: int, which: str = "T") -> np.ndarray:
         raise ValueError("which must be 'T' or 'companion'")
     if not window.imag.any():
         window = window.real
-    return sliding_window_view(window, n)[::-1].copy()
+    return sliding_window_view(window, n)[::-1]
 
 
-def numerical_kernel(section, threshold: float = 1e-8) -> KernelReport:
-    """Numerical kernel dimension by relative singular-value threshold."""
-    M = np.asarray(section)
-    if M.size == 0:
-        raise ValueError("empty matrix")
-    svals = np.linalg.svd(M, compute_uv=False)
+def _singular_values(section: np.ndarray) -> np.ndarray:
+    """Singular values of one section, in descending order. The probe's SVD
+    worker thread calls this and nothing else."""
+    return np.linalg.svd(section, compute_uv=False)
+
+
+def _numerical_kernel(svals: np.ndarray, threshold: float) -> tuple[int, float]:
+    """(numerical kernel dimension, sigma_min) of a nonempty section from its
+    singular values, by relative threshold against sigma_max."""
     smax = float(svals[0])
     if smax == 0.0:
-        return KernelReport(min(M.shape), 0.0, 0.0)
-    dim = int(np.count_nonzero(svals < threshold * smax))
-    return KernelReport(dim, float(svals[-1]), smax)
+        return svals.size, 0.0
+    return int(np.count_nonzero(svals < threshold * smax)), float(svals[-1])
+
+
+def _singular_values_of_both(sections_t: list, sections_c: list) -> tuple[list, list]:
+    """Singular values of the T sections on this thread and, at the same
+    time, of the companion sections on one worker thread, or of both here when
+    the process may run on one CPU only. A worker's exception is raised here,
+    after the worker has ended."""
+    if len(os.sched_getaffinity(0)) < 2:
+        return ([_singular_values(s) for s in sections_t],
+                [_singular_values(s) for s in sections_c])
+    svals_c, failure = [], []
+
+    def companion_side():
+        try:
+            svals_c.extend(_singular_values(s) for s in sections_c)
+        except BaseException as exc:  # handed to the caller, not lost in the thread
+            failure.append(exc)
+
+    worker = threading.Thread(target=companion_side, name="siolab-companion-svd")
+    worker.start()
+    try:
+        svals_t = [_singular_values(s) for s in sections_t]
+    finally:
+        worker.join()
+    if failure:
+        raise failure[0]
+    return svals_t, svals_c
 
 
 def _trend_is_clean(seq: tuple[float, ...], jitter: float = 1.10) -> bool:
@@ -296,6 +338,12 @@ def dichotomy_probe(
     The trend is read in the order given, so ``sizes`` must be strictly
     increasing, and ``aspect`` must be at least 1: a square or wide section
     can have a kernel that the operator does not.
+
+    All 2 len(sizes) sections are built first, as read-only views. The T
+    sections' SVDs then run on the calling thread while one worker thread
+    runs the companion's, which have the same shapes; a process allowed one
+    CPU runs both on the calling thread. Either way each singular value is
+    bitwise what one thread computes.
     """
     if a.is_zero:
         raise ValueError("zero symbol is excluded from the dichotomy probe")
@@ -310,17 +358,12 @@ def dichotomy_probe(
     if int(aspect) < 1:
         raise ValueError(f"aspect must be at least 1, got {aspect}")
 
-    sig_t, sig_c, dim_t, dim_c = [], [], [], []
-    for n in sizes:
-        m = n + int(aspect)
-        rep_t = numerical_kernel(finite_section(a, m, n, "T"), threshold)
-        rep_c = numerical_kernel(finite_section(a, m, n, "companion"), threshold)
-        sig_t.append(rep_t.sigma_min)
-        sig_c.append(rep_c.sigma_min)
-        dim_t.append(rep_t.dim)
-        dim_c.append(rep_c.dim)
-
-    sig_t, sig_c = tuple(sig_t), tuple(sig_c)
+    shapes = [(n + int(aspect), n) for n in sizes]
+    svals_t, svals_c = _singular_values_of_both(
+        [finite_section(a, m, n, "T") for m, n in shapes],
+        [finite_section(a, m, n, "companion") for m, n in shapes])
+    dim_t, sig_t = zip(*(_numerical_kernel(sv, threshold) for sv in svals_t))
+    dim_c, sig_c = zip(*(_numerical_kernel(sv, threshold) for sv in svals_c))
     t_ok = min(sig_t) >= sigma_floor and _trend_is_clean(sig_t)
     c_ok = min(sig_c) >= sigma_floor and _trend_is_clean(sig_c)
     fault = False
@@ -338,6 +381,4 @@ def dichotomy_probe(
             and _trend_is_clean(sig_t)
             and _trend_is_clean(sig_c)
         )
-    return DichotomyVerdict(
-        a.name, sizes, sig_t, sig_c, tuple(dim_t), tuple(dim_c), verdict, fault
-    )
+    return DichotomyVerdict(a.name, sizes, sig_t, sig_c, dim_t, dim_c, verdict, fault)

@@ -441,7 +441,7 @@ def test_fourier_roundtrip_bandlimited(circle512, rng):
     f = np.exp(1j * np.outer(np.angle(circle512.nodes), k)) @ coeff
     rep = symbol_from_samples(circle512, f, 10)
     assert np.abs(rep.coefficients - coeff).max() < 1e-12
-    resampled = symbol_from_coefficients(rep.coefficients, 512).values
+    resampled = symbol_from_coefficients(rep.coefficients, circle512).values
     assert np.abs(resampled - f).max() < 1e-10
     assert rep.coefficient_window(3, 3)[0] == pytest.approx(coeff[13])
     assert not rep.coefficient_window(95, 99).any()

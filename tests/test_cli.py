@@ -400,3 +400,26 @@ def test_symbol_coefficients_csv(tmp_path):
     assert code == EXIT_OK
     verdict = json.loads((out / "verdict.json").read_text())
     assert verdict["verdict"] == "T-injective"
+
+
+@pytest.mark.parametrize("rows, message", [
+    ("1,inf,0.0\n", "non-finite Fourier coefficients"),
+    ("0,1.0,0.0\n1,nan,0.0\n", "non-finite Fourier coefficients"),
+    ("1,1.0,-inf\n", "non-finite Fourier coefficients"),
+    ("0.5,1.0,0.0\n", "must be integers"),
+    ("nan,1.0,0.0\n", "must be integers"),
+    ("1,1.0,0.0\n1,2.0,0.0\n", "more than once"),
+], ids=["inf", "nan", "imag-inf", "half-k", "nan-k", "repeated-k"])
+@pytest.mark.parametrize("command", ["dichotomy", "multiplier"])
+def test_symbol_coefficients_csv_rejects_bad_rows(tmp_path, capsys, command, rows, message):
+    # an inf coefficient gave dichotomy sigma = nan and exit 0, and multiplier
+    # theorem_value inf; k = 0.5 was read as 0, and a repeated k overwrote
+    coeffs = tmp_path / "coeffs.csv"
+    coeffs.write_text(rows)
+    out = tmp_path / "out"
+    extra = ["--sizes", "16,32"] if command == "dichotomy" else ["--trials", "4"]
+    code = run([command, "--symbol", str(coeffs), "--p", "4", "--q", "2", *extra,
+                "--n", "512", "--out", str(out)])
+    assert code == EXIT_VALIDATION
+    assert message in capsys.readouterr().err
+    assert not out.exists()

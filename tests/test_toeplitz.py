@@ -1,3 +1,5 @@
+import threading
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -12,11 +14,11 @@ from siolab.toeplitz import (
     Symbol,
     dichotomy_probe,
     finite_section,
-    numerical_kernel,
     singular_power_coefficients,
     symbol_from_coefficients,
     symbol_from_preset,
     symbol_from_samples,
+    symbol_values,
 )
 
 
@@ -38,6 +40,30 @@ def test_symbol_rejects_nonfinite_samples(circle1024):
     values[0] = np.inf
     with pytest.raises(ValueError, match="non-finite"):
         symbol_from_samples(circle1024, values, 4)
+
+
+def test_symbol_rejects_nonfinite_coefficients(circle1024):
+    for bad in (np.inf, np.nan, complex(1.0, -np.inf)):
+        with pytest.raises(ValueError, match="non-finite Fourier coefficients"):
+            symbol_from_coefficients(np.array([1.0, bad, 0.5]), circle1024)
+        with pytest.raises(ValueError, match="non-finite Fourier coefficients"):
+            Symbol(np.ones(1024), np.array([1.0, bad, 0.5]), 1)
+    # values may be infinite: |t - 1|^s is at node 0, its coefficients are not
+    a = symbol_from_preset("singular:-0.3", circle1024, degree=40)
+    assert np.isinf(a.values[0]) and np.all(np.isfinite(a.coefficients))
+
+
+@pytest.mark.parametrize("curve_name", ["circle1024", "ellipse4096"])
+def test_coefficient_symbols_take_the_node_angles(request, curve_name):
+    # the sampled presets read the node angles, and so must monomial:k and
+    # trig-random; on the ellipse uniform angles were 0.34 off for monomial:1
+    curve = request.getfixturevalue(curve_name)
+    theta = np.angle(curve.nodes)
+    assert np.abs(symbol_values("monomial:1", curve) - np.exp(1j * theta)).max() < 1e-15
+    assert np.abs(symbol_values("monomial:-3", curve) - np.exp(-3j * theta)).max() < 1e-14
+    c = np.array([0.5, 0.0, 1.0, 0.0, 0.5])  # 1 + cos(2 theta)
+    values = symbol_from_coefficients(c, curve).values
+    assert np.abs(values - (1.0 + np.cos(2.0 * theta))).max() < 1e-14
 
 
 def test_singular_coefficients_against_gamma_oracle():
@@ -73,7 +99,7 @@ def test_shift_section_is_subdiagonal(circle1024):
 
 
 def test_tridiagonal_section(circle1024):
-    a = symbol_from_coefficients(np.array([1.0, 2.0, 1.0], dtype=complex), 1024)
+    a = symbol_from_coefficients(np.array([1.0, 2.0, 1.0], dtype=complex), circle1024)
     M = finite_section(a, 3, 3, "T").real
     assert np.array_equal(M, np.array([[2, 1, 0], [1, 2, 1], [0, 1, 2]]))
 
@@ -114,7 +140,7 @@ def test_section_is_real_exactly_when_its_coefficients_are(circle1024):
     cases = {
         "monomial:1": symbol_from_preset("monomial:1", circle1024),
         "singular:-0.3": symbol_from_preset("singular:-0.3", circle1024, degree=40),
-        "real array": symbol_from_coefficients(np.array([0.5, -1.0, 3.0, 0.25, 2.0]), 1024),
+        "real array": symbol_from_coefficients(np.array([0.5, -1.0, 3.0, 0.25, 2.0]), circle1024),
         "trig-random:3": symbol_from_preset("trig-random:3", circle1024, rng=rng),
     }
     j_minus_k = np.subtract.outer(np.arange(19), np.arange(12))
@@ -131,31 +157,38 @@ def test_section_is_real_exactly_when_its_coefficients_are(circle1024):
 
 # ----------------------------------------------------------------- svd probes
 
-def test_kernel_of_square_shift():
-    a = symbol_from_coefficients(np.array([0, 0, 1], dtype=complex), 64)
-    rep = numerical_kernel(finite_section(a, 8, 8, "T"))
-    assert rep.dim == 1
-    assert rep.sigma_min == pytest.approx(0.0, abs=1e-15)
+def numerical_kernel(M):
+    return toeplitz._numerical_kernel(toeplitz._singular_values(M), 1e-8)
 
 
-def test_tall_shift_has_orthonormal_columns():
-    a = symbol_from_coefficients(np.array([0, 0, 1], dtype=complex), 64)
-    rep = numerical_kernel(finite_section(a, 9, 8, "T"))
-    assert rep.dim == 0
-    assert rep.sigma_min == pytest.approx(1.0, rel=1e-14)
+def test_kernel_of_square_shift(circle1024):
+    a = symbol_from_coefficients(np.array([0, 0, 1], dtype=complex), circle1024)
+    dim, sigma_min = numerical_kernel(finite_section(a, 8, 8, "T"))
+    assert dim == 1
+    assert sigma_min == pytest.approx(0.0, abs=1e-15)
+
+
+def test_tall_shift_has_orthonormal_columns(circle1024):
+    a = symbol_from_coefficients(np.array([0, 0, 1], dtype=complex), circle1024)
+    dim, sigma_min = numerical_kernel(finite_section(a, 9, 8, "T"))
+    assert dim == 0
+    assert sigma_min == pytest.approx(1.0, rel=1e-14)
 
 
 def test_random_full_rank_matrix(rng):
     M = rng.standard_normal((50, 50))
-    rep = numerical_kernel(M)
+    dim, sigma_min = numerical_kernel(M)
     svals = np.linalg.svd(M, compute_uv=False)  # direct oracle
-    assert rep.dim == int(np.count_nonzero(svals < 1e-8 * svals[0]))
-    assert rep.dim == 0
+    assert dim == int(np.count_nonzero(svals < 1e-8 * svals[0])) == 0
+    assert sigma_min == svals[-1]
 
 
-def test_kernel_rejects_empty():
-    with pytest.raises(ValueError):
-        numerical_kernel(np.zeros((0, 3)))
+def test_section_rejects_empty_shape(circle1024):
+    # no empty section reaches an SVD
+    a = symbol_from_preset("cos", circle1024)
+    for m, n in ((0, 3), (3, 0)):
+        with pytest.raises(ValueError, match="positive"):
+            finite_section(a, m, n, "T")
 
 
 # ------------------------------------------------------ sections against S
@@ -185,7 +218,7 @@ def test_linearity_of_sections(circle1024):
     b = symbol_from_preset("trig-random:3", circle1024, rng=rng)
     alpha, beta = 1.7 - 0.3j, -0.4 + 2.2j
     combo = symbol_from_coefficients(
-        alpha * a.coefficient_window(-8, 8) + beta * b.coefficient_window(-8, 8), 1024
+        alpha * a.coefficient_window(-8, 8) + beta * b.coefficient_window(-8, 8), circle1024
     )
     lhs = finite_section(combo, 6, 6, "T")
     rhs = alpha * finite_section(a, 6, 6, "T") + beta * finite_section(b, 6, 6, "T")
@@ -242,7 +275,7 @@ def test_dichotomy_real_sign_changing_symbol(circle1024):
 
 
 def test_dichotomy_rejects_zero_symbol(circle1024):
-    zero = symbol_from_coefficients(np.zeros(3, dtype=complex), 1024)
+    zero = symbol_from_coefficients(np.zeros(3, dtype=complex), circle1024)
     with pytest.raises(ValueError, match="zero symbol"):
         dichotomy_probe(zero, exponent_constant(4.0, 1024), exponent_constant(2.0, 1024),
                         (16, 32))
@@ -293,7 +326,7 @@ def test_dichotomy_on_real_sections_matches_the_complex_svd(circle1024, monkeypa
                symbol_from_preset("singular:-0.3", circle1024, degree=520),
                symbol_from_preset("cos", circle1024),
                symbol_from_preset("trig-random:3", circle1024, rng=np.random.default_rng(3)),
-               symbol_from_coefficients(np.array([0.5, -1.0, 3.0, 0.25, 2.0]), 1024)]
+               symbol_from_coefficients(np.array([0.5, -1.0, 3.0, 0.25, 2.0]), circle1024)]
     probes = [dichotomy_probe(a, p, q, sizes, aspect=8) for a in symbols]
     monkeypatch.setattr(toeplitz, "finite_section", _complex_section)
     for a, got in zip(symbols, probes):
@@ -306,6 +339,73 @@ def test_dichotomy_on_real_sections_matches_the_complex_svd(circle1024, monkeypa
         for side in ("sigma_min_T", "sigma_min_companion"):
             diff = np.abs(np.subtract(getattr(got, side), getattr(ref, side))).max()
             assert diff <= tol, (a.name, side, diff, tol)
+
+
+def _serial_svals(sections_t, sections_c):
+    """Test-side reference: one thread, one np.linalg.svd per copied section."""
+    return ([np.linalg.svd(np.array(s), compute_uv=False) for s in sections_t],
+            [np.linalg.svd(np.array(s), compute_uv=False) for s in sections_c])
+
+
+def test_dichotomy_on_two_threads_is_bitwise_the_serial_svd(circle1024, monkeypatch):
+    p, q = exponent_constant(4.0, 1024), exponent_constant(2.0, 1024)
+    sizes, aspect, threshold = (16, 32, 64, 128, 256, 512), 8, 1e-8
+    symbols = [symbol_from_preset("monomial:1", circle1024),
+               symbol_from_preset("monomial:-2", circle1024),
+               symbol_from_preset("cos", circle1024),
+               symbol_from_preset("trig-random:5", circle1024, rng=np.random.default_rng(5))]
+    assert symbols[-1].coefficients.imag.any()  # one complex section family
+    # two CPUs whatever the host, so the worker thread runs
+    monkeypatch.setattr(toeplitz.os, "sched_getaffinity", lambda pid: {0, 1})
+    started, thread = [], threading.Thread
+    monkeypatch.setattr(threading, "Thread", lambda **kw: started.append(kw) or thread(**kw))
+    probes = [dichotomy_probe(a, p, q, sizes, aspect=aspect) for a in symbols]
+    assert len(started) == len(symbols)
+    for a, got in zip(symbols, probes):
+        for which, sig, dim in (("T", got.sigma_min_T, got.kernel_dim_T),
+                                ("companion", got.sigma_min_companion,
+                                 got.kernel_dim_companion)):
+            svals = [np.linalg.svd(np.array(finite_section(a, n + aspect, n, which)),
+                                   compute_uv=False) for n in sizes]
+            assert sig == tuple(float(sv[-1]) for sv in svals), (a.name, which)
+            assert dim == tuple(int(np.count_nonzero(sv < threshold * sv[0]))
+                                for sv in svals), (a.name, which)
+    monkeypatch.setattr(toeplitz, "_singular_values_of_both", _serial_svals)
+    for a, got in zip(symbols, probes):
+        assert got == dichotomy_probe(a, p, q, sizes, aspect=aspect), a.name
+    assert [v.verdict for v in probes] == ["T-injective", "companion-injective",
+                                           "both", "both"]  # trig-random:5 winds 0 times
+
+
+def test_dichotomy_on_one_cpu_starts_no_thread(circle1024, monkeypatch):
+    p, q = exponent_constant(4.0, 1024), exponent_constant(2.0, 1024)
+    a = symbol_from_preset("monomial:1", circle1024)
+    two = dichotomy_probe(a, p, q, (16, 32, 64))
+    monkeypatch.setattr(toeplitz.os, "sched_getaffinity", lambda pid: {0})
+    monkeypatch.setattr(threading, "Thread", None)
+    assert dichotomy_probe(a, p, q, (16, 32, 64)) == two
+
+
+@pytest.mark.parametrize("side", ["companion", "T"])
+def test_dichotomy_svd_error_reaches_the_caller(circle1024, monkeypatch, side):
+    # the shift's companion section has its ones above the diagonal, its T
+    # section below; fail on the 64-column section of one side only
+    p, q = exponent_constant(4.0, 1024), exponent_constant(2.0, 1024)
+    a = symbol_from_preset("monomial:1", circle1024)
+    svd = toeplitz._singular_values
+
+    def failing(section):
+        is_companion = section[0, 1] == 1.0
+        if section.shape[1] == 64 and is_companion == (side == "companion"):
+            raise RuntimeError(f"{side} SVD failed")
+        return svd(section)
+
+    monkeypatch.setattr(toeplitz.os, "sched_getaffinity", lambda pid: {0, 1})
+    monkeypatch.setattr(toeplitz, "_singular_values", failing)
+    before = threading.active_count()
+    with pytest.raises(RuntimeError, match=f"{side} SVD failed"):
+        dichotomy_probe(a, p, q, (16, 32, 64, 128))
+    assert threading.active_count() == before
 
 
 def test_dichotomy_verdict_record_schema(circle1024):
