@@ -9,11 +9,15 @@ curve alone; ``s_path`` names the one that runs.
   rounding.
 * ``split``: off the circle, when the spectrum of dtau/dsigma is resolved,
   the kernel is split into the periodic Hilbert kernel (1/2) cot((s - s0)/2),
-  applied by the same sign(k) multiplier, plus a smooth remainder taken by
-  the trapezoid rule at a few target rows and interpolated by FFT; both
-  parts meet in one spectrum and take one inverse FFT.
-  Spectral: about 3e-13 from n = 256 on the 2:1 ellipse, with a rounding
-  floor that grows like n eps.
+  applied by the same sign(k) multiplier, plus a smooth remainder R whose
+  2-D Fourier coefficients C on an m x m grid are taken once per curve; both
+  parts meet in one spectrum and take one inverse FFT, O(n log n + m^2) per
+  column. m is set by the curve alone: 128 on the 2:1 ellipse, 256 on
+  ``perturbed-circle:0.1,5``, 2048 on ``perturbed-circle:0.3,12`` (m = n
+  below n = 2048). C is capped at 64 MiB (m = 2048); a curve still
+  unresolved there takes the dense path. An odd n costs what an even n
+  costs. Spectral: about 3e-13 at n = 256 on the 2:1 ellipse, 4e-14 at
+  n = 2048.
 * ``dense``: otherwise (the square, whose dtau/dsigma jumps at the corners)
   the principal value is computed on the full n x n kernel with the
   constant part split off,
@@ -59,11 +63,12 @@ __all__ = [
 ]
 
 MIN_QUADRATURE_NODES = 64
-# Target rows per block of the n-column kernels of the dense and split paths.
+# Rows per block of the dense path's n-column kernel and of the split's scan of |C|.
 KERNEL_ROWS = 512
-# Bytes of split remainder rows a curve keeps (16 MiB: 128 rows at n = 8192);
-# a row set that would pass it is built afresh on every call.
-REMAINDER_BYTES = 16 * 2**20
+# Bytes of the split's remainder spectrum C, one m x m complex array per curve
+# (64 MiB: m = 2048); a curve whose remainder is not resolved within it takes
+# the dense path.
+SPECTRUM_BYTES = 64 * 2**20
 # Bytes of each of the four real n-column arrays of the off-curve sums'
 # workspace (16 targets at 2048 nodes), allocated once per call. Fastest in a
 # sweep from 32 KiB to 2 MiB on a sio-check pass on ellipse:2,1 (n = 2048),
@@ -185,97 +190,105 @@ def _rounding_tolerance(n: int) -> float:
     return 64.0 * n * np.finfo(float).eps
 
 
-def _tail(spectrum: np.ndarray) -> np.ndarray:
-    """Largest magnitude in the top half of the modes (|k| >= n/4), per column."""
-    top = np.abs(np.fft.fftfreq(spectrum.shape[0])) >= 0.25
-    return np.abs(spectrum[top]).max(axis=0)
+def _tail(spectrum: np.ndarray, start: float) -> float:
+    """Largest magnitude among the modes with |k| >= start * m on any axis of m modes."""
+    tail = 0.0
+    for axis, m in enumerate(spectrum.shape):
+        lo = int(np.ceil(start * m))
+        tail = max(tail, float(np.abs(np.moveaxis(spectrum, axis, 0)[lo : m - lo + 1]).max()))
+    return tail
 
 
-def _velocity(curve: JordanCurve) -> np.ndarray | None:
-    """Samples of dtau/dsigma at sigma = 2 pi j / n, or None if not resolved.
+def _on_grid(values: np.ndarray, m: int) -> np.ndarray:
+    """The n-mode trigonometric interpolant of node values at the m angles 2 pi a / m.
 
-    The constructors store dtau/dt as n * complex_measure, so
-    dtau/dsigma = n * complex_measure / (2 pi). Its spectrum counts as
-    resolved when the top half of its modes is at rounding level; a corner
-    (the square) leaves a 1/k tail and is not. Computed once per curve.
+    Every (n/m)-th node when m divides n. Otherwise the spectrum is folded
+    mod m, so one inverse FFT of m modes sums every node mode at the m angles.
+    """
+    n = values.size
+    if n % m == 0:
+        return values[:: n // m]
+    folded = np.zeros(m, dtype=complex)
+    np.add.at(folded, np.fft.fftfreq(n, 1.0 / n).astype(int) % m, np.fft.fft(values))
+    return np.fft.ifft(folded) * (m / n)
+
+
+def _remainder_coefficients(tau: np.ndarray, velocity: np.ndarray,
+                            diagonal: np.ndarray) -> np.ndarray:
+    """C = fft2(R on the m x m grid) / m^2 from tau, dtau/dsigma and R(s, s) at 2 pi a / m.
+
+    Entry (a, b) of the grid is R(s_a, s_b) = velocity_b / (tau_b - tau_a)
+    - (1/2) cot(pi (b - a) / m), and R(s_a, s_a) on the diagonal. The grid,
+    its FFT and the scaling share one m x m array.
+    """
+    m = tau.size
+    half_cot = np.zeros(m)
+    half_cot[1:] = 0.5 / np.tan(np.pi * np.arange(1, m) / m)
+    # row a of the cot part is the cot row rolled by a, a window of it doubled
+    rolled = np.lib.stride_tricks.sliding_window_view(np.concatenate([half_cot, half_cot]), m)
+    C = np.subtract(tau[None, :], tau[:, None])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        np.divide(velocity[None, :], C, out=C)
+    C -= rolled[m:0:-1]
+    C.flat[:: m + 1] = diagonal
+    np.fft.fft2(C, out=C)
+    C /= m * m
+    return C
+
+
+def _remainder_spectrum(curve: JordanCurve) -> np.ndarray | None:
+    """The split's m x m remainder spectrum C, once per curve; None where the dense path runs.
+
+    dtau/dsigma = n * complex_measure / (2 pi) at the nodes counts as resolved
+    when the top half of its modes (|k| >= n/4) is at rounding level; a corner
+    (the square) leaves a 1/k tail and is not. Then m starts at 64 and
+    doubles until the top quarter of C's modes (|k| >= 3m/8 on either axis)
+    is at rounding level, or until m = n, where C holds R at every node pair.
+    A curve still unresolved when C would pass SPECTRUM_BYTES gets None.
     """
     memo = curve._memo
-    if "velocity" not in memo:
+    if "remainder" not in memo:
         n = curve.n_nodes
         velocity = curve.complex_measure * (n / (2.0 * np.pi))
         spectrum = np.fft.fft(velocity)
-        resolved = _tail(spectrum) <= _rounding_tolerance(n) * np.abs(spectrum).max()
-        memo["velocity"] = velocity if resolved else None
-    return memo["velocity"]
+        C = None
+        if _tail(spectrum, 0.25) <= _rounding_tolerance(n) * np.abs(spectrum).max():
+            k = np.fft.fftfreq(n, 1.0 / n)
+            if n % 2 == 0:
+                k[n // 2] = 0.0
+            # R(s, s) = tau''(s) / (2 tau'(s))
+            diagonal = np.fft.ifft(spectrum * (1j * k)) / (2.0 * velocity)
+            m = min(64, n)
+            while C is None and 16 * m * m <= SPECTRUM_BYTES:
+                C = _remainder_coefficients(*(_on_grid(v, m)
+                                              for v in (curve.nodes, velocity, diagonal)))
+                if m < n:
+                    # max |C| by row blocks: one |C| would take m^2 floats
+                    peak = max(np.abs(C[a : a + KERNEL_ROWS]).max()
+                               for a in range(0, m, KERNEL_ROWS))
+                    if _tail(C, 0.375) > _rounding_tolerance(m) * peak:
+                        C = None
+                        m = 2 * m if 2 * m <= n else n
+        memo["remainder"] = C
+    return memo["remainder"]
 
 
 def s_path(curve: JordanCurve) -> str:
     """Which realization of S runs: ``fft``, ``split`` or ``dense``.
 
     ``fft`` on the flagged unit circle. Off it the kernel split runs when the
-    spectrum of dtau/dsigma is resolved, and the dense kernel otherwise; both
-    need MIN_QUADRATURE_NODES nodes.
+    curve has a resolved remainder spectrum (``_remainder_spectrum``), and the
+    dense kernel otherwise; both need MIN_QUADRATURE_NODES nodes.
     """
     if curve.is_unit_circle:
         return "fft"
     if curve.n_nodes < MIN_QUADRATURE_NODES:
         raise ValueError(f"the dense and split paths need at least {MIN_QUADRATURE_NODES} nodes")
-    return "dense" if _velocity(curve) is None else "split"
-
-
-def _split_kernel(curve: JordanCurve) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The split's velocity, its diagonal R(s0, s0) and the (1/2) cot row, once per curve."""
-    memo = curve._memo
-    if "split" not in memo:
-        n = curve.n_nodes
-        velocity = _velocity(curve)
-        k = np.fft.fftfreq(n, 1.0 / n)
-        if n % 2 == 0:
-            k[n // 2] = 0.0
-        diagonal = np.fft.ifft(np.fft.fft(velocity) * (1j * k)) / (2.0 * velocity)
-        half_cot = np.zeros(n)
-        half_cot[1:] = 0.5 / np.tan(np.pi * np.arange(1, n) / n)
-        memo["split"] = (velocity, diagonal, half_cot)
-    return memo["split"]
-
-
-def _remainder_block(curve: JordanCurve, block: np.ndarray) -> np.ndarray:
-    """R(s0, s) with s0 at the target nodes ``block`` (one row each) and s at every node."""
-    velocity, diagonal, half_cot = _split_kernel(curve)
-    n = curve.n_nodes
-    tau = curve.nodes
-    R = np.subtract(tau[None, :], tau[block, None])
-    with np.errstate(divide="ignore", invalid="ignore"):
-        np.divide(velocity[None, :], R, out=R)
-    # row b of the cot part is the cot row rolled by b, a window of it doubled
-    rolled = np.lib.stride_tricks.sliding_window_view(np.concatenate([half_cot, half_cot]), n)
-    R -= rolled[n - block]
-    R[np.arange(block.size), block] = diagonal[block]
-    return R
-
-
-def _remainder_blocks(curve: JordanCurve, start: int, step: int):
-    """Blocks of KERNEL_ROWS rows of R at the target nodes start, start + step, ...
-
-    A row set is built once per curve and kept in its memo while all kept rows
-    fit in REMAINDER_BYTES; a row set past that comes as a generator that
-    builds one block at a time, afresh on each call.
-    """
-    kept = curve._memo.setdefault("remainder", {})
-    if (start, step) in kept:
-        return kept[start, step]
-    n = curve.n_nodes
-    rows = np.arange(start, n, step)
-    blocks = (_remainder_block(curve, rows[s : s + KERNEL_ROWS])
-              for s in range(0, rows.size, KERNEL_ROWS))
-    held = sum(R.nbytes for row_set in kept.values() for R in row_set)
-    if held + rows.size * n * 16 <= REMAINDER_BYTES:
-        blocks = kept[start, step] = list(blocks)
-    return blocks
+    return "dense" if _remainder_spectrum(curve) is None else "split"
 
 
 def _split_S(curve: JordanCurve, F: np.ndarray) -> np.ndarray:
-    """S by the kernel split; spectral on curves with a resolved dtau/dsigma.
+    """S by the kernel split; spectral on curves with a resolved remainder spectrum.
 
     In the node parameter sigma = 2 pi t,
 
@@ -284,59 +297,38 @@ def _split_S(curve: JordanCurve, F: np.ndarray) -> np.ndarray:
     with R smooth and R(s0, s0) = tau''(s0) / (2 tau'(s0)). The cot part is
     the periodic Hilbert transform, the sign(k) multiplier with mode 0
     removed; on the circle R = i/2 and the split is the circle multiplier.
-    The smooth part takes the trapezoid rule over all n nodes at m
-    equispaced target rows; m starts at 64 (or the first n / 2^j above it)
-    and doubles, up to n, until the top half of the coarse spectrum is at
-    rounding level. That spectrum, zero-padded to n modes and scaled by n/m,
-    is added to the cot part's spectrum, sign(k) times that of f with mode
-    0 set to zero, and one inverse FFT gives S f at all nodes: the m values
-    are interpolated by zero padding. Measured for S f = f,
-    f = 1/(tau - 2.3) on the 2:1 ellipse: error 2.9e-3 at n = 64, 1.3e-6 at
-    n = 128, then the rounding floor, 2.9e-13 at n = 256 and 7.9e-13 at
-    n = 2048 (Kress, Linear Integral Equations, ch. 13; Helsing and Ojala,
-    J. Comput. Phys. 227, 2008).
+    The smooth part is R's 2-D trigonometric interpolant on an m x m grid,
+    R(s0, s) = sum_kl c_kl e^{i k s0} e^{i l s} with C = fft2(R on the
+    grid) / m^2 (``_remainder_spectrum``). Its trapezoid sum over the n nodes,
+    (1/n) sum_j R(s0, s_j) f_j, is sum_k e^{i k s0} sum_l c_kl fhat_{-l} / n,
+    so with fhat = fft(f) the smooth part adds (2/i) C fhat_{-l} to modes k
+    mod n of the cot part's spectrum, and one inverse FFT gives S f at all
+    nodes: O(n log n + m^2) per column, and one linear operator per curve
+    (Kress, Linear Integral Equations, ch. 13; Helsing and Ojala, J. Comput.
+    Phys. 227, 2008; Trefethen and Weideman, SIAM Review 56, 2014). At m = n
+    the sum is the trapezoid rule on every row.
 
-    The rows of R, the velocity, the diagonal and the cot row are kept in the
-    curve's memo, so every call on one curve multiplies the same R blocks by
-    its own F, with its own doubling and tail test, and gives the bits it
-    would give on a fresh curve. Kept rows are capped at REMAINDER_BYTES:
-    ``sio-check`` on ``ellipse:2,1`` keeps 128 rows (4 MB at n = 2048,
-    16 MB at n = 8192); ``perturbed-circle:0.3,12`` at n = 4096 refines to
-    2048 rows (128 MB uncapped), of which it keeps the first 256 and builds
-    the other 1792 on each call. The doubling needs n = m 2^k with m >= 64,
-    so an odd n such as 2047 starts at all n rows, past the cap, and builds
-    them on every call: ``sio-check`` on ``ellipse:2,1`` takes 0.58 s and
-    87 MB at n = 2047 against 0.13 s and 51 MB at n = 2048 (one BLAS thread).
+    m is a property of the curve: 128 on ``ellipse:2,1``, 256 on
+    ``perturbed-circle:0.1,5``, and on ``perturbed-circle:0.3,12`` m = n up
+    to n = 2048 and m = 2048 above it (C is then 64 MiB, SPECTRUM_BYTES; its
+    top quarter reads 2.4e-12 against a tolerance of 2.9e-11). An odd n
+    runs the same doubling, with the grid read off the nodes' trigonometric
+    interpolants where m does not divide n: ``sio-check --curve ellipse:2,1``
+    takes about the time and memory at n = 2047 that it takes at n = 2048.
+    Measured for S f = f, f = 1/(tau - 2.3) on the 2:1 ellipse: error
+    2.9e-3 at n = 64, 1.3e-6 at n = 128, 2.9e-13 at n = 256 and 3.8e-14 at
+    n = 2048.
     """
     n = curve.n_nodes
+    C = _remainder_spectrum(curve)
+    modes = np.fft.fftfreq(C.shape[0], 1.0 / C.shape[0]).astype(int)
     single = F.ndim == 1
     V = F[:, None] if single else F
-
-    def smooth_rows(start: int, step: int) -> np.ndarray:
-        """(1/(pi i)) times the trapezoid rule for R f, at target rows start::step."""
-        out = np.concatenate([R @ V for R in _remainder_blocks(curve, start, step)])
-        return out * (2.0 / (1j * n))
-
-    # the coarse grid is every stride-th node: the fewest rows (>= 64) that
-    # nest under doubling; each doubling computes only the new rows
-    stride = 1
-    while n % (2 * stride) == 0 and n // (2 * stride) >= 64:
-        stride *= 2
-    coarse = smooth_rows(0, stride)
-    scale = _rounding_tolerance(n) * np.abs(V).max(axis=0)
-    while True:
-        m = coarse.shape[0]
-        spectrum = np.fft.fft(coarse, axis=0)
-        if stride == 1 or np.all(_tail(spectrum / m) <= scale):
-            break
-        stride //= 2
-        refined = np.empty((n // stride, V.shape[1]), dtype=complex)
-        refined[0::2] = coarse
-        refined[1::2] = smooth_rows(stride, 2 * stride)
-        coarse = refined
-    total = np.fft.fft(V, axis=0) * np.sign(np.fft.fftfreq(n))[:, None]
-    total[np.fft.fftfreq(m, 1.0 / m).astype(int) % n] += spectrum * (n / m)
-    out = np.fft.ifft(total, axis=0)
+    spectrum = np.fft.fft(V, axis=0)
+    smooth = C @ spectrum[-modes % n]
+    spectrum *= np.sign(np.fft.fftfreq(n))[:, None]
+    spectrum[modes % n] += (2.0 / 1j) * smooth
+    out = np.fft.ifft(spectrum, axis=0, out=spectrum)
     return out[:, 0] if single else out
 
 
@@ -448,8 +440,7 @@ def plemelj_residual(
     (m, n), one per row); a stack returns one residual per row, and the
     off-curve kernel at each offset is built once for it. Off the ``dense``
     path (which takes each function at the target rows) S takes the stack in
-    one call; the split's tail test may then refine further than for one
-    function, so rows match the one-function results to rounding. On the
+    one call, so rows match the one-function results to rounding. On the
     unit circle, for offsets in (0, 2), the off-curve sums are the trapezoid
     sums of ``cauchy_offcurve``, taken exactly by one FFT of the stack and
     one inverse FFT per offset and side. Offsets must be distinct.

@@ -162,32 +162,40 @@ def _function(spec: str, curve, rng: np.random.Generator) -> np.ndarray:
     theta = np.angle(curve.nodes)
     head, _, args = spec.strip().partition(":")
     if head == "one":
-        return np.ones(curve.n_nodes, dtype=complex)
-    if head == "const":
+        values = np.ones(curve.n_nodes, dtype=complex)
+    elif head == "const":
         parts = [float(x) for x in args.split(",")]
         value = parts[0] + 1j * (parts[1] if len(parts) > 1 else 0.0)
-        return np.full(curve.n_nodes, value, dtype=complex)
-    if head == "abs-cos":
-        return np.abs(np.cos(theta)).astype(complex)
-    if head == "mode":
-        return np.exp(1j * int(args) * theta)
-    if head == "trig-random":
-        return random_trig_polynomial(curve, rng, int(args) if args else 8)
-    if head == "indicator":
+        values = np.full(curve.n_nodes, value, dtype=complex)
+    elif head == "abs-cos":
+        values = np.abs(np.cos(theta)).astype(complex)
+    elif head == "mode":
+        values = np.exp(1j * int(args) * theta)
+    elif head == "trig-random":
+        values = random_trig_polynomial(curve, rng, int(args) if args else 8)
+    elif head == "indicator":
         t0, t1 = (float(x) for x in args.split(","))
-        return ((theta >= t0) & (theta < t1)).astype(complex)
-    if head == "pole":
+        values = ((theta >= t0) & (theta < t1)).astype(complex)
+    elif head == "pole":
         re, im = (float(x) for x in args.split(","))
         offset = curve.nodes - (re + 1j * im)
         if np.any(offset == 0.0):
             raise ValueError(f"pole {spec!r} lies on a curve node")
-        return 1.0 / offset
-    if head == "csv":
+        with np.errstate(invalid="ignore"):  # a nan pole is refused below
+            values = 1.0 / offset
+    elif head == "csv":
         rows = np.loadtxt(args, delimiter=",", ndmin=2)
-        if rows.shape[0] != curve.n_nodes:
-            raise ValueError("per-node csv length differs from the curve")
-        return rows[:, 1] + 1j * (rows[:, 2] if rows.shape[1] > 2 else 0.0)
-    raise ValueError(f"unknown function preset {spec!r}")
+        if rows.shape[0] != curve.n_nodes or rows.shape[1] < 2:
+            raise ValueError("a per-node csv needs one row j, re[, im] per curve node")
+        values = np.zeros(curve.n_nodes, dtype=complex)
+        values.real = rows[:, 1]
+        if rows.shape[1] > 2:  # set apart: 1j * inf would read as nan + inf j
+            values.imag = rows[:, 2]
+    else:
+        raise ValueError(f"unknown function preset {spec!r}")
+    if not np.all(np.isfinite(values)):
+        raise ValueError(f"function {spec!r} is not finite at every curve node")
+    return values
 
 
 def _symbol(spec: str, curve, degree: int, rng: np.random.Generator):
@@ -269,8 +277,8 @@ def run_multiplier(cfg: ExperimentConfig) -> tuple[ReportBundle, str | None]:
 
 # Largest projection or adjoint residual each realization of S may report.
 # Each sits at least 10x above what that path measures on the 2:1 ellipse and
-# the circle at n = 2048 (fft 7e-16; split 1.5e-13, growing like n eps; dense
-# 5e-8); the first-order square gives 1e-2 and more on the dense path.
+# the circle at n = 2048 (fft 7e-16; split 2.6e-15; dense 5e-8); the
+# first-order square gives 1e-2 and more on the dense path.
 S_RESIDUAL_THRESHOLDS = {"fft": 1e-12, "split": 1e-10, "dense": 1e-5}
 
 

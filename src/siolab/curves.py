@@ -42,7 +42,7 @@ class JordanCurve:
     oriented tangent there, wrapped to (-pi, pi].
 
     ``_memo`` holds curve-level quantities that ``cauchy`` computes once per
-    curve (the kernel split's velocity and remainder rows). Each curve starts
+    curve (the kernel split's remainder spectrum). Each curve starts
     with an empty one and it goes with the curve; it takes no part in
     equality.
     """

@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -67,6 +68,27 @@ def test_validation_errors_exit_2(tmp_path):
         out = tmp_path / f"bad{i}"
         assert run([*argv, "--n", "256", "--out", str(out)]) == EXIT_VALIDATION
         assert not (out / "report.json").exists()
+
+
+@pytest.mark.parametrize("spec", ["const:inf", "const:nan", "pole:nan,0", "csv:inf", "csv:j"])
+def test_norm_rejects_non_finite_or_malformed_functions(tmp_path, capsys, spec):
+    # the first four exited 0 with a nan or inf norm, some behind a
+    # RuntimeWarning; a csv of node indices alone raised an IndexError
+    if spec.startswith("csv"):
+        path = tmp_path / "f.csv"
+        rows = [f"{j},1.0,0.5" if spec == "csv:inf" else f"{j}" for j in range(512)]
+        rows[7] = "7,1.0,inf" if spec == "csv:inf" else "7"
+        path.write_text("\n".join(rows) + "\n")
+        spec = f"csv:{path}"
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = run(["norm", "--n", "512", "--exponent", "2", "--function", spec,
+                    "--out", str(out)])
+    assert code == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert spec in err or "per-node csv" in err
+    assert not out.exists()
 
 
 def test_multiplier_subcommand(tmp_path):
@@ -259,16 +281,16 @@ def test_sio_check_builds_one_offcurve_kernel_per_offset(tmp_path, monkeypatch):
     assert shapes == [(512, 4)] * 8
 
 
-def test_sio_check_builds_each_remainder_block_once(tmp_path, monkeypatch):
+def test_sio_check_builds_one_remainder_spectrum(tmp_path, monkeypatch):
     # 4 applications of S (2 adjoint, 1 Plemelj stack, 1 norm-ratio stack)
-    # share the curve's 2 row blocks of 64 rows
+    # share the curve's C: one doubling, m = 64 and then 128, for the run
     applied = _count_calls(monkeypatch, "_split_S")
-    blocks = _count_calls(monkeypatch, "_remainder_block")
+    grids = _count_calls(monkeypatch, "_remainder_coefficients")
     code = run(["sio-check", "--curve", "ellipse:2,1", "--n", "2048",
                 "--out", str(tmp_path / "sio")])
     assert code == EXIT_OK
     assert applied == [(2048, 64), (2048, 32), (2048, 4), (2048, 24)]
-    assert blocks == [(64,), (64,)]
+    assert grids == [(64,), (128,)]
 
 
 def test_sio_check_on_the_circle_takes_no_direct_offcurve_sum(tmp_path, monkeypatch):
