@@ -35,8 +35,11 @@ respect to the weighted pairing <f, g> = sum f conj(g) w.
 
 ``cauchy_offcurve`` takes the off-curve Cauchy integral by the trapezoid rule
 at any target, on any curve, in real arithmetic in one small workspace.
-``plemelj_residual`` needs those sums at (1 -+ delta) tau_t; on the unit
-circle it takes them by FFT, as with equispaced nodes they are a convolution.
+``plemelj_residual`` needs those sums at every offset on both sides of the
+curve and takes them in one such call; on the unit circle it takes them by
+FFT instead, as with equispaced nodes they are a convolution.
+``adjoint_residuals`` certifies P and Q on a mode basis that S takes in
+blocks of ADJOINT_BLOCK modes, so none of its arrays is larger than the basis.
 """
 
 from __future__ import annotations
@@ -74,6 +77,12 @@ SPECTRUM_BYTES = 64 * 2**20
 # sweep from 32 KiB to 2 MiB on a sio-check pass on ellipse:2,1 (n = 2048),
 # one core: larger blocks fault in fresh pages on every call.
 OFFCURVE_BYTES = 2**18
+# Basis modes per block of the mode-basis certificate, so the 32-mode basis
+# of sio-check takes 4 blocks. Fastest in a sweep of 4, 8, 16 and 32 modes
+# (the whole basis) on the certificate at the sio-check shapes, one core: 8
+# took 16.7 ms against 18.5 ms on the circle at n = 4096 and 8.1 ms against
+# 9.5 ms on ellipse:2,1 at n = 2048, with a traced peak of 6.3 MiB against 18.3.
+ADJOINT_BLOCK = 8
 
 
 @dataclass(frozen=True)
@@ -118,9 +127,8 @@ def _circle_multiplier(values: np.ndarray) -> np.ndarray:
     n = values.shape[0]
     spectrum = np.fft.fft(values, axis=0)
     sign = np.where(np.fft.fftfreq(n) >= 0.0, 1.0, -1.0)
-    if values.ndim > 1:
-        sign = sign[:, None]
-    return np.fft.ifft(spectrum * sign, axis=0)
+    spectrum *= sign[:, None] if values.ndim > 1 else sign
+    return np.fft.ifft(spectrum, axis=0, out=spectrum)
 
 
 def _circle_offcurve(spectrum: np.ndarray, rho: float) -> np.ndarray:
@@ -437,13 +445,15 @@ def plemelj_residual(
     removing the O(delta) one-sided Taylor error before comparison.
 
     ``f`` is one function (shape (n,)) or a stack of functions (shape
-    (m, n), one per row); a stack returns one residual per row, and the
-    off-curve kernel at each offset is built once for it. Off the ``dense``
-    path (which takes each function at the target rows) S takes the stack in
-    one call, so rows match the one-function results to rounding. On the
-    unit circle, for offsets in (0, 2), the off-curve sums are the trapezoid
-    sums of ``cauchy_offcurve``, taken exactly by one FFT of the stack and
-    one inverse FFT per offset and side. Offsets must be distinct.
+    (m, n), one per row); a stack returns one residual per row. Off the
+    ``dense`` path (which takes each function at the target rows) S takes
+    the stack in one call, so rows match the one-function results to
+    rounding. The targets of every offset and both sides go to one
+    ``cauchy_offcurve`` call with the whole stack, so a call sets up one
+    workspace. On the unit circle, for offsets in (0, 2), the off-curve sums
+    are the trapezoid sums of ``cauchy_offcurve``, taken exactly by one FFT
+    of the stack and one inverse FFT per offset and side. Offsets must be
+    distinct.
 
     The exterior transform carries the orientation that keeps the unbounded
     component on the left, i.e. the negated curve integral; with the plain
@@ -471,17 +481,20 @@ def plemelj_residual(
     # on the circle the interior normal is -tau, so the targets are (1 -+ d) tau
     spectrum = np.fft.fft(stack, axis=1) / n if path == "fft" else None
 
-    plus_vals = np.empty((stack.shape[0], offs.size, t_idx.size), dtype=complex)
-    minus_vals = np.empty_like(plus_vals)
+    # limits[:, 0] from inside, limits[:, 1] from outside, per offset and target
+    limits = np.empty((stack.shape[0], 2, offs.size, t_idx.size), dtype=complex)
+    by_fft = (offs < 2.0) & (spectrum is not None)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        for i, d in enumerate(offs):
-            if spectrum is not None and d < 2.0:
-                plus_vals[:, i] = _circle_offcurve(spectrum, 1.0 - d)[:, t_idx]
-                minus_vals[:, i] = -_circle_offcurve(spectrum, 1.0 + d)[:, t_idx]
-            else:
-                plus_vals[:, i] = cauchy_offcurve(curve, stack.T, base + d * normal).T
-                minus_vals[:, i] = -cauchy_offcurve(curve, stack.T, base - d * normal).T
+        for i in np.flatnonzero(by_fft):
+            limits[:, 0, i] = _circle_offcurve(spectrum, 1.0 - offs[i])[:, t_idx]
+            limits[:, 1, i] = _circle_offcurve(spectrum, 1.0 + offs[i])[:, t_idx]
+        if not by_fft.all():
+            # the other offsets, both sides, in one call: one workspace for all
+            z = base + np.array([1.0, -1.0])[:, None, None] * offs[~by_fft, None] * normal
+            sums = cauchy_offcurve(curve, stack.T, z.ravel())
+            limits[:, :, ~by_fft] = sums.T.reshape(stack.shape[0], *z.shape)
+    plus_vals, minus_vals = limits[:, 0], -limits[:, 1]
     w = _lagrange_at_zero(offs) if offs.size >= 2 else None
     results = []
     for plus, minus, p_f, q_f in zip(plus_vals, minus_vals, pf, qf):
@@ -508,12 +521,14 @@ def mode_basis(curve: JordanCurve, modes) -> np.ndarray:
     """Rows tau^k for k in ``modes``, normalized in the weighted pairing."""
     modes = np.asarray(modes, dtype=int)
     B = curve.nodes[None, :] ** modes[:, None]
-    return B / np.sqrt(np.sum(np.abs(B) ** 2 * curve.arc_weights, axis=-1))[:, None]
+    B /= np.sqrt(np.sum(np.abs(B) ** 2 * curve.arc_weights, axis=-1))[:, None]
+    return B
 
 
 def operator_matrix(curve: JordanCurve, applied: np.ndarray, basis: np.ndarray) -> np.ndarray:
     """Pairing matrix M[i, j] = <A b_j, b_i> given A applied to the basis rows."""
-    weighted = np.conj(basis) * curve.arc_weights[None, :]
+    weighted = np.conj(basis)
+    weighted *= curve.arc_weights
     return weighted @ applied.T
 
 
@@ -522,12 +537,30 @@ def centered_modes(basis_size: int) -> np.ndarray:
     return np.arange(-half, basis_size - half)
 
 
+def _apply_block(curve: JordanCurve, rows: np.ndarray) -> None:
+    """Fill the quarters of ``rows`` with B, SB, S^2 B and HSHB, from B in the first quarter.
+
+    The second quarter holds HB first, so S takes [B | HB] from ``rows`` in
+    one call; a second call takes SB. The outputs of S are freed on return,
+    before ``rows`` is paired with the basis.
+    """
+    k = rows.shape[0] // 4
+    rows[k : 2 * k] = conjugation_H(curve, rows[:k])
+    SB, SHB = np.split(apply_S(curve, rows[: 2 * k].T).T, 2)
+    rows[k : 2 * k] = SB
+    rows[2 * k : 3 * k] = apply_S(curve, SB.T).T
+    rows[3 * k :] = conjugation_H(curve, SHB)
+
+
 def adjoint_residuals(curve: JordanCurve, basis_size: int) -> AdjointResiduals:
     """Matrix-level residuals of P^2 = P, PQ = 0, P + Q = I, S* = -HSH, P* = HQH, Q* = HPH.
 
-    S is applied twice, to the stack [B | HB] of the mode basis and its
-    conjugate and then to SB, and only four pairing matrices are formed:
-    G = M(B), M(SB), M(S^2 B) and M(HSHB). The rest follow by linearity,
+    Only four pairing matrices are formed: G = M(B), M(SB), M(S^2 B) and
+    M(HSHB). The basis B goes in blocks of ADJOINT_BLOCK modes through one
+    workspace of four times as many rows: S takes the block's stack [B | HB]
+    of modes and conjugates, then its SB, and one ``operator_matrix`` call
+    pairs the block's B, SB, S^2 B and HSHB with the whole basis, which fills
+    the block's columns of all four matrices. The rest follow by linearity,
     with H antilinear and H^2 = I: M(PB) = (G + M(SB))/2,
     M(QB) = (G - M(SB))/2, M(S PB) = (M(SB) + M(S^2 B))/2,
     M(S QB) = (M(SB) - M(S^2 B))/2, M(HPH B) = (G + M(HSHB))/2 and
@@ -546,11 +579,16 @@ def adjoint_residuals(curve: JordanCurve, basis_size: int) -> AdjointResiduals:
             f"got {curve.n_nodes}"
         )
     B = mode_basis(curve, centered_modes(basis_size))
-    HB = conjugation_H(curve, B)
-    SB, SHB = np.split(apply_S(curve, np.concatenate([B, HB]).T).T, 2)
-    M = lambda X: operator_matrix(curve, X, B)
-    G, MS, MSS = M(B), M(SB), M(apply_S(curve, SB.T).T)
-    MHSH = M(conjugation_H(curve, SHB))
+    G, MS, MSS, MHSH = np.empty((4, basis_size, basis_size), dtype=complex)
+    workspace = np.empty((4 * min(ADJOINT_BLOCK, basis_size), curve.n_nodes), dtype=complex)
+    for s in range(0, basis_size, ADJOINT_BLOCK):
+        k = min(ADJOINT_BLOCK, basis_size - s)
+        rows = workspace[: 4 * k]
+        rows[:k] = B[s : s + k]
+        _apply_block(curve, rows)
+        paired = operator_matrix(curve, rows, B)
+        for M, columns in zip((G, MS, MSS, MHSH), np.split(paired, 4, axis=1)):
+            M[:, s : s + k] = columns
 
     MP, MQ = 0.5 * (G + MS), 0.5 * (G - MS)
     MSP, MSQ = 0.5 * (MS + MSS), 0.5 * (MS - MSS)

@@ -221,6 +221,9 @@ def run_norm(cfg: ExperimentConfig) -> tuple[ReportBundle, str | None]:
     rng = np.random.default_rng(cfg.seed)
     f = _function(cfg.function, curve, rng)
     res = luxemburg_norm(curve, f, p)
+    if res.value == np.inf:  # f is finite at every node, so its norm overflowed
+        raise ValueError(f"the Luxemburg norm of {cfg.function!r} exceeds the float range "
+                         f"(largest float {np.finfo(float).max:.4g})")
     ball = unit_ball_check(curve, f, p)
     results = {
         "value": res.value,
@@ -239,7 +242,7 @@ def run_norm(cfg: ExperimentConfig) -> tuple[ReportBundle, str | None]:
                           _provenance(cfg, ["luxemburg_norm", "unit_ball_check"]), {})
     fault = None if ball.consistent else "unit-ball equivalence violated numerically"
     if not res.certified:
-        fault = (f"Luxemburg norm not certified: modular {res.modular_at_value:.3g} "
+        fault = (f"Luxemburg norm not certified: modular {res.modular_at_value:.12g} "
                  f"at value {res.value:.6g} is not within {CERTIFICATE_TOL:g} of 1")
     return bundle, fault
 

@@ -63,12 +63,15 @@ class NormResult:
     """Luxemburg norm together with its convergence certificate.
 
     ``certified`` says whether the certificate holds: for 0 < value < inf the
-    modular of f/value lies within CERTIFICATE_TOL of 1; the values 0 and inf
-    need no modular. An uncertified result is returned, not raised, so
-    callers decide whether it is a fault. ``bisection_iterations`` counts the
-    Newton steps of the root search and is 0 for a closed form; it keeps its
-    name, which the benchmark's span probe reads, until the benchmark renames
-    that counter (ROADMAP item 10).
+    modular of f/value, taken in units of max|f|, lies within CERTIFICATE_TOL
+    of 1; the value 0 needs no modular, and inf is certified only for an f
+    with infinite samples, whose modular stays inf at every finite lambda
+    (``modular_at_value`` inf). A finite f whose norm passes the float range
+    gets inf and no certificate. An uncertified result is returned, not
+    raised, so callers decide whether it is a fault. ``bisection_iterations``
+    counts the Newton steps of the root search and is 0 for a closed form; it
+    keeps its name, which the benchmark's span probe reads, until the
+    benchmark renames that counter (ROADMAP item 10).
     """
 
     value: float
@@ -77,8 +80,10 @@ class NormResult:
 
     @property
     def certified(self) -> bool:
-        if self.value == 0.0 or self.value == np.inf:
+        if self.value == 0.0:
             return True
+        if self.value == np.inf:
+            return self.modular_at_value == np.inf
         return abs(self.modular_at_value - 1.0) <= CERTIFICATE_TOL
 
 
@@ -133,24 +138,32 @@ def luxemburg_norm(curve: JordanCurve, f, p: ExponentFunction) -> NormResult:
 
     Returns 0 for the zero function and inf when no finite lambda brings the
     modular down to 1 (for example when f is infinite on a positive-measure
-    part of the curve).
+    part of the curve). A finite f whose norm passes the float range also
+    gets inf, without a certificate.
     """
     v_fin, p_fin, w_fin, v_inf = _modular_parts(curve, f, p)
     if (v_fin.size == 0 or not v_fin.any()) and (v_inf.size == 0 or not v_inf.any()):
         return NormResult(0.0, 0.0, 0)
     vmax = max(v_fin.max() if v_fin.size else 0.0, v_inf.max() if v_inf.size else 0.0)
     if not np.isfinite(vmax):
-        return NormResult(np.inf, 0.0, 0)
+        return NormResult(np.inf, np.inf, 0)
+    # everything below is in units of vmax: lambda = vmax * scale, and the
+    # certificate is the modular of f/vmax at scale, which neither an
+    # overflowing nor a subnormal lambda can spoil
+    v_fin /= vmax
+    v_inf /= vmax
 
-    def result(value, iterations=0):
-        return NormResult(value, _modular_value(v_fin, p_fin, w_fin, v_inf, value), iterations)
+    def result(scale, iterations=0):
+        with np.errstate(over="ignore"):
+            value = float(vmax * scale)
+        return NormResult(value, _modular_value(v_fin, p_fin, w_fin, v_inf, scale), iterations)
 
     # closed forms: a pure sup part, or a constant finite exponent
     if v_fin.size == 0:
-        return result(float(vmax))
+        return result(1.0)
     if v_inf.size == 0 and np.all(p_fin == p_fin[0]):
         pc = float(p_fin[0])
-        closed = result(float(vmax * np.sum((v_fin / vmax) ** pc * w_fin) ** (1.0 / pc)))
+        closed = result(np.sum(v_fin ** pc * w_fin) ** (1.0 / pc))
         if closed.certified:
             return closed
         # fall through on the rare precision miss and polish by the root search
@@ -160,10 +173,10 @@ def luxemburg_norm(curve: JordanCurve, f, p: ExponentFunction) -> NormResult:
     keep = v_fin > 0.0
     slopes, a = p_fin[keep], np.log(w_fin[keep])
     with np.errstate(divide="ignore"):
-        a += slopes * np.log(v_fin[keep] / vmax)
+        a += slopes * np.log(v_fin[keep])
         if v_inf.size:
             slopes = np.append(slopes, 1.0)
-            a = np.append(a, np.log(v_inf.max() / vmax))
+            a = np.append(a, np.log(v_inf.max()))
 
     def g_and_mean_slope(t):
         with np.errstate(over="ignore", invalid="ignore"):
@@ -186,7 +199,7 @@ def luxemburg_norm(curve: JordanCurve, f, p: ExponentFunction) -> NormResult:
             best_t, best_g = t, g
         elif abs(np.expm1(best_g)) <= MODULAR_TOL:
             break
-    return result(float(vmax * np.exp(best_t)), iterations)
+    return result(np.exp(best_t), iterations)
 
 
 def norm_value(curve: JordanCurve, f, p: ExponentFunction) -> float:

@@ -186,13 +186,17 @@ def test_offcurve_stack_matches_one_function_calls():
     curve = make_ellipse(2.0, 1.0, 512)
     rng = np.random.default_rng(5)
     F = rng.standard_normal((512, 3)) + 1j * rng.standard_normal((512, 3))
-    # 300 targets span three chunks of 128, inside and outside the ellipse
+    # 300 targets span five blocks of 64, inside and outside the ellipse
     angles = np.exp(2j * np.pi * rng.random(300))
     z = np.where(np.arange(300) % 2 == 0, 0.5 * rng.random(300), 3.0 + rng.random(300)) * angles
     stacked = cauchy_offcurve(curve, F, z)
     assert stacked.shape == (300, 3)
     for j in range(3):
         assert np.array_equal(stacked[:, j], cauchy_offcurve(curve, F[:, j], z))
+    # a block of targets does not depend on the other blocks of its call
+    block = cauchy.OFFCURVE_BYTES // (8 * 512)
+    parts = [cauchy_offcurve(curve, F, z[s : s + block]) for s in range(0, 300, block)]
+    assert np.array_equal(stacked, np.concatenate(parts))
     single = cauchy_offcurve(curve, F, 0.3 + 0.1j)
     assert single.shape == (3,)
     assert np.array_equal(single, [cauchy_offcurve(curve, F[:, j], 0.3 + 0.1j)
@@ -286,6 +290,23 @@ def test_plemelj_stack_matches_one_function_calls(name, n):
     one = plemelj_residual(curve, np.array(functions[:1]), [0.05], targets=64)
     assert one == [plemelj_residual(curve, functions[0], [0.05], targets=64)]
     assert isinstance(plemelj_residual(curve, functions[0], [0.05]), PlemeljResidual)
+
+
+def test_plemelj_on_the_circle_takes_offsets_past_2_directly(circle512):
+    # offsets in (0, 2) go by FFT; the rest by cauchy_offcurve, in the same result
+    f = 1.0 / (circle512.nodes - 2.5)
+    both = plemelj_residual(circle512, f, [0.05, 2.5], targets=64)
+    fft_only = plemelj_residual(circle512, f, [0.05], targets=64)
+    assert both.per_offset_plus[0] == fft_only.per_offset_plus[0]
+    idx = np.arange(0, 512, 8)
+    pf, qf = riesz_projections(circle512, f)
+    normal = 1j * circle512.unit_tangents[idx]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        inside = cauchy_offcurve(circle512, f, circle512.nodes[idx] + 2.5 * normal)
+        outside = cauchy_offcurve(circle512, f, circle512.nodes[idx] - 2.5 * normal)
+    assert both.per_offset_plus[1] == pytest.approx(np.abs(inside - pf[idx]).max(), rel=1e-12)
+    assert both.per_offset_minus[1] == pytest.approx(np.abs(-outside - qf[idx]).max(), rel=1e-12)
 
 
 def test_plemelj_rejects_bad_offsets(circle512):
@@ -568,6 +589,56 @@ def test_split_unresolved_within_the_cap_takes_the_dense_path(monkeypatch):
     curve = curve_from_name("perturbed-circle:0.3,12", 1024)
     assert s_path(curve) == "dense"
     assert s_path(curve_from_name("ellipse:2,1", 1024)) == "split"
+
+
+def _full_stack_pairings(curve, basis_size):
+    """G, M(SB), M(S^2 B) and M(HSHB) with S applied to the whole basis at once."""
+    from siolab.cauchy import centered_modes, mode_basis, operator_matrix
+
+    B = mode_basis(curve, centered_modes(basis_size))
+    SB, SHB = np.split(apply_S(curve, np.concatenate([B, conjugation_H(curve, B)]).T).T, 2)
+    M = lambda X: operator_matrix(curve, X, B)
+    return M(B), M(SB), M(apply_S(curve, SB.T).T), M(conjugation_H(curve, SHB))
+
+
+@pytest.mark.parametrize("n", [64, 4096])
+@pytest.mark.parametrize("basis_size", [32, 20, 2])
+@pytest.mark.parametrize("name", ["circle", "ellipse:2,1", "perturbed-circle:0.1,5"])
+def test_streamed_certificate_pairs_as_the_full_stack(name, basis_size, n, monkeypatch):
+    # each block's pairing fills its columns of G, M(SB), M(S^2 B) and M(HSHB)
+    curve = curve_from_name(name, n)
+    paired = []
+    pair = cauchy.operator_matrix
+    monkeypatch.setattr(cauchy, "operator_matrix",
+                        lambda *args: paired.append(pair(*args)) or paired[-1])
+    rep = adjoint_residuals(curve, basis_size)
+    assert len(paired) == -(-basis_size // cauchy.ADJOINT_BLOCK)
+    streamed = [np.hstack(m) for m in zip(*(np.split(p, 4, axis=1) for p in paired))]
+    assert np.array_equal(rep.s_matrix, streamed[1])
+    for got, full in zip(streamed, _full_stack_pairings(curve, basis_size)):
+        assert got.shape == full.shape == (basis_size, basis_size)
+        # the circle's S is bitwise per column; the full stack's 2 x 2 products
+        # of a 2-mode basis take another BLAS kernel than the block's 2 x 8
+        if curve.is_unit_circle and basis_size > 2:
+            assert np.array_equal(got, full)
+        else:
+            assert np.abs(got - full).max() <= 1e-15 * np.abs(full).max()
+
+
+def test_certificate_peak_memory_on_the_sio_check_shape():
+    # the sio-circle certificate: 32 modes on 4096 nodes, 2 MiB per 32-row
+    # array; the basis, one block's 32 applied rows and the weighted basis
+    # are what it holds at once (the whole stacks took 20 MiB)
+    curve = make_unit_circle(4096)
+    adjoint_residuals(curve, 32)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        adjoint_residuals(curve, 32)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak <= 7 * 2**20
 
 
 def test_adjoint_residuals_refuse_an_aliasing_mode_basis():

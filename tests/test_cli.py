@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -89,6 +90,28 @@ def test_norm_rejects_non_finite_or_malformed_functions(tmp_path, capsys, spec):
     err = capsys.readouterr().err
     assert spec in err or "per-node csv" in err
     assert not out.exists()
+
+
+def test_norm_past_the_float_range_exits_2(tmp_path, capsys):
+    # a finite function whose norm overflows: exit 2 and no warning, not inf
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = run(["norm", "--n", "512", "--exponent", "2+abs(sin)", "--function",
+                    "const:1e308,1e308", "--out", str(out)])
+    assert code == EXIT_VALIDATION
+    assert "exceeds the float range" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_norm_of_a_subnormal_constant_is_certified(tmp_path):
+    out = tmp_path / "out"
+    code = run(["norm", "--n", "512", "--exponent", "2", "--function", "const:1e-320",
+                "--out", str(out)])
+    assert code == EXIT_OK
+    res = json.loads((out / "report.json").read_text())["results"]
+    assert res["value"] == pytest.approx(1e-320 * np.sqrt(2 * np.pi), rel=1e-3)
+    assert abs(res["modular_at_value"] - 1.0) <= 1e-14
 
 
 def test_multiplier_subcommand(tmp_path):
@@ -272,24 +295,25 @@ def _count_calls(monkeypatch, name, modules=(cauchy,)):
     return shapes
 
 
-def test_sio_check_builds_one_offcurve_kernel_per_offset(tmp_path, monkeypatch):
-    # the 4 corpus functions share each off-curve kernel: 4 offsets x 2 sides
+def test_sio_check_takes_every_offcurve_target_in_one_call(tmp_path, monkeypatch):
+    # the 4 corpus functions at 4 offsets x 2 sides x 256 targets share one call
     shapes = _count_calls(monkeypatch, "cauchy_offcurve")
     code = run(["sio-check", "--curve", "ellipse:2,1", "--n", "512", "--trials", "2",
                 "--out", str(tmp_path / "sio")])
     assert code == EXIT_OK
-    assert shapes == [(512, 4)] * 8
+    assert shapes == [(512, 4)]
 
 
 def test_sio_check_builds_one_remainder_spectrum(tmp_path, monkeypatch):
-    # 4 applications of S (2 adjoint, 1 Plemelj stack, 1 norm-ratio stack)
-    # share the curve's C: one doubling, m = 64 and then 128, for the run
+    # 10 applications of S (2 per 8-mode block of the certificate, 1 Plemelj
+    # stack, 1 norm-ratio stack) share the curve's C: one doubling, m = 64 and
+    # then 128, for the run
     applied = _count_calls(monkeypatch, "_split_S")
     grids = _count_calls(monkeypatch, "_remainder_coefficients")
     code = run(["sio-check", "--curve", "ellipse:2,1", "--n", "2048",
                 "--out", str(tmp_path / "sio")])
     assert code == EXIT_OK
-    assert applied == [(2048, 64), (2048, 32), (2048, 4), (2048, 24)]
+    assert applied == [(2048, 16), (2048, 8)] * 4 + [(2048, 4), (2048, 24)]
     assert grids == [(64,), (128,)]
 
 
@@ -302,9 +326,27 @@ def test_sio_check_on_the_circle_takes_no_direct_offcurve_sum(tmp_path, monkeypa
                 "--out", str(tmp_path / "sio")])
     assert code == EXIT_OK
     assert offcurve == []
-    # the mode-basis certificate: S of [B | HB], then S of SB; then the corpus
-    assert applied == [(512, 64), (512, 32), (512, 4)]
+    # the mode-basis certificate, per 8-mode block: S of [B | HB], then S of
+    # SB, then one pairing of B, SB, S^2 B and HSHB; then the corpus
+    assert applied == [(512, 16), (512, 8)] * 4 + [(512, 4)]
     assert paired == [(32, 512)] * 4
+
+
+@pytest.mark.parametrize("curve, n, bound_mib", [("circle", 4096, 7.5), ("ellipse:2,1", 2048, 4.5)])
+def test_sio_check_peak_memory_at_the_bench_shapes(tmp_path, curve, n, bound_mib):
+    # one whole invocation, report write included; it read 6.4 and 3.8 MiB
+    # with the certificate in 8-mode blocks, and 20.2 and 7.5 MiB with its
+    # full-size stacks
+    args = ["sio-check", "--curve", curve, "--n", str(n), "--out", str(tmp_path / "sio")]
+    assert run(args) == EXIT_OK  # first-call caches (the parser) stay out of the peak
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        assert run(args) == EXIT_OK
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak <= bound_mib * 2**20
 
 
 def test_norm_command_takes_one_norm_and_one_unit_ball_norm(tmp_path, monkeypatch):
@@ -349,7 +391,7 @@ def test_norm_uncertified_result_exits_3(tmp_path, capsys):
     assert code == EXIT_FAULT
     err = capsys.readouterr().err
     # (2 / lam)^1e308 is 0 or inf for every lam but 2, where the modular is 2 pi
-    assert "modular 6.28 at value 2 " in err and "1e-10" in err
+    assert "modular 6.28318530718 at value 2 " in err and "1e-10" in err
     report = json.loads((out / "report.json").read_text())
     assert "certified" not in report["results"]  # report layout unchanged
 

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -188,8 +190,31 @@ def test_norm_of_infinite_samples_is_inf(circle512):
     f = np.ones(512, dtype=complex)
     f[3] = np.inf
     res = luxemburg_norm(circle512, f, exponent_constant(2.0, 512))
-    assert res.value == np.inf
+    assert res.value == np.inf and res.modular_at_value == np.inf
     assert res.certified
+
+
+@pytest.mark.parametrize("p_spec", ["2", "2+abs(sin)"])
+def test_norm_past_the_float_range_is_inf_and_not_certified(circle512, p_spec):
+    # |f| = 1.4e308 is finite, its norm is not: closed form and Newton search
+    p = exponent_from_preset(p_spec, circle512)
+    f = np.full(512, 1e308 + 1e308j)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = luxemburg_norm(circle512, f, p)
+    assert res.value == np.inf
+    assert not res.certified
+
+
+@pytest.mark.parametrize("p_spec", ["2", "2+abs(sin)"])
+def test_norm_of_subnormal_samples_is_certified(circle512, p_spec):
+    # lambda = 2.5e-320 keeps 13 bits; the certificate is judged in units of max|f|
+    p = exponent_from_preset(p_spec, circle512)
+    res = luxemburg_norm(circle512, np.full(512, 1e-320), p)
+    assert res.certified
+    assert abs(res.modular_at_value - 1.0) <= 1e-14
+    unit = luxemburg_norm(circle512, np.ones(512), p).value
+    assert res.value == pytest.approx(1e-320 * unit, rel=1e-3)
 
 
 def test_norm_reports_a_failed_certificate(circle512):
