@@ -45,12 +45,9 @@ from .spaces import (
 )
 from .cauchy import (
     AdjointResiduals,
-    PlemeljResidual,
     adjoint_residuals,
     apply_S,
-    cauchy_offcurve,
     conjugation_H,
-    plemelj_residual,
     riesz_projections,
 )
 from .toeplitz import (

@@ -33,18 +33,18 @@ The Riesz projections are P = (I + S)/2 and Q = (I - S)/2, the conjugation
 is (H f)(tau) = exp(-i theta(tau)) conj(f(tau)), and adjoints are taken with
 respect to the weighted pairing <f, g> = sum f conj(g) w.
 
-``cauchy_offcurve`` takes the off-curve Cauchy integral by the trapezoid rule
-at any target, on any curve, in real arithmetic in one small workspace.
-``plemelj_residual`` needs those sums at every offset on both sides of the
-curve and takes them in one such call; on the unit circle it takes them by
-FFT instead, as with equispaced nodes they are a convolution.
+By the Plemelj-Sokhotski formulas, P f is the interior boundary limit of the
+Cauchy integral of f and Q f its negated exterior limit. Nothing here
+evaluates that integral off the curve: for the rational functions of
+``corpus.rational_corpus`` both limits are known exactly from the residues
+(the exterior poles and the polynomial make up P f, the interior poles
+Q f), and ``sio-check`` judges ``riesz_projections`` against them.
 ``adjoint_residuals`` certifies P and Q on a mode basis that S takes in
 blocks of ADJOINT_BLOCK modes, so none of its arrays is larger than the basis.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,13 +52,10 @@ import numpy as np
 from .curves import JordanCurve
 
 __all__ = [
-    "PlemeljResidual",
     "AdjointResiduals",
     "apply_S",
     "s_path",
     "riesz_projections",
-    "cauchy_offcurve",
-    "plemelj_residual",
     "conjugation_H",
     "mode_basis",
     "operator_matrix",
@@ -72,34 +69,12 @@ KERNEL_ROWS = 512
 # (64 MiB: m = 2048); a curve whose remainder is not resolved within it takes
 # the dense path.
 SPECTRUM_BYTES = 64 * 2**20
-# Bytes of each of the four real n-column arrays of the off-curve sums'
-# workspace (16 targets at 2048 nodes), allocated once per call. Fastest in a
-# sweep from 32 KiB to 2 MiB on a sio-check pass on ellipse:2,1 (n = 2048),
-# one core: larger blocks fault in fresh pages on every call.
-OFFCURVE_BYTES = 2**18
 # Basis modes per block of the mode-basis certificate, so the 32-mode basis
 # of sio-check takes 4 blocks. Fastest in a sweep of 4, 8, 16 and 32 modes
 # (the whole basis) on the certificate at the sio-check shapes, one core: 8
 # took 16.7 ms against 18.5 ms on the circle at n = 4096 and 8.1 ms against
 # 9.5 ms on ellipse:2,1 at n = 2048, with a traced peak of 6.3 MiB against 18.3.
 ADJOINT_BLOCK = 8
-
-
-@dataclass(frozen=True)
-class PlemeljResidual:
-    """Boundary-limit residuals of the off-curve Cauchy integrals.
-
-    ``residual_plus`` and ``residual_minus`` compare the extrapolated
-    interior/exterior boundary limits against P f and Q f at the target
-    nodes; the per-offset entries are the raw comparisons at each approach
-    distance, which carry an O(offset) Taylor term of their own.
-    """
-
-    residual_plus: float
-    residual_minus: float
-    offsets: tuple[float, ...]
-    per_offset_plus: tuple[float, ...]
-    per_offset_minus: tuple[float, ...]
 
 
 @dataclass(frozen=True)
@@ -131,33 +106,8 @@ def _circle_multiplier(values: np.ndarray) -> np.ndarray:
     return np.fft.ifft(spectrum, axis=0, out=spectrum)
 
 
-def _circle_offcurve(spectrum: np.ndarray, rho: float) -> np.ndarray:
-    """Off-curve trapezoid sums at rho * tau_t for every node t of the unit circle.
-
-    ``spectrum`` is fft(f) / n along the last axis. The sum
-    (1/n) sum_j f_j tau_j / (tau_j - rho tau_t), which is what
-    ``cauchy_offcurve`` takes at z = rho tau_t, is a discrete convolution.
-    Expanding the kernel in powers of rho (inside) or 1/rho (outside) and
-    folding the modes mod n gives it exactly, as one inverse FFT:
-    n ifft(c_r rho^r) / (1 - rho^n) for |rho| < 1 and
-    -n ifft(c_r rho^(r - n)) / (1 - rho^-n) outside (Henrici, Applied and
-    Computational Complex Analysis III, 1986, ch. 13).
-    """
-    n = spectrum.shape[-1]
-    r = np.arange(n)
-    if abs(rho) < 1.0:
-        weights = rho**r / (1.0 - rho**n)
-    else:
-        weights = -(rho ** (r - n)) / (1.0 - rho**-n)
-    return n * np.fft.ifft(spectrum * weights, axis=-1)
-
-
-def _quadrature_S(
-    curve: JordanCurve,
-    F: np.ndarray,
-    rows: np.ndarray | None = None,
-) -> np.ndarray:
-    """Dense principal-value quadrature of S, optionally at target rows only.
+def _quadrature_S(curve: JordanCurve, F: np.ndarray) -> np.ndarray:
+    """Dense principal-value quadrature of S.
 
     Builds the n x n kernel; the diagonal takes a fourth-order stencil, so the
     order is algebraic: about h^5 on smooth curves (S f = f for
@@ -170,26 +120,26 @@ def _quadrature_S(
     single = F.ndim == 1
     V = F[:, None] if single else F
     n = curve.n_nodes
-    idx = np.arange(n) if rows is None else np.asarray(rows, dtype=int)
+    idx = np.arange(n)
     # removable-singularity value df/dtau at the node: fourth-order stencil for
     # df/dt over the equispaced parameter divided by the exact dtau/dt, which
     # the constructors store as n * complex_measure
     df_dt = (
         -V[(idx + 2) % n] + 8.0 * V[(idx + 1) % n] - 8.0 * V[(idx - 1) % n] + V[(idx - 2) % n]
     ) * (n / 12.0)
-    G = df_dt / (n * dtau[idx])[:, None]
-    acc = np.empty((idx.size, V.shape[1]), dtype=complex)
-    row_sums = np.empty(idx.size, dtype=complex)
-    for s in range(0, idx.size, KERNEL_ROWS):
+    G = df_dt / (n * dtau)[:, None]
+    acc = np.empty((n, V.shape[1]), dtype=complex)
+    row_sums = np.empty(n, dtype=complex)
+    for s in range(0, n, KERNEL_ROWS):
         block = idx[s : s + KERNEL_ROWS]
         with np.errstate(divide="ignore", invalid="ignore"):
             A = dtau[None, :] / (tau[None, :] - tau[block, None])
         A[np.arange(block.size), block] = 0.0
         acc[s : s + KERNEL_ROWS] = A @ V
         row_sums[s : s + KERNEL_ROWS] = A.sum(axis=1)
-    acc -= row_sums[:, None] * V[idx]
-    acc += G * dtau[idx, None]
-    out = V[idx] + acc / (1j * np.pi)
+    acc -= row_sums[:, None] * V
+    acc += G * dtau[:, None]
+    out = V + acc / (1j * np.pi)
     return out[:, 0] if single else out
 
 
@@ -364,149 +314,6 @@ def riesz_projections(curve: JordanCurve, f) -> tuple[np.ndarray, np.ndarray]:
     v = np.asarray(f, dtype=complex)
     pf = 0.5 * (v + apply_S(curve, v))
     return pf, v - pf
-
-
-def cauchy_offcurve(curve: JordanCurve, f, z) -> np.ndarray | complex:
-    """Cauchy integral (1/(2 pi i)) int f(tau)/(tau - z) dtau at points off the curve.
-
-    ``f`` holds node values of shape (n,) or, for a stack of functions, (n, m)
-    with one function per column. The result has one entry per target, with
-    the m columns along a trailing axis for a stack; a scalar z gives a
-    complex number (shape (m,) for a stack). Accuracy degrades within about
-    two node spacings of the curve; such targets trigger a warning. Points on
-    a node and non-finite points are rejected. Targets go in blocks of
-    OFFCURVE_BYTES per real n-column array of one workspace per call. With
-    dx + i dy = tau - z and r = dx^2 + dy^2, 1/(tau - z) = A - iB for
-    A = dx/r, B = dy/r; A and B each take one real product with each
-    function's (n, 2) array [Re, Im] of f dtau, so a column of a stack is
-    bitwise the 1-D result.
-    """
-    v = np.asarray(f, dtype=complex)
-    zs = np.atleast_1d(np.asarray(z, dtype=complex))
-    if not np.all(np.isfinite(zs)):
-        raise ValueError("evaluation points must be finite")
-    x, y = curve.nodes.real.copy(), curve.nodes.imag.copy()
-    n = x.size
-    weighted = v.reshape(n, -1) * curve.complex_measure[:, None]
-    weights = [np.column_stack([w.real, w.imag]) for w in weighted.T]
-    chunk = max(1, OFFCURVE_BYTES // (8 * n))
-    work = np.empty((4, min(chunk, zs.size), n))
-    nearest = np.empty(zs.size)
-    out = np.empty((len(weights), zs.size), dtype=complex)
-    for s in range(0, zs.size, chunk):
-        rows = slice(s, min(s + chunk, zs.size))
-        dx, dy, r, square = work[:, : rows.stop - s]
-        np.subtract(x, zs.real[rows, None], out=dx)
-        np.subtract(y, zs.imag[rows, None], out=dy)
-        np.multiply(dx, dx, out=r)
-        r += np.multiply(dy, dy, out=square)
-        nearest[rows] = r.min(axis=1)
-        if np.any(nearest[rows] == 0.0):
-            raise ValueError("evaluation point lies on a curve node")
-        inv = np.divide(1.0, r, out=r)
-        A = np.multiply(dx, inv, out=dx)
-        B = np.multiply(dy, inv, out=dy)
-        for j, w in enumerate(weights):
-            aw, bw = A @ w, B @ w
-            out[j, rows].real = aw[:, 0] + bw[:, 1]
-            out[j, rows].imag = aw[:, 1] - bw[:, 0]
-    out /= 2j * np.pi
-    if np.any(nearest < (2.0 * curve.max_spacing()) ** 2):
-        warnings.warn(
-            "evaluation point within two node spacings of the curve; "
-            "quadrature error bound degraded",
-            stacklevel=2,
-        )
-    if v.ndim == 1:
-        return out[0] if np.ndim(z) else complex(out[0, 0])
-    return out.T if np.ndim(z) else out[:, 0]
-
-
-def _lagrange_at_zero(x: np.ndarray) -> np.ndarray:
-    """Weights extrapolating samples at positive abscissae x to 0."""
-    w = np.empty(x.size)
-    for i in range(x.size):
-        others = np.delete(x, i)
-        w[i] = np.prod(others / (others - x[i]))
-    return w
-
-
-def plemelj_residual(
-    curve: JordanCurve,
-    f,
-    offsets,
-    targets: int = 512,
-) -> PlemeljResidual | list[PlemeljResidual]:
-    """Compare interior/exterior Cauchy boundary limits with P f and Q f.
-
-    The Cauchy integrals are evaluated at t +- delta * (interior normal)
-    for each approach distance delta in ``offsets``; with two or more
-    offsets the boundary value is Richardson-extrapolated to delta -> 0,
-    removing the O(delta) one-sided Taylor error before comparison.
-
-    ``f`` is one function (shape (n,)) or a stack of functions (shape
-    (m, n), one per row); a stack returns one residual per row. Off the
-    ``dense`` path (which takes each function at the target rows) S takes
-    the stack in one call, so rows match the one-function results to
-    rounding. The targets of every offset and both sides go to one
-    ``cauchy_offcurve`` call with the whole stack, so a call sets up one
-    workspace. On the unit circle, for offsets in (0, 2), the off-curve sums
-    are the trapezoid sums of ``cauchy_offcurve``, taken exactly by one FFT
-    of the stack and one inverse FFT per offset and side. Offsets must be
-    distinct.
-
-    The exterior transform carries the orientation that keeps the unbounded
-    component on the left, i.e. the negated curve integral; with the plain
-    orientation the exterior limit would recover -Q f instead of Q f (take
-    f(tau) = 1/(tau - z0) with z0 inside and compute residues).
-    """
-    offs = np.sort(np.asarray([float(d) for d in offsets], dtype=float))
-    if offs.size == 0 or not np.all(np.isfinite(offs) & (offs > 0)) or np.any(np.diff(offs) == 0):
-        raise ValueError("offsets must be positive, finite and distinct")
-    if int(targets) < 1:
-        raise ValueError(f"targets must be at least 1, got {targets}")
-    values = np.asarray(f, dtype=complex)
-    stack = np.atleast_2d(values)
-    n = curve.n_nodes
-    stride = max(1, n // int(targets))
-    t_idx = np.arange(0, n, stride)
-    path = s_path(curve)
-    if path == "dense":
-        sv = np.array([_quadrature_S(curve, v, rows=t_idx) for v in stack])
-    else:
-        sv = apply_S(curve, stack.T).T[:, t_idx]
-    pf, qf = 0.5 * (stack[:, t_idx] + sv), 0.5 * (stack[:, t_idx] - sv)
-    normal = 1j * curve.unit_tangents[t_idx]  # interior on the left
-    base = curve.nodes[t_idx]
-    # on the circle the interior normal is -tau, so the targets are (1 -+ d) tau
-    spectrum = np.fft.fft(stack, axis=1) / n if path == "fft" else None
-
-    # limits[:, 0] from inside, limits[:, 1] from outside, per offset and target
-    limits = np.empty((stack.shape[0], 2, offs.size, t_idx.size), dtype=complex)
-    by_fft = (offs < 2.0) & (spectrum is not None)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        for i in np.flatnonzero(by_fft):
-            limits[:, 0, i] = _circle_offcurve(spectrum, 1.0 - offs[i])[:, t_idx]
-            limits[:, 1, i] = _circle_offcurve(spectrum, 1.0 + offs[i])[:, t_idx]
-        if not by_fft.all():
-            # the other offsets, both sides, in one call: one workspace for all
-            z = base + np.array([1.0, -1.0])[:, None, None] * offs[~by_fft, None] * normal
-            sums = cauchy_offcurve(curve, stack.T, z.ravel())
-            limits[:, :, ~by_fft] = sums.T.reshape(stack.shape[0], *z.shape)
-    plus_vals, minus_vals = limits[:, 0], -limits[:, 1]
-    w = _lagrange_at_zero(offs) if offs.size >= 2 else None
-    results = []
-    for plus, minus, p_f, q_f in zip(plus_vals, minus_vals, pf, qf):
-        per_plus = tuple(float(np.abs(plus[i] - p_f).max()) for i in range(offs.size))
-        per_minus = tuple(float(np.abs(minus[i] - q_f).max()) for i in range(offs.size))
-        if w is not None:
-            res_plus = float(np.abs(w @ plus - p_f).max())
-            res_minus = float(np.abs(w @ minus - q_f).max())
-        else:
-            res_plus, res_minus = per_plus[0], per_minus[0]
-        results.append(PlemeljResidual(res_plus, res_minus, tuple(offs), per_plus, per_minus))
-    return results[0] if values.ndim == 1 else results
 
 
 def conjugation_H(curve: JordanCurve, f) -> np.ndarray:

@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .cauchy import adjoint_residuals, apply_S, plemelj_residual, s_path
+from .cauchy import adjoint_residuals, apply_S, riesz_projections, s_path
 from .corpus import random_trig_polynomial, rational_corpus
 from .curves import (
     carleson_constant,
@@ -278,18 +278,20 @@ def run_multiplier(cfg: ExperimentConfig) -> tuple[ReportBundle, str | None]:
     return bundle, fault
 
 
-# Largest projection or adjoint residual each realization of S may report.
-# Each sits at least 10x above what that path measures on the 2:1 ellipse and
-# the circle at n = 2048 (fft 7e-16; split 2.6e-15; dense 5e-8); the
-# first-order square gives 1e-2 and more on the dense path.
+# Largest projection, adjoint or rational-oracle residual each realization of S
+# may report. Each sits at least 10x above what that path measures on the 2:1
+# ellipse and the circle at n = 2048 (fft 7e-16; split 2.6e-15, and 7.5e-15
+# against the rational corpus's exact P f; dense 5e-8); the first-order square
+# gives 1e-3 and more on the dense path.
 S_RESIDUAL_THRESHOLDS = {"fft": 1e-12, "split": 1e-10, "dense": 1e-5}
 
 
 def _residual_fault(path: str, residuals: dict[str, dict[str, float]]) -> str | None:
-    """Name the worst residual above the path's threshold, if any."""
+    """Name the worst residual above the path's threshold, if any; NaN is worst."""
     threshold = S_RESIDUAL_THRESHOLDS[path]
     name, value = max(((f"{group} {key}", v) for group, rs in residuals.items()
-                       for key, v in rs.items()), key=lambda item: item[1])
+                       for key, v in rs.items()),
+                      key=lambda item: np.nan_to_num(item[1], nan=np.inf))
     if value <= threshold:
         return None
     return f"{name} residual {value:.3g} exceeds the {path} threshold {threshold:g}"
@@ -303,12 +305,14 @@ def run_sio_check(cfg: ExperimentConfig) -> tuple[ReportBundle, str | None]:
     adj = adjoint_residuals(curve, 32)
     proj = {"P2_minus_P": adj.p2_minus_p, "PQ": adj.pq,
             "P_plus_Q_minus_I": adj.p_plus_q_minus_i}
-    offsets = [0.08, 0.04, 0.02, 0.01]
-    names, functions = zip(*rational_corpus(curve, rng, count=4))
-    plemelj = plemelj_residual(curve, np.array(functions), offsets, targets=256)
-    plemelj_rows = [{"item": name, "op": "plemelj_residual",
-                     "residual_plus": r.residual_plus, "residual_minus": r.residual_minus}
-                    for name, r in zip(names, plemelj)]
+    # the Plemelj limits P f and Q f of each rational function, known exactly
+    names, functions, exact = zip(*rational_corpus(curve, rng, count=4))
+    F, exact_p = np.column_stack(functions), np.column_stack(exact)
+    pf, qf = riesz_projections(curve, F)
+    plemelj_rows = [{"item": name, "op": "riesz_projections",
+                     "residual_plus": plus, "residual_minus": minus}
+                    for name, plus, minus in zip(names, np.abs(pf - exact_p).max(axis=0),
+                                                 np.abs(qf - (F - exact_p)).max(axis=0))]
 
     polys = random_trig_polynomial(curve, rng, degree=12, count=cfg.trials)
     s_polys = apply_S(curve, polys.T).T
@@ -343,12 +347,13 @@ def run_sio_check(cfg: ExperimentConfig) -> tuple[ReportBundle, str | None]:
     bundle = ReportBundle(
         results,
         {"plemelj": plemelj_rows, "norm_ratios": ratio_rows},
-        _provenance(cfg, ["adjoint_residuals", "plemelj_residual", "apply_S",
+        _provenance(cfg, ["adjoint_residuals", "riesz_projections", "apply_S",
                           "luxemburg_norm", "log_holder_constant"]),
         extra,
     )
-    fault = _residual_fault(s_path(curve), {"projection": proj,
-                                            "adjoint": results["adjoint_residuals"]})
+    fault = _residual_fault(s_path(curve), {
+        "projection": proj, "adjoint": results["adjoint_residuals"],
+        "rational": {"P": results["plemelj_max_plus"], "Q": results["plemelj_max_minus"]}})
     return bundle, fault
 
 

@@ -71,14 +71,24 @@ def rational_function(curve: JordanCurve, poles, residues, poly_coeffs=()) -> np
 
 
 def rational_corpus(curve: JordanCurve, rng: np.random.Generator, count: int = 10,
-                    min_distance: float = 0.75) -> list[tuple[str, np.ndarray]]:
-    """Rational functions with poles off the curve, at a safe distance.
+                    min_distance: float = 0.75) -> list[tuple[str, np.ndarray, np.ndarray]]:
+    """Rational functions with poles off the curve, each with its exact P part.
 
-    Interior pole candidates sit well inside (scaled toward the origin),
-    exterior ones well outside; every pole keeps at least ``min_distance``
-    from the nodes so one-sided Taylor expansions of the Cauchy integrals
-    stay tame. An interior pole keeps min(min_distance, 0.85 min |tau|): the
-    origin lies inside, so retreating toward it always meets that bound.
+    Items are ``(name, f, pf)`` with f and pf sampled on the nodes. By the
+    residue theorem the Cauchy integral of f has the interior boundary limit
+    P f = (the exterior-pole part) + (the polynomial part), and Q f = f - P f
+    is the interior-pole part (Muskhelishvili, Singular Integral Equations,
+    1953, ch. 2; Gakhov, Boundary Value Problems, 1966, ch. 1), so pf is the
+    exact P f that S must reproduce.
+
+    Interior pole candidates sit at 0.25 min |tau| and retreat toward the
+    origin, so they stay in the disc |z| < min |tau|, which the curve never
+    meets and which holds the origin, an interior point: they are inside.
+    Exterior ones sit at 2 max |tau| and retreat outward, beyond the disc
+    |z| <= max |tau| that holds the curve: they are outside. Every pole keeps
+    at least ``min_distance`` from the nodes; an interior pole keeps
+    min(min_distance, 0.85 min |tau|), which retreating toward the origin
+    always meets.
     """
     tau = curve.nodes
     r_min = float(np.abs(tau).min())
@@ -95,18 +105,19 @@ def rational_corpus(curve: JordanCurve, rng: np.random.Generator, count: int = 1
             radius = radius * 0.5 if inward else radius * 2.0
         raise ValueError(f"no admissible pole at angle {angle:.3f}")
 
-    corpus: list[tuple[str, np.ndarray]] = []
+    corpus: list[tuple[str, np.ndarray, np.ndarray]] = []
     k = 0
     while len(corpus) < count:
         angle = 2.0 * np.pi * rng.random()
         kind = k % 3
         if kind == 0:
             z0 = place(r_out, angle, inward=False)
-            vals = rational_function(curve, [z0], [1.0 + 0.5j])
+            vals = pf = rational_function(curve, [z0], [1.0 + 0.5j])
             name = f"pole-out:{z0:.3g}"
         elif kind == 1:
             z0 = place(r_in, angle, inward=True)
             vals = rational_function(curve, [z0], [0.7 - 0.2j])
+            pf = np.zeros_like(vals)
             name = f"pole-in:{z0:.3g}"
         else:
             z_in = place(r_in, angle, inward=True)
@@ -114,7 +125,8 @@ def rational_corpus(curve: JordanCurve, rng: np.random.Generator, count: int = 1
             vals = rational_function(
                 curve, [z_in, z_out], [0.5, -1.0j], poly_coeffs=(0.3, 0.1)
             )
+            pf = rational_function(curve, [z_out], [-1.0j], poly_coeffs=(0.3, 0.1))
             name = f"pole-pair:{z_in:.3g},{z_out:.3g}"
-        corpus.append((name, vals))
+        corpus.append((name, vals, pf))
         k += 1
     return corpus

@@ -9,7 +9,7 @@ import time
 import numpy as np
 from scipy.optimize import brentq
 
-from siolab.cauchy import adjoint_residuals, apply_S, plemelj_residual, riesz_projections
+from siolab.cauchy import adjoint_residuals, apply_S, riesz_projections
 from siolab.corpus import indicator_arc, random_trig_polynomial, rational_corpus
 from siolab.curves import carleson_constant, default_epsilon_grid, refine_epsilon_grid
 from siolab.exponents import exponent_constant, exponent_from_values
@@ -64,15 +64,16 @@ def test_criterion_01_circle_backend_exactness(circle512):
 
 
 def test_criterion_02_plemelj_suite(circle8192, ellipse8192):
+    # the boundary limits of the Cauchy integral of a rational function are
+    # P f = exterior poles + polynomial and Q f = interior poles (residues)
     crit = _Criterion(2, "Plemelj boundary limits, 10 rational functions")
-    offsets = [0.08, 0.04, 0.02, 0.01]
     worst = 0.0
     for curve in (circle8192, ellipse8192):
         rng = np.random.default_rng(101)
-        for _, f in rational_corpus(curve, rng, count=10):
-            r = plemelj_residual(curve, f, offsets, targets=192)
-            worst = max(worst, r.residual_plus, r.residual_minus)
-    elapsed = crit.finish(worst < 1e-5, f"max residual {worst:.2e} at base offset 1e-2")
+        for _, f, pf in rational_corpus(curve, rng, count=10):
+            p_f, q_f = riesz_projections(curve, f)
+            worst = max(worst, np.abs(p_f - pf).max(), np.abs(q_f - (f - pf)).max())
+    elapsed = crit.finish(worst < 1e-12, f"max residual {worst:.2e} against the exact limits")
     assert elapsed < 30.0
 
 

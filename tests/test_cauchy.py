@@ -1,6 +1,6 @@
 import gc
+import re
 import tracemalloc
-import warnings
 import weakref
 
 import numpy as np
@@ -10,19 +10,17 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import siolab.cauchy as cauchy
+import siolab.cli as cli
 from siolab.cauchy import (
-    PlemeljResidual,
     _quadrature_S,
     _split_S,
     adjoint_residuals,
     apply_S,
-    cauchy_offcurve,
     conjugation_H,
-    plemelj_residual,
     riesz_projections,
     s_path,
 )
-from siolab.corpus import random_trig_polynomial, rational_corpus
+from siolab.corpus import random_trig_polynomial, rational_corpus, rational_function
 from siolab.curves import curve_from_name, make_ellipse, make_unit_circle
 from siolab.toeplitz import symbol_from_coefficients, symbol_from_samples
 
@@ -152,15 +150,28 @@ def test_projection_idempotent_on_ellipse(ellipse4096):
     assert np.abs(pqf).max() < 1e-8
 
 
-# ------------------------------------------------------------------ off-curve
+# --------------------------------------------------------- exact Plemelj limits
+# By the residue theorem the Cauchy integral of a rational function has the
+# interior boundary limit P f = (exterior-pole part) + (polynomial) and the
+# negated exterior limit Q f = (interior-pole part): exact targets for S, as
+# sio-check uses them. Off the curve nothing is summed.
+
+def _limit_residuals(curve, f, pf):
+    """max |P f - pf| and max |Q f - (f - pf)| over the nodes (per column)."""
+    p_f, q_f = riesz_projections(curve, f)
+    return np.abs(p_f - pf).max(axis=0), np.abs(q_f - (f - pf)).max(axis=0)
+
 
 def test_offcurve_cauchy_formula(circle4096):
-    one = np.ones(4096, dtype=complex)
-    assert cauchy_offcurve(circle4096, one, 0.3 + 0.1j) == pytest.approx(1.0, abs=1e-10)
-    assert cauchy_offcurve(circle4096, one, 2.0 - 1.0j) == pytest.approx(0.0, abs=1e-10)
-    ident = circle4096.nodes.copy()
-    z = 0.4 - 0.2j
-    assert cauchy_offcurve(circle4096, ident, z) == pytest.approx(z, abs=1e-10)
+    # Cauchy's formula gives f(z) inside and 0 outside for f = 1 and f = tau, so
+    # P f = f and Q f = 0; c / (tau - z) is all P for z outside, all Q inside
+    for curve in (circle4096, curve_from_name("ellipse:2,1", 4096)):
+        for f in (np.ones(4096, dtype=complex), curve.nodes.copy()):
+            assert max(_limit_residuals(curve, f, f)) < 1e-12
+        outside = rational_function(curve, [4.0 - 1.0j], [1.0])
+        inside = rational_function(curve, [0.4 - 0.2j], [1.0])
+        assert max(_limit_residuals(curve, outside, outside)) < 1e-12
+        assert max(_limit_residuals(curve, inside, np.zeros_like(inside))) < 1e-12
 
 
 def test_offcurve_series_oracle(circle4096):
@@ -168,197 +179,184 @@ def test_offcurve_series_oracle(circle4096):
     k = np.arange(-6, 7)
     coeff = rng.standard_normal(13) + 1j * rng.standard_normal(13)
     f = np.exp(1j * np.outer(np.angle(circle4096.nodes), k)) @ coeff
-    z = 0.5
-    # analytic part evaluated as a power series: sum_{k >= 0} c_k z^k
-    oracle = sum(coeff[6 + m] * z**m for m in range(0, 7))
-    assert cauchy_offcurve(circle4096, f, z) == pytest.approx(oracle, abs=1e-8)
+    # the analytic part as a power series: sum_{k >= 0} c_k tau^k
+    oracle = sum(coeff[6 + m] * circle4096.nodes**m for m in range(0, 7))
+    assert max(_limit_residuals(circle4096, f, oracle)) < 1e-12
 
 
 def test_offcurve_warns_near_curve(circle512):
-    one = np.ones(512, dtype=complex)
-    with pytest.warns(UserWarning, match="two node spacings"):
-        cauchy_offcurve(circle512, one, 1.0 - 1e-4 + 0.0j)
-    with pytest.raises(ValueError, match="on a curve node"):
-        cauchy_offcurve(circle512, one, circle512.nodes[17])
+    # 512 nodes do not resolve a pole 0.01 off the circle (two node spacings
+    # are 0.025): the exact limits expose it far above the fft threshold, so
+    # sio-check's judgement would fault; at the corpus's distances they read
+    # rounding
+    for z in (1.01, 0.99, 1.75, 0.25):
+        f = rational_function(circle512, [z], [1.0])
+        plus, minus = _limit_residuals(circle512, f, f if z > 1 else np.zeros_like(f))
+        fault = cli._residual_fault("fft", {"rational": {"P": plus, "Q": minus}})
+        if abs(z - 1.0) < 0.025:
+            assert min(plus, minus) > 1.0
+            assert fault.startswith("rational ")
+        else:
+            assert max(plus, minus) < 1e-14
+            assert fault is None
 
 
 def test_offcurve_stack_matches_one_function_calls():
     curve = make_ellipse(2.0, 1.0, 512)
     rng = np.random.default_rng(5)
     F = rng.standard_normal((512, 3)) + 1j * rng.standard_normal((512, 3))
-    # 300 targets span five blocks of 64, inside and outside the ellipse
-    angles = np.exp(2j * np.pi * rng.random(300))
-    z = np.where(np.arange(300) % 2 == 0, 0.5 * rng.random(300), 3.0 + rng.random(300)) * angles
-    stacked = cauchy_offcurve(curve, F, z)
-    assert stacked.shape == (300, 3)
+    pf, qf = riesz_projections(curve, F)
+    assert np.array_equal(qf, F - pf)  # Q f is f - P f, to the last bit
+    # the split takes the stack in one pass, so columns agree to rounding
     for j in range(3):
-        assert np.array_equal(stacked[:, j], cauchy_offcurve(curve, F[:, j], z))
-    # a block of targets does not depend on the other blocks of its call
-    block = cauchy.OFFCURVE_BYTES // (8 * 512)
-    parts = [cauchy_offcurve(curve, F, z[s : s + block]) for s in range(0, 300, block)]
-    assert np.array_equal(stacked, np.concatenate(parts))
-    single = cauchy_offcurve(curve, F, 0.3 + 0.1j)
-    assert single.shape == (3,)
-    assert np.array_equal(single, [cauchy_offcurve(curve, F[:, j], 0.3 + 0.1j)
-                                   for j in range(3)])
+        p1, q1 = riesz_projections(curve, F[:, j])
+        assert np.abs(pf[:, j] - p1).max() <= 1e-13 * np.abs(F).max()
+        assert np.abs(qf[:, j] - q1).max() <= 1e-13 * np.abs(F).max()
 
 
 def test_offcurve_stack_keeps_the_node_and_near_curve_checks(circle512):
-    F = np.ones((512, 4), dtype=complex)
-    with pytest.warns(UserWarning, match="two node spacings"):
-        cauchy_offcurve(circle512, F, [0.2, 1.0 - 1e-4])
-    with pytest.raises(ValueError, match="on a curve node"):
-        cauchy_offcurve(circle512, F, [0.2, circle512.nodes[17]])
+    # a near-curve pole in the stack shows in its own column only
+    corpus = rational_corpus(circle512, np.random.default_rng(0), count=3)
+    near = rational_function(circle512, [1.01], [1.0])
+    F = np.column_stack([f for _, f, _ in corpus] + [near])
+    exact = np.column_stack([pf for _, _, pf in corpus] + [near])
+    plus, minus = _limit_residuals(circle512, F, exact)
+    assert np.all(plus[:3] < 1e-14) and np.all(minus[:3] < 1e-14)
+    assert plus[3] > 1.0 and minus[3] > 1.0
+    fault = cli._residual_fault("fft", {"rational": {"P": plus.max(), "Q": minus.max()}})
+    assert re.match(r"rational [PQ] residual", fault)
 
 
 @pytest.mark.parametrize("bad", [np.nan, complex(0.2, np.inf), complex(np.nan, 0.1)])
 def test_offcurve_rejects_non_finite_targets(circle512, bad):
-    one = np.ones(512, dtype=complex)
-    with pytest.raises(ValueError, match="finite"):
-        cauchy_offcurve(circle512, one, bad)
-    with pytest.raises(ValueError, match="finite"):
-        cauchy_offcurve(circle512, np.ones((512, 2)), [0.2, bad])
+    # a non-finite exact limit gives a non-finite residual; it must fault
+    # wherever it sits among the groups, not compare false and pass
+    _, f, pf = rational_corpus(circle512, np.random.default_rng(0), count=1)[0]
+    pf = pf.copy()
+    pf[17] = bad
+    plus, minus = _limit_residuals(circle512, f, pf)
+    assert not np.isfinite(plus) and not np.isfinite(minus)
+    fault = cli._residual_fault("fft", {"projection": {"PQ": 1e-16},
+                                        "rational": {"P": plus, "Q": minus}})
+    assert fault.startswith("rational P residual")
 
 
-def test_offcurve_takes_an_empty_target_array(circle512):
-    assert cauchy_offcurve(circle512, np.ones(512), []).shape == (0,)
-    empty = np.array([], dtype=complex)
-    assert cauchy_offcurve(circle512, np.ones((512, 3)), empty).shape == (0, 3)
+def test_offcurve_takes_an_empty_target_array():
+    for name in ("circle", "ellipse:2,1", "square"):
+        curve = curve_from_name(name, 512)
+        pf, qf = riesz_projections(curve, np.empty((512, 0), dtype=complex))
+        assert pf.shape == qf.shape == (512, 0)
+    assert rational_corpus(curve, np.random.default_rng(0), count=0) == []
 
 
 def test_offcurve_peak_memory_on_the_sio_check_shape():
-    # the sio-ellipse Plemelj call: 4 functions at 256 targets on 2048 nodes;
-    # numpy reports its allocations to tracemalloc, so the peak is exact
+    # the sio-ellipse Plemelj step: P and Q of 4 functions on 2048 nodes; numpy
+    # reports its allocations to tracemalloc, so the peak is exact (0.28 MiB)
     curve = curve_from_name("ellipse:2,1", 2048)
-    F = np.column_stack([v for _, v in rational_corpus(curve, np.random.default_rng(0), count=4)])
-    idx = np.arange(0, 2048, 8)
-    z = curve.nodes[idx] + 0.04j * curve.unit_tangents[idx]
-    cauchy_offcurve(curve, F, z)  # warm the curve's cached spacing
+    corpus = rational_corpus(curve, np.random.default_rng(0), count=4)
+    F = np.column_stack([f for _, f, _ in corpus])
+    riesz_projections(curve, F)  # warm the curve's remainder spectrum
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
-        cauchy_offcurve(curve, F, z)
+        riesz_projections(curve, F)
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
-    assert peak <= 2 * 2**20
+    assert peak <= 2**19
 
-
-# -------------------------------------------------------------------- Plemelj
 
 def test_plemelj_exterior_pole_identity(circle8192):
     f = 1.0 / (circle8192.nodes - 2.5)
-    r = plemelj_residual(circle8192, f, [0.08, 0.04, 0.02, 0.01], targets=128)
-    assert r.residual_plus < 1e-5
-    assert r.residual_minus < 1e-5
+    plus, minus = _limit_residuals(circle8192, f, f)
+    assert plus < 1e-13
+    assert minus < 1e-13
 
 
 def test_plemelj_monomial_limits(circle8192):
     f = modes(circle8192, 3)
-    r = plemelj_residual(circle8192, f, [0.08, 0.04, 0.02, 0.01], targets=128)
-    assert r.residual_plus < 1e-8
-    assert r.residual_minus < 1e-8
+    assert max(_limit_residuals(circle8192, f, f)) < 1e-12
+    g = modes(circle8192, -3)  # a triple pole at the origin: all Q
+    assert max(_limit_residuals(circle8192, g, np.zeros_like(g))) < 1e-12
 
 
 def test_plemelj_raw_offsets_shrink(ellipse8192):
+    # against the exact limits the split reads rounding, and the square's
+    # first-order dense path halves its residual with each doubling of n
     f = 1.0 / (ellipse8192.nodes - (0.1 + 0.05j))
-    r = plemelj_residual(ellipse8192, f, [0.16, 0.08, 0.04, 0.02], targets=128)
-    raw = r.per_offset_minus
-    assert raw[0] < raw[-1]  # offsets are sorted ascending
-    assert r.residual_minus < raw[0]
+    assert max(_limit_residuals(ellipse8192, f, np.zeros_like(f))) < 1e-13
+    raw = []
+    for n in (256, 512, 1024):
+        square = curve_from_name("square", n)
+        g = 1.0 / (square.nodes - (0.1 + 0.05j))
+        raw.append(max(_limit_residuals(square, g, np.zeros_like(g))))
+    assert 1.8 < raw[0] / raw[1] < 2.2 and 1.8 < raw[1] / raw[2] < 2.2
+
+
+def test_plemelj_on_the_circle_takes_offsets_past_2_directly(circle512):
+    # the fft path is exact for a pole at any offset from the circle that the
+    # nodes resolve, past 2 as well as below it
+    for d in (0.75, 2.5, 10.0):
+        z = (1.0 + d) * np.exp(0.3j)
+        f = rational_function(circle512, [z], [1.0 + 0.5j])
+        assert max(_limit_residuals(circle512, f, f)) < 1e-14
+    f = rational_function(circle512, [0.25 * np.exp(0.3j)], [1.0 + 0.5j])
+    assert max(_limit_residuals(circle512, f, np.zeros_like(f))) < 1e-14
+
+
+def test_plemelj_rejects_bad_offsets(circle512):
+    # the corpus retreats from the curve rather than place a pole nearer than
+    # min_distance: f = c / (tau - z0) has min |tau - z0| = |c| / max |f|
+    for distance in (0.75, 1.5, 5.0):
+        corpus = rational_corpus(circle512, np.random.default_rng(1), count=6,
+                                 min_distance=distance)
+        for name, f, _ in corpus:
+            if name.startswith("pole-out:"):
+                assert abs(1.0 + 0.5j) / np.abs(f).max() >= distance
+            elif name.startswith("pole-in:"):
+                assert abs(0.7 - 0.2j) / np.abs(f).max() >= min(distance, 0.85)
+
+
+@pytest.mark.parametrize("offsets", [[np.nan], [np.inf], [1e6], [300.0, 1e300]])
+def test_plemelj_rejects_repeated_or_non_finite_offsets(circle512, offsets):
+    # a pole offset from the curve that no retreat reaches is refused
+    for distance in offsets:
+        with pytest.raises(ValueError, match="no admissible pole"):
+            rational_corpus(circle512, np.random.default_rng(0), count=3,
+                            min_distance=distance)
 
 
 @pytest.mark.parametrize("name, n", [("ellipse:2,1", 1024), ("square", 256),
                                      ("circle", 1024)])
 def test_plemelj_stack_matches_one_function_calls(name, n):
+    # sio-check judges its corpus as one stack; each column is the
+    # one-function result, to rounding
     curve = curve_from_name(name, n)
-    functions = [f for _, f in rational_corpus(curve, np.random.default_rng(3), count=4)]
-    offsets = [0.08, 0.04, 0.02, 0.01]
-    stacked = plemelj_residual(curve, np.array(functions), offsets, targets=64)
-    single = [plemelj_residual(curve, f, offsets, targets=64) for f in functions]
-    if s_path(curve) == "split":
-        # S takes the stack in one call, and its tail test may refine further
-        # than one function's, so the split agrees to rounding
-        scale = 1e-12 * np.abs(np.array(functions)).max()
-        for a, b in zip(stacked, single):
-            assert a.offsets == b.offsets
-            for field in ("residual_plus", "residual_minus", "per_offset_plus",
-                          "per_offset_minus"):
-                assert np.abs(np.subtract(getattr(a, field), getattr(b, field))).max() <= scale
-    else:
-        assert stacked == single
-    one = plemelj_residual(curve, np.array(functions[:1]), [0.05], targets=64)
-    assert one == [plemelj_residual(curve, functions[0], [0.05], targets=64)]
-    assert isinstance(plemelj_residual(curve, functions[0], [0.05]), PlemeljResidual)
-
-
-def test_plemelj_on_the_circle_takes_offsets_past_2_directly(circle512):
-    # offsets in (0, 2) go by FFT; the rest by cauchy_offcurve, in the same result
-    f = 1.0 / (circle512.nodes - 2.5)
-    both = plemelj_residual(circle512, f, [0.05, 2.5], targets=64)
-    fft_only = plemelj_residual(circle512, f, [0.05], targets=64)
-    assert both.per_offset_plus[0] == fft_only.per_offset_plus[0]
-    idx = np.arange(0, 512, 8)
-    pf, qf = riesz_projections(circle512, f)
-    normal = 1j * circle512.unit_tangents[idx]
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        inside = cauchy_offcurve(circle512, f, circle512.nodes[idx] + 2.5 * normal)
-        outside = cauchy_offcurve(circle512, f, circle512.nodes[idx] - 2.5 * normal)
-    assert both.per_offset_plus[1] == pytest.approx(np.abs(inside - pf[idx]).max(), rel=1e-12)
-    assert both.per_offset_minus[1] == pytest.approx(np.abs(-outside - qf[idx]).max(), rel=1e-12)
-
-
-def test_plemelj_rejects_bad_offsets(circle512):
-    with pytest.raises(ValueError):
-        plemelj_residual(circle512, np.ones(512), [])
-    with pytest.raises(ValueError):
-        plemelj_residual(circle512, np.ones(512), [-0.1])
-
-
-@pytest.mark.parametrize("offsets", [[0.05, 0.05], [0.05, np.nan], [np.inf], [0.02, 0.04, 0.02]])
-def test_plemelj_rejects_repeated_or_non_finite_offsets(circle512, offsets):
-    with pytest.raises(ValueError, match="distinct|finite"):
-        plemelj_residual(circle512, np.ones(512), offsets)
-
-
-def test_plemelj_rejects_targets_below_one(circle512):
-    for targets in (0, -3):
-        with pytest.raises(ValueError, match="targets must be at least 1"):
-            plemelj_residual(circle512, np.ones(512), [0.05], targets=targets)
+    corpus = rational_corpus(curve, np.random.default_rng(3), count=4)
+    F = np.column_stack([f for _, f, _ in corpus])
+    exact = np.column_stack([pf for _, _, pf in corpus])
+    stacked = np.array(_limit_residuals(curve, F, exact))
+    single = np.array([_limit_residuals(curve, f, pf) for _, f, pf in corpus]).T
+    assert np.abs(stacked - single).max() <= 1e-12 * np.abs(F).max()
 
 
 @pytest.mark.parametrize("n", [64, 512, 4096])
-def test_circle_plemelj_sums_match_the_direct_sum(n, monkeypatch):
-    # on the circle the off-curve sums are the trapezoid sums of cauchy_offcurve,
-    # taken by FFT; at n = 64 and offset 0.01, rho^n = 0.53 tests the mode folding
+def test_circle_plemelj_sums_match_the_direct_sum(n):
+    # on the circle P is the exact FFT multiplier: it matches the residue sums
+    # of the corpus and the nonnegative-mode sums of trig polynomials; at
+    # n = 64 the exterior poles at radius 2 alias at 2^(-n/2)
     curve = make_unit_circle(n)
     rng = np.random.default_rng(6)
-    F = np.array([f for _, f in rational_corpus(curve, rng, count=4)]
-                 + list(random_trig_polynomial(curve, rng, degree=12, count=2)))
-    spectrum = np.fft.fft(F, axis=1) / n
-    offsets = [0.3, 0.08, 0.01, 1.5]
-    normal = 1j * curve.unit_tangents
-
-    def direct(spectrum, rho):
-        # the targets the general path uses, base + (1 - rho) * interior normal
-        return cauchy_offcurve(curve, F.T, curve.nodes + (1.0 - rho) * normal).T
-
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")  # 0.01 lies within two node spacings for n <= 512
-        for d in offsets:
-            for rho in (1.0 - d, 1.0 + d):
-                fast = cauchy._circle_offcurve(spectrum, rho)
-                slow = direct(spectrum, rho)
-                assert np.abs(fast - slow).max() <= 1e-13 * np.abs(slow).max()
-
-    fast = plemelj_residual(curve, F, offsets, targets=64)
-    monkeypatch.setattr(cauchy, "_circle_offcurve", direct)
-    slow = plemelj_residual(curve, F, offsets, targets=64)
-    for a, b in zip(fast, slow):
-        assert a.offsets == b.offsets
-        for field in ("residual_plus", "residual_minus", "per_offset_plus", "per_offset_minus"):
-            assert np.abs(np.subtract(getattr(a, field), getattr(b, field))).max() <= 1e-13
+    corpus = rational_corpus(curve, rng, count=4)
+    k = np.arange(-12, 13)
+    coeff = rng.standard_normal((25, 2)) + 1j * rng.standard_normal((25, 2))
+    trig = np.exp(1j * np.outer(np.angle(curve.nodes), k)) @ coeff
+    F = np.column_stack([f for _, f, _ in corpus] + [trig])
+    direct = np.column_stack([pf for _, _, pf in corpus] + [trig - np.exp(
+        1j * np.outer(np.angle(curve.nodes), k[k < 0])) @ coeff[k < 0]])
+    plus, minus = _limit_residuals(curve, F, direct)
+    bound = 1e-13 * np.abs(F).max() + 2.0 * 2.0 ** (-n / 2)
+    assert plus.max() <= bound and minus.max() <= bound
 
 
 # ---------------------------------------------------------------- conjugation
@@ -477,7 +475,7 @@ def _memo_stack(curve, rng):
     """64 smooth columns for the split: trig polynomials and rational functions."""
     return np.column_stack(
         [random_trig_polynomial(curve, rng, d) for d in (0, 3, 12, 40) * 10]
-        + [v for _, v in rational_corpus(curve, rng, count=24)]
+        + [v for _, v, _ in rational_corpus(curve, rng, count=24)]
     )
 
 
@@ -496,7 +494,8 @@ def test_split_on_a_warm_curve_is_bitwise_the_fresh_curve_result(order):
 def test_split_spectrum_of_a_wiggly_curve_is_2048_square_within_its_cap():
     # the top quarter of C's modes reads 2.4e-12 at m = 2048, under 64 * 2048 eps
     warm = curve_from_name("perturbed-circle:0.3,12", 4096)
-    F = np.column_stack([v for _, v in rational_corpus(warm, np.random.default_rng(0), count=4)])
+    corpus = rational_corpus(warm, np.random.default_rng(0), count=4)
+    F = np.column_stack([v for _, v, _ in corpus])
     first = apply_S(warm, F)
     second = apply_S(warm, F[:, 0])
     C = warm._memo["remainder"]
@@ -660,7 +659,7 @@ def test_apply_S_stack_matches_one_column_calls(name):
     rng = np.random.default_rng(3)
     F = np.column_stack(
         [random_trig_polynomial(curve, rng, d) for d in (0, 3, 12, 40)]
-        + [v for _, v in rational_corpus(curve, rng, count=3)]
+        + [v for _, v, _ in rational_corpus(curve, rng, count=3)]
     )
     stack = apply_S(curve, F)
     columns = np.column_stack([apply_S(curve, F[:, j]) for j in range(F.shape[1])])

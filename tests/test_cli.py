@@ -1,4 +1,5 @@
 import json
+import re
 import tracemalloc
 import warnings
 
@@ -260,6 +261,30 @@ def test_sio_check_faults_when_a_residual_exceeds_its_threshold(tmp_path, capsys
     assert max(res["adjoint_residuals"].values()) < threshold
 
 
+@pytest.mark.parametrize("curve", ["circle", "ellipse:2,1"])
+def test_sio_check_judges_the_rational_oracle(tmp_path, capsys, monkeypatch, curve):
+    # an exact P part off by 1e-6 at one node must fail the run, although S is right
+    exact = cli.rational_corpus
+
+    def skewed(*args, **kwargs):
+        corpus = exact(*args, **kwargs)
+        name, f, pf = corpus[1]
+        pf = pf.copy()
+        pf[7] += 1e-6
+        return [*corpus[:1], (name, f, pf), *corpus[2:]]
+
+    args = ["sio-check", "--curve", curve, "--n", "512", "--trials", "2"]
+    assert run([*args, "--out", str(tmp_path / "exact")]) == EXIT_OK
+    res = json.loads((tmp_path / "exact" / "report.json").read_text())["results"]
+    assert max(res["plemelj_max_plus"], res["plemelj_max_minus"]) < 1e-13
+    monkeypatch.setattr(cli, "rational_corpus", skewed)
+    assert run([*args, "--out", str(tmp_path / "skewed")]) == EXIT_FAULT
+    assert re.search(r"rational [PQ] residual 1e-06 exceeds", capsys.readouterr().err)
+    res = json.loads((tmp_path / "skewed" / "report.json").read_text())["results"]
+    assert res["plemelj_max_plus"] == pytest.approx(1e-6, rel=1e-6)
+    assert res["plemelj_max_minus"] == pytest.approx(1e-6, rel=1e-6)
+
+
 def test_smooth_curves_skip_the_dense_kernel(tmp_path, monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("dense kernel built on a smooth curve")
@@ -296,8 +321,9 @@ def _count_calls(monkeypatch, name, modules=(cauchy,)):
 
 
 def test_sio_check_takes_every_offcurve_target_in_one_call(tmp_path, monkeypatch):
-    # the 4 corpus functions at 4 offsets x 2 sides x 256 targets share one call
-    shapes = _count_calls(monkeypatch, "cauchy_offcurve")
+    # the boundary limits of the 4 corpus functions at every node: P f and Q f
+    # of the whole stack in one riesz_projections call
+    shapes = _count_calls(monkeypatch, "riesz_projections", modules=(cauchy, cli))
     code = run(["sio-check", "--curve", "ellipse:2,1", "--n", "512", "--trials", "2",
                 "--out", str(tmp_path / "sio")])
     assert code == EXIT_OK
@@ -305,9 +331,9 @@ def test_sio_check_takes_every_offcurve_target_in_one_call(tmp_path, monkeypatch
 
 
 def test_sio_check_builds_one_remainder_spectrum(tmp_path, monkeypatch):
-    # 10 applications of S (2 per 8-mode block of the certificate, 1 Plemelj
-    # stack, 1 norm-ratio stack) share the curve's C: one doubling, m = 64 and
-    # then 128, for the run
+    # 10 applications of S (2 per 8-mode block of the certificate, 1 stack of
+    # the rational corpus, 1 norm-ratio stack) share the curve's C: one
+    # doubling, m = 64 and then 128, for the run
     applied = _count_calls(monkeypatch, "_split_S")
     grids = _count_calls(monkeypatch, "_remainder_coefficients")
     code = run(["sio-check", "--curve", "ellipse:2,1", "--n", "2048",
@@ -318,14 +344,13 @@ def test_sio_check_builds_one_remainder_spectrum(tmp_path, monkeypatch):
 
 
 def test_sio_check_on_the_circle_takes_no_direct_offcurve_sum(tmp_path, monkeypatch):
-    # the circle's off-curve sums go by FFT, and S takes the corpus in one call
-    offcurve = _count_calls(monkeypatch, "cauchy_offcurve")
+    # nothing is summed off the curve: the Plemelj limits are the corpus's
+    # exact ones, and S takes the corpus in one call
     applied = _count_calls(monkeypatch, "apply_S")
     paired = _count_calls(monkeypatch, "operator_matrix")
     code = run(["sio-check", "--curve", "circle", "--n", "512", "--trials", "2",
                 "--out", str(tmp_path / "sio")])
     assert code == EXIT_OK
-    assert offcurve == []
     # the mode-basis certificate, per 8-mode block: S of [B | HB], then S of
     # SB, then one pairing of B, SB, S^2 B and HSHB; then the corpus
     assert applied == [(512, 16), (512, 8)] * 4 + [(512, 4)]

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from siolab.cauchy import riesz_projections
 from siolab.corpus import _trig_sampler, random_trig_polynomial, rational_corpus
 from siolab.curves import curve_from_name, make_ellipse
 from siolab.exponents import exponent_constant, exponent_from_preset
@@ -59,10 +60,25 @@ def test_rational_corpus_on_a_curve_near_the_origin():
     need_in = 0.85 * np.abs(curve.nodes).min()
     corpus = rational_corpus(curve, np.random.default_rng(0), count=12)
     assert len(corpus) == 12
-    for name, values in corpus:
+    for name, values, _ in corpus:
         assert np.all(np.isfinite(values))
         # one simple pole c / (tau - z0): min |tau - z0| = |c| / max |f|
         if name.startswith("pole-in:"):
             assert abs(0.7 - 0.2j) / np.abs(values).max() >= need_in
         elif name.startswith("pole-out:"):
             assert abs(1.0 + 0.5j) / np.abs(values).max() >= 0.75
+
+
+def test_rational_corpus_exact_P_part_is_the_circle_projection():
+    # on the circle P is the exact FFT multiplier: the residue oracle must agree
+    curve = curve_from_name("circle", 4096)
+    corpus = rational_corpus(curve, np.random.default_rng(5), count=9)
+    assert {name.partition(":")[0] for name, _, _ in corpus} == {"pole-out", "pole-in",
+                                                                  "pole-pair"}
+    for name, f, pf in corpus:
+        p_fft, q_fft = riesz_projections(curve, f)
+        assert np.abs(p_fft - pf).max() <= 1e-14, name
+        assert np.abs(q_fft - (f - pf)).max() <= 1e-14, name
+    kinds = {name.partition(":")[0]: (f, pf) for name, f, pf in corpus}
+    assert np.array_equal(*kinds["pole-out"])  # P f = f
+    assert not np.any(kinds["pole-in"][1])  # P f = 0

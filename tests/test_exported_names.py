@@ -14,8 +14,6 @@ ROOT = Path(__file__).resolve().parents[1]
 SOURCES = sorted((ROOT / "src" / "siolab").glob("*.py")) + sorted(
     p for p in (ROOT / "bench").glob("*.py") if not p.name.startswith("test_")
 )
-# the paper's P and Q, documented in README as the library's projections
-EXEMPT = {"riesz_projections"}
 
 
 def _exports(tree: ast.Module) -> list[str]:
@@ -40,5 +38,5 @@ def test_every_exported_name_has_a_caller_outside_the_tests():
                 if path.parent.name == "siolab" for name in _exports(tree)}
     assert len({module for module, _ in exported}) == 6
     unused = sorted(f"{module}.{name}" for module, name in exported
-                    if name not in used and name not in EXEMPT)
+                    if name not in used)
     assert unused == []
