@@ -255,7 +255,7 @@ def run_multiplier(cfg: ExperimentConfig) -> tuple[ReportBundle, str | None]:
     # node values are all a multiplier reads, so a preset symbol takes any curve
     a = (_symbol(cfg.symbol, curve, cfg.degree, rng).values if cfg.symbol.endswith(".csv")
          else symbol_values(cfg.symbol, curve, cfg.degree, rng))
-    bounds = multiplier_norm_lower(curve, a, p, q, trials=cfg.trials, rng=rng)
+    bounds = multiplier_norm_lower(curve, a, p, q, trials=cfg.trials)
     theorem, lower = bounds.theorem_value, bounds.lower_bound
     allowance = 1.0 if (p.is_constant and q.is_constant) else VARIABLE_EQUIV_ALLOWANCE
     results = {
@@ -264,6 +264,8 @@ def run_multiplier(cfg: ExperimentConfig) -> tuple[ReportBundle, str | None]:
         "witness_value": bounds.witness_value,
         "lower_over_theorem": lower / theorem if theorem > 0 else 0.0,
         "equivalence_allowance": allowance,
+        "power_steps": bounds.power_steps,
+        "last_rise": bounds.last_rise,
     }
     bundle = ReportBundle(
         results,

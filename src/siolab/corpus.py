@@ -14,40 +14,23 @@ __all__ = [
 ]
 
 
-def _trig_sampler(curve: JordanCurve, degree: int):
-    """draw(rng, d): a random trigonometric polynomial of degree d <= degree.
-
-    The table exp(i k theta), k = -degree..degree, is built once; degree d
-    uses its middle 2d + 1 columns. Each draw takes its real then its
-    imaginary coefficients from rng.
-    """
-    theta = np.angle(curve.nodes)
-    table = np.exp(1j * np.outer(theta, np.arange(-degree, degree + 1)))
-
-    def draw(rng: np.random.Generator, d: int) -> np.ndarray:
-        size = 2 * d + 1
-        coeff = rng.standard_normal(size) + 1j * rng.standard_normal(size)
-        return table[:, degree - d:degree + d + 1] @ coeff
-
-    return draw
-
-
 def random_trig_polynomial(curve: JordanCurve, rng: np.random.Generator,
                            degree: int = 8, count: int | None = None) -> np.ndarray:
     """Random complex trigonometric polynomial in the node angles.
 
     With ``count=None`` one polynomial, shape (n,); otherwise ``count`` of
-    them, one per row of a (count, n) array, from one table, so row i is
-    bitwise the (i+1)-th of ``count`` one-polynomial calls on the same
-    generator.
+    them, one per row of a (count, n) array, from one table exp(i k theta),
+    k = -degree..degree, so row i is bitwise the (i+1)-th of ``count``
+    one-polynomial calls on the same generator. Each polynomial takes its
+    real then its imaginary coefficients from rng.
     """
-    draw = _trig_sampler(curve, degree)
-    if count is None:
-        return draw(rng, degree)
-    polys = np.empty((count, curve.n_nodes), dtype=complex)
-    for i in range(count):
-        polys[i] = draw(rng, degree)
-    return polys
+    theta = np.angle(curve.nodes)
+    table = np.exp(1j * np.outer(theta, np.arange(-degree, degree + 1)))
+    polys = np.empty((1 if count is None else count, curve.n_nodes), dtype=complex)
+    for row in polys:
+        row[:] = table @ (rng.standard_normal(2 * degree + 1)
+                          + 1j * rng.standard_normal(2 * degree + 1))
+    return polys[0] if count is None else polys
 
 
 def indicator_arc(curve: JordanCurve, center_index: int, width_nodes: int) -> np.ndarray:

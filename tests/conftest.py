@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
+import siolab.cauchy as cauchy
 from siolab import make_ellipse, make_unit_circle
 from siolab.cauchy import apply_S, conjugation_H, mode_basis, operator_matrix
 from siolab.exponents import check_conjugate_triple
@@ -105,6 +106,27 @@ def _block_residuals(curve, a, N):
     if curve.is_unit_circle and (a.exact_band or a.degree >= N):
         res["section"] = np.abs(M1[np.ix_(plus, plus)] - finite_section(a, N + 1, N + 1)).max()
     return {key: float(value) for key, value in res.items()}
+
+
+def _count_calls(monkeypatch, name, modules=(cauchy,)):
+    """Record the shape of the second argument of every call to <name> made
+    through the bindings of ``modules``; the first one defines it."""
+    shapes = []
+    original = getattr(modules[0], name)
+
+    def counting(curve, f, *args, **kwargs):
+        shapes.append(np.shape(f))
+        return original(curve, f, *args, **kwargs)
+
+    for module in modules:
+        if getattr(module, name, None) is original:
+            monkeypatch.setattr(module, name, counting)
+    return shapes
+
+
+@pytest.fixture(scope="session")
+def count_calls():
+    return _count_calls
 
 
 @pytest.fixture(scope="session")

@@ -2,10 +2,8 @@ import numpy as np
 import pytest
 
 from siolab.cauchy import riesz_projections
-from siolab.corpus import _trig_sampler, random_trig_polynomial, rational_corpus
+from siolab.corpus import random_trig_polynomial, rational_corpus
 from siolab.curves import curve_from_name, make_ellipse
-from siolab.exponents import exponent_constant, exponent_from_preset
-from siolab.spaces import multiplier_norm_lower
 
 
 def test_trig_polynomial_count_matches_one_at_a_time():
@@ -18,39 +16,16 @@ def test_trig_polynomial_count_matches_one_at_a_time():
 
 
 @pytest.mark.parametrize("name", ["circle", "ellipse:2,1"])
-def test_trig_sampler_columns_match_a_fresh_table(name):
-    # degree d reads the middle 2d + 1 columns of the one degree-8 table
+def test_trig_polynomial_matches_a_fresh_table(name):
+    # degree d reads the table exp(i k theta), k = -d..d, real coefficients first
     curve = curve_from_name(name, 1024)
-    draw = _trig_sampler(curve, 8)
     theta = np.angle(curve.nodes)
     for d in range(9):
-        got = draw(np.random.default_rng(d), d)
+        got = random_trig_polynomial(curve, np.random.default_rng(d), degree=d)
         rng = np.random.default_rng(d)
         k = np.arange(-d, d + 1)
         coeff = rng.standard_normal(k.size) + 1j * rng.standard_normal(k.size)
         assert np.array_equal(got, np.exp(1j * np.outer(theta, k)) @ coeff)
-
-
-def test_multiplier_lower_draws_candidates_in_the_documented_order():
-    curve = curve_from_name("circle", 1024)
-    n, trials = curve.n_nodes, 24
-    p = exponent_from_preset("2+abs(sin)", curve)
-    q = exponent_constant(2.0, n)
-    a = 1.0 + np.cos(np.angle(curve.nodes)) ** 2
-    rng = np.random.default_rng(3)
-    multiplier_norm_lower(curve, a, p, q, trials=trials, rng=rng)
-    # one constant and four arcs, then random arcs (centre, width) and random
-    # polynomials (degree, real then imaginary coefficients)
-    expected = np.random.default_rng(3)
-    for _ in range(5, trials):
-        if expected.random() < 0.3:
-            expected.integers(0, n)
-            expected.integers(1, max(2, n // 4))
-        else:
-            size = 2 * int(expected.integers(0, 9)) + 1
-            expected.standard_normal(size)
-            expected.standard_normal(size)
-    assert rng.bit_generator.state == expected.bit_generator.state
 
 
 def test_rational_corpus_on_a_curve_near_the_origin():

@@ -7,8 +7,9 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy.optimize import brentq
 
+import siolab.spaces as spaces
 from siolab.cli import ExperimentConfig, run_norm
-from siolab.curves import make_unit_circle
+from siolab.curves import curve_from_name, make_unit_circle
 from siolab.exponents import (
     exponent_constant,
     exponent_from_preset,
@@ -23,6 +24,7 @@ from siolab.spaces import (
     norm_value,
     unit_ball_check,
 )
+from siolab.toeplitz import symbol_values
 
 TWO_PI = 2.0 * np.pi
 
@@ -348,14 +350,55 @@ def test_multiplier_lower_indicator_symbol(circle1024):
     assert lower == pytest.approx(measure ** 0.25, rel=1e-8)
 
 
-def test_multiplier_lower_variable_within_allowance(circle1024, rng):
+def test_multiplier_lower_variable_within_allowance(circle1024):
     p = exponent_from_preset("3+abs(sin)", circle1024)
     q = exponent_constant(2.0, 1024)
     a = 1.0 + np.cos(np.angle(circle1024.nodes)) ** 2
-    lower = multiplier_norm_lower(circle1024, a, p, q, trials=16, rng=rng).lower_bound
+    lower = multiplier_norm_lower(circle1024, a, p, q, trials=16).lower_bound
     theorem = multiplier_norm_via_theorem(circle1024, a, p, q)
     assert lower <= theorem * 1.05
     assert lower >= theorem * 0.95
+
+
+@pytest.mark.parametrize("curve_name, n, p_spec, q_spec, symbol, floor", [
+    ("circle", 4096, "4", "2", "one-plus-cos2", None),
+    ("circle", 4096, "2+abs(sin)", "2", "one-plus-cos2", 2.04),
+    ("ellipse:2,1", 4096, "2+abs(sin)", "2", "cos", 1.05),
+    ("circle", 4096, "step:2,3", "1.5", "trig-random:5", 7.60),
+    ("circle", 1024, "2", "2", "cos", 0.99987),
+    ("circle", 1024, "4", "4", "cos", 0.99987),
+])
+def test_multiplier_lower_power_method(monkeypatch, count_calls, curve_name, n, p_spec,
+                                       q_spec, symbol, floor):
+    curve = curve_from_name(curve_name, n)
+    p, q = exponent_from_preset(p_spec, curve), exponent_from_preset(q_spec, curve)
+    a = symbol_values(symbol, curve, 300, np.random.default_rng(0))
+    ratios = []  # ||a u||_q of every trial function u, in order
+
+    def recording(curve, f, exponent):
+        value = norm_value(curve, f, exponent)
+        if exponent is q:
+            ratios.append(value)
+        return value
+
+    monkeypatch.setattr(spaces, "norm_value", recording)
+    norms = count_calls(monkeypatch, "luxemburg_norm", (spaces,))
+    trials = 24
+    bounds = multiplier_norm_lower(curve, a, p, q, trials=trials)
+    has_witness = bounds.witness_value > 0.0
+    fixed = 6 if has_witness else 5  # the constant, four arcs, the witness
+    if floor is None:  # constant exponents: the witness reaches the theorem value
+        assert bounds.lower_bound == pytest.approx(bounds.theorem_value, rel=1e-12)
+    else:
+        assert bounds.lower_bound >= floor
+    assert bounds.lower_bound <= bounds.theorem_value * spaces.VARIABLE_EQUIV_ALLOWANCE
+    assert 1 <= bounds.power_steps <= trials - fixed
+    # the steps start from the witness, or from u = 1, and never fall
+    iterates = [ratios[5 if has_witness else 0], *ratios[-bounds.power_steps:]]
+    assert np.all(np.diff(iterates) >= 0.0)
+    assert bounds.last_rise == pytest.approx(iterates[-1] / iterates[-2] - 1.0, abs=1e-15)
+    assert bounds.lower_bound == max(ratios)
+    assert len(norms) <= 2 * trials + 1
 
 
 def test_multiplier_lower_skips_infinite_samples(circle512):
