@@ -57,6 +57,4 @@ from .toeplitz import (
     finite_section,
     symbol_from_coefficients,
     symbol_from_preset,
-    symbol_from_samples,
-    symbol_values,
 )

@@ -43,7 +43,6 @@ from .toeplitz import (
     dichotomy_probe,
     symbol_from_coefficients,
     symbol_from_preset,
-    symbol_values,
 )
 
 EXIT_OK = 0
@@ -252,9 +251,7 @@ def run_multiplier(cfg: ExperimentConfig) -> tuple[ReportBundle, str | None]:
     p = _exponent(cfg.p, curve)
     q = _exponent(cfg.q, curve)
     rng = np.random.default_rng(cfg.seed)
-    # node values are all a multiplier reads, so a preset symbol takes any curve
-    a = (_symbol(cfg.symbol, curve, cfg.degree, rng).values if cfg.symbol.endswith(".csv")
-         else symbol_values(cfg.symbol, curve, cfg.degree, rng))
+    a = _symbol(cfg.symbol, curve, cfg.degree, rng).values
     bounds = multiplier_norm_lower(curve, a, p, q, trials=cfg.trials)
     theorem, lower = bounds.theorem_value, bounds.lower_bound
     allowance = 1.0 if (p.is_constant and q.is_constant) else VARIABLE_EQUIV_ALLOWANCE
@@ -519,7 +516,7 @@ def main(argv=None) -> int:
             print(f"numerical fault: {fault}", file=sys.stderr)
             return EXIT_FAULT
         return EXIT_OK
-    except (ValueError, OSError, KeyError, json.JSONDecodeError) as exc:
+    except (ValueError, OSError, KeyError, json.JSONDecodeError, MemoryError) as exc:
         print(f"validation error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
 

@@ -7,6 +7,10 @@ probe injectivity without the spurious kernels square truncations invent.
 Density of the image is never tested directly: it is equivalent to
 triviality of the companion kernel, which is what the probe measures.
 
+Every preset symbol carries exact Fourier coefficients, whatever the curve:
+the trigonometric polynomials their whole band, ``singular:s`` its closed
+form up to ``degree``. Node values are read at the node angles.
+
 Sections are read-only views of one coefficient window, so building them
 copies nothing. The probe builds every section first and then takes the
 singular values of the T sections on the calling thread while one worker
@@ -18,6 +22,7 @@ runs both sides on the calling thread.
 
 from __future__ import annotations
 
+import math
 import os
 import threading
 from dataclasses import dataclass
@@ -31,10 +36,8 @@ from .exponents import ExponentFunction, dominance_check
 __all__ = [
     "Symbol",
     "DichotomyVerdict",
-    "symbol_from_samples",
     "symbol_from_coefficients",
     "symbol_from_preset",
-    "symbol_values",
     "singular_power_coefficients",
     "finite_section",
     "dichotomy_probe",
@@ -56,8 +59,8 @@ class Symbol:
 
     ``exact_band`` marks trigonometric polynomials whose coefficients vanish
     identically outside the stored band; only those admit finite sections of
-    arbitrary size. For sampled or singular symbols the coefficients beyond
-    ``degree`` are unknown, not zero.
+    arbitrary size. Every preset but ``singular:s`` is one; for that symbol
+    the coefficients beyond ``degree`` are unknown, not zero.
     """
 
     values: np.ndarray
@@ -117,28 +120,6 @@ class DichotomyVerdict:
         }
 
 
-def symbol_from_samples(curve: JordanCurve, values, degree: int, name: str = "symbol",
-                        exact_band: bool = False) -> Symbol:
-    """Build a symbol from node samples on the unit circle (FFT coefficients).
-
-    Pass ``exact_band=True`` only when the samples come from a trigonometric
-    polynomial of at most the requested degree.
-    """
-    if not curve.is_unit_circle:
-        raise ValueError("Fourier coefficients by FFT need the unit circle")
-    v = np.asarray(values, dtype=complex)
-    if v.size != curve.n_nodes:
-        raise ValueError("sample count differs from the curve")
-    if not np.all(np.isfinite(v)):
-        raise ValueError("samples contain non-finite values; build from coefficients instead")
-    n = v.size
-    if n < 2 * degree + 2:
-        raise ValueError("not enough samples for the requested degree (aliasing)")
-    spectrum = np.fft.fft(v) / n
-    coeff = spectrum[np.arange(-degree, degree + 1) % n]
-    return Symbol(v, coeff, degree, name, exact_band)
-
-
 def symbol_from_coefficients(coefficients, curve: JordanCurve, name: str = "symbol") -> Symbol:
     """Build a symbol from coefficients a_k, k = -K..K; its node values are
     synthesized at the node angles, as the sampled presets read them."""
@@ -152,61 +133,28 @@ def symbol_from_coefficients(coefficients, curve: JordanCurve, name: str = "symb
     return Symbol(values, c, degree, name, exact_band=True)
 
 
-def _gauss_panels(edges: np.ndarray, points: int = 16) -> tuple[np.ndarray, np.ndarray]:
-    x, w = np.polynomial.legendre.leggauss(points)
-    lo, hi = edges[:-1], edges[1:]
-    mid = 0.5 * (lo + hi)
-    half = 0.5 * (hi - lo)
-    nodes = (mid[:, None] + half[:, None] * x[None, :]).ravel()
-    weights = (half[:, None] * w[None, :]).ravel()
-    return nodes, weights
-
-
 def singular_power_coefficients(s: float, degree: int) -> np.ndarray:
     """Fourier coefficients of |exp(i phi) - 1|^s = (2 sin(phi/2))^s, -1 < s < 0.
 
-    The integrand has an integrable algebraic singularity at phi = 0, so the
-    quadrature refines panels geometrically toward it while keeping every
-    panel short enough to resolve cos(k phi) up to k = degree.
+    Gauss's summation of the binomial series of (1 - t)^(s/2) (1 - 1/t)^(s/2)
+    gives a_k = (-1)^k Gamma(1+s) / (Gamma(1+s/2+k) Gamma(1+s/2-k)) (Boettcher
+    and Silbermann, Analysis of Toeplitz Operators, 2006); a_0 comes from
+    log-gammas and each a_{k+1} from a_k by the ratio (k - s/2) / (k + 1 + s/2).
     """
     if not (-1.0 < s < 0.0):
         raise ValueError("exponent must lie in (-1, 0)")
-    w_max = min(0.5, 6.0 / max(1, degree))
-    cutoff = 1e-18
-    edges = [np.pi]
-    while edges[-1] > cutoff:
-        edges.append(edges[-1] * 0.5)
-    edges = np.array(edges[::-1])
-    refined = [edges[0]]
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        pieces = max(1, int(np.ceil((hi - lo) / w_max)))
-        refined.extend(np.linspace(lo, hi, pieces + 1)[1:])
-    phi, w = _gauss_panels(np.asarray(refined))
-    f = (2.0 * np.sin(0.5 * phi)) ** s
-    k = np.arange(degree + 1)
-    half = np.cos(np.outer(k, phi)) @ (f * w) / np.pi
-    # analytic tail over [0, cutoff]: integrand ~ phi^s there and cos(k phi) ~ 1
-    half += edges[0] ** (1.0 + s) / (1.0 + s) / np.pi
-    coeff = np.concatenate([half[:0:-1], half])
-    return coeff.astype(complex)
+    k = np.arange(degree)
+    a0 = math.exp(math.lgamma(1.0 + s) - 2.0 * math.lgamma(1.0 + 0.5 * s))
+    half = np.cumprod(np.concatenate([[a0], (k - 0.5 * s) / (k + 1.0 + 0.5 * s)]))
+    return np.concatenate([half[:0:-1], half]).astype(complex)
 
 
-# presets defined by their node values: degree, and values at the node angles
+# presets in closed form: values at the node angles and coefficients a_{-K..K}
 _SAMPLED_PRESETS = {
-    "one": (0, np.ones_like),
-    "cos": (1, np.cos),
-    "one-plus-cos2": (2, lambda theta: 1.0 + np.cos(theta) ** 2),
+    "one": (np.ones_like, (1.0,)),
+    "cos": (np.cos, (0.5, 0.0, 0.5)),
+    "one-plus-cos2": (lambda theta: 1.0 + np.cos(theta) ** 2, (0.25, 0.0, 1.5, 0.0, 0.25)),
 }
-
-
-def symbol_values(spec: str, curve: JordanCurve, degree: int = 300,
-                  rng: np.random.Generator | None = None) -> np.ndarray:
-    """Node values of the preset symbol ``spec``; the sample-defined presets
-    need no Fourier coefficients, so they take any curve, not only the circle."""
-    head = spec.strip().partition(":")[0]
-    if head in _SAMPLED_PRESETS:
-        return _SAMPLED_PRESETS[head][1](np.angle(curve.nodes)).astype(complex)
-    return symbol_from_preset(spec, curve, degree, rng).values
 
 
 def symbol_from_preset(spec: str, curve: JordanCurve, degree: int = 300,
@@ -216,8 +164,8 @@ def symbol_from_preset(spec: str, curve: JordanCurve, degree: int = 300,
     spec = spec.strip()
     head, _, args = spec.partition(":")
     if head in _SAMPLED_PRESETS:
-        return symbol_from_samples(curve, symbol_values(spec, curve),
-                                   _SAMPLED_PRESETS[head][0], spec, exact_band=True)
+        values, c = _SAMPLED_PRESETS[head]
+        return Symbol(values(np.angle(curve.nodes)), c, len(c) // 2, spec, exact_band=True)
     if head == "monomial":
         k = int(args)
         if abs(k) > degree:

@@ -22,7 +22,7 @@ from siolab.cauchy import (
 )
 from siolab.corpus import random_trig_polynomial, rational_corpus, rational_function
 from siolab.curves import curve_from_name, make_ellipse, make_unit_circle
-from siolab.toeplitz import symbol_from_coefficients, symbol_from_samples
+from siolab.toeplitz import symbol_from_coefficients
 
 
 def modes(curve, k):
@@ -458,17 +458,10 @@ def test_fourier_roundtrip_bandlimited(circle512, rng):
     k = np.arange(-10, 11)
     coeff = rng.standard_normal(21) + 1j * rng.standard_normal(21)
     f = np.exp(1j * np.outer(np.angle(circle512.nodes), k)) @ coeff
-    rep = symbol_from_samples(circle512, f, 10)
-    assert np.abs(rep.coefficients - coeff).max() < 1e-12
-    resampled = symbol_from_coefficients(rep.coefficients, circle512).values
-    assert np.abs(resampled - f).max() < 1e-10
+    rep = symbol_from_coefficients(coeff, circle512)
+    assert np.abs(rep.values - f).max() < 1e-10
     assert rep.coefficient_window(3, 3)[0] == pytest.approx(coeff[13])
     assert not rep.coefficient_window(95, 99).any()
-
-
-def test_fourier_rejects_aliasing():
-    with pytest.raises(ValueError, match="aliasing"):
-        symbol_from_samples(make_unit_circle(16), np.ones(16), 8)
 
 
 def _memo_stack(curve, rng):

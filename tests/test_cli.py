@@ -520,3 +520,20 @@ def test_symbol_coefficients_csv_rejects_bad_rows(tmp_path, capsys, command, row
     assert code == EXIT_VALIDATION
     assert message in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command, argv", [
+    ("multiplier", ["--symbol", "trig-random:1000000000000000"]),
+    ("multiplier", ["--symbol", "{csv}"]),
+    ("norm", ["--n", "1000000000000000"]),
+], ids=["trig-random", "csv-mode", "norm-nodes"])
+def test_oversized_inputs_are_validation_errors(tmp_path, capsys, command, argv):
+    # each asks numpy for petabytes, more than a 47-bit address space holds, so
+    # the allocation fails before any memory is touched; it was a traceback and exit 1
+    coeffs = tmp_path / "coeffs.csv"
+    coeffs.write_text("1000000000000000,1.0,0.0\n")
+    out = tmp_path / "out"
+    argv = [arg.format(csv=coeffs) for arg in argv]
+    assert run([command, *argv, "--out", str(out)]) == EXIT_VALIDATION
+    assert "validation error: Unable to allocate" in capsys.readouterr().err
+    assert not out.exists()

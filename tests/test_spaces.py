@@ -24,7 +24,7 @@ from siolab.spaces import (
     norm_value,
     unit_ball_check,
 )
-from siolab.toeplitz import symbol_values
+from siolab.toeplitz import symbol_from_preset
 
 TWO_PI = 2.0 * np.pi
 
@@ -372,7 +372,7 @@ def test_multiplier_lower_power_method(monkeypatch, count_calls, curve_name, n, 
                                        q_spec, symbol, floor):
     curve = curve_from_name(curve_name, n)
     p, q = exponent_from_preset(p_spec, curve), exponent_from_preset(q_spec, curve)
-    a = symbol_values(symbol, curve, 300, np.random.default_rng(0))
+    a = symbol_from_preset(symbol, curve, 300, np.random.default_rng(0)).values
     ratios = []  # ||a u||_q of every trial function u, in order
 
     def recording(curve, f, exponent):
