@@ -41,6 +41,9 @@ evaluates that integral off the curve: for the rational functions of
 Q f), and ``sio-check`` judges ``riesz_projections`` against them.
 ``adjoint_residuals`` certifies P and Q on a mode basis that S takes in
 blocks of ADJOINT_BLOCK modes, so none of its arrays is larger than the basis.
+
+Two quantities are taken once per curve and kept in ``curve._memo``: the
+split's remainder spectrum C and the conjugation phase exp(-i theta).
 """
 
 from __future__ import annotations
@@ -319,23 +322,42 @@ def riesz_projections(curve: JordanCurve, f) -> tuple[np.ndarray, np.ndarray]:
 def conjugation_H(curve: JordanCurve, f) -> np.ndarray:
     """Antilinear involution (H f)(tau) = exp(-i theta(tau)) conj(f(tau)).
 
-    Node samples run along the last axis, so a 2-d input maps row by row.
+    Node samples run along the last axis, so a 2-d input maps row by row. The
+    phase exp(-i theta) is taken once per curve and kept in ``curve._memo``.
     """
-    return np.exp(-1j * curve.tangent_angles) * np.conj(np.asarray(f, dtype=complex))
+    memo = curve._memo
+    if "phase" not in memo:
+        memo["phase"] = np.exp(-1j * curve.tangent_angles)
+    out = np.conj(np.asarray(f, dtype=complex))
+    return np.multiply(memo["phase"], out, out=out)
 
 
 def mode_basis(curve: JordanCurve, modes) -> np.ndarray:
-    """Rows tau^k for k in ``modes``, normalized in the weighted pairing."""
+    """Rows tau^k for k in ``modes``, normalized in the weighted pairing.
+
+    tau^k is the product of |k| factors tau (k > 0) or 1/tau (k < 0), taken
+    in order, and is divided by its own weighted norm, so a row is bitwise
+    the same whatever other modes are asked for.
+    """
     modes = np.asarray(modes, dtype=int)
-    B = curve.nodes[None, :] ** modes[:, None]
-    B /= np.sqrt(np.sum(np.abs(B) ** 2 * curve.arc_weights, axis=-1))[:, None]
+    tau, w = curve.nodes, curve.arc_weights
+    rows: dict[int, list[int]] = {}
+    for r, k in enumerate(modes.tolist()):
+        rows.setdefault(k, []).append(r)
+    B = np.empty((modes.size, tau.size), dtype=complex)
+    for ks, step in ((range(0, modes.max(initial=0) + 1), tau),
+                     (range(-1, modes.min(initial=0) - 1, -1), 1.0 / tau)):
+        power = np.ones_like(tau)
+        for k in ks:
+            if k:
+                power *= step
+            for r in rows.get(k, ()):
+                np.multiply(power, 1.0 / np.sqrt(np.vdot(power, power * w).real), out=B[r])
     return B
 
 
-def operator_matrix(curve: JordanCurve, applied: np.ndarray, basis: np.ndarray) -> np.ndarray:
-    """Pairing matrix M[i, j] = <A b_j, b_i> given A applied to the basis rows."""
-    weighted = np.conj(basis)
-    weighted *= curve.arc_weights
+def operator_matrix(weighted: np.ndarray, applied: np.ndarray) -> np.ndarray:
+    """Pairing matrix M[i, j] = <A b_j, b_i> from W = conj(B) w and A applied to the rows of B."""
     return weighted @ applied.T
 
 
@@ -363,12 +385,14 @@ def adjoint_residuals(curve: JordanCurve, basis_size: int) -> AdjointResiduals:
     """Matrix-level residuals of P^2 = P, PQ = 0, P + Q = I, S* = -HSH, P* = HQH, Q* = HPH.
 
     Only four pairing matrices are formed: G = M(B), M(SB), M(S^2 B) and
-    M(HSHB). The basis B goes in blocks of ADJOINT_BLOCK modes through one
-    workspace of four times as many rows: S takes the block's stack [B | HB]
-    of modes and conjugates, then its SB, and one ``operator_matrix`` call
-    pairs the block's B, SB, S^2 B and HSHB with the whole basis, which fills
-    the block's columns of all four matrices. The rest follow by linearity,
-    with H antilinear and H^2 = I: M(PB) = (G + M(SB))/2,
+    M(HSHB). The whole basis is held once, as the weighted conjugate basis
+    W = conj(B) w. The basis B goes in blocks of ADJOINT_BLOCK modes, each
+    taken from ``mode_basis`` of its own modes (bitwise the rows W was built
+    from), through one workspace of four times as many rows: S takes the
+    block's stack [B | HB] of modes and conjugates, then its SB, and one
+    ``operator_matrix`` call pairs the block's B, SB, S^2 B and HSHB against
+    W, which fills the block's columns of all four matrices. The rest follow
+    by linearity, with H antilinear and H^2 = I: M(PB) = (G + M(SB))/2,
     M(QB) = (G - M(SB))/2, M(S PB) = (M(SB) + M(S^2 B))/2,
     M(S QB) = (M(SB) - M(S^2 B))/2, M(HPH B) = (G + M(HSHB))/2 and
     M(HQH B) = (G - M(HSHB))/2. Matrix elements of the adjoints come for free
@@ -385,15 +409,18 @@ def adjoint_residuals(curve: JordanCurve, basis_size: int) -> AdjointResiduals:
             f"a {basis_size}-mode certificate needs at least {needed} nodes, "
             f"got {curve.n_nodes}"
         )
-    B = mode_basis(curve, centered_modes(basis_size))
+    modes = centered_modes(basis_size)
+    W = mode_basis(curve, modes)
+    np.conjugate(W, out=W)
+    W *= curve.arc_weights
     G, MS, MSS, MHSH = np.empty((4, basis_size, basis_size), dtype=complex)
     workspace = np.empty((4 * min(ADJOINT_BLOCK, basis_size), curve.n_nodes), dtype=complex)
     for s in range(0, basis_size, ADJOINT_BLOCK):
         k = min(ADJOINT_BLOCK, basis_size - s)
         rows = workspace[: 4 * k]
-        rows[:k] = B[s : s + k]
+        rows[:k] = mode_basis(curve, modes[s : s + k])
         _apply_block(curve, rows)
-        paired = operator_matrix(curve, rows, B)
+        paired = operator_matrix(W, rows)
         for M, columns in zip((G, MS, MSS, MHSH), np.split(paired, 4, axis=1)):
             M[:, s : s + k] = columns
 

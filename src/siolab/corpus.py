@@ -22,10 +22,13 @@ def random_trig_polynomial(curve: JordanCurve, rng: np.random.Generator,
     them, one per row of a (count, n) array, from one table exp(i k theta),
     k = -degree..degree, so row i is bitwise the (i+1)-th of ``count``
     one-polynomial calls on the same generator. Each polynomial takes its
-    real then its imaginary coefficients from rng.
+    real then its imaginary coefficients from rng. The table's real part
+    holds the angles k theta until their sine and cosine take their places.
     """
-    theta = np.angle(curve.nodes)
-    table = np.exp(1j * np.outer(theta, np.arange(-degree, degree + 1)))
+    table = np.empty((curve.n_nodes, 2 * degree + 1), dtype=complex)
+    np.multiply.outer(np.angle(curve.nodes), np.arange(-degree, degree + 1.0), out=table.real)
+    np.sin(table.real, out=table.imag)
+    np.cos(table.real, out=table.real)
     polys = np.empty((1 if count is None else count, curve.n_nodes), dtype=complex)
     for row in polys:
         row[:] = table @ (rng.standard_normal(2 * degree + 1)

@@ -71,7 +71,7 @@ class NormResult:
     raised, so callers decide whether it is a fault. ``bisection_iterations``
     counts the Newton steps of the root search and is 0 for a closed form; it
     keeps its name, which the benchmark's span probe reads, until the
-    benchmark renames that counter (ROADMAP item 10).
+    benchmark renames that counter (ROADMAP item 1).
     """
 
     value: float

@@ -76,6 +76,7 @@ def _block_residuals(curve, a, N):
     PaP + Q equals ``finite_section``.
     """
     B = mode_basis(curve, np.arange(-N, N + 1))
+    W = np.conj(B) * curve.arc_weights
     plus = np.arange(-N, N + 1) >= 0
     av = a.values
 
@@ -86,7 +87,7 @@ def _block_residuals(curve, a, N):
         return np.sqrt(np.sum(np.abs(X) ** 2 * curve.arc_weights, axis=-1))
 
     def M(X):
-        return operator_matrix(curve, X, B)
+        return operator_matrix(W, X)
 
     PB = 0.5 * (B + S(B))
     aPB = av * PB

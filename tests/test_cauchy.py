@@ -417,7 +417,8 @@ def _direct_certificate(curve, basis_size):
     HSH = conjugation_H(curve, SHB)
     HPH = conjugation_H(curve, 0.5 * (HB + SHB))
     HQH = conjugation_H(curve, 0.5 * (HB - SHB))
-    M = lambda X: operator_matrix(curve, X, B)
+    W = np.conj(B) * curve.arc_weights
+    M = lambda X: operator_matrix(W, X)
     return {
         "p2_minus_p": np.abs(M(PPB) - M(PB)).max(),
         "pq": np.abs(M(PQB)).max(),
@@ -447,7 +448,8 @@ def test_adjoint_sum_is_identity_adjoint(circle1024):
     B = mode_basis(circle1024, centered_modes(16))
     SB = apply_S(circle1024, B.T).T
     PB, QB = 0.5 * (B + SB), 0.5 * (B - SB)
-    M = lambda X: operator_matrix(circle1024, X, B)
+    W = np.conj(B) * circle1024.arc_weights
+    M = lambda X: operator_matrix(W, X)
     lhs = M(PB).conj().T + M(QB).conj().T
     assert np.abs(lhs - np.eye(16)).max() < 1e-12
 
@@ -498,6 +500,30 @@ def test_split_spectrum_of_a_wiggly_curve_is_2048_square_within_its_cap():
     assert np.array_equal(first, apply_S(fresh, F))
     assert fresh._memo["remainder"] is not C
     assert np.array_equal(second, apply_S(fresh, F[:, 0]))
+
+
+def test_conjugation_phase_lives_and_dies_with_its_curve():
+    curve = curve_from_name("ellipse:2,1", 512)
+    f = rational_corpus(curve, np.random.default_rng(1), count=1)[0][1]
+    h = conjugation_H(curve, f)
+    phase = curve._memo["phase"]
+    assert np.array_equal(phase, np.exp(-1j * curve.tangent_angles))
+    assert np.array_equal(h, phase * np.conj(f))
+    # a second call reads the kept phase
+    assert np.array_equal(conjugation_H(curve, f), h) and curve._memo["phase"] is phase
+    curve_ref, phase_ref = weakref.ref(curve), weakref.ref(phase)
+    del curve, phase
+    gc.collect()
+    assert curve_ref() is None and phase_ref() is None
+
+    # a live curve with the same n shares nothing with another one
+    ellipse = curve_from_name("ellipse:2,1", 512)
+    conjugation_H(ellipse, f)
+    other = curve_from_name("perturbed-circle:0.1,5", 512)
+    assert other._memo == {}
+    assert np.array_equal(conjugation_H(other, f),
+                          np.exp(-1j * other.tangent_angles) * np.conj(f))
+    assert other._memo["phase"] is not ellipse._memo["phase"]
 
 
 def test_split_memo_lives_and_dies_with_its_curve():
@@ -583,13 +609,30 @@ def test_split_unresolved_within_the_cap_takes_the_dense_path(monkeypatch):
     assert s_path(curve_from_name("ellipse:2,1", 1024)) == "split"
 
 
+@pytest.mark.parametrize("name", ["circle", "ellipse:2,1", "perturbed-circle:0.1,5", "square"])
+def test_mode_basis_rows_do_not_depend_on_the_other_modes(name):
+    # each row is one chain of products: bitwise the same asked for alone, and
+    # within 1e-14 of the normalized power tau ** k
+    from siolab.cauchy import centered_modes, mode_basis
+
+    curve = curve_from_name(name, 4096)
+    modes = centered_modes(32)
+    B = mode_basis(curve, modes)
+    for r, k in enumerate(modes):
+        assert np.array_equal(B[r], mode_basis(curve, [k])[0])
+        power = curve.nodes**k
+        power /= np.sqrt(np.sum(np.abs(power) ** 2 * curve.arc_weights))
+        assert np.abs(B[r] - power).max() <= 1e-14 * np.abs(power).max()
+
+
 def _full_stack_pairings(curve, basis_size):
     """G, M(SB), M(S^2 B) and M(HSHB) with S applied to the whole basis at once."""
     from siolab.cauchy import centered_modes, mode_basis, operator_matrix
 
     B = mode_basis(curve, centered_modes(basis_size))
     SB, SHB = np.split(apply_S(curve, np.concatenate([B, conjugation_H(curve, B)]).T).T, 2)
-    M = lambda X: operator_matrix(curve, X, B)
+    W = np.conj(B) * curve.arc_weights
+    M = lambda X: operator_matrix(W, X)
     return M(B), M(SB), M(apply_S(curve, SB.T).T), M(conjugation_H(curve, SHB))
 
 

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -180,6 +182,45 @@ def test_pruned_simplicity_check_matches_all_pairs_on_random_polygons():
     assert verdicts == {True, False}
 
 
+def _spike_polygon(spike_x):
+    """100 vertices: 32 along y = 0, 32 up x = 32, then a spike down x = spike_x.
+
+    The spike goes along y = 32 to x = spike_x and down to y = -8.25, and
+    four more vertices close the polygon below y = 0. At spike_x = 16.5 the
+    spike's segment 90 crosses segment 16 and no other pair crosses: 74
+    segments apart, the two lie in runs that are not neighbours for any run
+    length up to 32. At spike_x = 47.5 the polygon is simple.
+    """
+    x = np.arange(32.0)
+    run0 = x + 0j
+    run1 = 32.0 + 1j * x
+    along = 32.0 + (spike_x - 32.0) * np.arange(8) / 8 + 32j
+    down = spike_x + 1j * (32.0 - 1.75 * np.arange(24))
+    close = np.array([spike_x - 10j, 5.0 - 10j, -5.0 - 10j, -5.0 - 5j])
+    return np.concatenate([run0, run1, along, down, close])
+
+
+def test_simplicity_check_rejects_a_crossing_between_distant_runs():
+    crossing = _spike_polygon(16.5)
+    assert _polyline_is_simple(crossing) is _all_pairs_is_simple(crossing) is False
+    simple = _spike_polygon(47.5)
+    assert _polyline_is_simple(simple) is _all_pairs_is_simple(simple) is True
+
+
+def test_curve_build_peak_memory():
+    # ellipse:2,1 at n = 2048, crossing check included: the check's complex
+    # temporaries over every overlapping run pair at once made it 3.8 MiB
+    curve_from_name("ellipse:2,1", 2048)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        curve_from_name("ellipse:2,1", 2048)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak <= 0.5 * 2**20
+
+
 def test_figure_eight_rejected():
     with pytest.raises(ValueError, match="self-intersection"):
         make_parametric_curve(_figure_eight, _figure_eight_derivative, 1024)
@@ -232,6 +273,29 @@ def test_carleson_circle_pi(circle4096):
     assert report.constant_estimate >= 2.0 - 0.1
 
 
+def test_carleson_circle_estimate_is_pi_to_rounding(circle4096):
+    # portions summed shell by shell: 8.9e-16 off, where one running sum of
+    # 4096 weights per centre missed pi by 2.1e-13
+    assert abs(carleson_constant(circle4096).constant_estimate - np.pi) <= 2e-15
+
+
+def test_carleson_peak_memory_and_diameter(circle4096):
+    # the diameter's 512 x 512 differences by row blocks: same maximum, and
+    # the scan holds a few distance rows (the whole matrix took 6 MiB)
+    for curve in (circle4096, curve_from_name("ellipse:2,1", 4096)):
+        z = curve.nodes[:: curve.n_nodes // 512]
+        assert curve.approximate_diameter() == float(np.abs(z[:, None] - z[None, :]).max())
+    carleson_constant(circle4096)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        carleson_constant(circle4096)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+
+
 def test_carleson_dominates_samples(circle1024):
     report = carleson_constant(circle1024)
     for t in (3, 101, 800):
@@ -249,14 +313,18 @@ def test_carleson_ellipse_stable_under_refinement(ellipse4096):
 
 
 def _quicksort_carleson_scan(curve, eps, t_subsample):
-    """The scan with an unstable quicksort of each distance row."""
+    """The scan with an unstable quicksort of each distance row.
+
+    A portion is the running sum of its shell sums, the weights between
+    consecutive radii, as ``carleson_constant`` adds them up.
+    """
     best, best_t, best_eps = -np.inf, 0, eps[0]
     for i in range(0, curve.n_nodes, max(1, curve.n_nodes // t_subsample)):
         d = np.abs(curve.nodes - curve.nodes[i])
         order = np.argsort(d, kind="quicksort")
-        cum = np.cumsum(curve.arc_weights[order])
-        k = np.searchsorted(d[order], eps, side="left")
-        ratios = np.where(k > 0, cum[np.maximum(k - 1, 0)], 0.0) / eps
+        starts = np.concatenate(([0], np.searchsorted(d[order], eps, side="left")))
+        shells = np.add.reduceat(np.append(curve.arc_weights[order], 0.0), starts)[:-1]
+        ratios = np.cumsum(shells * (np.diff(starts) > 0)) / eps
         j = int(np.argmax(ratios))
         if ratios[j] > best:
             best, best_t, best_eps = float(ratios[j]), i, float(eps[j])
