@@ -29,7 +29,6 @@ from .exponents import (
     exponent_constant,
     exponent_from_preset,
     log_holder_constant,
-    partition_infinity_sets,
 )
 from .spaces import (
     MultiplierBounds,

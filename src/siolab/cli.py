@@ -33,7 +33,6 @@ from .curves import (
 from .exponents import exponent_from_preset, exponent_from_values, log_holder_constant
 from .spaces import (
     CERTIFICATE_TOL,
-    VARIABLE_EQUIV_ALLOWANCE,
     luxemburg_norm,
     multiplier_norm_lower,
     norm_value,
@@ -253,14 +252,13 @@ def run_multiplier(cfg: ExperimentConfig) -> tuple[ReportBundle, str | None]:
     rng = np.random.default_rng(cfg.seed)
     a = _symbol(cfg.symbol, curve, cfg.degree, rng).values
     bounds = multiplier_norm_lower(curve, a, p, q, trials=cfg.trials)
-    theorem, lower = bounds.theorem_value, bounds.lower_bound
-    allowance = 1.0 if (p.is_constant and q.is_constant) else VARIABLE_EQUIV_ALLOWANCE
+    theorem, lower, holder = bounds.theorem_value, bounds.lower_bound, bounds.holder_constant
     results = {
         "theorem_value": theorem,
         "lower_bound": lower,
         "witness_value": bounds.witness_value,
         "lower_over_theorem": lower / theorem if theorem > 0 else 0.0,
-        "equivalence_allowance": allowance,
+        "equivalence_allowance": holder,
         "power_steps": bounds.power_steps,
         "last_rise": bounds.last_rise,
     }
@@ -272,8 +270,8 @@ def run_multiplier(cfg: ExperimentConfig) -> tuple[ReportBundle, str | None]:
         {},
     )
     fault = None
-    if np.isfinite(theorem) and lower > theorem * allowance * (1.0 + 1e-9):
-        fault = "lower bound exceeds the theorem value beyond the allowance"
+    if np.isfinite(theorem) and lower > theorem * holder * (1.0 + 1e-9):
+        fault = "lower bound exceeds the theorem value times the Hoelder constant K"
     return bundle, fault
 
 

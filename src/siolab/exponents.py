@@ -1,9 +1,9 @@
 """Variable exponents p: curve -> [1, inf].
 
 Infinity is an exact exponent value (np.inf), never a large float stand-in:
-the set where p = inf enters norms through a sup term and drives the
-partition used by the multiplier identities, so it must be representable
-exactly. Discrete node values stand in for almost-everywhere statements.
+the set where p = inf enters norms through a sup term and the multiplier's
+Hoelder constant through q/p, so it must be representable exactly. Discrete
+node values stand in for almost-everywhere statements.
 """
 
 from __future__ import annotations
@@ -23,10 +23,8 @@ __all__ = [
     "exponent_from_preset",
     "essential_bounds",
     "conjugate_exponent_r",
-    "check_conjugate_triple",
     "dominance_check",
     "log_holder_constant",
-    "partition_infinity_sets",
     "reciprocal",
 ]
 
@@ -66,7 +64,6 @@ class LogHolderReport:
 
     holds: bool
     constant_estimate: float
-    worst_pair: tuple[int, int] | None
     p_minus: float
     p_plus: float
     band_maxima: tuple[float, ...] = ()
@@ -160,39 +157,6 @@ def conjugate_exponent_r(p: ExponentFunction, q: ExponentFunction) -> ExponentFu
     return ExponentFunction(r)
 
 
-def check_conjugate_triple(
-    p: ExponentFunction, q: ExponentFunction, r: ExponentFunction
-) -> None:
-    """Raise ValueError unless 1/q = 1/p + 1/r within 1e-12 at every node.
-
-    Triples from :func:`conjugate_exponent_r` meet it to a few ulps.
-    """
-    if not (p.n_nodes == q.n_nodes == r.n_nodes):
-        raise ValueError("exponent triple lives on different node sets")
-    lhs = reciprocal(q.values)
-    rhs = reciprocal(p.values) + reciprocal(r.values)
-    bad = np.flatnonzero(np.abs(lhs - rhs) > 1e-12)
-    if bad.size:
-        raise ValueError(
-            f"triple violates 1/q = 1/p + 1/r at {bad.size} nodes, first {bad[:8].tolist()}"
-        )
-
-
-def partition_infinity_sets(
-    p: ExponentFunction, q: ExponentFunction, r: ExponentFunction
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Split the nodes into the index sets (G1, G2, G3) for a conjugate triple.
-
-    G1 = {p = inf}, G2 = {r = inf} minus G1, G3 = the rest; on G1 the triple
-    forces q = r, on G2 it forces p = q < inf.
-    """
-    check_conjugate_triple(p, q, r)
-    g1 = np.isinf(p.values)
-    g2 = np.isinf(r.values) & ~g1
-    g3 = ~(g1 | g2)
-    return np.flatnonzero(g1), np.flatnonzero(g2), np.flatnonzero(g3)
-
-
 # Rows per block of the log-Hoelder pair scan: under 8 MB per temporary at
 # 4096 nodes (512 rows made this scan the peak memory of ``sio-check``).
 SCAN_ROWS = 128
@@ -210,7 +174,7 @@ def log_holder_constant(
     :class:`LogHolderReport`). The estimate is monotone under nested node
     refinement since the pair set only grows. A constant exponent (the
     H^p -> H^q case) has |p(t) - p(tau)| = 0 on every pair, so it returns
-    ``LogHolderReport(bounds_ok, 0.0, None, p_minus, p_plus, ())`` without a
+    ``LogHolderReport(bounds_ok, 0.0, p_minus, p_plus, ())`` without a
     scan, which is what the scan gives. Rows are scanned SCAN_ROWS at a
     time.
     """
@@ -219,9 +183,9 @@ def log_holder_constant(
     p_minus, p_plus = essential_bounds(p)
     bounds_ok = (1.0 < p_minus) and np.isfinite(p_plus)
     if not np.isfinite(p_plus):
-        return LogHolderReport(False, np.inf, None, p_minus, p_plus)
+        return LogHolderReport(False, np.inf, p_minus, p_plus)
     if p.is_constant:
-        return LogHolderReport(bool(bounds_ok), 0.0, None, p_minus, p_plus, ())
+        return LogHolderReport(bool(bounds_ok), 0.0, p_minus, p_plus, ())
 
     step = max(1, curve.n_nodes // max_nodes)
     idx = np.arange(0, curve.n_nodes, step)
@@ -229,7 +193,6 @@ def log_holder_constant(
     pv = p.values[idx]
 
     best = 0.0
-    worst = None
     n_bands = 64
     bands = np.zeros(n_bands)
     for s in range(0, idx.size, SCAN_ROWS):
@@ -240,12 +203,7 @@ def log_holder_constant(
             continue
         with np.errstate(divide="ignore", invalid="ignore"):
             vals = np.where(mask, np.abs(pv[rows, None] - pv[None, :]) * (-np.log(d)), 0.0)
-        k = int(np.argmax(vals))
-        vmax = float(vals.flat[k])
-        if vmax > best:
-            best = vmax
-            i_loc, j_loc = np.unravel_index(k, vals.shape)
-            worst = (int(idx[rows][i_loc]), int(idx[j_loc]))
+        best = max(best, float(vals.max()))
         band_idx = np.floor(-np.log2(d, where=mask, out=np.ones_like(d))).astype(int)
         band_idx = np.clip(band_idx, 0, n_bands - 1)
         np.maximum.at(bands, band_idx[mask], vals[mask])
@@ -258,4 +216,4 @@ def log_holder_constant(
         slope = float(np.polyfit(tail.astype(float), bands[tail], 1)[0])
         trend_ok = slope <= 0.05 * max(1.0, float(np.median(bands[nonempty])))
     holds = bounds_ok and np.isfinite(best) and trend_ok
-    return LogHolderReport(holds, best, worst, p_minus, p_plus, band_maxima)
+    return LogHolderReport(holds, best, p_minus, p_plus, band_maxima)

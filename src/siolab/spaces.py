@@ -21,12 +21,7 @@ import numpy as np
 
 from .corpus import indicator_arc
 from .curves import JordanCurve
-from .exponents import (
-    ExponentFunction,
-    conjugate_exponent_r,
-    dominance_check,
-    partition_infinity_sets,
-)
+from .exponents import ExponentFunction, conjugate_exponent_r, dominance_check
 
 __all__ = [
     "NormResult",
@@ -34,7 +29,6 @@ __all__ = [
     "MultiplierBounds",
     "MODULAR_TOL",
     "CERTIFICATE_TOL",
-    "VARIABLE_EQUIV_ALLOWANCE",
     "modular",
     "luxemburg_norm",
     "norm_value",
@@ -52,10 +46,6 @@ __all__ = [
 MODULAR_TOL = 1e-12
 CERTIFICATE_TOL = 1e-10
 MAX_STEPS = 64
-
-# Norm-equivalence envelope for the multiplier identity with variable
-# exponents, an engineering allowance; for constant exponents it is exact.
-VARIABLE_EQUIV_ALLOWANCE = 4.0
 
 
 @dataclass(frozen=True)
@@ -98,14 +88,16 @@ class UnitBallCheck:
 class MultiplierBounds:
     """The best certified trial bound for the multiplier norm of a, the norm
     of a in L^r, the certified bound of the analytic witness (0 if none),
-    the number of power steps taken and the relative rise of the last one
-    (0 if none)."""
+    the number of power steps taken, the relative rise of the last one (0 if
+    none) and the Hoelder constant K with multiplier norm <= K theorem value
+    (see :func:`multiplier_norm_via_theorem`)."""
 
     lower_bound: float
     theorem_value: float
     witness_value: float
     power_steps: int
     last_rise: float
+    holder_constant: float
 
 
 def _node_values(curve: JordanCurve, f) -> np.ndarray:
@@ -122,6 +114,8 @@ def _modular_parts(curve, f, p):
     if pv.size != curve.n_nodes:
         raise ValueError("exponent and curve node counts differ")
     fin = np.isfinite(pv)  # exponents hold no nan, so ~fin is the infinity set
+    if fin.all():  # no sup part: the arrays themselves, no masked copies
+        return v, pv, curve.arc_weights, v[:0]
     return v[fin], pv[fin], curve.arc_weights[fin], v[~fin]
 
 
@@ -176,7 +170,9 @@ def luxemburg_norm(curve: JordanCurve, f, p: ExponentFunction) -> NormResult:
     # for each nonzero node, and 1 for the sup part
     keep = v_fin > 0.0
     slopes, a = p_fin[keep], np.log(w_fin[keep])
-    with np.errstate(divide="ignore"):
+    # a huge p times log(|f| / vmax) < 0 overflows to a -inf term, which the
+    # log-sum-exp drops
+    with np.errstate(divide="ignore", over="ignore"):
         a += slopes * np.log(v_fin[keep])
         if v_inf.size:
             slopes = np.append(slopes, 1.0)
@@ -227,11 +223,21 @@ def unit_ball_check(curve: JordanCurve, f, p: ExponentFunction) -> UnitBallCheck
 def multiplier_norm_via_theorem(
     curve: JordanCurve, a, p: ExponentFunction, q: ExponentFunction
 ) -> float:
-    """||a|| in L^r for the conjugate exponent r.
+    """||a|| in L^r for the conjugate exponent r, 1/q = 1/p + 1/r.
 
-    For constant exponents this equals the multiplier operator norm exactly;
-    for variable exponents it is equivalent up to constants (see the
-    VARIABLE_EQUIV_ALLOWANCE envelope).
+    For constant exponents this equals the multiplier operator norm exactly.
+    For variable exponents the multiplier norm is at most K times it, with
+    theta = q/p at each node (1 where q = inf, and there p = r = inf) and
+    K = max theta + max(1 - theta), which lies in [1, 2] and is 1 for
+    constant exponents. Proof: let rho_p(u) <= 1 and rho_r(a) <= 1. Young's
+    inequality |a u|^q <= theta |u|^p + (1 - theta) |a|^r at each node gives
+    rho_q(a u) <= K. On {p = inf} use |u| <= 1, on {r = inf} use |a| <= 1,
+    and on {q = inf} the sup term sup |a u| <= sup_{p = inf} |u| is paid for
+    by theta = 1 there. Convexity of the modular then gives
+    ||a u||_q <= K ||a||_r ||u||_p (the generalized Hoelder inequality of
+    Diening, Harjulehto, Hasto and Ruzicka, LNM 2017, ch. 3, which states
+    it with 2). The argument holds for any positive quadrature weights, so
+    it binds the discrete norms as well.
     """
     r = conjugate_exponent_r(p, q)
     return norm_value(curve, a, r)
@@ -249,12 +255,10 @@ def multiplier_witness(curve: JordanCurve, a, p: ExponentFunction, q: ExponentFu
     if c <= 0.0 or eps <= 0.0:
         raise ValueError("witness needs c > 0 and eps > 0")
     r = conjugate_exponent_r(p, q)
-    _, _, g3 = partition_infinity_sets(p, q, r)
     av = _node_values(curve, a)
-    sel = np.zeros(curve.n_nodes, dtype=bool)
-    sel[g3] = True
-    # nodes sampling an integrable singularity as inf form a null set
-    mask = sel & (av != 0.0) & np.isfinite(av)
+    # the finite-exponent part is where p and r are finite; nodes sampling an
+    # integrable singularity as inf form a null set
+    mask = np.isfinite(p.values) & np.isfinite(r.values) & (av != 0.0) & np.isfinite(av)
     out = np.zeros(curve.n_nodes, dtype=complex)
     if mask.any():
         ratio = np.abs(av[mask]) / (c + eps)
@@ -276,12 +280,16 @@ def multiplier_norm_lower(
     constant, four indicator arcs at the argmax of |a| (p = q's sup norm) and
     the analytic witness built from the theorem value (exact for constant
     exponents); then, when 1 < p- and p+ < inf, steps of Boyd's power method
-    for p-norms from the witness, else from the constant (Boyd, Linear Algebra
+    for p-norms from the witness, else from the best of the others if a lies
+    in L^r (at p = q, where r = inf and there is no witness, an arc at the
+    peak of |a|) and from the constant if not (Boyd, Linear Algebra
     Appl. 9, 1974; Higham, Numer. Math. 62, 1992). A step takes lambda =
     ||a u||_q, h = |a| q (|a| u / lambda)^(q-1) / p and u = (h / mu)^(1/(p-1))
     with mu = ||h||_p', whose certificate is the p-modular of u, so ||u||_p = 1
     and lambda never falls. The steps stop once lambda rises by less than
     1e-12 relative. Every bound is certified, so none overshoots the norm.
+    The Hoelder constant K of :func:`multiplier_norm_via_theorem` comes with
+    the bounds.
     """
     ok, viol = dominance_check(p, q)
     if not ok:
@@ -291,6 +299,11 @@ def multiplier_norm_lower(
     # integrable singularities); their bounds stay certified
     finite = np.isfinite(av)
     n = curve.n_nodes
+    pv, qv = p.values, q.values
+    theta = np.ones(n)  # q/p, and 1 where q = inf (there p = inf too)
+    finite_q = np.isfinite(qv)
+    theta[finite_q] = qv[finite_q] / pv[finite_q]
+    holder = float(theta.max() + (1.0 - theta).max())
 
     def bound(g: np.ndarray) -> tuple[float, np.ndarray]:
         """The certified bound of g, and g / ||g||_p."""
@@ -319,10 +332,14 @@ def multiplier_norm_lower(
             candidates.append(w)
     bounds = [bound(g) for g in candidates]
     lower = max(value for value, _ in bounds)
-    start = 5 if len(bounds) > 5 else 0  # the witness, else the constant
-    witness = bounds[5][0] if start else 0.0
-    lam, u = bounds[start]
-    pv, qv = p.values, q.values
+    witness = bounds[5][0] if len(bounds) > 5 else 0.0
+    # the steps start from the witness; without one, from the best fixed
+    # candidate if a lies in L^r (at p = q an arc at the peak of |a|), else
+    # from the constant, which reaches the whole curve
+    if witness or not np.isfinite(c):
+        lam, u = bounds[5 if witness else 0]
+    else:
+        lam, u = max(bounds, key=lambda b: b[0])
     steps, rise = 0, 0.0
     if lam > 0.0 and 1.0 < pv.min() and pv.max() < np.inf:
         abs_a, u = np.where(finite, np.abs(av), 0.0), np.abs(u)
@@ -336,4 +353,4 @@ def multiplier_norm_lower(
             value = norm_value(curve, abs_a * u, q)
             steps, rise, lam = steps + 1, (value - lam) / lam, value
             lower = max(lower, value)
-    return MultiplierBounds(lower, c, witness, steps, rise)
+    return MultiplierBounds(lower, c, witness, steps, rise, holder)

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import re
 import tracemalloc
@@ -427,6 +428,49 @@ def test_norm_uncertified_result_exits_3(tmp_path, capsys):
     assert "modular 6.28318530718 at value 2 " in err and "1e-10" in err
     report = json.loads((out / "report.json").read_text())
     assert "certified" not in report["results"]  # report layout unchanged
+
+
+@pytest.mark.parametrize("command, code", [
+    (["norm", "--exponent", "1e308", "--function", "abs-cos"], EXIT_FAULT),
+    (["multiplier", "--p", "1e308", "--q", "1e308", "--symbol", "cos"], EXIT_OK),
+])
+def test_huge_exponents_answer_without_a_warning(tmp_path, command, code):
+    # both printed "overflow encountered in multiply" from the log-sum-exp terms
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert run([*command, "--n", "512", "--out", str(tmp_path / "out")]) == code
+
+
+@pytest.mark.parametrize("p_spec, q_spec, K", [
+    # theta = q/p is 0 where only p = inf, and 1 where q = inf
+    ("inf", "2", 1.0),
+    ("inf", "inf", 1.0),
+    ("step:2,inf", "2", 2.0),
+    ("step:3,inf", "step:2,inf", 4 / 3),
+])
+def test_multiplier_holder_constant_on_infinity_sets(tmp_path, p_spec, q_spec, K):
+    out = tmp_path / "mult"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no inf * 0 or inf / inf in K
+        code = run(["multiplier", "--p", p_spec, "--q", q_spec, "--symbol", "one-plus-cos2",
+                    "--n", "512", "--trials", "8", "--out", str(out)])
+    assert code == EXIT_OK
+    res = json.loads((out / "report.json").read_text())["results"]
+    assert res["equivalence_allowance"] == pytest.approx(K, rel=1e-12)
+
+
+@pytest.mark.parametrize("factor, code", [(0.99, EXIT_OK), (1.01, EXIT_FAULT)])
+def test_multiplier_judges_the_lower_bound_against_the_holder_constant(tmp_path, monkeypatch,
+                                                                       capsys, factor, code):
+    def inflated(*args, **kwargs):
+        bounds = spaces.multiplier_norm_lower(*args, **kwargs)
+        lower = factor * bounds.holder_constant * bounds.theorem_value
+        return dataclasses.replace(bounds, lower_bound=lower)
+
+    monkeypatch.setattr(cli, "multiplier_norm_lower", inflated)
+    assert run(["multiplier", "--p", "2+abs(sin)", "--q", "2", "--symbol", "one-plus-cos2",
+                "--n", "512", "--trials", "8", "--out", str(tmp_path / "m")]) == code
+    assert ("Hoelder constant" in capsys.readouterr().err) == (code == EXIT_FAULT)
 
 
 def test_json_out_path_without_verdict_file(tmp_path):

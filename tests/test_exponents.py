@@ -7,7 +7,6 @@ from hypothesis.extra.numpy import arrays
 from siolab.curves import make_unit_circle
 from siolab.exponents import (
     LogHolderReport,
-    check_conjugate_triple,
     conjugate_exponent_r,
     dominance_check,
     essential_bounds,
@@ -15,7 +14,6 @@ from siolab.exponents import (
     exponent_from_preset,
     exponent_from_values,
     log_holder_constant,
-    partition_infinity_sets,
     reciprocal,
 )
 
@@ -90,48 +88,6 @@ def test_conjugate_recombination_identity(pair):
     lhs = reciprocal(q.values)
     rhs = reciprocal(p.values) + reciprocal(r.values)
     assert np.abs(lhs - rhs).max() <= 1e-12
-    check_conjugate_triple(p, q, r)
-
-
-@settings(max_examples=60, deadline=None)
-@given(dominated_pair())
-def test_partition_is_a_partition(pair):
-    p, q = pair
-    r = conjugate_exponent_r(p, q)
-    g1, g2, g3 = partition_infinity_sets(p, q, r)
-    allidx = np.sort(np.concatenate([g1, g2, g3]))
-    assert np.array_equal(allidx, np.arange(p.n_nodes))
-    # structure forced by the reciprocal identity
-    assert np.all(np.isinf(p.values[g1]))
-    assert np.allclose(q.values[g1], r.values[g1], equal_nan=False) or np.all(
-        np.isinf(q.values[g1]) == np.isinf(r.values[g1])
-    )
-    assert np.all(np.isinf(r.values[g2])) and np.all(p.values[g2] == q.values[g2])
-    assert np.all(np.isfinite(r.values[g3]) | (p.values[g3] == q.values[g3]))
-
-
-def test_partition_examples():
-    n = 12
-    inf = exponent_constant(np.inf, n)
-    two = exponent_constant(2.0, n)
-    four = exponent_constant(4.0, n)
-    g1, g2, g3 = partition_infinity_sets(inf, two, two)
-    assert g1.size == n and g2.size == 0 and g3.size == 0
-    g1, g2, g3 = partition_infinity_sets(two, two, inf)
-    assert g2.size == n
-    g1, g2, g3 = partition_infinity_sets(four, two, four)
-    assert g3.size == n
-
-
-def test_partition_rejects_inconsistent_triple():
-    n = 8
-    p, q = exponent_constant(4.0, n), exponent_constant(2.0, n)
-    # the second 1/r is off by 1e-10, far above the rounding of conjugate_exponent_r
-    for r in (exponent_constant(3.0, n), exponent_from_values(np.full(n, 1.0 / (0.25 + 1e-10)))):
-        with pytest.raises(ValueError, match="1/q = 1/p"):
-            check_conjugate_triple(p, q, r)
-        with pytest.raises(ValueError, match="1/q = 1/p"):
-            partition_infinity_sets(p, q, r)
 
 
 def test_log_holder_constant_exponent(circle1024):
@@ -139,17 +95,16 @@ def test_log_holder_constant_exponent(circle1024):
     assert rep.holds
     assert rep.constant_estimate == 0.0
     # a constant exponent skips the scan and returns what the scan would
-    assert rep == LogHolderReport(True, 0.0, None, 2.0, 2.0, ())
+    assert rep == LogHolderReport(True, 0.0, 2.0, 2.0, ())
     assert type(rep.holds) is bool
     one = log_holder_constant(exponent_constant(1.0, 1024), circle1024)
-    assert one == LogHolderReport(False, 0.0, None, 1.0, 1.0, ())
+    assert one == LogHolderReport(False, 0.0, 1.0, 1.0, ())
 
 
 def test_log_holder_variable_exponent_is_scanned(circle1024):
     rep = log_holder_constant(exponent_from_preset("2+abs(sin)", circle1024), circle1024)
     assert rep.holds
     assert rep.constant_estimate > 0.0
-    assert rep.worst_pair is not None
     assert rep.band_maxima
 
 

@@ -233,6 +233,20 @@ def test_norm_reports_a_failed_certificate(circle512):
 
 # ------------------------------------------------------------- unit ball
 
+@pytest.mark.parametrize("p_spec", ["2+abs(sin)", "step:2,inf", "3"])
+def test_norms_leave_their_inputs_unchanged(p_spec):
+    # with no infinite exponent the modular reads p and the weights in place
+    curve = curve_from_name("circle", 512)
+    p = exponent_from_preset(p_spec, curve)
+    f = np.cos(3.0 * np.angle(curve.nodes)) + 0.5j
+    saved = [f.copy(), p.values.copy(), curve.nodes.copy(), curve.arc_weights.copy()]
+    luxemburg_norm(curve, f, p)
+    modular(curve, f, p)
+    unit_ball_check(curve, f, p)
+    for before, after in zip(saved, [f, p.values, curve.nodes, curve.arc_weights]):
+        assert np.array_equal(before, after)
+
+
 def test_unit_ball_examples(circle1024):
     p = exponent_constant(2.0, 1024)
     zero = unit_ball_check(circle1024, np.zeros(1024), p)
@@ -391,14 +405,36 @@ def test_multiplier_lower_power_method(monkeypatch, count_calls, curve_name, n, 
         assert bounds.lower_bound == pytest.approx(bounds.theorem_value, rel=1e-12)
     else:
         assert bounds.lower_bound >= floor
-    assert bounds.lower_bound <= bounds.theorem_value * spaces.VARIABLE_EQUIV_ALLOWANCE
+    assert bounds.lower_bound <= bounds.theorem_value * bounds.holder_constant
     assert 1 <= bounds.power_steps <= trials - fixed
-    # the steps start from the witness, or from u = 1, and never fall
-    iterates = [ratios[5 if has_witness else 0], *ratios[-bounds.power_steps:]]
+    # the steps start from the witness, or from the best fixed candidate, and
+    # never fall
+    iterates = [ratios[5] if has_witness else max(ratios[:5]), *ratios[-bounds.power_steps:]]
     assert np.all(np.diff(iterates) >= 0.0)
     assert bounds.last_rise == pytest.approx(iterates[-1] / iterates[-2] - 1.0, abs=1e-15)
     assert bounds.lower_bound == max(ratios)
     assert len(norms) <= 2 * trials + 1
+
+
+@pytest.mark.parametrize("curve_name, n, p_spec, q_spec, symbol, K", [
+    ("circle", 4096, "4", "2", "one-plus-cos2", 1.0),
+    ("circle", 4096, "2+abs(sin)", "2", "one-plus-cos2", 4 / 3),
+    ("ellipse:2,1", 4096, "2+abs(sin)", "2", "cos", 4 / 3),
+    ("circle", 4096, "step:2,3", "1.5", "trig-random:5", 5 / 4),
+    ("circle", 4096, "step:2,4", "1.2", "trig-random:3", 13 / 10),
+    ("ellipse:2,1", 4096, "logsmooth:3,1", "1.5", "cos", 1.1154),
+    ("circle", 4096, "3", "step:1.2,2.5", "one-plus-cos2", 43 / 30),
+    ("circle", 4096, "4+abs(sin)", "1.1", "trig-random:7", 1.055),
+])
+def test_multiplier_lower_within_the_holder_constant(curve_name, n, p_spec, q_spec, symbol, K):
+    curve = curve_from_name(curve_name, n)
+    p, q = exponent_from_preset(p_spec, curve), exponent_from_preset(q_spec, curve)
+    a = symbol_from_preset(symbol, curve, 300, np.random.default_rng(0)).values
+    bounds = multiplier_norm_lower(curve, a, p, q, trials=24)
+    assert bounds.holder_constant == pytest.approx(K, abs=1e-4)
+    if p.is_constant and q.is_constant:
+        assert bounds.holder_constant == 1.0
+    assert 0.0 < bounds.lower_bound <= bounds.theorem_value * bounds.holder_constant
 
 
 def test_multiplier_lower_skips_infinite_samples(circle512):
@@ -443,6 +479,21 @@ def test_witness_rejects_bad_parameters(circle512):
         multiplier_witness(circle512, np.ones(512), p, q, c=0.0, eps=0.1)
     with pytest.raises(ValueError):
         multiplier_witness(circle512, np.ones(512), p, q, c=1.0, eps=-0.1)
+
+
+def test_witness_vanishes_on_the_infinity_sets(circle512):
+    # thirds of the curve: p = inf (r = q = 2), p = q = 2 (r = inf), and
+    # p = 4, q = 2 (r = 4); only the last part is finite in p and r
+    n = 512
+    third = np.arange(n) * 3 // n
+    p = exponent_from_values(np.array([np.inf, 2.0, 4.0])[third])
+    q = exponent_constant(2.0, n)
+    a = (1.0 + np.cos(np.angle(circle512.nodes)) ** 2).astype(complex)
+    c, eps = 2.5, 0.1
+    w = multiplier_witness(circle512, a, p, q, c=c, eps=eps)
+    assert not w[third < 2].any()
+    last = third == 2
+    assert np.abs(np.abs(w[last]) - np.abs(a[last]) / (c + eps)).max() < 1e-12  # r/p = 1
 
 
 def test_witness_modulus_identity_and_near_extremality(circle1024):
