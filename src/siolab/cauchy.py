@@ -40,7 +40,10 @@ evaluates that integral off the curve: for the rational functions of
 (the exterior poles and the polynomial make up P f, the interior poles
 Q f), and ``sio-check`` judges ``riesz_projections`` against them.
 ``adjoint_residuals`` certifies P and Q on a mode basis that S takes in
-blocks of ADJOINT_BLOCK modes, so none of its arrays is larger than the basis.
+blocks of ADJOINT_BLOCK modes. ``mode_basis``, ``apply_S`` and
+``conjugation_H`` write into an ``out`` array when given one, so the
+certificate holds the weighted basis and one block's workspace, in one
+allocation, and no other array the size of either.
 
 Two quantities are taken once per curve and kept in ``curve._memo``: the
 split's remainder spectrum C and the conjugation phase exp(-i theta).
@@ -73,10 +76,15 @@ KERNEL_ROWS = 512
 # the dense path.
 SPECTRUM_BYTES = 64 * 2**20
 # Basis modes per block of the mode-basis certificate, so the 32-mode basis
-# of sio-check takes 4 blocks. Fastest in a sweep of 4, 8, 16 and 32 modes
-# (the whole basis) on the certificate at the sio-check shapes, one core: 8
-# took 16.7 ms against 18.5 ms on the circle at n = 4096 and 8.1 ms against
-# 9.5 ms on ellipse:2,1 at n = 2048, with a traced peak of 6.3 MiB against 18.3.
+# of sio-check takes 4 blocks. From warm in-process sio-check passes (one
+# BLAS thread), where W and the workspace in one allocation take no page
+# faults from 4 modes up: 8 modes beat 4 in 80 of 110 interleaved passes on
+# the circle at n = 4096 and 82 of 110 on ellipse:2,1 at n = 2048, and 16
+# beat 8 in 69 and 63 of 110. The certificate's traced peak is 3.3, 4.3 and
+# 6.4 MiB with 4, 8 and 16 modes on the circle (5.7 MiB with 8 when S and H
+# returned new arrays), and 51, 67 and 99 MiB on the ellipse at n = 65536,
+# where one sio-check took 1.01-1.13 s with 4 modes, 0.81-0.97 s with 8 and
+# 0.92-0.99 s with 16.
 ADJOINT_BLOCK = 8
 
 
@@ -100,16 +108,17 @@ class AdjointResiduals:
     s_matrix: np.ndarray
 
 
-def _circle_multiplier(values: np.ndarray) -> np.ndarray:
+def _circle_multiplier(values: np.ndarray, out: np.ndarray | None) -> np.ndarray:
     """S on the unit circle: sign(k) on the node modes, +1 at k = 0; exact to rounding."""
     n = values.shape[0]
-    spectrum = np.fft.fft(values, axis=0)
+    spectrum = np.fft.fft(values, axis=0, out=out)
     sign = np.where(np.fft.fftfreq(n) >= 0.0, 1.0, -1.0)
     spectrum *= sign[:, None] if values.ndim > 1 else sign
     return np.fft.ifft(spectrum, axis=0, out=spectrum)
 
 
-def _quadrature_S(curve: JordanCurve, F: np.ndarray) -> np.ndarray:
+def _quadrature_S(curve: JordanCurve, F: np.ndarray,
+                  out: np.ndarray | None = None) -> np.ndarray:
     """Dense principal-value quadrature of S.
 
     Builds the n x n kernel; the diagonal takes a fourth-order stencil, so the
@@ -142,8 +151,13 @@ def _quadrature_S(curve: JordanCurve, F: np.ndarray) -> np.ndarray:
         row_sums[s : s + KERNEL_ROWS] = A.sum(axis=1)
     acc -= row_sums[:, None] * V
     acc += G * dtau[:, None]
-    out = V + acc / (1j * np.pi)
-    return out[:, 0] if single else out
+    acc /= 1j * np.pi
+    acc += V
+    result = acc[:, 0] if single else acc
+    if out is None:
+        return result
+    out[...] = result
+    return out
 
 
 def _rounding_tolerance(n: int) -> float:
@@ -248,7 +262,7 @@ def s_path(curve: JordanCurve) -> str:
     return "dense" if _remainder_spectrum(curve) is None else "split"
 
 
-def _split_S(curve: JordanCurve, F: np.ndarray) -> np.ndarray:
+def _split_S(curve: JordanCurve, F: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """S by the kernel split; spectral on curves with a resolved remainder spectrum.
 
     In the node parameter sigma = 2 pi t,
@@ -283,29 +297,42 @@ def _split_S(curve: JordanCurve, F: np.ndarray) -> np.ndarray:
     n = curve.n_nodes
     C = _remainder_spectrum(curve)
     modes = np.fft.fftfreq(C.shape[0], 1.0 / C.shape[0]).astype(int)
-    single = F.ndim == 1
-    V = F[:, None] if single else F
-    spectrum = np.fft.fft(V, axis=0)
+    # one function is a stack of one column; reshape gives views of F and out
+    spectrum = np.fft.fft(F.reshape(n, -1), axis=0,
+                          out=None if out is None else out.reshape(n, -1))
     smooth = C @ spectrum[-modes % n]
     spectrum *= np.sign(np.fft.fftfreq(n))[:, None]
     spectrum[modes % n] += (2.0 / 1j) * smooth
-    out = np.fft.ifft(spectrum, axis=0, out=spectrum)
-    return out[:, 0] if single else out
+    np.fft.ifft(spectrum, axis=0, out=spectrum)
+    return spectrum.reshape(F.shape) if out is None else out
 
 
-def apply_S(curve: JordanCurve, f) -> np.ndarray:
+def _checked_out(shape: tuple[int, ...], out) -> np.ndarray | None:
+    """``out`` itself if it can take a result of this shape: a complex array of that shape."""
+    if out is not None and not (isinstance(out, np.ndarray) and out.shape == shape
+                                and out.dtype == complex):
+        raise ValueError(f"out must be a complex array of shape {shape}, got "
+                         f"{getattr(out, 'dtype', type(out).__name__)} {np.shape(out)}")
+    return out
+
+
+def apply_S(curve: JordanCurve, f, out=None) -> np.ndarray:
     """Cauchy singular integral of f on the curve nodes, by the path ``s_path`` names.
 
     ``f`` has shape (n,) or, for a stack of functions, (n, m) with one
-    function per column; a stack is taken in one pass.
+    function per column; a stack is taken in one pass. The result goes to
+    ``out`` when one is given, a complex array of f's shape that may be f
+    itself or a view of it (a transposed block of rows, say); the fft and
+    split paths then take their forward FFT into ``out`` and finish there.
     """
     f = np.asarray(f, dtype=complex)
+    out = _checked_out(f.shape, out)
     path = s_path(curve)
     if path == "fft":
-        return _circle_multiplier(f)
+        return _circle_multiplier(f, out)
     if path == "split":
-        return _split_S(curve, f)
-    return _quadrature_S(curve, f)
+        return _split_S(curve, f, out)
+    return _quadrature_S(curve, f, out)
 
 
 def riesz_projections(curve: JordanCurve, f) -> tuple[np.ndarray, np.ndarray]:
@@ -315,36 +342,43 @@ def riesz_projections(curve: JordanCurve, f) -> tuple[np.ndarray, np.ndarray]:
     last bit, not merely to rounding.
     """
     v = np.asarray(f, dtype=complex)
-    pf = 0.5 * (v + apply_S(curve, v))
+    pf = apply_S(curve, v)
+    pf += v
+    pf *= 0.5
     return pf, v - pf
 
 
-def conjugation_H(curve: JordanCurve, f) -> np.ndarray:
+def conjugation_H(curve: JordanCurve, f, out=None) -> np.ndarray:
     """Antilinear involution (H f)(tau) = exp(-i theta(tau)) conj(f(tau)).
 
     Node samples run along the last axis, so a 2-d input maps row by row. The
-    phase exp(-i theta) is taken once per curve and kept in ``curve._memo``.
+    result goes to ``out`` when one is given, a complex array of f's shape
+    that may be f itself. The phase exp(-i theta) is taken once per curve
+    and kept in ``curve._memo``.
     """
     memo = curve._memo
     if "phase" not in memo:
         memo["phase"] = np.exp(-1j * curve.tangent_angles)
-    out = np.conj(np.asarray(f, dtype=complex))
+    f = np.asarray(f, dtype=complex)
+    out = np.conj(f, out=_checked_out(f.shape, out))
     return np.multiply(memo["phase"], out, out=out)
 
 
-def mode_basis(curve: JordanCurve, modes) -> np.ndarray:
+def mode_basis(curve: JordanCurve, modes, out=None) -> np.ndarray:
     """Rows tau^k for k in ``modes``, normalized in the weighted pairing.
 
     tau^k is the product of |k| factors tau (k > 0) or 1/tau (k < 0), taken
     in order, and is divided by its own weighted norm, so a row is bitwise
-    the same whatever other modes are asked for.
+    the same whatever other modes are asked for. The rows go to ``out`` when
+    one is given, a complex array of shape (len(modes), n).
     """
     modes = np.asarray(modes, dtype=int)
     tau, w = curve.nodes, curve.arc_weights
     rows: dict[int, list[int]] = {}
     for r, k in enumerate(modes.tolist()):
         rows.setdefault(k, []).append(r)
-    B = np.empty((modes.size, tau.size), dtype=complex)
+    shape = (modes.size, tau.size)
+    B = np.empty(shape, dtype=complex) if _checked_out(shape, out) is None else out
     for ks, step in ((range(0, modes.max(initial=0) + 1), tau),
                      (range(-1, modes.min(initial=0) - 1, -1), 1.0 / tau)):
         power = np.ones_like(tau)
@@ -369,16 +403,18 @@ def centered_modes(basis_size: int) -> np.ndarray:
 def _apply_block(curve: JordanCurve, rows: np.ndarray) -> None:
     """Fill the quarters of ``rows`` with B, SB, S^2 B and HSHB, from B in the first quarter.
 
-    The second quarter holds HB first, so S takes [B | HB] from ``rows`` in
-    one call; a second call takes SB. The outputs of S are freed on return,
-    before ``rows`` is paired with the basis.
+    Every result is written into ``rows``: HB goes to the second quarter, S
+    takes [B | HB] into the last two (SB, SHB) in one call, H turns SHB into
+    HSHB in place, and SB is copied to the second quarter before a second
+    call turns the third into S^2 B in place.
     """
     k = rows.shape[0] // 4
-    rows[k : 2 * k] = conjugation_H(curve, rows[:k])
-    SB, SHB = np.split(apply_S(curve, rows[: 2 * k].T).T, 2)
-    rows[k : 2 * k] = SB
-    rows[2 * k : 3 * k] = apply_S(curve, SB.T).T
-    rows[3 * k :] = conjugation_H(curve, SHB)
+    B, SB, SSB, HSHB = np.split(rows, 4)
+    conjugation_H(curve, B, out=SB)
+    apply_S(curve, rows[: 2 * k].T, out=rows[2 * k :].T)
+    conjugation_H(curve, HSHB, out=HSHB)
+    SB[...] = SSB
+    apply_S(curve, SSB.T, out=SSB.T)
 
 
 def adjoint_residuals(curve: JordanCurve, basis_size: int) -> AdjointResiduals:
@@ -388,10 +424,11 @@ def adjoint_residuals(curve: JordanCurve, basis_size: int) -> AdjointResiduals:
     M(HSHB). The whole basis is held once, as the weighted conjugate basis
     W = conj(B) w. The basis B goes in blocks of ADJOINT_BLOCK modes, each
     taken from ``mode_basis`` of its own modes (bitwise the rows W was built
-    from), through one workspace of four times as many rows: S takes the
-    block's stack [B | HB] of modes and conjugates, then its SB, and one
-    ``operator_matrix`` call pairs the block's B, SB, S^2 B and HSHB against
-    W, which fills the block's columns of all four matrices. The rest follow
+    from), through one workspace of four times as many rows into which S
+    and H write (``_apply_block``): S takes the block's stack [B | HB] of
+    modes and conjugates, then its SB, and one ``operator_matrix`` call
+    pairs the block's B, SB, S^2 B and HSHB against W, which fills the
+    block's columns of all four matrices. The rest follow
     by linearity, with H antilinear and H^2 = I: M(PB) = (G + M(SB))/2,
     M(QB) = (G - M(SB))/2, M(S PB) = (M(SB) + M(S^2 B))/2,
     M(S QB) = (M(SB) - M(S^2 B))/2, M(HPH B) = (G + M(HSHB))/2 and
@@ -410,15 +447,21 @@ def adjoint_residuals(curve: JordanCurve, basis_size: int) -> AdjointResiduals:
             f"got {curve.n_nodes}"
         )
     modes = centered_modes(basis_size)
-    W = mode_basis(curve, modes)
+    # W and the workspace share one allocation: apart, they cost warm
+    # sio-check passes on the circle at n = 4096 1,072 (4-mode blocks) to
+    # 2,208 (8-mode) minor page faults each, and together none (getrusage
+    # around in-process passes)
+    space = np.empty((basis_size + 4 * min(ADJOINT_BLOCK, basis_size), curve.n_nodes),
+                     dtype=complex)
+    W, workspace = np.split(space, [basis_size])
+    mode_basis(curve, modes, out=W)
     np.conjugate(W, out=W)
     W *= curve.arc_weights
     G, MS, MSS, MHSH = np.empty((4, basis_size, basis_size), dtype=complex)
-    workspace = np.empty((4 * min(ADJOINT_BLOCK, basis_size), curve.n_nodes), dtype=complex)
     for s in range(0, basis_size, ADJOINT_BLOCK):
         k = min(ADJOINT_BLOCK, basis_size - s)
         rows = workspace[: 4 * k]
-        rows[:k] = mode_basis(curve, modes[s : s + k])
+        mode_basis(curve, modes[s : s + k], out=rows[:k])
         _apply_block(curve, rows)
         paired = operator_matrix(W, rows)
         for M, columns in zip((G, MS, MSS, MHSH), np.split(paired, 4, axis=1)):

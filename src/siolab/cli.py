@@ -311,14 +311,13 @@ def run_sio_check(cfg: ExperimentConfig) -> tuple[ReportBundle, str | None]:
                     for name, plus, minus in zip(names, np.abs(pf - exact_p).max(axis=0),
                                                  np.abs(qf - (F - exact_p)).max(axis=0))]
 
+    # the polynomials' norms, then S in place over the same stack, then theirs
     polys = random_trig_polynomial(curve, rng, degree=12, count=cfg.trials)
-    s_polys = apply_S(curve, polys.T).T
-    ratio_rows = []
-    for i, (f, sf) in enumerate(zip(polys, s_polys)):
-        nf = norm_value(curve, f, p)
-        ns = norm_value(curve, sf, p)
-        ratio_rows.append({"item": f"trig-{i}", "op": "norm_ratio",
-                           "ratio": ns / nf if nf > 0 else 0.0})
+    norms_f = norm_value(curve, polys, p).tolist()
+    apply_S(curve, polys.T, out=polys.T)
+    norms_sf = norm_value(curve, polys, p).tolist()
+    ratio_rows = [{"item": f"trig-{i}", "op": "norm_ratio", "ratio": ns / nf if nf > 0 else 0.0}
+                  for i, (nf, ns) in enumerate(zip(norms_f, norms_sf))]
     lh = log_holder_constant(p, curve)
 
     results = {

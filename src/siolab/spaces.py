@@ -46,6 +46,11 @@ __all__ = [
 MODULAR_TOL = 1e-12
 CERTIFICATE_TOL = 1e-10
 MAX_STEPS = 64
+# Samples per block of rows of a stack's closed-form norms (``norm_value``),
+# which keeps a block's temporaries in cache: sio-check's 24 trial rows take
+# 1.1 ms at n = 4096 (two blocks), and at n = 65536 15.6 ms in blocks of
+# 2**16 samples against 25 ms in one block and 16 ms row by row.
+NORM_BLOCK = 2**16
 
 
 @dataclass(frozen=True)
@@ -119,6 +124,31 @@ def _modular_parts(curve, f, p):
     return v[fin], pv[fin], curve.arc_weights[fin], v[~fin]
 
 
+def _closed_form_rows(v, pc: float, p_fin, w_fin):
+    """Closed-form scale of each row of v under the constant exponent pc, and its modular there.
+
+    v holds |f| in units of its max, one function per row of a 2-d array
+    (or one 1-d function); the scale is (sum v^pc w)^(1/pc), and the
+    modular of v / scale is the certificate. One scratch array the shape of
+    v holds both sums' terms.
+    """
+    terms = v ** pc
+    terms *= w_fin
+    sums = np.sum(terms, axis=-1)
+    if v.ndim == 1:
+        scale = sums ** (1.0 / pc)
+        np.divide(v, scale, out=terms)
+    else:
+        # a root per row by the scalar power, as for one function: the array
+        # power takes another routine, which can differ in the last bit
+        scale = np.array([s ** (1.0 / pc) for s in sums])
+        np.divide(v, scale[:, None], out=terms)
+    with np.errstate(over="ignore"):
+        np.power(terms, p_fin, out=terms)
+    terms *= w_fin
+    return scale, np.sum(terms, axis=-1)
+
+
 def _modular_value(v_fin, p_fin, w_fin, v_inf, lam: float = 1.0) -> float:
     with np.errstate(over="ignore"):
         integral = float(np.sum((v_fin / lam) ** p_fin * w_fin))
@@ -160,8 +190,9 @@ def luxemburg_norm(curve: JordanCurve, f, p: ExponentFunction) -> NormResult:
     if v_fin.size == 0:
         return result(1.0)
     if v_inf.size == 0 and np.all(p_fin == p_fin[0]):
-        pc = float(p_fin[0])
-        closed = result(np.sum(v_fin ** pc * w_fin) ** (1.0 / pc))
+        scale, rho = _closed_form_rows(v_fin, float(p_fin[0]), p_fin, w_fin)
+        with np.errstate(over="ignore"):
+            closed = NormResult(float(vmax * scale), float(rho), 0)
         if closed.certified:
             return closed
         # fall through on the rare precision miss and polish by the root search
@@ -202,8 +233,43 @@ def luxemburg_norm(curve: JordanCurve, f, p: ExponentFunction) -> NormResult:
     return result(np.exp(best_t), iterations)
 
 
-def norm_value(curve: JordanCurve, f, p: ExponentFunction) -> float:
-    return luxemburg_norm(curve, f, p).value
+def norm_value(curve: JordanCurve, f, p: ExponentFunction) -> float | np.ndarray:
+    """The Luxemburg norm of f, or an array of the norms of the rows of an (m, n) stack f.
+
+    Each row's norm is bitwise the norm of that row alone. Under a constant
+    finite exponent the stack takes the closed form in blocks of rows, and a
+    row keeps it when its modular lies within CERTIFICATE_TOL of 1 at a
+    finite nonzero value; a row that fails this, a zero or non-finite row,
+    and every row under a variable or infinite exponent take
+    ``luxemburg_norm``.
+    """
+    v = np.asarray(f)
+    if v.ndim < 2:
+        return luxemburg_norm(curve, f, p).value
+    m, n = v.shape
+    if n != curve.n_nodes:
+        raise ValueError("function and curve node counts differ")
+    values = np.zeros(m)
+    done = np.zeros(m, dtype=bool)
+    pv = p.values
+    if np.all(pv == pv[0]) and np.isfinite(pv[0]):
+        step = max(1, NORM_BLOCK // n)
+        for s in range(0, m, step):
+            a = np.abs(v[s : s + step]).astype(float, copy=False)
+            vmax = a.max(axis=1)
+            ok = (vmax > 0.0) & np.isfinite(vmax)
+            a = a if ok.all() else a[ok]
+            a /= vmax[ok, None]
+            scale, rho = _closed_form_rows(a, float(pv[0]), pv, curve.arc_weights)
+            with np.errstate(over="ignore"):
+                value = vmax[ok] * scale
+            keep = (np.abs(rho - 1.0) <= CERTIFICATE_TOL) & (0.0 < value) & (value < np.inf)
+            rows = s + np.flatnonzero(ok)[keep]
+            done[rows] = True
+            values[rows] = value[keep]
+    for i in np.flatnonzero(~done):
+        values[i] = luxemburg_norm(curve, v[i], p).value
+    return values
 
 
 def unit_ball_check(curve: JordanCurve, f, p: ExponentFunction) -> UnitBallCheck:

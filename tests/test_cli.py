@@ -351,11 +351,13 @@ def test_sio_check_on_the_circle_takes_no_direct_offcurve_sum(tmp_path, monkeypa
     assert paired == [(32, 512)] * 4
 
 
-@pytest.mark.parametrize("curve, n, bound_mib", [("circle", 4096, 7.5), ("ellipse:2,1", 2048, 4.5)])
+@pytest.mark.parametrize("curve, n, bound_mib",
+                         [("circle", 4096, 5.75), ("ellipse:2,1", 2048, 3.3)])
 def test_sio_check_peak_memory_at_the_bench_shapes(tmp_path, curve, n, bound_mib):
-    # one whole invocation, report write included; it read 6.4 and 3.8 MiB
-    # with the certificate in 8-mode blocks, and 20.2 and 7.5 MiB with its
-    # full-size stacks
+    # one whole invocation, report write included; it reads 4.8 and 2.8 MiB
+    # with S and H writing into the certificate's workspace and S into the
+    # trial polynomials, 6.0 and 3.4 MiB when each returned new arrays, and
+    # 20.2 and 7.5 MiB with the certificate's full-size stacks
     args = ["sio-check", "--curve", curve, "--n", str(n), "--out", str(tmp_path / "sio")]
     assert run(args) == EXIT_OK  # first-call caches (the parser) stay out of the peak
     tracemalloc.start()

@@ -9,6 +9,7 @@ from scipy.optimize import brentq
 
 import siolab.spaces as spaces
 from siolab.cli import ExperimentConfig, run_norm
+from siolab.corpus import random_trig_polynomial
 from siolab.curves import curve_from_name, make_unit_circle
 from siolab.exponents import (
     exponent_constant,
@@ -245,6 +246,45 @@ def test_norms_leave_their_inputs_unchanged(p_spec):
     unit_ball_check(curve, f, p)
     for before, after in zip(saved, [f, p.values, curve.nodes, curve.arc_weights]):
         assert np.array_equal(before, after)
+
+
+@pytest.mark.parametrize("p_spec", ["1.5", "2", "4", "2+abs(sin)", "step:2,inf"])
+@pytest.mark.parametrize("name, n", [("circle", 4096), ("ellipse:2,1", 1001)])
+def test_stacked_norms_are_bitwise_the_norms_of_the_rows(monkeypatch, p_spec, name, n):
+    # blocks of 3 rows, so the zero, infinite and extreme rows share blocks
+    # with closed-form rows; the closed form holds for constant exponents,
+    # and every row of the others takes luxemburg_norm
+    monkeypatch.setattr(spaces, "NORM_BLOCK", 3 * n)
+    curve = curve_from_name(name, n)
+    p = exponent_from_preset(p_spec, curve)
+    F = random_trig_polynomial(curve, np.random.default_rng(1), degree=12, count=24)
+    F[2] = 0.0
+    F[4, 7] = np.inf
+    F[6] *= 1e-300
+    F[8] *= 1e300
+    got = norm_value(curve, F, p)
+    assert got.shape == (24,)
+    want = [norm_value(curve, f, p) for f in F]
+    assert got.tolist() == want
+    assert want[2] == 0.0 and want[4] == np.inf
+    with pytest.raises(ValueError, match="node counts differ"):
+        norm_value(curve, F[:, 1:], p)
+
+
+@pytest.mark.parametrize("p_val", [1.5, 2.0, 4.0])
+def test_closed_form_norm_is_bitwise_the_formula(circle1024, p_val):
+    # value = max|f| (sum (|f|/max|f|)^p w)^(1/p), and its certificate the
+    # modular at that value with the exponent read node by node
+    f = random_trig_polynomial(circle1024, np.random.default_rng(9), degree=12)
+    p = exponent_constant(p_val, 1024)
+    v = np.abs(f)
+    vmax = v.max()
+    v /= vmax
+    scale = np.sum(v**p_val * circle1024.arc_weights) ** (1.0 / p_val)
+    res = luxemburg_norm(circle1024, f, p)
+    assert res.value == float(vmax * scale)
+    assert res.modular_at_value == float(np.sum((v / scale) ** p.values * circle1024.arc_weights))
+    assert res.bisection_iterations == 0
 
 
 def test_unit_ball_examples(circle1024):
