@@ -1,23 +1,24 @@
 """The Cauchy singular integral S and its companions on a Jordan curve.
 
 ``apply_S`` is the one entry point; it takes one function (shape (n,)) or a
-stack (shape (n, m), one per column). Three paths realize S, chosen from the
-curve alone; ``s_path`` names the one that runs.
+stack (shape (m, n), one function per row, as every layer lays out a
+stack). Two realizations of S run, chosen from the curve alone; ``s_path``
+names the one that runs (``fft``, ``split`` or ``dense``).
 
-* ``fft``: on the flagged unit circle S is the exact Fourier multiplier:
-  nonnegative modes pass through, negative modes flip sign. Exact to
-  rounding.
-* ``split``: off the circle, when the spectrum of dtau/dsigma is resolved,
-  the kernel is split into the periodic Hilbert kernel (1/2) cot((s - s0)/2),
-  applied by the same sign(k) multiplier, plus a smooth remainder R whose
-  2-D Fourier coefficients C on an m x m grid are taken once per curve; both
-  parts meet in one spectrum and take one inverse FFT, O(n log n + m^2) per
-  column. m is set by the curve alone: 128 on the 2:1 ellipse, 256 on
-  ``perturbed-circle:0.1,5``, 2048 on ``perturbed-circle:0.3,12`` (m = n
-  below n = 2048). C is capped at 64 MiB (m = 2048); a curve still
-  unresolved there takes the dense path. An odd n costs what an even n
-  costs. Spectral: about 3e-13 at n = 256 on the 2:1 ellipse, 4e-14 at
-  n = 2048.
+* The kernel split (``fft`` on the flagged unit circle, ``split`` off it):
+  the kernel is split into the periodic Hilbert kernel
+  (1/2) cot((s - s0)/2), applied by the sign(k) multiplier, plus a smooth
+  remainder R whose 2-D Fourier coefficients C on an m x m grid are taken
+  once per curve; both parts meet in one spectrum and take one inverse FFT,
+  O(n log n + m^2) per function. On the circle R = i/2, C = [[i/2]] and S is
+  the exact Fourier multiplier: nonnegative modes pass through, negative
+  modes flip sign, exact to rounding at any n. Off the circle the split runs
+  when the spectrum of dtau/dsigma is resolved, and m is set by the curve
+  alone: 128 on the 2:1 ellipse, 256 on ``perturbed-circle:0.1,5``, 2048 on
+  ``perturbed-circle:0.3,12`` (m = n below n = 2048). C is capped at 64 MiB
+  (m = 2048); a curve still unresolved there takes the dense path. An odd n
+  costs what an even n costs. Spectral: about 3e-13 at n = 256 on the 2:1
+  ellipse, 4e-14 at n = 2048.
 * ``dense``: otherwise (the square, whose dtau/dsigma jumps at the corners)
   the principal value is computed on the full n x n kernel with the
   constant part split off,
@@ -46,7 +47,8 @@ certificate holds the weighted basis and one block's workspace, in one
 allocation, and no other array the size of either.
 
 Two quantities are taken once per curve and kept in ``curve._memo``: the
-split's remainder spectrum C and the conjugation phase exp(-i theta).
+split's remainder spectrum C (off the circle) and the conjugation phase
+exp(-i theta).
 """
 
 from __future__ import annotations
@@ -95,26 +97,16 @@ class AdjointResiduals:
     Max-norm defects of S* + HSH, P* - HQH, Q* - HPH (``s_residual``,
     ``p_residual``, ``q_residual``) and of P^2 - P, PQ, P + Q - I
     (``p2_minus_p``, ``pq``, ``p_plus_q_minus_i``), all as pairing matrices
-    on ``basis_size`` modes; ``s_matrix`` is the pairing matrix of S itself.
+    on the basis modes; ``s_matrix`` is the pairing matrix of S itself.
     """
 
     s_residual: float
     p_residual: float
     q_residual: float
-    basis_size: int
     p2_minus_p: float
     pq: float
     p_plus_q_minus_i: float
     s_matrix: np.ndarray
-
-
-def _circle_multiplier(values: np.ndarray, out: np.ndarray | None) -> np.ndarray:
-    """S on the unit circle: sign(k) on the node modes, +1 at k = 0; exact to rounding."""
-    n = values.shape[0]
-    spectrum = np.fft.fft(values, axis=0, out=out)
-    sign = np.where(np.fft.fftfreq(n) >= 0.0, 1.0, -1.0)
-    spectrum *= sign[:, None] if values.ndim > 1 else sign
-    return np.fft.ifft(spectrum, axis=0, out=spectrum)
 
 
 def _quadrature_S(curve: JordanCurve, F: np.ndarray,
@@ -129,34 +121,32 @@ def _quadrature_S(curve: JordanCurve, F: np.ndarray,
     """
     tau = curve.nodes
     dtau = curve.complex_measure
-    single = F.ndim == 1
-    V = F[:, None] if single else F
     n = curve.n_nodes
     idx = np.arange(n)
     # removable-singularity value df/dtau at the node: fourth-order stencil for
     # df/dt over the equispaced parameter divided by the exact dtau/dt, which
     # the constructors store as n * complex_measure
     df_dt = (
-        -V[(idx + 2) % n] + 8.0 * V[(idx + 1) % n] - 8.0 * V[(idx - 1) % n] + V[(idx - 2) % n]
+        -F[..., (idx + 2) % n] + 8.0 * F[..., (idx + 1) % n]
+        - 8.0 * F[..., (idx - 1) % n] + F[..., (idx - 2) % n]
     ) * (n / 12.0)
-    G = df_dt / (n * dtau)[:, None]
-    acc = np.empty((n, V.shape[1]), dtype=complex)
+    G = df_dt / (n * dtau)
+    acc = np.empty(F.shape, dtype=complex)
     row_sums = np.empty(n, dtype=complex)
     for s in range(0, n, KERNEL_ROWS):
         block = idx[s : s + KERNEL_ROWS]
         with np.errstate(divide="ignore", invalid="ignore"):
             A = dtau[None, :] / (tau[None, :] - tau[block, None])
         A[np.arange(block.size), block] = 0.0
-        acc[s : s + KERNEL_ROWS] = A @ V
+        acc[..., s : s + KERNEL_ROWS] = (A @ F.T).T
         row_sums[s : s + KERNEL_ROWS] = A.sum(axis=1)
-    acc -= row_sums[:, None] * V
-    acc += G * dtau[:, None]
+    acc -= row_sums * F
+    acc += G * dtau
     acc /= 1j * np.pi
-    acc += V
-    result = acc[:, 0] if single else acc
+    acc += F
     if out is None:
-        return result
-    out[...] = result
+        return acc
+    out[...] = acc
     return out
 
 
@@ -214,13 +204,17 @@ def _remainder_coefficients(tau: np.ndarray, velocity: np.ndarray,
 def _remainder_spectrum(curve: JordanCurve) -> np.ndarray | None:
     """The split's m x m remainder spectrum C, once per curve; None where the dense path runs.
 
-    dtau/dsigma = n * complex_measure / (2 pi) at the nodes counts as resolved
-    when the top half of its modes (|k| >= n/4) is at rounding level; a corner
-    (the square) leaves a 1/k tail and is not. Then m starts at 64 and
-    doubles until the top quarter of C's modes (|k| >= 3m/8 on either axis)
-    is at rounding level, or until m = n, where C holds R at every node pair.
-    A curve still unresolved when C would pass SPECTRUM_BYTES gets None.
+    On the flagged unit circle, tau = e^{is}, the remainder is the constant
+    R = i/2 and C = [[i/2]] exactly. Elsewhere dtau/dsigma =
+    n * complex_measure / (2 pi) at the nodes counts as resolved when the top
+    half of its modes (|k| >= n/4) is at rounding level; a corner (the
+    square) leaves a 1/k tail and is not. Then m starts at 64 and doubles
+    until the top quarter of C's modes (|k| >= 3m/8 on either axis) is at
+    rounding level, or until m = n, where C holds R at every node pair. A
+    curve still unresolved when C would pass SPECTRUM_BYTES gets None.
     """
+    if curve.is_unit_circle:
+        return np.array([[0.5j]])
     memo = curve._memo
     if "remainder" not in memo:
         n = curve.n_nodes
@@ -251,9 +245,10 @@ def _remainder_spectrum(curve: JordanCurve) -> np.ndarray | None:
 def s_path(curve: JordanCurve) -> str:
     """Which realization of S runs: ``fft``, ``split`` or ``dense``.
 
-    ``fft`` on the flagged unit circle. Off it the kernel split runs when the
-    curve has a resolved remainder spectrum (``_remainder_spectrum``), and the
-    dense kernel otherwise; both need MIN_QUADRATURE_NODES nodes.
+    ``fft`` on the flagged unit circle, where the kernel split is exact at
+    any n. Off it the split runs when the curve has a resolved remainder
+    spectrum (``_remainder_spectrum``), and the dense kernel otherwise; both
+    need MIN_QUADRATURE_NODES nodes.
     """
     if curve.is_unit_circle:
         return "fft"
@@ -271,14 +266,15 @@ def _split_S(curve: JordanCurve, F: np.ndarray, out: np.ndarray | None = None) -
 
     with R smooth and R(s0, s0) = tau''(s0) / (2 tau'(s0)). The cot part is
     the periodic Hilbert transform, the sign(k) multiplier with mode 0
-    removed; on the circle R = i/2 and the split is the circle multiplier.
+    removed; on the circle R = i/2, C = [[i/2]] and the split is the exact
+    Fourier multiplier, (2/i)(i/2) fhat_0 = fhat_0 restoring mode 0.
     The smooth part is R's 2-D trigonometric interpolant on an m x m grid,
     R(s0, s) = sum_kl c_kl e^{i k s0} e^{i l s} with C = fft2(R on the
     grid) / m^2 (``_remainder_spectrum``). Its trapezoid sum over the n nodes,
     (1/n) sum_j R(s0, s_j) f_j, is sum_k e^{i k s0} sum_l c_kl fhat_{-l} / n,
     so with fhat = fft(f) the smooth part adds (2/i) C fhat_{-l} to modes k
     mod n of the cot part's spectrum, and one inverse FFT gives S f at all
-    nodes: O(n log n + m^2) per column, and one linear operator per curve
+    nodes: O(n log n + m^2) per function, and one linear operator per curve
     (Kress, Linear Integral Equations, ch. 13; Helsing and Ojala, J. Comput.
     Phys. 227, 2008; Trefethen and Weideman, SIAM Review 56, 2014). At m = n
     the sum is the trapezoid rule on every row.
@@ -292,19 +288,19 @@ def _split_S(curve: JordanCurve, F: np.ndarray, out: np.ndarray | None = None) -
     takes about the time and memory at n = 2047 that it takes at n = 2048.
     Measured for S f = f, f = 1/(tau - 2.3) on the 2:1 ellipse: error
     2.9e-3 at n = 64, 1.3e-6 at n = 128, 2.9e-13 at n = 256 and 3.8e-14 at
-    n = 2048.
+    n = 2048. F is one function or a stack of them, one per row; the FFTs
+    run along the last axis, into ``out`` when one is given.
     """
     n = curve.n_nodes
     C = _remainder_spectrum(curve)
     modes = np.fft.fftfreq(C.shape[0], 1.0 / C.shape[0]).astype(int)
-    # one function is a stack of one column; reshape gives views of F and out
-    spectrum = np.fft.fft(F.reshape(n, -1), axis=0,
-                          out=None if out is None else out.reshape(n, -1))
-    smooth = C @ spectrum[-modes % n]
-    spectrum *= np.sign(np.fft.fftfreq(n))[:, None]
-    spectrum[modes % n] += (2.0 / 1j) * smooth
-    np.fft.ifft(spectrum, axis=0, out=spectrum)
-    return spectrum.reshape(F.shape) if out is None else out
+    spectrum = np.fft.fft(F, axis=-1, out=out)
+    # C on the left of the product: 75 us against 84 us for rows @ C.T on 16
+    # rows of 2048 nodes with m = 128 (one BLAS thread)
+    smooth = (C @ spectrum[..., -modes % n].T).T
+    spectrum *= np.sign(np.fft.fftfreq(n))
+    spectrum[..., modes % n] += (2.0 / 1j) * smooth
+    return np.fft.ifft(spectrum, axis=-1, out=spectrum)
 
 
 def _checked_out(shape: tuple[int, ...], out) -> np.ndarray | None:
@@ -319,27 +315,29 @@ def _checked_out(shape: tuple[int, ...], out) -> np.ndarray | None:
 def apply_S(curve: JordanCurve, f, out=None) -> np.ndarray:
     """Cauchy singular integral of f on the curve nodes, by the path ``s_path`` names.
 
-    ``f`` has shape (n,) or, for a stack of functions, (n, m) with one
-    function per column; a stack is taken in one pass. The result goes to
-    ``out`` when one is given, a complex array of f's shape that may be f
-    itself or a view of it (a transposed block of rows, say); the fft and
-    split paths then take their forward FFT into ``out`` and finish there.
+    ``f`` has shape (n,) or, for a stack of functions, (m, n) with one
+    function per row, as every layer lays out a stack; a stack is taken in
+    one pass. The result goes to ``out`` when one is given, a complex array
+    of f's shape that may be f itself or a view of it (a block of rows, say);
+    the split (``fft`` and ``split``) then takes its forward FFT into
+    ``out`` and finishes there.
     """
     f = np.asarray(f, dtype=complex)
+    if f.shape[-1:] != (curve.n_nodes,):
+        raise ValueError(f"f must hold the {curve.n_nodes} node values along its last axis, "
+                         f"a stack one function per row; got shape {f.shape}")
     out = _checked_out(f.shape, out)
-    path = s_path(curve)
-    if path == "fft":
-        return _circle_multiplier(f, out)
-    if path == "split":
-        return _split_S(curve, f, out)
-    return _quadrature_S(curve, f, out)
+    if s_path(curve) == "dense":
+        return _quadrature_S(curve, f, out)
+    return _split_S(curve, f, out)
 
 
 def riesz_projections(curve: JordanCurve, f) -> tuple[np.ndarray, np.ndarray]:
     """(P f, Q f) with P = (I + S)/2, Q = (I - S)/2; P f + Q f = f exactly.
 
-    Q f is formed as f - P f so the resolution of the identity holds to the
-    last bit, not merely to rounding.
+    ``f`` is one function (n,) or an (m, n) stack of rows, as for ``apply_S``.
+    P f is formed in the array S filled, and Q f as f - P f so the resolution
+    of the identity holds to the last bit, not merely to rounding.
     """
     v = np.asarray(f, dtype=complex)
     pf = apply_S(curve, v)
@@ -411,10 +409,10 @@ def _apply_block(curve: JordanCurve, rows: np.ndarray) -> None:
     k = rows.shape[0] // 4
     B, SB, SSB, HSHB = np.split(rows, 4)
     conjugation_H(curve, B, out=SB)
-    apply_S(curve, rows[: 2 * k].T, out=rows[2 * k :].T)
+    apply_S(curve, rows[: 2 * k], out=rows[2 * k :])
     conjugation_H(curve, HSHB, out=HSHB)
     SB[...] = SSB
-    apply_S(curve, SSB.T, out=SSB.T)
+    apply_S(curve, SSB, out=SSB)
 
 
 def adjoint_residuals(curve: JordanCurve, basis_size: int) -> AdjointResiduals:
@@ -473,7 +471,6 @@ def adjoint_residuals(curve: JordanCurve, basis_size: int) -> AdjointResiduals:
         s_residual=float(np.abs(MS.conj().T + MHSH).max()),
         p_residual=float(np.abs(MP.conj().T - 0.5 * (G - MHSH)).max()),
         q_residual=float(np.abs(MQ.conj().T - 0.5 * (G + MHSH)).max()),
-        basis_size=basis_size,
         p2_minus_p=float(np.abs(0.5 * (MP + MSP) - MP).max()),
         pq=float(np.abs(0.5 * (MQ + MSQ)).max()),
         p_plus_q_minus_i=float(np.abs(MP + MQ - G).max()),

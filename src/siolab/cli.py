@@ -14,6 +14,7 @@ import functools
 import hashlib
 import io
 import json
+import math
 import sys
 from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
@@ -97,7 +98,8 @@ class ReportBundle:
         out.mkdir(parents=True, exist_ok=True)
         paths = []
         report = out / "report.json"
-        report.write_text(json.dumps(self.payload(), sort_keys=True, indent=2) + "\n")
+        report.write_text(json.dumps(self.payload(), sort_keys=True, indent=2,
+                                     allow_nan=False) + "\n")
         paths.append(report)
         if fmt == "csv":
             for name, rows in sorted(self.tables.items()):
@@ -119,7 +121,8 @@ class ReportBundle:
 
 
 def _plain(obj):
-    """Convert numpy scalars and containers to JSON-stable Python types."""
+    """Convert numpy scalars and containers to JSON-stable Python types; a
+    non-finite float becomes "inf", "-inf" or "nan", as a csv cell reads it."""
     if isinstance(obj, dict):
         return {str(k): _plain(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -129,9 +132,9 @@ def _plain(obj):
     if isinstance(obj, (bool, np.bool_)):
         return bool(obj)
     if isinstance(obj, (complex, np.complexfloating)):
-        return {"re": float(np.real(obj)), "im": float(np.imag(obj))}
+        return {"re": _plain(float(np.real(obj))), "im": _plain(float(np.imag(obj)))}
     if isinstance(obj, (np.floating, float)):
-        return float(obj)
+        return float(obj) if math.isfinite(obj) else str(float(obj))
     if isinstance(obj, (np.integer, int)):
         return int(obj)
     return obj
@@ -253,6 +256,8 @@ def run_multiplier(cfg: ExperimentConfig) -> tuple[ReportBundle, str | None]:
     a = _symbol(cfg.symbol, curve, cfg.degree, rng).values
     bounds = multiplier_norm_lower(curve, a, p, q, trials=cfg.trials)
     theorem, lower, holder = bounds.theorem_value, bounds.lower_bound, bounds.holder_constant
+    if not np.isfinite(theorem):
+        raise ValueError(f"symbol {cfg.symbol!r} has no finite L^r norm (theorem value {theorem})")
     results = {
         "theorem_value": theorem,
         "lower_bound": lower,
@@ -270,7 +275,7 @@ def run_multiplier(cfg: ExperimentConfig) -> tuple[ReportBundle, str | None]:
         {},
     )
     fault = None
-    if np.isfinite(theorem) and lower > theorem * holder * (1.0 + 1e-9):
+    if lower > theorem * holder * (1.0 + 1e-9):
         fault = "lower bound exceeds the theorem value times the Hoelder constant K"
     return bundle, fault
 
@@ -304,17 +309,17 @@ def run_sio_check(cfg: ExperimentConfig) -> tuple[ReportBundle, str | None]:
             "P_plus_Q_minus_I": adj.p_plus_q_minus_i}
     # the Plemelj limits P f and Q f of each rational function, known exactly
     names, functions, exact = zip(*rational_corpus(curve, rng, count=4))
-    F, exact_p = np.column_stack(functions), np.column_stack(exact)
+    F, exact_p = np.stack(functions), np.stack(exact)
     pf, qf = riesz_projections(curve, F)
     plemelj_rows = [{"item": name, "op": "riesz_projections",
                      "residual_plus": plus, "residual_minus": minus}
-                    for name, plus, minus in zip(names, np.abs(pf - exact_p).max(axis=0),
-                                                 np.abs(qf - (F - exact_p)).max(axis=0))]
+                    for name, plus, minus in zip(names, np.abs(pf - exact_p).max(axis=1),
+                                                 np.abs(qf - (F - exact_p)).max(axis=1))]
 
     # the polynomials' norms, then S in place over the same stack, then theirs
     polys = random_trig_polynomial(curve, rng, degree=12, count=cfg.trials)
     norms_f = norm_value(curve, polys, p).tolist()
-    apply_S(curve, polys.T, out=polys.T)
+    apply_S(curve, polys, out=polys)
     norms_sf = norm_value(curve, polys, p).tolist()
     ratio_rows = [{"item": f"trig-{i}", "op": "norm_ratio", "ratio": ns / nf if nf > 0 else 0.0}
                   for i, (nf, ns) in enumerate(zip(norms_f, norms_sf))]
@@ -374,7 +379,8 @@ def run_dichotomy(cfg: ExperimentConfig) -> tuple[ReportBundle, str | None]:
                                      verdict.sigma_min_companion, verdict.kernel_dim_T,
                                      verdict.kernel_dim_companion)
     ]
-    extra = {"verdict.json": json.dumps(_plain(record), sort_keys=True, indent=2) + "\n"}
+    extra = {"verdict.json": json.dumps(_plain(record), sort_keys=True, indent=2,
+                                        allow_nan=False) + "\n"}
     bundle = ReportBundle(results, {"sections": rows},
                           _provenance(cfg, ["dichotomy_probe"]), extra)
     fault = "both operators show persistent nontrivial kernels" if verdict.fault else None

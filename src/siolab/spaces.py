@@ -127,22 +127,16 @@ def _modular_parts(curve, f, p):
 def _closed_form_rows(v, pc: float, p_fin, w_fin):
     """Closed-form scale of each row of v under the constant exponent pc, and its modular there.
 
-    v holds |f| in units of its max, one function per row of a 2-d array
-    (or one 1-d function); the scale is (sum v^pc w)^(1/pc), and the
-    modular of v / scale is the certificate. One scratch array the shape of
-    v holds both sums' terms.
+    v holds |f| in units of its max, one function per row of a 2-d array;
+    the scale is (sum v^pc w)^(1/pc), and the modular of v / scale is the
+    certificate. One scratch array the shape of v holds both sums' terms.
     """
     terms = v ** pc
     terms *= w_fin
-    sums = np.sum(terms, axis=-1)
-    if v.ndim == 1:
-        scale = sums ** (1.0 / pc)
-        np.divide(v, scale, out=terms)
-    else:
-        # a root per row by the scalar power, as for one function: the array
-        # power takes another routine, which can differ in the last bit
-        scale = np.array([s ** (1.0 / pc) for s in sums])
-        np.divide(v, scale[:, None], out=terms)
+    # a root per row by the scalar power: the array power takes another
+    # routine, which can differ in the last bit
+    scale = np.array([s ** (1.0 / pc) for s in np.sum(terms, axis=-1)])
+    np.divide(v, scale[:, None], out=terms)
     with np.errstate(over="ignore"):
         np.power(terms, p_fin, out=terms)
     terms *= w_fin
@@ -190,9 +184,9 @@ def luxemburg_norm(curve: JordanCurve, f, p: ExponentFunction) -> NormResult:
     if v_fin.size == 0:
         return result(1.0)
     if v_inf.size == 0 and np.all(p_fin == p_fin[0]):
-        scale, rho = _closed_form_rows(v_fin, float(p_fin[0]), p_fin, w_fin)
+        scale, rho = _closed_form_rows(v_fin[None], float(p_fin[0]), p_fin, w_fin)
         with np.errstate(over="ignore"):
-            closed = NormResult(float(vmax * scale), float(rho), 0)
+            closed = NormResult(float(vmax * scale[0]), float(rho[0]), 0)
         if closed.certified:
             return closed
         # fall through on the rare precision miss and polish by the root search

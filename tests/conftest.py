@@ -84,7 +84,7 @@ def _block_residuals(curve, a, N):
     av = a.values
 
     def S(X):
-        return apply_S(curve, X.T).T
+        return apply_S(curve, X)
 
     def norm(X):
         return np.sqrt(np.sum(np.abs(X) ** 2 * curve.arc_weights, axis=-1))

@@ -3,6 +3,7 @@ import json
 import re
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,8 +21,18 @@ from siolab.curves import (
 from siolab.toeplitz import DichotomyVerdict
 
 
+def _not_json(constant):
+    raise ValueError(f"{constant} is not a JSON value")
+
+
 def run(args):
-    return main(args)
+    """main(args); every JSON file it leaves in its out directory must be strict JSON."""
+    code = main(args)
+    if "--out" in args:
+        out = Path(args[args.index("--out") + 1])
+        for path in (out.parent if out.suffix == ".json" else out).glob("*.json"):
+            json.loads(path.read_text(), parse_constant=_not_json)
+    return code
 
 
 def test_norm_subcommand(tmp_path):
@@ -321,7 +332,7 @@ def test_sio_check_takes_every_offcurve_target_in_one_call(tmp_path, monkeypatch
     code = run(["sio-check", "--curve", "ellipse:2,1", "--n", "512", "--trials", "2",
                 "--out", str(tmp_path / "sio")])
     assert code == EXIT_OK
-    assert shapes == [(512, 4)]
+    assert shapes == [(4, 512)]
 
 
 def test_sio_check_builds_one_remainder_spectrum(tmp_path, monkeypatch, count_calls):
@@ -333,7 +344,7 @@ def test_sio_check_builds_one_remainder_spectrum(tmp_path, monkeypatch, count_ca
     code = run(["sio-check", "--curve", "ellipse:2,1", "--n", "2048",
                 "--out", str(tmp_path / "sio")])
     assert code == EXIT_OK
-    assert applied == [(2048, 16), (2048, 8)] * 4 + [(2048, 4), (2048, 24)]
+    assert applied == [(16, 2048), (8, 2048)] * 4 + [(4, 2048), (24, 2048)]
     assert grids == [(64,), (128,)]
 
 
@@ -347,7 +358,7 @@ def test_sio_check_on_the_circle_takes_no_direct_offcurve_sum(tmp_path, monkeypa
     assert code == EXIT_OK
     # the mode-basis certificate, per 8-mode block: S of [B | HB], then S of
     # SB, then one pairing of B, SB, S^2 B and HSHB; then the corpus
-    assert applied == [(512, 16), (512, 8)] * 4 + [(512, 4)]
+    assert applied == [(16, 512), (8, 512)] * 4 + [(4, 512)]
     assert paired == [(32, 512)] * 4
 
 
@@ -473,6 +484,30 @@ def test_multiplier_judges_the_lower_bound_against_the_holder_constant(tmp_path,
     assert run(["multiplier", "--p", "2+abs(sin)", "--q", "2", "--symbol", "one-plus-cos2",
                 "--n", "512", "--trials", "8", "--out", str(tmp_path / "m")]) == code
     assert ("Hoelder constant" in capsys.readouterr().err) == (code == EXIT_FAULT)
+
+
+@pytest.mark.parametrize("argv, code, bounds", [
+    (["multiplier", "--p", "4", "--q", "2", "--symbol", "singular:-0.2"], EXIT_VALIDATION, None),
+    (["sio-check", "--curve", "ellipse:2,1", "--exponent", "inf"], EXIT_OK, ["inf", "inf"]),
+    (["sio-check", "--curve", "circle", "--exponent", "step:2,inf"], EXIT_OK, [2.0, "inf"]),
+], ids=["multiplier-singular", "sio-check-inf", "sio-check-step-inf"])
+def test_non_finite_values_leave_strict_json_reports(tmp_path, capsys, argv, code, bounds):
+    # these wrote Infinity, which no strict JSON parser reads, and the
+    # multiplier claimed success on an infinite theorem value
+    out = tmp_path / "out"
+    assert run([*argv, "--n", "512", "--out", str(out)]) == code
+    if code == EXIT_VALIDATION:
+        assert "no finite L^r norm" in capsys.readouterr().err
+        assert not out.exists()
+        return
+    report = json.loads((out / "report.json").read_text(), parse_constant=_not_json)
+    assert report["results"]["log_holder"]["constant_estimate"] == "inf"
+    assert report["results"]["log_holder"]["bounds"] == bounds
+
+
+def test_plain_writes_non_finite_floats_as_strings():
+    values = [np.inf, -np.inf, np.nan, 1.5, np.float32(-np.inf), complex(np.inf, 0.25)]
+    assert cli._plain(values) == ["inf", "-inf", "nan", 1.5, "-inf", {"re": "inf", "im": 0.25}]
 
 
 def test_json_out_path_without_verdict_file(tmp_path):
