@@ -38,7 +38,6 @@ from .spaces import (
     modular,
     multiplier_norm_lower,
     multiplier_norm_via_theorem,
-    multiplier_witness,
     norm_value,
     unit_ball_check,
 )

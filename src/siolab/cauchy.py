@@ -3,9 +3,9 @@
 ``apply_S`` is the one entry point; it takes one function (shape (n,)) or a
 stack (shape (m, n), one function per row, as every layer lays out a
 stack). Two realizations of S run, chosen from the curve alone; ``s_path``
-names the one that runs (``fft``, ``split`` or ``dense``).
+names the one that runs (``circle``, ``split`` or ``dense``).
 
-* The kernel split (``fft`` on the flagged unit circle, ``split`` off it):
+* The kernel split (``circle`` on the flagged unit circle, ``split`` off it):
   the kernel is split into the periodic Hilbert kernel
   (1/2) cot((s - s0)/2), applied by the sign(k) multiplier, plus a smooth
   remainder R whose 2-D Fourier coefficients C on an m x m grid are taken
@@ -243,15 +243,15 @@ def _remainder_spectrum(curve: JordanCurve) -> np.ndarray | None:
 
 
 def s_path(curve: JordanCurve) -> str:
-    """Which realization of S runs: ``fft``, ``split`` or ``dense``.
+    """Which realization of S runs: ``circle``, ``split`` or ``dense``.
 
-    ``fft`` on the flagged unit circle, where the kernel split is exact at
+    ``circle`` on the flagged unit circle, where the kernel split is exact at
     any n. Off it the split runs when the curve has a resolved remainder
     spectrum (``_remainder_spectrum``), and the dense kernel otherwise; both
     need MIN_QUADRATURE_NODES nodes.
     """
     if curve.is_unit_circle:
-        return "fft"
+        return "circle"
     if curve.n_nodes < MIN_QUADRATURE_NODES:
         raise ValueError(f"the dense and split paths need at least {MIN_QUADRATURE_NODES} nodes")
     return "dense" if _remainder_spectrum(curve) is None else "split"
@@ -319,7 +319,7 @@ def apply_S(curve: JordanCurve, f, out=None) -> np.ndarray:
     function per row, as every layer lays out a stack; a stack is taken in
     one pass. The result goes to ``out`` when one is given, a complex array
     of f's shape that may be f itself or a view of it (a block of rows, say);
-    the split (``fft`` and ``split``) then takes its forward FFT into
+    the split (``circle`` and ``split``) then takes its forward FFT into
     ``out`` and finishes there.
     """
     f = np.asarray(f, dtype=complex)

@@ -8,7 +8,6 @@ from .curves import JordanCurve
 
 __all__ = [
     "random_trig_polynomial",
-    "indicator_arc",
     "rational_function",
     "rational_corpus",
 ]
@@ -34,15 +33,6 @@ def random_trig_polynomial(curve: JordanCurve, rng: np.random.Generator,
         row[:] = table @ (rng.standard_normal(2 * degree + 1)
                           + 1j * rng.standard_normal(2 * degree + 1))
     return polys[0] if count is None else polys
-
-
-def indicator_arc(curve: JordanCurve, center_index: int, width_nodes: int) -> np.ndarray:
-    """Indicator of a contiguous node arc (width counted in nodes)."""
-    sel = np.zeros(curve.n_nodes, dtype=complex)
-    half = max(0, width_nodes // 2)
-    idx = (center_index + np.arange(-half, width_nodes - half)) % curve.n_nodes
-    sel[idx] = 1.0
-    return sel
 
 
 def rational_function(curve: JordanCurve, poles, residues, poly_coeffs=()) -> np.ndarray:

@@ -16,11 +16,6 @@ from typing import Callable
 import numpy as np
 
 TWO_PI = 2.0 * np.pi
-# Segments per run of the self-intersection check. 8 took 1.2, 1.0 and 0.9 ms
-# on ellipse:2,1 at n = 2048, perturbed-circle:0.3,12 and the square at
-# n = 4096 (one core), against 2.0, 2.4 and 2.0 ms with runs of 32; runs of 4
-# were no faster off the ellipse and twice as slow on a crossing random walk.
-RUN_SEGMENTS = 8
 
 __all__ = [
     "JordanCurve",
@@ -121,65 +116,6 @@ class CarlesonReport:
         return f"{self.t_count} centers x {len(eps)} radii in [{eps[0]:.3g}, {eps[-1]:.3g}]"
 
 
-def _eval_on_grid(fn: Callable, t: np.ndarray) -> np.ndarray:
-    out = np.asarray(fn(t))
-    if out.shape != t.shape:
-        out = np.asarray([fn(float(x)) for x in t])
-    return out.astype(complex)
-
-
-def _polyline_is_simple(nodes: np.ndarray, max_segments: int = 768) -> bool:
-    """Proper-crossing test for the closed polyline through ``nodes``.
-
-    Subsamples to at most ``max_segments`` segments, so this is a desk-scale
-    sanity check, not a proof of simplicity. Segments are grouped in runs of
-    RUN_SEGMENTS consecutive ones, and only pairs from runs whose bounding
-    boxes overlap take the orientation test: a proper crossing lies inside
-    both segments' boxes, so no crossing is skipped. On a convex curve a run
-    meets only its neighbours: the 683 segments of ``ellipse:2,1`` at
-    n = 2048 take 172 blocks of 8 x 8 tests instead of 683 x 683. The tests
-    run in real arithmetic on 2048 segment pairs at a time, so no temporary
-    is larger than 16 KiB.
-    """
-    step = max(1, int(np.ceil(nodes.size / max_segments)))
-    z = nodes[::step]
-    m = z.size
-    if m < 4:
-        return True
-    ax, ay = z.real, z.imag
-    bx, by = np.roll(ax, -1), np.roll(ay, -1)
-    dx, dy = bx - ax, by - ay
-
-    # the last run is padded by repeating its last segment, which only
-    # repeats pairs already tested
-    runs = np.arange(-(-m // RUN_SEGMENTS) * RUN_SEGMENTS).reshape(-1, RUN_SEGMENTS)
-    runs = np.minimum(runs, m - 1)
-    lo_x = np.minimum(ax, bx)[runs].min(axis=1)
-    hi_x = np.maximum(ax, bx)[runs].max(axis=1)
-    lo_y = np.minimum(ay, by)[runs].min(axis=1)
-    hi_y = np.maximum(ay, by)[runs].max(axis=1)
-    overlap = (
-        (lo_x[:, None] <= hi_x[None, :]) & (lo_x[None, :] <= hi_x[:, None])
-        & (lo_y[:, None] <= hi_y[None, :]) & (lo_y[None, :] <= hi_y[:, None])
-    )
-    first, second = np.nonzero(np.triu(overlap))
-    chunk = 2048 // RUN_SEGMENTS**2
-    for c in range(0, first.size, chunk):
-        i = runs[first[c : c + chunk]][:, :, None]  # segment i against segment j
-        j = runs[second[c : c + chunk]][:, None, :]
-        # orientation of each end of one segment against the other's direction;
-        # a segment against itself or a neighbour, with which it shares an
-        # endpoint, has one orientation exactly 0 and never counts as a crossing
-        ex, ey = ax[i] - ax[j], ay[i] - ay[j]
-        d1 = dx[j] * ey - dy[j] * ex
-        d2 = dx[j] * (by[i] - ay[j]) - dy[j] * (bx[i] - ax[j])
-        d3 = dy[i] * ex - dx[i] * ey
-        d4 = dx[i] * (by[j] - ay[i]) - dy[i] * (bx[j] - ax[i])
-        if ((d1 * d2 < 0) & (d3 * d4 < 0)).any():
-            return False
-    return True
-
-
 def make_unit_circle(n_nodes: int) -> JordanCurve:
     """Equispaced nodes exp(2 pi i j / n) with exact arc weights 2 pi / n."""
     if n_nodes < 8:
@@ -199,26 +135,27 @@ def make_parametric_curve(
 ) -> JordanCurve:
     """Sample a 1-periodic parametrization at t_j = j/n.
 
-    ``position`` and ``derivative`` map [0, 1) to the plane; they may be
-    vectorized or scalar. Arc weights are |derivative|/n (the periodic
+    ``position`` and ``derivative`` map an array of parameters in [0, 1) to
+    points of the plane. Arc weights are |derivative|/n (the periodic
     rectangle rule) and tangent angles are arg(derivative); at a corner the
-    supplied derivative should return the left limit.
+    supplied derivative should return the left limit. The caller vouches
+    that the curve is simple: nothing here tests for crossings. Every zoo
+    curve is simple by construction (the circle and the convex square and
+    ellipse, and the perturbed circle, a polar graph of a positive radius),
+    so code that takes a curve from outside must bring a check with it.
     """
     if n_nodes < 8:
         raise ValueError("make_parametric_curve needs n_nodes >= 8")
     t = np.arange(n_nodes) / n_nodes
-    nodes = _eval_on_grid(position, t)
-    deriv = _eval_on_grid(derivative, t)
+    nodes = np.asarray(position(t), dtype=complex)
+    deriv = np.asarray(derivative(t), dtype=complex)
     speed = np.abs(deriv)
     if np.any(speed <= 1e-13 * speed.max()):
         bad = np.flatnonzero(speed <= 1e-13 * speed.max())
         raise ValueError(f"derivative vanishes at nodes {bad[:8].tolist()}")
     weights = speed / n_nodes
     angles = np.angle(deriv)
-    curve = JordanCurve(nodes, weights, angles, float(weights.sum()), name=name)
-    if not _polyline_is_simple(curve.nodes):
-        raise ValueError(f"curve {name!r} fails the self-intersection check")
-    return curve
+    return JordanCurve(nodes, weights, angles, float(weights.sum()), name=name)
 
 
 def make_ellipse(a: float, b: float, n_nodes: int) -> JordanCurve:

@@ -10,7 +10,9 @@ t that cannot overflow, convex and decreasing with slope at most -1
 Variable Exponents, Lecture Notes in Math. 2017, ch. 2). So it needs no
 bracket: from t = 0 the first step lands left of the root if it starts
 right of it, and later steps climb to it, usually four to six in all. The
-direct modular at the returned lambda is the certificate.
+direct modular at the returned lambda is the certificate. The multiplier
+norm's discrete problem is concave, and the same search, nested, brackets
+it from both sides (``multiplier_norm_lower``).
 """
 
 from __future__ import annotations
@@ -19,7 +21,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .corpus import indicator_arc
 from .curves import JordanCurve
 from .exponents import ExponentFunction, conjugate_exponent_r, dominance_check
 
@@ -34,7 +35,6 @@ __all__ = [
     "norm_value",
     "unit_ball_check",
     "multiplier_norm_via_theorem",
-    "multiplier_witness",
     "multiplier_norm_lower",
 ]
 
@@ -51,6 +51,15 @@ MAX_STEPS = 64
 # 1.1 ms at n = 4096 (two blocks), and at n = 65536 15.6 ms in blocks of
 # 2**16 samples against 25 ms in one block and 16 ms row by row.
 NORM_BLOCK = 2**16
+# The multiplier's cap t = max |u| on the infinity set {p = inf} runs over
+# this grid (just 0 without an infinity set), and its upper certificate is
+# taken UPPER_SLACK above the root of the dual bound.
+CAP_GRID = np.arange(33) / 32.0
+UPPER_SLACK = 1e-12
+# The rounding the multiplier's lower certificate may show past K ||a||_r,
+# which bounds it exactly: with constant exponents, where K = 1 and the two
+# are equal, it read up to 2 eps past it over 1008 cases on four zoo curves.
+LOWER_ROUNDING = 4 * 2.0**-52
 
 
 @dataclass(frozen=True)
@@ -91,17 +100,13 @@ class UnitBallCheck:
 
 @dataclass(frozen=True)
 class MultiplierBounds:
-    """The best certified trial bound for the multiplier norm of a, the norm
-    of a in L^r, the certified bound of the analytic witness (0 if none),
-    the number of power steps taken, the relative rise of the last one (0 if
-    none) and the Hoelder constant K with multiplier norm <= K theorem value
-    (see :func:`multiplier_norm_via_theorem`)."""
+    """Certified bounds lower_bound <= multiplier norm of a <= upper_bound, the
+    norm of a in L^r and the Hoelder constant K with multiplier norm <= K
+    theorem value (see :func:`multiplier_norm_via_theorem`)."""
 
     lower_bound: float
+    upper_bound: float
     theorem_value: float
-    witness_value: float
-    power_steps: int
-    last_rise: float
     holder_constant: float
 
 
@@ -155,6 +160,37 @@ def modular(curve: JordanCurve, f, p: ExponentFunction) -> float:
     return _modular_value(v_fin, p_fin, w_fin, v_inf)
 
 
+def _log_sum_exp(a: np.ndarray, slopes: np.ndarray, t: float) -> tuple[float, float]:
+    """g(t) = log sum exp(a - slopes t), and its mean slope -g'(t)."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        e = a - slopes * t
+        top = e.max()
+        z = np.exp(e - top)
+        total = z.sum()
+        return float(top + np.log(total)), float(z @ slopes / total)
+
+
+def _newton_root(g_and_mean_slope, t: float = 0.0) -> tuple[float, int]:
+    """Root of a convex decreasing g with mean slope -g' >= 1, by Newton's method from t.
+
+    No bracket is needed: a first step from right of the root lands left of
+    it, and later steps climb to it. The steps run until exp(g) is within
+    MODULAR_TOL of 1 and g no longer improves, at most MAX_STEPS of them;
+    returns the best t and the number of steps.
+    """
+    g, mean = g_and_mean_slope(t)
+    best_t, best_g, iterations = t, g, 0
+    while iterations < MAX_STEPS and np.isfinite(g):
+        t += g / mean
+        g, mean = g_and_mean_slope(t)
+        iterations += 1
+        if abs(g) < abs(best_g):
+            best_t, best_g = t, g
+        elif abs(np.expm1(best_g)) <= MODULAR_TOL:
+            break
+    return best_t, iterations
+
+
 def luxemburg_norm(curve: JordanCurve, f, p: ExponentFunction) -> NormResult:
     """Smallest lambda > 0 with modular(f / lambda) <= 1.
 
@@ -203,27 +239,7 @@ def luxemburg_norm(curve: JordanCurve, f, p: ExponentFunction) -> NormResult:
             slopes = np.append(slopes, 1.0)
             a = np.append(a, np.log(v_inf.max()))
 
-    def g_and_mean_slope(t):
-        with np.errstate(over="ignore", invalid="ignore"):
-            e = a - slopes * t
-            top = e.max()
-            z = np.exp(e - top)
-            total = z.sum()
-            return float(top + np.log(total)), float(z @ slopes / total)
-
-    # Newton steps until the modular is within MODULAR_TOL of 1 and g no
-    # longer improves
-    t = best_t = 0.0
-    g, mean = g_and_mean_slope(t)
-    best_g, iterations = g, 0
-    while iterations < MAX_STEPS and np.isfinite(g):
-        t += g / mean
-        g, mean = g_and_mean_slope(t)
-        iterations += 1
-        if abs(g) < abs(best_g):
-            best_t, best_g = t, g
-        elif abs(np.expm1(best_g)) <= MODULAR_TOL:
-            break
+    best_t, iterations = _newton_root(lambda t: _log_sum_exp(a, slopes, t))
     return result(np.exp(best_t), iterations)
 
 
@@ -303,114 +319,166 @@ def multiplier_norm_via_theorem(
     return norm_value(curve, a, r)
 
 
-def multiplier_witness(curve: JordanCurve, a, p: ExponentFunction, q: ExponentFunction,
-                       c: float, eps: float) -> np.ndarray:
-    """Near-extremal trial function for the multiplier norm of a.
-
-    On the finite-exponent part of the curve where a(t) != 0 it equals
-    ((c + eps) / a) (|a| / (c + eps))^(r/q), so |witness| =
-    (|a| / (c + eps))^(r/p); elsewhere it vanishes. With c at least the
-    multiplier norm its p-modular stays <= 1.
-    """
-    if c <= 0.0 or eps <= 0.0:
-        raise ValueError("witness needs c > 0 and eps > 0")
-    r = conjugate_exponent_r(p, q)
-    av = _node_values(curve, a)
-    # the finite-exponent part is where p and r are finite; nodes sampling an
-    # integrable singularity as inf form a null set
-    mask = np.isfinite(p.values) & np.isfinite(r.values) & (av != 0.0) & np.isfinite(av)
-    out = np.zeros(curve.n_nodes, dtype=complex)
-    if mask.any():
-        ratio = np.abs(av[mask]) / (c + eps)
-        power = r.values[mask] / q.values[mask]
-        out[mask] = (c + eps) / av[mask] * ratio**power
-    return out
+def _log_sums(e: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """log sum exp(e) over the last axis, and log (exp(e) @ weights) for the columns of
+    weights; -inf for an empty sum."""
+    top = e.max(axis=-1, keepdims=True, initial=-np.inf)
+    top[~np.isfinite(top)] = 0.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        z = np.exp(e - top)
+        return top[..., 0] + np.log(z.sum(axis=-1)), top + np.log(z @ weights)
 
 
-def multiplier_norm_lower(
-    curve: JordanCurve,
-    a,
-    p: ExponentFunction,
-    q: ExponentFunction,
-    trials: int = 32,
-) -> MultiplierBounds:
-    """Certified lower bound for the multiplier norm of a from X_p to X_q.
+def multiplier_norm_lower(curve: JordanCurve, a, p: ExponentFunction,
+                          q: ExponentFunction) -> MultiplierBounds:
+    """Certified bracket of the discrete multiplier norm N of a from X_p to X_q, by concave duality.
 
-    The best ||a u||_q / ||u||_p over ``trials`` trial functions u: first the
-    constant, four indicator arcs at the argmax of |a| (p = q's sup norm) and
-    the analytic witness built from the theorem value (exact for constant
-    exponents); then, when 1 < p- and p+ < inf, steps of Boyd's power method
-    for p-norms from the witness, else from the best of the others if a lies
-    in L^r (at p = q, where r = inf and there is no witness, an arc at the
-    peak of |a|) and from the constant if not (Boyd, Linear Algebra
-    Appl. 9, 1974; Higham, Numer. Math. 62, 1992). A step takes lambda =
-    ||a u||_q, h = |a| q (|a| u / lambda)^(q-1) / p and u = (h / mu)^(1/(p-1))
-    with mu = ||h||_p', whose certificate is the p-modular of u, so ||u||_p = 1
-    and lambda never falls. The steps stop once lambda rises by less than
-    1e-12 relative. Every bound is certified, so none overshoots the norm.
-    The Hoelder constant K of :func:`multiplier_norm_via_theorem` comes with
+    With s_j = w_j |u_j|^p_j, theta = q/p and b_j = w_j^(1 - theta_j)
+    |a_j / lambda|^q_j, rho_q(a u / lambda) = sum b_j s_j^theta_j is concave
+    in s, so F(lambda) = max{rho_q(a u / lambda) : sum s_j <= 1} has one
+    maximizer, s_j = (theta_j b_j / mu)^(1/(1 - theta_j)) with sum s_j = 1: a
+    log-sum-exp root in log mu with slopes r_j/q_j, by the Newton search of
+    ``luxemburg_norm``. Linear nodes (theta = 1, p = q) hold mu at least
+    their largest b_j, and that node takes the mass left over. N is the
+    root of F = 1, and log F is convex and decreasing in log lambda with
+    slope -sum q_j b_j s_j^theta_j / F (the envelope theorem), so Newton's
+    method needs no bracket there either. The infinity set {p = inf} shares
+    one cap t = max |u|, which leaves the budget 1 - t to the other nodes
+    and adds h(t), its own terms at |u| = t; t runs over CAP_GRID.
+
+    The lower bound is ||a u||_q for the maximizer at the best grid point
+    (u_j = (s_j / w_j)^(1/p_j), and t on the infinity set) scaled to
+    ||u||_p = 1, by ``norm_value``. The upper bound is weak duality: for mu
+    at least the linear nodes' b_j, budget m gives at most
+    mu m + sum (1 - theta_j) b_j s_j(mu)^theta_j, and on [t_k, t_k+1] the
+    budget's value falls while h rises; the root of the max over k of that
+    bound at 1 - t_k plus h(t_k+1), UPPER_SLACK higher, bounds N. Without an
+    infinity set, or with p = inf everywhere, the bracket is about
+    UPPER_SLACK wide. Zero and non-finite samples of a take no mass, and
+    a = 0 gives [0, 0]. The theorem value of
+    :func:`multiplier_norm_via_theorem` and its Hoelder constant K come with
     the bounds.
     """
     ok, viol = dominance_check(p, q)
     if not ok:
         raise ValueError(f"dominance q <= p fails at nodes {viol[:8].tolist()}")
-    av = _node_values(curve, a)
-    # trials vanish where the samples are non-finite (a null set for
-    # integrable singularities); their bounds stay certified
-    finite = np.isfinite(av)
-    n = curve.n_nodes
-    pv, qv = p.values, q.values
-    theta = np.ones(n)  # q/p, and 1 where q = inf (there p = inf too)
+    av = np.abs(_node_values(curve, a))
+    pv, qv, w = p.values, q.values, curve.arc_weights
+    theta = np.ones(curve.n_nodes)  # q/p, and 1 where q = inf (there p = inf too)
     finite_q = np.isfinite(qv)
     theta[finite_q] = qv[finite_q] / pv[finite_q]
     holder = float(theta.max() + (1.0 - theta).max())
+    theorem = multiplier_norm_via_theorem(curve, a, p, q)
+    live = np.isfinite(av) & (av > 0.0)
+    if not live.any():
+        return MultiplierBounds(0.0, 0.0, theorem, holder)
 
-    def bound(g: np.ndarray) -> tuple[float, np.ndarray]:
-        """The certified bound of g, and g / ||g||_p."""
-        g = np.where(finite, g, 0.0)
-        ng = norm_value(curve, g, p)
-        if not np.isfinite(ng) or ng <= 0.0:
-            return 0.0, g
+    # in units of scale = max|a|: lambda = scale e^z, and log|a| <= 0
+    scale = av[live].max()
+    with np.errstate(divide="ignore"):
+        la = np.log(av / scale)
+    fin = np.flatnonzero(live & np.isfinite(pv))
+    lin = theta[fin] >= 1.0
+    lin_nodes, nl = fin[lin], fin[~lin]
+    k = 1.0 / (1.0 - theta[nl])  # r/q
+    log_th = np.log(theta[nl])
+    # the infinity set: the terms w |a/lambda|^q t^q where q < inf, and
+    # t |a|/lambda where q = inf
+    cap = np.isfinite(av) & ~np.isfinite(pv)
+    # the cap is searched where both parts are present; alone, the infinity
+    # set takes all the mass and the finite nodes all of it
+    grid = CAP_GRID if cap.any() and fin.size else CAP_GRID[[-1 if cap.any() else 0]]
+    with np.errstate(divide="ignore"):
+        log_t, log_m = np.log(grid)[:, None], np.log1p(-grid)
+    cap_q = np.flatnonzero(live & ~np.isfinite(pv) & finite_q)
+    cap_slopes = np.append(qv[cap_q], 1.0)[:, None]
+    sup_la = la[live & ~finite_q].max(initial=-np.inf)
+    log_w = np.log(w)
+    base = (1.0 - theta) * log_w  # log c_j = base_j + q_j log|a_j|
+    # the terms' weights in the slope sum and in the dual bound
+    weights = np.column_stack([qv[nl], 1.0 - theta[nl]])
+
+    def budgets(z):
+        """At each grid point: log V(1 - t), of its slope sum and of its dual bound, and the
+        maximizer (log s_j on the nonlinear nodes, and the best linear node and its mass)."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            lb, lb_lin = (base[n] + qv[n] * (la[n] - z) for n in (nl, lin_nodes))  # log b_j
+        best_lin = lin_nodes[np.argmax(lb_lin)] if lin_nodes.size else -1
+        b1 = lb_lin.max(initial=-np.inf)
+        alpha = k * (log_th + lb)  # log s_j = alpha_j - k_j log mu
+        # each start is at or left of the root: the first tops one s_j at 1,
+        # and the budgets shrink as t grows
+        log_mu = max(b1, (log_th + lb).max(initial=-np.inf))
+        rows = np.full((3, grid.size), -np.inf)
+        maximizers = []
+        for i in range(grid.size):
+            if grid[i] == 1.0:  # no budget: the value and its bound are 0
+                maximizers.append((np.full(nl.size, -np.inf), best_lin, 0.0))
+                continue
+            # log(sum s_j / m) at mu = b1, the least mu the linear nodes allow
+            excess = (_log_sum_exp(alpha - k * b1, k, 0.0)[0] - log_m[i]
+                      if lin_nodes.size and nl.size else -np.inf)
+            rest = 0.0
+            if lin_nodes.size and excess <= 0.0:  # the linear nodes take what is left
+                log_mu, rest = b1, -np.expm1(excess) * np.exp(log_m[i])
+            elif nl.size:
+                a0 = alpha - log_m[i] - k * log_mu
+                log_mu += _newton_root(lambda t: _log_sum_exp(a0, k, t))[0]
+            log_s = alpha - k * log_mu
+            terms, w_terms = lb + theta[nl] * log_s, weights
+            if rest > 0.0:  # theta = 1 there: no share in the dual's sum
+                terms = np.append(terms, b1 + np.log(rest))
+                w_terms = np.vstack([weights, [qv[best_lin], 0.0]])
+            rows[0, i], (rows[1, i], dual) = _log_sums(terms, w_terms)
+            rows[2, i] = np.logaddexp(dual, log_mu + log_m[i])
+            maximizers.append((log_s, best_lin, rest))
+        return rows, maximizers
+
+    def caps(z):
+        """log h(t) and log of its slope sum at each grid point."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            e = np.concatenate([log_w[cap_q] + qv[cap_q] * (la[cap_q] - z + log_t),
+                                log_t + sup_la - z], axis=1)
+        log_h, log_dh = _log_sums(e, cap_slopes)
+        return log_h, log_dh[:, 0]
+
+    def objective(z, shift, row=0):
+        """log F on the grid (shift 0) or log U (shift 1) at z, with the primal values (row 0)
+        or the dual bounds (row 2), its mean slope, and the best grid point's maximizer."""
+        rows, maximizers = budgets(z)
+        log_h, log_dh = caps(z)
+        j = np.minimum(np.arange(grid.size) + shift, grid.size - 1)
+        log_f, log_d = np.logaddexp(rows[row], log_h[j]), np.logaddexp(rows[1], log_dh[j])
+        best = int(np.argmax(log_f))
         with np.errstate(invalid="ignore"):
-            product = av * g / ng
-        product = np.where(g == 0.0, 0.0, product)  # inf * 0 artifacts
-        val = norm_value(curve, product, q)
-        # a divergent discrete modular (inf sample of a under g) certifies nothing
-        return (float(val) if np.isfinite(val) else 0.0), g / ng
+            mean = float(np.exp(log_d[best] - log_f[best]))
+        return float(log_f[best]), mean, grid[best], maximizers[best]
 
-    candidates: list[np.ndarray] = [np.ones(n, dtype=complex)]
-    # indicator arcs centered at the largest finite |a|
-    center = int(np.argmax(np.where(finite, np.abs(av), -1.0)))
-    for frac in (0.5, 0.125, 1 / 32, 1 / 128):
-        half = max(1, int(n * frac / 2))
-        candidates.append(indicator_arc(curve, center, 2 * half + 1))
-    # analytic witness built from the theorem value
-    c = multiplier_norm_via_theorem(curve, a, p, q)
-    if np.isfinite(c) and c > 0.0:
-        w = multiplier_witness(curve, a, p, q, c, 1e-3 * c)
-        if w.any():
-            candidates.append(w)
-    bounds = [bound(g) for g in candidates]
-    lower = max(value for value, _ in bounds)
-    witness = bounds[5][0] if len(bounds) > 5 else 0.0
-    # the steps start from the witness; without one, from the best fixed
-    # candidate if a lies in L^r (at p = q an arc at the peak of |a|), else
-    # from the constant, which reaches the whole curve
-    if witness or not np.isfinite(c):
-        lam, u = bounds[5 if witness else 0]
-    else:
-        lam, u = max(bounds, key=lambda b: b[0])
-    steps, rise = 0, 0.0
-    if lam > 0.0 and 1.0 < pv.min() and pv.max() < np.inf:
-        abs_a, u = np.where(finite, np.abs(av), 0.0), np.abs(u)
-        dual = ExponentFunction(pv / (pv - 1.0))
-        while steps < trials - len(candidates) and (steps == 0 or rise >= 1e-12):
-            h = abs_a * qv * (abs_a * u / lam) ** (qv - 1.0) / pv
-            mu = luxemburg_norm(curve, h, dual)
-            if not (mu.certified and 0.0 < mu.value < np.inf):
-                break
-            u = (h / mu.value) ** (1.0 / (pv - 1.0))
-            value = norm_value(curve, abs_a * u, q)
-            steps, rise, lam = steps + 1, (value - lam) / lam, value
-            lower = max(lower, value)
-    return MultiplierBounds(lower, c, witness, steps, rise, holder)
+    z_low = _newton_root(lambda z: objective(z, 0)[:2])[0]
+    # U >= F, so U's root lies right of F's, where its search starts
+    z_high = _newton_root(lambda z: objective(z, 1)[:2], z_low)[0] if grid.size > 1 else z_low
+
+    # the lower certificate: the maximizer at the lower root
+    _, _, t, (log_s, best_lin, rest) = objective(z_low, 0)
+    u = np.zeros(curve.n_nodes)
+    u[nl] = np.exp((log_s - log_w[nl]) / pv[nl])
+    if rest > 0.0:
+        u[best_lin] = (rest / w[best_lin]) ** (1.0 / pv[best_lin])
+    u[cap] = t
+    norm_u = norm_value(curve, u, p)
+    lower = 0.0
+    if 0.0 < norm_u < np.inf:
+        lower = float(norm_value(curve, np.where(live, av, 0.0) * (u / norm_u), q))
+    # N <= K ||a||_r exactly, so an excess within rounding is given back; a
+    # larger one is a fault, left for the caller to see
+    if holder * theorem < lower <= holder * theorem * (1.0 + LOWER_ROUNDING):
+        lower = holder * theorem
+
+    # the upper certificate: U's dual bound at U's root, UPPER_SLACK higher;
+    # every exponent is at least 1, so F(c lambda) <= F(lambda) / c for c >= 1
+    # and a bound U > 1 there still gives N <= U lambda
+    z_up = z_high + np.log1p(UPPER_SLACK)
+    log_u = objective(z_up, 1, row=2)[0]
+    with np.errstate(over="ignore"):
+        upper = float(scale * np.exp(z_up + max(log_u, 0.0)))
+    return MultiplierBounds(lower, upper, theorem, holder)

@@ -10,14 +10,13 @@ import numpy as np
 from scipy.optimize import brentq
 
 from siolab.cauchy import adjoint_residuals, apply_S, riesz_projections
-from siolab.corpus import indicator_arc, random_trig_polynomial, rational_corpus
+from siolab.corpus import random_trig_polynomial, rational_corpus
 from siolab.curves import carleson_constant, default_epsilon_grid, refine_epsilon_grid
 from siolab.exponents import exponent_constant, exponent_from_values
 from siolab.spaces import (
     luxemburg_norm,
     multiplier_norm_lower,
     multiplier_norm_via_theorem,
-    multiplier_witness,
     norm_value,
 )
 from siolab.toeplitz import dichotomy_probe, symbol_from_preset
@@ -197,45 +196,40 @@ def test_criterion_06_holder_inequality(circle512, holder_ratio):
 
 
 def test_criterion_07_multiplier_theorem(circle1024):
-    crit = _Criterion(7, "multiplier norms: theorem vs optimization vs witness")
+    crit = _Criterion(7, "multiplier norms: theorem vs the certified bracket")
     c = circle1024
     n = 1024
     theta = np.angle(c.nodes)
     rng = np.random.default_rng(707)
+    arc = np.zeros(n, complex)
+    arc[72:328] = 1.0  # an indicator of 256 nodes about node 200
     symbols = [
         np.ones(n, complex),
         np.cos(theta).astype(complex),
         (1.0 + np.cos(theta) ** 2).astype(complex),
         (2.0 + np.sin(theta)).astype(complex),
         np.exp(1j * theta),
-        indicator_arc(c, 200, 256),
+        arc,
     ]
     while len(symbols) < 20:
         symbols.append(random_trig_polynomial(c, rng, degree=6))
     triples = [(4.0, 2.0), (3.0, 2.0), (2.0, 2.0)]  # r = 4, 6, inf
-    worst_gap = 0.0
-    worst_witness_gap = 0.0
+    worst_gap = worst_width = 0.0
     ok = True
     for p_val, q_val in triples:
         p, q = exponent_constant(p_val, n), exponent_constant(q_val, n)
-        r_is_finite = p_val > q_val
         for a in symbols:
-            theorem = multiplier_norm_via_theorem(c, a, p, q)
-            lower = multiplier_norm_lower(c, a, p, q, trials=24).lower_bound
+            bounds = multiplier_norm_lower(c, a, p, q)
+            theorem, lower = multiplier_norm_via_theorem(c, a, p, q), bounds.lower_bound
+            # constant exponents: the discrete multiplier norm is ||a||_r
             gap = abs(lower - theorem) / theorem
-            worst_gap = max(worst_gap, gap)
-            ok &= gap <= 0.05 and lower <= theorem * (1.0 + 1e-9)
-            if r_is_finite:
-                w = multiplier_witness(c, a, p, q, theorem, 1e-3 * theorem)
-                wn = norm_value(c, w, p)
-                achieved = norm_value(c, a * w / wn, q) if wn > 0 else 0.0
-                witness_gap = abs(achieved - theorem) / theorem
-                worst_witness_gap = max(worst_witness_gap, witness_gap)
-                ok &= witness_gap <= 0.02
+            width = (bounds.upper_bound - lower) / lower
+            worst_gap, worst_width = max(worst_gap, gap), max(worst_width, width)
+            ok &= gap <= width <= 1e-10 and lower <= theorem * (1.0 + 1e-9)
     elapsed = crit.finish(
         ok,
-        f"20 symbols x 3 triples: worst lower-bound gap {worst_gap:.2%}, "
-        f"worst witness gap {worst_witness_gap:.2%}",
+        f"20 symbols x 3 triples: worst lower-bound gap {worst_gap:.2e}, "
+        f"worst bracket width {worst_width:.2e}",
     )
     assert elapsed < 120.0
 

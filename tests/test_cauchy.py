@@ -48,7 +48,7 @@ def test_S_of_one_is_one_on_zoo(ellipse4096):
 def test_S_rational_residue_identities():
     # each bound is at least 5x the largest error measured relative to max |f|
     for name, n, path, bound in [
-        ("circle", 4096, "fft", 1e-14),  # 1.1e-15
+        ("circle", 4096, "circle", 1e-14),  # 1.1e-15
         ("ellipse:2,1", 8192, "split", 5e-12),  # 1.8e-14
         ("perturbed-circle:0.1,5", 2048, "split", 5e-12),  # 2.4e-14
         ("perturbed-circle:0.3,12", 4096, "split", 5e-12),  # 4.4e-13
@@ -71,7 +71,7 @@ def test_quadrature_backend_matches_circle_multiplier(circle8192):
         rng.standard_normal(25) + 1j * rng.standard_normal(25)
     )
     # the circle runs the split with its exact remainder, C = [[i/2]]
-    assert s_path(circle8192) == "fft"
+    assert s_path(circle8192) == "circle"
     exact = apply_S(circle8192, f)
     split = _split_S(circle8192, f)
     assert np.array_equal(exact, split)
@@ -129,7 +129,7 @@ def test_split_and_dense_agree_on_ellipse():
 
 def test_dense_path_only_for_unresolved_curves():
     assert s_path(curve_from_name("square", 256)) == "dense"
-    assert s_path(make_unit_circle(256)) == "fft"
+    assert s_path(make_unit_circle(256)) == "circle"
 
 
 # ---------------------------------------------------------------- projections
@@ -201,13 +201,13 @@ def test_offcurve_series_oracle(circle4096):
 
 def test_offcurve_warns_near_curve(circle512):
     # 512 nodes do not resolve a pole 0.01 off the circle (two node spacings
-    # are 0.025): the exact limits expose it far above the fft threshold, so
+    # are 0.025): the exact limits expose it far above the circle threshold, so
     # sio-check's judgement would fault; at the corpus's distances they read
     # rounding
     for z in (1.01, 0.99, 1.75, 0.25):
         f = rational_function(circle512, [z], [1.0])
         plus, minus = _limit_residuals(circle512, f, f if z > 1 else np.zeros_like(f))
-        fault = cli._residual_fault("fft", {"rational": {"P": plus, "Q": minus}})
+        fault = cli._residual_fault("circle", {"rational": {"P": plus, "Q": minus}})
         if abs(z - 1.0) < 0.025:
             assert min(plus, minus) > 1.0
             assert fault.startswith("rational ")
@@ -238,7 +238,7 @@ def test_offcurve_stack_keeps_the_node_and_near_curve_checks(circle512):
     plus, minus = _limit_residuals(circle512, F, exact)
     assert np.all(plus[:3] < 1e-14) and np.all(minus[:3] < 1e-14)
     assert plus[3] > 1.0 and minus[3] > 1.0
-    fault = cli._residual_fault("fft", {"rational": {"P": plus.max(), "Q": minus.max()}})
+    fault = cli._residual_fault("circle", {"rational": {"P": plus.max(), "Q": minus.max()}})
     assert re.match(r"rational [PQ] residual", fault)
 
 
@@ -251,7 +251,7 @@ def test_offcurve_rejects_non_finite_targets(circle512, bad):
     pf[17] = bad
     plus, minus = _limit_residuals(circle512, f, pf)
     assert not np.isfinite(plus) and not np.isfinite(minus)
-    fault = cli._residual_fault("fft", {"projection": {"PQ": 1e-16},
+    fault = cli._residual_fault("circle", {"projection": {"PQ": 1e-16},
                                         "rational": {"P": plus, "Q": minus}})
     assert fault.startswith("rational P residual")
 
@@ -309,7 +309,7 @@ def test_plemelj_raw_offsets_shrink(ellipse8192):
 
 
 def test_plemelj_on_the_circle_takes_offsets_past_2_directly(circle512):
-    # the fft path is exact for a pole at any offset from the circle that the
+    # the circle path is exact for a pole at any offset from the circle that the
     # nodes resolve, past 2 as well as below it
     for d in (0.75, 2.5, 10.0):
         z = (1.0 + d) * np.exp(0.3j)
@@ -711,7 +711,7 @@ def test_adjoint_residuals_refuse_an_aliasing_mode_basis():
     assert adjoint_residuals(make_unit_circle(64), 32).s_residual < 1e-13
 
 
-@pytest.mark.parametrize("name, path", [("circle", "fft"), ("ellipse:2,1", "split"),
+@pytest.mark.parametrize("name, path", [("circle", "circle"), ("ellipse:2,1", "split"),
                                         ("square", "dense")])
 def test_apply_S_into_out_is_bitwise_the_allocating_call(name, path):
     # one function and a stack, each into a fresh array, into itself and into
@@ -777,7 +777,7 @@ def test_conjugation_H_into_out_is_bitwise_the_allocating_call(name):
 @pytest.mark.parametrize("name", ["circle", "ellipse:2,1", "perturbed-circle:0.1,5",
                                   "perturbed-circle:0.3,12", "square"])
 def test_apply_S_stack_matches_one_column_calls(name):
-    # one path per curve: fft (bitwise), split (one operator per curve, so
+    # one path per curve: circle (bitwise), split (one operator per curve, so
     # rows differ by the rounding of the products with C alone) and dense
     curve = curve_from_name(name, 1024)
     rng = np.random.default_rng(3)
@@ -789,7 +789,7 @@ def test_apply_S_stack_matches_one_column_calls(name):
     rows = np.stack([apply_S(curve, f) for f in F])
     assert stack.shape == F.shape
     path = s_path(curve)
-    if path == "fft":
+    if path == "circle":
         assert np.array_equal(stack, rows)
     elif path == "split":
         gap = np.abs(stack - rows).max(axis=1) / np.abs(rows).max(axis=1)

@@ -18,7 +18,8 @@ from siolab.curves import (
     default_epsilon_grid,
     refine_epsilon_grid,
 )
-from siolab.toeplitz import DichotomyVerdict
+from siolab.exponents import exponent_from_preset
+from siolab.toeplitz import DichotomyVerdict, symbol_from_preset
 
 
 def _not_json(constant):
@@ -134,7 +135,7 @@ def test_multiplier_subcommand(tmp_path):
     assert code == EXIT_OK
     res = json.loads((out / "report.json").read_text())["results"]
     assert res["lower_bound"] <= res["theorem_value"] * (1.0 + 1e-9)
-    assert res["witness_value"] == pytest.approx(res["theorem_value"], rel=0.02)
+    assert res["upper_bound"] == pytest.approx(res["theorem_value"], rel=1e-10)
 
 
 def test_multiplier_p_equals_q_gives_sup_norm(tmp_path):
@@ -273,7 +274,7 @@ def test_sio_check_faults_when_a_residual_exceeds_its_threshold(tmp_path, capsys
     assert max(res["adjoint_residuals"].values()) < threshold
 
     # the circle's n-node interpolant aliases the exterior pole's modes at
-    # |z| = 2 by about 2^(-n/2): the fft path resolves the corpus from n = 96
+    # |z| = 2 by about 2^(-n/2): the circle path resolves the corpus from n = 96
     capsys.readouterr()
     for n, expected in ((64, EXIT_FAULT), (80, EXIT_FAULT), (96, EXIT_OK)):
         code = run(["sio-check", "--curve", "circle", "--n", str(n), "--trials", "2",
@@ -390,17 +391,15 @@ def test_norm_command_takes_one_norm_and_one_unit_ball_norm(tmp_path, monkeypatc
     assert norms == [(512,)] * 2
 
 
-def test_multiplier_command_takes_the_theorem_and_the_witness_once(tmp_path, monkeypatch,
-                                                                   count_calls):
+def test_multiplier_command_takes_the_theorem_once(tmp_path, monkeypatch, count_calls):
     theorem = count_calls(monkeypatch, "multiplier_norm_via_theorem", (spaces, cli))
-    witness = count_calls(monkeypatch, "multiplier_witness", (spaces, cli))
     out = tmp_path / "mult"
     code = run(["multiplier", "--p", "2+abs(sin)", "--q", "2", "--symbol", "one-plus-cos2",
                 "--n", "512", "--trials", "8", "--out", str(out)])
     assert code == EXIT_OK
-    assert theorem == [(512,)] and witness == [(512,)]
+    assert theorem == [(512,)]
     res = json.loads((out / "report.json").read_text())["results"]
-    assert 0.0 < res["witness_value"] <= res["lower_bound"]
+    assert 0.0 < res["lower_bound"] <= res["upper_bound"] <= res["lower_bound"] * (1.0 + 1e-10)
 
 
 @pytest.mark.parametrize("curve, symbol", [("circle", "one-plus-cos2"), ("ellipse:2,1", "cos")])
@@ -454,6 +453,10 @@ def test_huge_exponents_answer_without_a_warning(tmp_path, command, code):
         assert run([*command, "--n", "512", "--out", str(tmp_path / "out")]) == code
 
 
+# the best lower bound of the power method and its fixed trials at --trials 24
+POWER_METHOD_LOWER = {"step:2,inf": 1.6473541, "step:3,inf": 2.0765857}
+
+
 @pytest.mark.parametrize("p_spec, q_spec, K", [
     # theta = q/p is 0 where only p = inf, and 1 where q = inf
     ("inf", "2", 1.0),
@@ -461,7 +464,7 @@ def test_huge_exponents_answer_without_a_warning(tmp_path, command, code):
     ("step:2,inf", "2", 2.0),
     ("step:3,inf", "step:2,inf", 4 / 3),
 ])
-def test_multiplier_holder_constant_on_infinity_sets(tmp_path, p_spec, q_spec, K):
+def test_multiplier_holder_constant_on_infinity_sets(tmp_path, monkeypatch, p_spec, q_spec, K):
     out = tmp_path / "mult"
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # no inf * 0 or inf / inf in K
@@ -470,6 +473,18 @@ def test_multiplier_holder_constant_on_infinity_sets(tmp_path, p_spec, q_spec, K
     assert code == EXIT_OK
     res = json.loads((out / "report.json").read_text())["results"]
     assert res["equivalence_allowance"] == pytest.approx(K, rel=1e-12)
+    lower, upper = res["lower_bound"], res["upper_bound"]
+    if p_spec not in POWER_METHOD_LOWER:  # p = inf everywhere: the cap is 1, exactly
+        assert lower <= upper <= lower * (1.0 + 1e-10)
+        return
+    assert lower > POWER_METHOD_LOWER[p_spec]
+    # a finer cap grid narrows the bracket from both sides
+    curve = curve_from_name("circle", 512)
+    p, q = exponent_from_preset(p_spec, curve), exponent_from_preset(q_spec, curve)
+    a = symbol_from_preset("one-plus-cos2", curve, 300, np.random.default_rng(0)).values
+    monkeypatch.setattr(spaces, "CAP_GRID", np.arange(257) / 256.0)
+    fine = spaces.multiplier_norm_lower(curve, a, p, q)
+    assert lower <= fine.lower_bound <= fine.upper_bound <= upper
 
 
 @pytest.mark.parametrize("factor, code", [(0.99, EXIT_OK), (1.01, EXIT_FAULT)])
@@ -478,12 +493,25 @@ def test_multiplier_judges_the_lower_bound_against_the_holder_constant(tmp_path,
     def inflated(*args, **kwargs):
         bounds = spaces.multiplier_norm_lower(*args, **kwargs)
         lower = factor * bounds.holder_constant * bounds.theorem_value
-        return dataclasses.replace(bounds, lower_bound=lower)
+        return dataclasses.replace(bounds, lower_bound=lower, upper_bound=lower)
 
     monkeypatch.setattr(cli, "multiplier_norm_lower", inflated)
     assert run(["multiplier", "--p", "2+abs(sin)", "--q", "2", "--symbol", "one-plus-cos2",
                 "--n", "512", "--trials", "8", "--out", str(tmp_path / "m")]) == code
     assert ("Hoelder constant" in capsys.readouterr().err) == (code == EXIT_FAULT)
+
+
+@pytest.mark.parametrize("gap, code", [(1e-10, EXIT_OK), (3e-10, EXIT_FAULT)])
+def test_multiplier_judges_the_bracket(tmp_path, monkeypatch, capsys, gap, code):
+    # the lower bound is a ratio of two norms, each certified to 1e-10
+    def crossed(*args, **kwargs):
+        bounds = spaces.multiplier_norm_lower(*args, **kwargs)
+        return dataclasses.replace(bounds, upper_bound=bounds.lower_bound * (1.0 - gap))
+
+    monkeypatch.setattr(cli, "multiplier_norm_lower", crossed)
+    assert run(["multiplier", "--p", "2+abs(sin)", "--q", "2", "--symbol", "one-plus-cos2",
+                "--n", "512", "--out", str(tmp_path / "m")]) == code
+    assert ("upper bound" in capsys.readouterr().err) == (code == EXIT_FAULT)
 
 
 @pytest.mark.parametrize("argv, code, bounds", [

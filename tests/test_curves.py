@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from siolab.curves import (
-    _polyline_is_simple,
     carleson_constant,
     curve_from_name,
     curve_to_csv,
@@ -107,109 +106,9 @@ def test_vanishing_derivative_rejected():
         )
 
 
-def test_self_intersection_rejected():
-    # figure-eight style limacon r = 1 + 2 cos(phi) crosses itself
-    def pos(t):
-        phi = TWO_PI * t
-        return (1.0 + 2.0 * np.cos(phi)) * np.exp(1j * phi)
-
-    def dpos(t):
-        phi = TWO_PI * t
-        return TWO_PI * (-2.0 * np.sin(phi) + 1j * (1.0 + 2.0 * np.cos(phi))) * np.exp(1j * phi)
-
-    with pytest.raises(ValueError, match="self-intersection"):
-        make_parametric_curve(pos, dpos, 256)
-
-
-def _all_pairs_is_simple(nodes, max_segments=768):
-    """The O(m^2) proper-crossing test over every pair of segments."""
-    step = max(1, int(np.ceil(nodes.size / max_segments)))
-    z = nodes[::step]
-    m = z.size
-    if m < 4:
-        return True
-    a = z
-    b = np.roll(z, -1)
-
-    def cross(u, v):
-        return np.imag(np.conj(u) * v)
-
-    d1 = cross((b - a)[None, :], a[:, None] - a[None, :])
-    d2 = cross((b - a)[None, :], b[:, None] - a[None, :])
-    d3 = cross((b - a)[:, None], a[None, :] - a[:, None])
-    d4 = cross((b - a)[:, None], b[None, :] - a[:, None])
-    crossing = (d1 * d2 < 0) & (d3 * d4 < 0)
-    idx = np.arange(m)
-    gap = np.abs(idx[:, None] - idx[None, :])
-    adjacent = (gap <= 1) | (gap >= m - 1)
-    return not bool((crossing & ~adjacent).any())
-
-
-def _figure_eight(t):
-    # a Gerono lemniscate, phase-shifted so that no node sits on its crossing
-    phi = TWO_PI * np.asarray(t) + 0.3
-    return np.cos(phi) + 0.5j * np.sin(2.0 * phi)
-
-
-def _figure_eight_derivative(t):
-    phi = TWO_PI * np.asarray(t) + 0.3
-    return TWO_PI * (-np.sin(phi) + 1j * np.cos(2.0 * phi))
-
-
-@pytest.mark.parametrize("n", [64, 1024, 2048, 8192])
-def test_pruned_simplicity_check_matches_all_pairs_on_the_zoo(n):
-    for spec in ("circle", "ellipse:2,1", "square", "perturbed-circle:0.1,5",
-                 "perturbed-circle:0.3,12", "perturbed-circle:0.9,12"):
-        nodes = curve_from_name(spec, n).nodes
-        assert _polyline_is_simple(nodes) is _all_pairs_is_simple(nodes) is True
-    eight = _figure_eight(np.arange(n) / n)
-    assert _polyline_is_simple(eight) is _all_pairs_is_simple(eight) is False
-
-
-def test_pruned_simplicity_check_matches_all_pairs_on_random_polygons():
-    # random walks mostly cross themselves; sorted-angle (star-shaped) polygons never do
-    rng = np.random.default_rng(11)
-    verdicts = set()
-    for m in (1, 2, 3, 4, 5, 7, 31, 32, 33, 64, 95, 100, 767, 768, 769, 1000, 2500):
-        for _ in range(4):
-            walk = np.cumsum(rng.normal(size=m) + 1j * rng.normal(size=m))
-            angles = np.sort(rng.uniform(0.0, TWO_PI, m))
-            star = rng.uniform(0.5, 1.5, m) * np.exp(1j * angles)
-            for z in (walk, star):
-                verdict = _polyline_is_simple(z)
-                assert verdict == _all_pairs_is_simple(z)
-                verdicts.add(verdict)
-    assert verdicts == {True, False}
-
-
-def _spike_polygon(spike_x):
-    """100 vertices: 32 along y = 0, 32 up x = 32, then a spike down x = spike_x.
-
-    The spike goes along y = 32 to x = spike_x and down to y = -8.25, and
-    four more vertices close the polygon below y = 0. At spike_x = 16.5 the
-    spike's segment 90 crosses segment 16 and no other pair crosses: 74
-    segments apart, the two lie in runs that are not neighbours for any run
-    length up to 32. At spike_x = 47.5 the polygon is simple.
-    """
-    x = np.arange(32.0)
-    run0 = x + 0j
-    run1 = 32.0 + 1j * x
-    along = 32.0 + (spike_x - 32.0) * np.arange(8) / 8 + 32j
-    down = spike_x + 1j * (32.0 - 1.75 * np.arange(24))
-    close = np.array([spike_x - 10j, 5.0 - 10j, -5.0 - 10j, -5.0 - 5j])
-    return np.concatenate([run0, run1, along, down, close])
-
-
-def test_simplicity_check_rejects_a_crossing_between_distant_runs():
-    crossing = _spike_polygon(16.5)
-    assert _polyline_is_simple(crossing) is _all_pairs_is_simple(crossing) is False
-    simple = _spike_polygon(47.5)
-    assert _polyline_is_simple(simple) is _all_pairs_is_simple(simple) is True
-
-
 def test_curve_build_peak_memory():
-    # ellipse:2,1 at n = 2048, crossing check included: the check's complex
-    # temporaries over every overlapping run pair at once made it 3.8 MiB
+    # ellipse:2,1 at n = 2048: a crossing check's complex temporaries over
+    # every overlapping run pair at once once made it 3.8 MiB
     curve_from_name("ellipse:2,1", 2048)
     tracemalloc.start()
     try:
@@ -219,11 +118,6 @@ def test_curve_build_peak_memory():
     finally:
         tracemalloc.stop()
     assert peak <= 0.5 * 2**20
-
-
-def test_figure_eight_rejected():
-    with pytest.raises(ValueError, match="self-intersection"):
-        make_parametric_curve(_figure_eight, _figure_eight_derivative, 1024)
 
 
 def test_curve_from_name_zoo():

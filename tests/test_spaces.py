@@ -21,7 +21,6 @@ from siolab.spaces import (
     modular,
     multiplier_norm_lower,
     multiplier_norm_via_theorem,
-    multiplier_witness,
     norm_value,
     unit_ball_check,
 )
@@ -390,7 +389,7 @@ def test_multiplier_theorem_variable_bounded_symbol(circle1024):
 def test_multiplier_lower_constant_symbol(circle1024):
     n = 1024
     p, q = exponent_constant(4.0, n), exponent_constant(2.0, n)
-    lower = multiplier_norm_lower(circle1024, np.ones(n), p, q, trials=8).lower_bound
+    lower = multiplier_norm_lower(circle1024, np.ones(n), p, q).lower_bound
     assert lower == pytest.approx(TWO_PI ** 0.25, rel=1e-9)
 
 
@@ -400,7 +399,7 @@ def test_multiplier_lower_indicator_symbol(circle1024):
     a = np.zeros(n, complex)
     a[100:228] = 1.0  # |E| = 128 * 2 pi / n
     measure = 128 * TWO_PI / n
-    lower = multiplier_norm_lower(circle1024, a, p, q, trials=8).lower_bound
+    lower = multiplier_norm_lower(circle1024, a, p, q).lower_bound
     assert lower == pytest.approx(measure ** 0.25, rel=1e-8)
 
 
@@ -408,52 +407,32 @@ def test_multiplier_lower_variable_within_allowance(circle1024):
     p = exponent_from_preset("3+abs(sin)", circle1024)
     q = exponent_constant(2.0, 1024)
     a = 1.0 + np.cos(np.angle(circle1024.nodes)) ** 2
-    lower = multiplier_norm_lower(circle1024, a, p, q, trials=16).lower_bound
+    lower = multiplier_norm_lower(circle1024, a, p, q).lower_bound
     theorem = multiplier_norm_via_theorem(circle1024, a, p, q)
     assert lower <= theorem * 1.05
     assert lower >= theorem * 0.95
 
 
-@pytest.mark.parametrize("curve_name, n, p_spec, q_spec, symbol, floor", [
-    ("circle", 4096, "4", "2", "one-plus-cos2", None),
-    ("circle", 4096, "2+abs(sin)", "2", "one-plus-cos2", 2.04),
-    ("ellipse:2,1", 4096, "2+abs(sin)", "2", "cos", 1.05),
-    ("circle", 4096, "step:2,3", "1.5", "trig-random:5", 7.60),
-    ("circle", 1024, "2", "2", "cos", 0.99987),
-    ("circle", 1024, "4", "4", "cos", 0.99987),
+@pytest.mark.parametrize("curve_name, n, p_spec, q_spec, symbol, exact", [
+    ("circle", 4096, "4", "2", "one-plus-cos2", 2.5541550),
+    ("circle", 4096, "2+abs(sin)", "2", "one-plus-cos2", 2.0745668),
+    ("ellipse:2,1", 4096, "2+abs(sin)", "2", "cos", 1.0560625),
+    ("circle", 4096, "step:2,3", "1.5", "trig-random:5", 7.6031382),
+    ("circle", 1024, "2", "2", "cos", 1.0),
+    ("circle", 1024, "4", "4", "cos", 1.0),
+    # the power method stalled at 3.4799794 here, and from an arc at 3.311:
+    # in s = w |u|^p the problem is concave and has this one maximum
+    ("circle", 1024, "3", "step:1.2,2.5", "singular:-0.3", 3.4799805),
 ])
-def test_multiplier_lower_power_method(monkeypatch, count_calls, curve_name, n, p_spec,
-                                       q_spec, symbol, floor):
+def test_multiplier_bracket_holds_the_exact_norm(curve_name, n, p_spec, q_spec, symbol, exact):
     curve = curve_from_name(curve_name, n)
     p, q = exponent_from_preset(p_spec, curve), exponent_from_preset(q_spec, curve)
     a = symbol_from_preset(symbol, curve, 300, np.random.default_rng(0)).values
-    ratios = []  # ||a u||_q of every trial function u, in order
-
-    def recording(curve, f, exponent):
-        value = norm_value(curve, f, exponent)
-        if exponent is q:
-            ratios.append(value)
-        return value
-
-    monkeypatch.setattr(spaces, "norm_value", recording)
-    norms = count_calls(monkeypatch, "luxemburg_norm", (spaces,))
-    trials = 24
-    bounds = multiplier_norm_lower(curve, a, p, q, trials=trials)
-    has_witness = bounds.witness_value > 0.0
-    fixed = 6 if has_witness else 5  # the constant, four arcs, the witness
-    if floor is None:  # constant exponents: the witness reaches the theorem value
+    bounds = multiplier_norm_lower(curve, a, p, q)
+    assert bounds.lower_bound <= bounds.upper_bound <= bounds.lower_bound * (1.0 + 1e-10)
+    assert bounds.lower_bound == pytest.approx(exact, abs=5e-8)
+    if p.is_constant and q.is_constant:  # the discrete norm is ||a||_r
         assert bounds.lower_bound == pytest.approx(bounds.theorem_value, rel=1e-12)
-    else:
-        assert bounds.lower_bound >= floor
-    assert bounds.lower_bound <= bounds.theorem_value * bounds.holder_constant
-    assert 1 <= bounds.power_steps <= trials - fixed
-    # the steps start from the witness, or from the best fixed candidate, and
-    # never fall
-    iterates = [ratios[5] if has_witness else max(ratios[:5]), *ratios[-bounds.power_steps:]]
-    assert np.all(np.diff(iterates) >= 0.0)
-    assert bounds.last_rise == pytest.approx(iterates[-1] / iterates[-2] - 1.0, abs=1e-15)
-    assert bounds.lower_bound == max(ratios)
-    assert len(norms) <= 2 * trials + 1
 
 
 @pytest.mark.parametrize("curve_name, n, p_spec, q_spec, symbol, K", [
@@ -470,11 +449,13 @@ def test_multiplier_lower_within_the_holder_constant(curve_name, n, p_spec, q_sp
     curve = curve_from_name(curve_name, n)
     p, q = exponent_from_preset(p_spec, curve), exponent_from_preset(q_spec, curve)
     a = symbol_from_preset(symbol, curve, 300, np.random.default_rng(0)).values
-    bounds = multiplier_norm_lower(curve, a, p, q, trials=24)
+    bounds = multiplier_norm_lower(curve, a, p, q)
     assert bounds.holder_constant == pytest.approx(K, abs=1e-4)
     if p.is_constant and q.is_constant:
         assert bounds.holder_constant == 1.0
     assert 0.0 < bounds.lower_bound <= bounds.theorem_value * bounds.holder_constant
+    assert bounds.lower_bound <= bounds.upper_bound <= bounds.lower_bound * (1.0 + 1e-10)
+    assert bounds.upper_bound <= bounds.theorem_value * bounds.holder_constant * (1.0 + 1e-9)
 
 
 def test_multiplier_lower_skips_infinite_samples(circle512):
@@ -484,7 +465,7 @@ def test_multiplier_lower_skips_infinite_samples(circle512):
     p, q = exponent_constant(4.0, n), exponent_constant(2.0, n)
     a = np.ones(n, dtype=complex)
     a[0] = np.inf
-    lower = multiplier_norm_lower(circle512, a, p, q, trials=8).lower_bound
+    lower = multiplier_norm_lower(circle512, a, p, q).lower_bound
     assert np.isfinite(lower)
     assert lower >= (TWO_PI * (1 - 1.0 / n)) ** 0.25 * 0.99
 
@@ -495,60 +476,6 @@ def test_multiplier_lower_rejects_dominance_violation(circle512):
             circle512, np.ones(512),
             exponent_constant(2.0, 512), exponent_constant(4.0, 512),
         )
-
-
-# ---------------------------------------------------------------- witness
-
-def test_witness_zero_symbol(circle512):
-    p, q = exponent_constant(4.0, 512), exponent_constant(2.0, 512)
-    w = multiplier_witness(circle512, np.zeros(512), p, q, c=1.0, eps=0.1)
-    assert not w.any()
-
-
-def test_witness_constant_symbol_has_unit_modulus(circle512):
-    p, q = exponent_constant(4.0, 512), exponent_constant(2.0, 512)
-    c, eps = 0.7, 0.3
-    a = np.full(512, c + eps, dtype=complex)
-    w = multiplier_witness(circle512, a, p, q, c=c, eps=eps)
-    assert np.abs(np.abs(w) - 1.0).max() < 1e-12
-
-
-def test_witness_rejects_bad_parameters(circle512):
-    p, q = exponent_constant(4.0, 512), exponent_constant(2.0, 512)
-    with pytest.raises(ValueError):
-        multiplier_witness(circle512, np.ones(512), p, q, c=0.0, eps=0.1)
-    with pytest.raises(ValueError):
-        multiplier_witness(circle512, np.ones(512), p, q, c=1.0, eps=-0.1)
-
-
-def test_witness_vanishes_on_the_infinity_sets(circle512):
-    # thirds of the curve: p = inf (r = q = 2), p = q = 2 (r = inf), and
-    # p = 4, q = 2 (r = 4); only the last part is finite in p and r
-    n = 512
-    third = np.arange(n) * 3 // n
-    p = exponent_from_values(np.array([np.inf, 2.0, 4.0])[third])
-    q = exponent_constant(2.0, n)
-    a = (1.0 + np.cos(np.angle(circle512.nodes)) ** 2).astype(complex)
-    c, eps = 2.5, 0.1
-    w = multiplier_witness(circle512, a, p, q, c=c, eps=eps)
-    assert not w[third < 2].any()
-    last = third == 2
-    assert np.abs(np.abs(w[last]) - np.abs(a[last]) / (c + eps)).max() < 1e-12  # r/p = 1
-
-
-def test_witness_modulus_identity_and_near_extremality(circle1024):
-    # |witness| = (|a| / (c + eps))^(r/p) and ||a w / ||w||_p||_q is close to c
-    n = 1024
-    p, q = exponent_constant(4.0, n), exponent_constant(2.0, n)
-    a = (1.0 + np.cos(np.angle(circle1024.nodes)) ** 2).astype(complex)
-    c = multiplier_norm_via_theorem(circle1024, a, p, q)
-    eps = 1e-3 * c
-    w = multiplier_witness(circle1024, a, p, q, c=c, eps=eps)
-    expected = (np.abs(a) / (c + eps)) ** 1.0  # r/p = 1 for (4, 2, 4)
-    assert np.abs(np.abs(w) - expected).max() < 1e-12
-    assert modular(circle1024, w, p) <= 1.0 + 1e-12
-    achieved = norm_value(circle1024, a * w, q)
-    assert achieved == pytest.approx(c, rel=0.02)
 
 
 # ------------------------------------------------------------ norm axioms
