@@ -76,6 +76,8 @@ class ExperimentConfig:
         d["sizes"] = list(self.sizes)
         for presentation in ("out", "format", "export_curve"):
             d.pop(presentation)
+        if self.command == "multiplier":  # accepts --trials and never reads it
+            d.pop("trials")
         return dict(sorted(d.items()))
 
 

@@ -39,7 +39,9 @@ class JordanCurve:
 
     ``nodes[j]`` is a point on the curve, ``arc_weights[j]`` approximates the
     arc measure near it, and ``tangent_angles[j]`` is the angle of the
-    oriented tangent there, wrapped to (-pi, pi].
+    oriented tangent there, wrapped to (-pi, pi]. The curve's length is
+    ``arc_weights.sum()``. A curve holds no name: a report names it by the
+    spec given to ``curve_from_name``.
 
     ``_memo`` holds curve-level quantities that ``cauchy`` computes once per
     curve (the kernel split's remainder spectrum and the conjugation phase
@@ -50,8 +52,6 @@ class JordanCurve:
     nodes: np.ndarray
     arc_weights: np.ndarray
     tangent_angles: np.ndarray
-    total_length: float
-    name: str = "curve"
     is_unit_circle: bool = False
     _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
@@ -68,8 +68,6 @@ class JordanCurve:
             raise ValueError("nodes, arc_weights and tangent_angles must share one shape")
         if np.any(weights <= 0.0):
             raise ValueError("arc weights must be positive")
-        if not np.isclose(weights.sum(), self.total_length, rtol=1e-12, atol=0.0):
-            raise ValueError("total_length must equal the sum of arc weights")
 
     @property
     def n_nodes(self) -> int:
@@ -124,25 +122,25 @@ def make_unit_circle(n_nodes: int) -> JordanCurve:
     nodes = np.exp(1j * phi)
     weights = np.full(n_nodes, TWO_PI / n_nodes)
     angles = np.angle(np.exp(1j * (phi + 0.5 * np.pi)))
-    return JordanCurve(nodes, weights, angles, TWO_PI, name="circle", is_unit_circle=True)
+    return JordanCurve(nodes, weights, angles, is_unit_circle=True)
 
 
 def make_parametric_curve(
     position: Callable,
     derivative: Callable,
     n_nodes: int,
-    name: str = "parametric",
 ) -> JordanCurve:
     """Sample a 1-periodic parametrization at t_j = j/n.
 
     ``position`` and ``derivative`` map an array of parameters in [0, 1) to
     points of the plane. Arc weights are |derivative|/n (the periodic
-    rectangle rule) and tangent angles are arg(derivative); at a corner the
-    supplied derivative should return the left limit. The caller vouches
-    that the curve is simple: nothing here tests for crossings. Every zoo
-    curve is simple by construction (the circle and the convex square and
-    ellipse, and the perturbed circle, a polar graph of a positive radius),
-    so code that takes a curve from outside must bring a check with it.
+    rectangle rule, so they sum to the curve's length) and tangent angles
+    are arg(derivative); at a corner the supplied derivative should return
+    the left limit. The caller vouches that the curve is simple: nothing
+    here tests for crossings. Every zoo curve is simple by construction (the
+    circle and the convex square and ellipse, and the perturbed circle, a
+    polar graph of a positive radius), so code that takes a curve from
+    outside must bring a check with it.
     """
     if n_nodes < 8:
         raise ValueError("make_parametric_curve needs n_nodes >= 8")
@@ -155,7 +153,7 @@ def make_parametric_curve(
         raise ValueError(f"derivative vanishes at nodes {bad[:8].tolist()}")
     weights = speed / n_nodes
     angles = np.angle(deriv)
-    return JordanCurve(nodes, weights, angles, float(weights.sum()), name=name)
+    return JordanCurve(nodes, weights, angles)
 
 
 def make_ellipse(a: float, b: float, n_nodes: int) -> JordanCurve:
@@ -168,7 +166,7 @@ def make_ellipse(a: float, b: float, n_nodes: int) -> JordanCurve:
     def derivative(t):
         return TWO_PI * (-a * np.sin(TWO_PI * t) + 1j * b * np.cos(TWO_PI * t))
 
-    return make_parametric_curve(position, derivative, n_nodes, name=f"ellipse:{a:g},{b:g}")
+    return make_parametric_curve(position, derivative, n_nodes)
 
 
 def make_square(n_nodes: int) -> JordanCurve:
@@ -197,7 +195,7 @@ def make_square(n_nodes: int) -> JordanCurve:
         k, _ = side_index(t)
         return 4.0 * (corners[(k + 1) % 4] - corners[k])
 
-    return make_parametric_curve(position, derivative, n_nodes, name="square")
+    return make_parametric_curve(position, derivative, n_nodes)
 
 
 def make_perturbed_circle(amp: float, freq: int, n_nodes: int) -> JordanCurve:
@@ -216,9 +214,7 @@ def make_perturbed_circle(amp: float, freq: int, n_nodes: int) -> JordanCurve:
         dr = -amp * freq * np.sin(freq * phi)
         return TWO_PI * (dr + 1j * r) * np.exp(1j * phi)
 
-    return make_parametric_curve(
-        position, derivative, n_nodes, name=f"perturbed-circle:{amp:g},{freq}"
-    )
+    return make_parametric_curve(position, derivative, n_nodes)
 
 
 def curve_from_name(spec: str, n_nodes: int) -> JordanCurve:

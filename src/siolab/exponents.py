@@ -57,16 +57,16 @@ class LogHolderReport:
     """Sampled log-Hoelder diagnostics for an exponent on a curve.
 
     ``constant_estimate`` is the max of |p(t) - p(tau)| (-log|t - tau|) over
-    node pairs with 0 < |t - tau| < 1/2. ``band_maxima`` holds the same max
-    restricted to dyadic distance bands [2^-k-1, 2^-k); a rising trend across
-    bands is the discrete signature of a jump, which no log modulus absorbs.
+    node pairs with 0 < |t - tau| < 1/2. ``holds`` also asks that the same
+    max, restricted to dyadic distance bands [2^-k-1, 2^-k), show no rising
+    trend across bands: that is the discrete signature of a jump, which no
+    log modulus absorbs.
     """
 
     holds: bool
     constant_estimate: float
     p_minus: float
     p_plus: float
-    band_maxima: tuple[float, ...] = ()
 
 
 def exponent_constant(value: float, n_nodes: int) -> ExponentFunction:
@@ -174,7 +174,7 @@ def log_holder_constant(
     :class:`LogHolderReport`). The estimate is monotone under nested node
     refinement since the pair set only grows. A constant exponent (the
     H^p -> H^q case) has |p(t) - p(tau)| = 0 on every pair, so it returns
-    ``LogHolderReport(bounds_ok, 0.0, p_minus, p_plus, ())`` without a
+    ``LogHolderReport(bounds_ok, 0.0, p_minus, p_plus)`` without a
     scan, which is what the scan gives. Rows are scanned SCAN_ROWS at a
     time.
     """
@@ -185,7 +185,7 @@ def log_holder_constant(
     if not np.isfinite(p_plus):
         return LogHolderReport(False, np.inf, p_minus, p_plus)
     if p.is_constant:
-        return LogHolderReport(bool(bounds_ok), 0.0, p_minus, p_plus, ())
+        return LogHolderReport(bool(bounds_ok), 0.0, p_minus, p_plus)
 
     step = max(1, curve.n_nodes // max_nodes)
     idx = np.arange(0, curve.n_nodes, step)
@@ -209,11 +209,10 @@ def log_holder_constant(
         np.maximum.at(bands, band_idx[mask], vals[mask])
 
     nonempty = np.flatnonzero(bands > 0.0)
-    band_maxima = tuple(float(b) for b in bands[: (nonempty.max() + 1)]) if nonempty.size else ()
     trend_ok = True
     if nonempty.size >= 4:
         tail = nonempty[nonempty.size // 2 :]
         slope = float(np.polyfit(tail.astype(float), bands[tail], 1)[0])
         trend_ok = slope <= 0.05 * max(1.0, float(np.median(bands[nonempty])))
     holds = bounds_ok and np.isfinite(best) and trend_ok
-    return LogHolderReport(holds, best, p_minus, p_plus, band_maxima)
+    return LogHolderReport(holds, best, p_minus, p_plus)

@@ -16,14 +16,12 @@ copies nothing. The probe builds every section first and then takes the
 singular values of the T sections on the calling thread while one worker
 thread takes the companion sections of the same shapes; LAPACK releases the
 GIL, and each SVD is the call a single thread would make, so the results are
-bitwise those of one thread. On a process allowed only one CPU the probe
-runs both sides on the calling thread.
+bitwise those of one thread, on one CPU or many.
 """
 
 from __future__ import annotations
 
 import math
-import os
 import threading
 from dataclasses import dataclass
 
@@ -42,6 +40,12 @@ __all__ = [
     "finite_section",
     "dichotomy_probe",
 ]
+
+# The probe's cuts: the least sigma_min of an injective side, the kernel's
+# singular values relative to sigma_max, and a clean trend's rise per size.
+SIGMA_FLOOR = 1e-6
+KERNEL_THRESHOLD = 1e-8
+TREND_SLACK = 1.10
 
 
 def _finite_coefficients(coefficients, name: str) -> np.ndarray:
@@ -237,12 +241,9 @@ def _numerical_kernel(svals: np.ndarray, threshold: float) -> tuple[int, float]:
 
 def _singular_values_of_both(sections_t: list, sections_c: list) -> tuple[list, list]:
     """Singular values of the T sections on this thread and, at the same
-    time, of the companion sections on one worker thread, or of both here when
-    the process may run on one CPU only. A worker's exception is raised here,
-    after the worker has ended."""
-    if len(os.sched_getaffinity(0)) < 2:
-        return ([_singular_values(s) for s in sections_t],
-                [_singular_values(s) for s in sections_c])
+    time, of the companion sections on one worker thread; on one CPU the two
+    share it. A worker's exception is raised here, after the worker has
+    ended."""
     svals_c, failure = [], []
 
     def companion_side():
@@ -262,9 +263,9 @@ def _singular_values_of_both(sections_t: list, sections_c: list) -> tuple[list, 
     return svals_t, svals_c
 
 
-def _trend_is_clean(seq: tuple[float, ...], jitter: float = 1.10) -> bool:
-    """Nonincreasing up to multiplicative jitter (plateaus allowed)."""
-    return all(b <= a * jitter + 1e-300 for a, b in zip(seq[:-1], seq[1:]))
+def _trend_is_clean(seq: tuple[float, ...]) -> bool:
+    """Nonincreasing up to the factor TREND_SLACK (plateaus allowed)."""
+    return all(b <= a * TREND_SLACK + 1e-300 for a, b in zip(seq[:-1], seq[1:]))
 
 
 def dichotomy_probe(
@@ -273,15 +274,13 @@ def dichotomy_probe(
     q: ExponentFunction,
     sizes,
     aspect: int = 8,
-    sigma_floor: float = 1e-6,
-    threshold: float = 1e-8,
 ) -> DichotomyVerdict:
     """Probe which of T(a), companion(a) keeps a trivial kernel.
 
     For each n the probe takes tall (n + aspect) x n sections of both
     operators and tracks the smallest singular value. A side counts as
-    injective when sigma_min stays above ``sigma_floor`` at every size with
-    a nonincreasing-to-plateau trend. Both sides failing with persistent
+    injective when sigma_min stays at or above SIGMA_FLOOR at every size
+    with a nonincreasing-to-plateau trend. Both sides failing with persistent
     kernels raises the fault flag; anything murkier is under-resolved.
     The trend is read in the order given, so ``sizes`` must be strictly
     increasing, and ``aspect`` must be at least 1: a square or wide section
@@ -289,9 +288,8 @@ def dichotomy_probe(
 
     All 2 len(sizes) sections are built first, as read-only views. The T
     sections' SVDs then run on the calling thread while one worker thread
-    runs the companion's, which have the same shapes; a process allowed one
-    CPU runs both on the calling thread. Either way each singular value is
-    bitwise what one thread computes.
+    runs the companion's, which have the same shapes. Each singular value
+    is bitwise what one thread computes.
     """
     if a.is_zero:
         raise ValueError("zero symbol is excluded from the dichotomy probe")
@@ -310,10 +308,10 @@ def dichotomy_probe(
     svals_t, svals_c = _singular_values_of_both(
         [finite_section(a, m, n, "T") for m, n in shapes],
         [finite_section(a, m, n, "companion") for m, n in shapes])
-    dim_t, sig_t = zip(*(_numerical_kernel(sv, threshold) for sv in svals_t))
-    dim_c, sig_c = zip(*(_numerical_kernel(sv, threshold) for sv in svals_c))
-    t_ok = min(sig_t) >= sigma_floor and _trend_is_clean(sig_t)
-    c_ok = min(sig_c) >= sigma_floor and _trend_is_clean(sig_c)
+    dim_t, sig_t = zip(*(_numerical_kernel(sv, KERNEL_THRESHOLD) for sv in svals_t))
+    dim_c, sig_c = zip(*(_numerical_kernel(sv, KERNEL_THRESHOLD) for sv in svals_c))
+    t_ok = min(sig_t) >= SIGMA_FLOOR and _trend_is_clean(sig_t)
+    c_ok = min(sig_c) >= SIGMA_FLOOR and _trend_is_clean(sig_c)
     fault = False
     if t_ok and c_ok:
         verdict = "both"

@@ -547,6 +547,18 @@ def test_json_out_path_without_verdict_file(tmp_path):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command, same", [("multiplier", True), ("sio-check", False)])
+def test_trials_reach_the_report_only_where_they_are_read(tmp_path, command, same):
+    # multiplier accepts --trials and ignores it, yet its provenance held the value;
+    # sio-check draws that many trig polynomials
+    reports = []
+    for trials in ("8", "24"):
+        out = tmp_path / trials
+        assert run([command, "--n", "512", "--trials", trials, "--out", str(out)]) == EXIT_OK
+        reports.append((out / "report.json").read_bytes())
+    assert (reports[0] == reports[1]) == same
+
+
 def test_determinism_identical_bytes(tmp_path):
     a, b = tmp_path / "a", tmp_path / "b"
     args = ["multiplier", "--p", "4", "--q", "2", "--symbol", "trig-random:3",

@@ -95,25 +95,22 @@ def test_log_holder_constant_exponent(circle1024):
     assert rep.holds
     assert rep.constant_estimate == 0.0
     # a constant exponent skips the scan and returns what the scan would
-    assert rep == LogHolderReport(True, 0.0, 2.0, 2.0, ())
+    assert rep == LogHolderReport(True, 0.0, 2.0, 2.0)
     assert type(rep.holds) is bool
     one = log_holder_constant(exponent_constant(1.0, 1024), circle1024)
-    assert one == LogHolderReport(False, 0.0, 1.0, 1.0, ())
+    assert one == LogHolderReport(False, 0.0, 1.0, 1.0)
 
 
 def test_log_holder_variable_exponent_is_scanned(circle1024):
     rep = log_holder_constant(exponent_from_preset("2+abs(sin)", circle1024), circle1024)
     assert rep.holds
     assert rep.constant_estimate > 0.0
-    assert rep.band_maxima
 
 
 def test_log_holder_step_fails(circle4096):
     rep = log_holder_constant(exponent_from_preset("step:2,3", circle4096), circle4096)
-    assert not rep.holds
     # the jump shows up as band maxima growing linearly in the band index
-    tail = [b for b in rep.band_maxima[-6:] if b > 0]
-    assert tail == sorted(tail)
+    assert not rep.holds
 
 
 def test_log_holder_smooth_profile_stable():

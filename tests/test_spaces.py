@@ -553,7 +553,7 @@ def test_embedding_constant(circle512, rng):
     theta = np.angle(circle512.nodes)
     p = exponent_from_values(3.0 + np.abs(np.sin(theta)))
     q = exponent_constant(2.0, 512)
-    K = 1.0 + circle512.total_length
+    K = 1.0 + circle512.arc_weights.sum()
     for _ in range(25):
         f = rng.standard_normal(512) + 1j * rng.standard_normal(512)
         assert norm_value(circle512, f, q) <= K * norm_value(circle512, f, p) + 1e-10

@@ -1,3 +1,4 @@
+import os
 import threading
 
 import numpy as np
@@ -354,14 +355,12 @@ def _serial_svals(sections_t, sections_c):
 
 def test_dichotomy_on_two_threads_is_bitwise_the_serial_svd(circle1024, monkeypatch):
     p, q = exponent_constant(4.0, 1024), exponent_constant(2.0, 1024)
-    sizes, aspect, threshold = (16, 32, 64, 128, 256, 512), 8, 1e-8
+    sizes, aspect, threshold = (16, 32, 64, 128, 256, 512), 8, toeplitz.KERNEL_THRESHOLD
     symbols = [symbol_from_preset("monomial:1", circle1024),
                symbol_from_preset("monomial:-2", circle1024),
                symbol_from_preset("cos", circle1024),
                symbol_from_preset("trig-random:5", circle1024, rng=np.random.default_rng(5))]
     assert symbols[-1].coefficients.imag.any()  # one complex section family
-    # two CPUs whatever the host, so the worker thread runs
-    monkeypatch.setattr(toeplitz.os, "sched_getaffinity", lambda pid: {0, 1})
     started, thread = [], threading.Thread
     monkeypatch.setattr(threading, "Thread", lambda **kw: started.append(kw) or thread(**kw))
     probes = [dichotomy_probe(a, p, q, sizes, aspect=aspect) for a in symbols]
@@ -382,13 +381,13 @@ def test_dichotomy_on_two_threads_is_bitwise_the_serial_svd(circle1024, monkeypa
                                            "both", "both"]  # trig-random:5 winds 0 times
 
 
-def test_dichotomy_on_one_cpu_starts_no_thread(circle1024, monkeypatch):
+def test_dichotomy_runs_where_os_has_no_sched_getaffinity(circle1024, monkeypatch):
+    # macOS and Windows have no os.sched_getaffinity; the probe read it and died there
     p, q = exponent_constant(4.0, 1024), exponent_constant(2.0, 1024)
     a = symbol_from_preset("monomial:1", circle1024)
-    two = dichotomy_probe(a, p, q, (16, 32, 64))
-    monkeypatch.setattr(toeplitz.os, "sched_getaffinity", lambda pid: {0})
-    monkeypatch.setattr(threading, "Thread", None)
-    assert dichotomy_probe(a, p, q, (16, 32, 64)) == two
+    here = dichotomy_probe(a, p, q, (16, 32, 64))
+    monkeypatch.delattr(os, "sched_getaffinity")
+    assert dichotomy_probe(a, p, q, (16, 32, 64)) == here
 
 
 @pytest.mark.parametrize("side", ["companion", "T"])
@@ -405,7 +404,6 @@ def test_dichotomy_svd_error_reaches_the_caller(circle1024, monkeypatch, side):
             raise RuntimeError(f"{side} SVD failed")
         return svd(section)
 
-    monkeypatch.setattr(toeplitz.os, "sched_getaffinity", lambda pid: {0, 1})
     monkeypatch.setattr(toeplitz, "_singular_values", failing)
     before = threading.active_count()
     with pytest.raises(RuntimeError, match=f"{side} SVD failed"):

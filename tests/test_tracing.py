@@ -5,7 +5,6 @@ SVD worker thread must call no traced (public) siolab function. The traced
 run must also write the bytes of an untraced one.
 """
 
-import os
 import sys
 import threading
 import time
@@ -19,8 +18,7 @@ import run  # noqa: E402
 import spans  # noqa: E402
 
 
-def test_traced_lab_mix_dichotomy_nests_its_spans_and_keeps_its_bytes(tmp_path, monkeypatch):
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})  # the worker runs
+def test_traced_lab_mix_dichotomy_nests_its_spans_and_keeps_its_bytes(tmp_path):
     cli = run.import_cli()
     inv = next(i for i in run.WORKLOADS["lab-mix"].invocations if i.label == "dichotomy")
     _, plain, problem = run.invoke(cli, inv, 1, tmp_path / "plain")
