@@ -24,13 +24,7 @@ import numpy as np
 from . import __version__
 from .cauchy import adjoint_residuals, apply_S, riesz_projections, s_path
 from .corpus import random_trig_polynomial, rational_corpus
-from .curves import (
-    carleson_constant,
-    curve_from_name,
-    curve_to_csv,
-    default_epsilon_grid,
-    refine_epsilon_grid,
-)
+from .curves import carleson_constant, curve_from_name, curve_to_csv
 from .exponents import exponent_from_preset, exponent_from_values, log_holder_constant
 from .spaces import (
     CERTIFICATE_TOL,
@@ -391,23 +385,8 @@ def run_dichotomy(cfg: ExperimentConfig) -> tuple[ReportBundle, str | None]:
 
 def run_carleson(cfg: ExperimentConfig) -> tuple[ReportBundle, str | None]:
     curve = curve_from_name(cfg.curve, cfg.n_nodes)
-    # one scan: the refined grid at 512 centres, and from the same scan the
-    # base grid (every other refined radius) at 256 centres
-    refined = carleson_constant(curve, refine_epsilon_grid(default_epsilon_grid(curve)),
-                                t_subsample=512)
-    base = refined.coarse_estimate
-    change = (refined.constant_estimate - base) / base
-    results = {
-        "constant_estimate": refined.constant_estimate,
-        "base_estimate": base,
-        "refinement_change": change,
-        "argmax_radius": refined.argmax_radius,
-        "argmax_point": refined.argmax_point,
-        "grid": refined.grid_description(),
-    }
-    rows = [{"op": "carleson_constant", "grid": "base", "estimate": base},
-            {"op": "carleson_constant", "grid": "refined",
-             "estimate": refined.constant_estimate}]
+    results = asdict(carleson_constant(curve))
+    rows = [{"op": "carleson_constant", "estimate": results["constant_estimate"]}]
     extra = {"curve.csv": curve_to_csv(curve)} if cfg.export_curve else {}
     bundle = ReportBundle(results, {"carleson": rows},
                           _provenance(cfg, ["carleson_constant"]), extra)

@@ -8,10 +8,11 @@ import time
 
 import numpy as np
 from scipy.optimize import brentq
+from scipy.special import ellipe
 
 from siolab.cauchy import adjoint_residuals, apply_S, riesz_projections
 from siolab.corpus import random_trig_polynomial, rational_corpus
-from siolab.curves import carleson_constant, default_epsilon_grid, refine_epsilon_grid
+from siolab.curves import carleson_constant
 from siolab.exponents import exponent_constant, exponent_from_values
 from siolab.spaces import (
     luxemburg_norm,
@@ -235,21 +236,16 @@ def test_criterion_07_multiplier_theorem(circle1024):
 
 
 def test_criterion_08_carleson_constants(circle4096, ellipse4096):
-    crit = _Criterion(8, "Carleson constants: circle closed form, ellipse stability")
-    # closed-form oracle: max over (0, 2] of 4 arcsin(eps/2)/eps, attained at eps = 2
-    eps_grid = np.linspace(1e-3, 2.0, 4001)
-    oracle = (4.0 * np.arcsin(eps_grid / 2.0) / eps_grid).max()
-    circle_report = carleson_constant(circle4096)
-    circle_ok = abs(circle_report.constant_estimate - oracle) <= 0.01 * oracle
-    grid = default_epsilon_grid(ellipse4096)
-    base = carleson_constant(ellipse4096, grid, t_subsample=256)
-    fine = carleson_constant(ellipse4096, refine_epsilon_grid(grid), t_subsample=512)
-    change = (fine.constant_estimate - base.constant_estimate) / base.constant_estimate
-    ellipse_ok = 0.0 <= change < 0.02
+    crit = _Criterion(8, "Carleson constants: circle and ellipse closed forms")
+    # closed forms: pi on the circle at eps = 2, and on ellipse:2,1 its perimeter
+    # 8 E(3/4) times sqrt(3) / 4 at the centre +-i and eps = 4 / sqrt(3)
+    circle = carleson_constant(circle4096).constant_estimate
+    circle_err = abs(circle - np.pi) / np.pi
+    ellipse = carleson_constant(ellipse4096).constant_estimate
+    ellipse_err = abs(ellipse - 2.0 * np.sqrt(3.0) * ellipe(0.75))
     crit.finish(
-        circle_ok and ellipse_ok,
-        f"circle {circle_report.constant_estimate:.4f} vs pi, "
-        f"ellipse doubling change {change:.2%}",
+        circle_err <= 2.9e-16 and ellipse_err <= 1e-6,
+        f"circle {circle_err:.1e} relative off pi, ellipse {ellipse_err:.1e} off 2 sqrt(3) E(3/4)",
     )
 
 

@@ -12,12 +12,7 @@ import siolab.cauchy as cauchy
 import siolab.cli as cli
 import siolab.spaces as spaces
 from siolab.cli import EXIT_FAULT, EXIT_OK, EXIT_VALIDATION, main
-from siolab.curves import (
-    carleson_constant,
-    curve_from_name,
-    default_epsilon_grid,
-    refine_epsilon_grid,
-)
+from siolab.curves import carleson_constant, curve_from_name, curve_to_csv
 from siolab.exponents import exponent_from_preset
 from siolab.toeplitz import DichotomyVerdict, symbol_from_preset
 
@@ -184,35 +179,44 @@ def test_carleson_subcommand(tmp_path):
     assert (out / "curve.csv").exists()
 
 
-def _two_scan_carleson_report(curve_name, n):
-    """``results`` and ``tables`` of ``carleson`` from two separate scans."""
-    curve = curve_from_name(curve_name, n)
-    base_grid = default_epsilon_grid(curve)
-    base = carleson_constant(curve, base_grid, t_subsample=256)
-    refined = carleson_constant(curve, refine_epsilon_grid(base_grid), t_subsample=512)
-    change = (refined.constant_estimate - base.constant_estimate) / base.constant_estimate
-    results = {
-        "constant_estimate": refined.constant_estimate,
-        "base_estimate": base.constant_estimate,
-        "refinement_change": change,
-        "argmax_radius": refined.argmax_radius,
-        "argmax_point": refined.argmax_point,
-        "grid": refined.grid_description(),
-    }
-    rows = [{"op": "carleson_constant", "grid": "base",
-             "estimate": base.constant_estimate},
-            {"op": "carleson_constant", "grid": "refined",
-             "estimate": refined.constant_estimate}]
-    return json.loads(json.dumps(cli._plain({"results": results, "tables": {"carleson": rows}})))
-
-
 @pytest.mark.parametrize("curve", ["circle", "ellipse:2,1", "square", "perturbed-circle:0.3,12"])
 @pytest.mark.parametrize("n", [1000, 3000, 4096])
-def test_carleson_one_scan_matches_the_two_scan_report(tmp_path, curve, n):
+def test_carleson_report_is_the_library_scan(tmp_path, monkeypatch, curve, n):
+    # the scan reads nodes and weights alone, so on the same curve the report
+    # it returned inside the run is what carleson_constant(curve) returns
+    scanned = []
+
+    def scan(c):
+        scanned.append((c, carleson_constant(c)))
+        return scanned[-1][1]
+
+    monkeypatch.setattr(cli, "carleson_constant", scan)
     assert run(["carleson", "--curve", curve, "--n", str(n),
                 "--out", str(tmp_path)]) == EXIT_OK
-    report = json.loads((tmp_path / "report.json").read_text())
-    assert {k: report[k] for k in ("results", "tables")} == _two_scan_carleson_report(curve, n)
+    (scanned_curve, report), = scanned
+    reference = curve_from_name(curve, n)
+    assert np.array_equal(scanned_curve.nodes, reference.nodes)
+    assert np.array_equal(scanned_curve.arc_weights, reference.arc_weights)
+    results = json.loads((tmp_path / "report.json").read_text())["results"]
+    assert results == cli._plain(dataclasses.asdict(report))
+
+
+def test_carleson_report_shape(tmp_path):
+    assert run(["carleson", "--curve", "ellipse:2,1", "--n", "512", "--format", "csv",
+                "--export-curve", "--out", str(tmp_path)]) == EXIT_OK
+    results = json.loads((tmp_path / "report.json").read_text())["results"]
+    assert set(results) == {"argmax_point", "argmax_radius", "constant_estimate"}
+    rows = (tmp_path / "carleson.csv").read_text().splitlines()
+    assert rows == ["estimate,op", f"{results['constant_estimate']!r},carleson_constant"]
+    assert (tmp_path / "curve.csv").read_text() == curve_to_csv(curve_from_name("ellipse:2,1", 512))
+
+
+@pytest.mark.parametrize("curve", ["ellipse:nan,1", "ellipse:inf,1"])
+def test_non_finite_curve_exits_2_in_every_command(tmp_path, curve):
+    for command in ("norm", "multiplier", "sio-check", "dichotomy", "carleson"):
+        out = tmp_path / command
+        assert run([command, "--curve", curve, "--n", "512", "--out", str(out)]) == EXIT_VALIDATION
+        assert not (out / "report.json").exists()
 
 
 def test_carleson_makes_one_scan(tmp_path, monkeypatch):

@@ -5,17 +5,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
+from scipy.special import ellipe
 
 from siolab.curves import (
+    JordanCurve,
     carleson_constant,
     curve_from_name,
     curve_to_csv,
-    default_epsilon_grid,
     make_ellipse,
     make_parametric_curve,
     make_square,
     make_unit_circle,
-    refine_epsilon_grid,
 )
 
 TWO_PI = 2.0 * np.pi
@@ -106,6 +106,19 @@ def test_vanishing_derivative_rejected():
         )
 
 
+def test_non_finite_curve_rejected():
+    # an overflowing speed once made the vanishing test's threshold infinite
+    for spec in ("ellipse:1e308,1", "ellipse:inf,1", "ellipse:nan,1"):
+        with pytest.raises(ValueError, match="derivative must be finite"):
+            curve_from_name(spec, 64)
+    c = make_unit_circle(64)
+    for i in range(3):  # a nan node, arc weight or tangent angle
+        parts = [c.nodes, c.arc_weights, c.tangent_angles]
+        parts[i] = np.where(np.arange(64) == 5, np.nan, parts[i])
+        with pytest.raises(ValueError, match="must be finite"):
+            JordanCurve(*parts)
+
+
 def test_curve_build_peak_memory():
     # ellipse:2,1 at n = 2048: a crossing check's complex temporaries over
     # every overlapping run pair at once once made it 3.8 MiB
@@ -160,6 +173,11 @@ def test_circle_ratio_curve_matches_closed_form():
     assert np.abs(ratios - oracle).max() < 1e-3
 
 
+# 2 sqrt(3) E(3/4): the perimeter L of ellipse:2,1 times sqrt(3) / 4, reached
+# at the centre +-i as eps comes down to the farthest distance 4 / sqrt(3)
+ELLIPSE_CARLESON = 2.0 * np.sqrt(3.0) * ellipe(0.75)
+
+
 def test_carleson_circle_pi(circle4096):
     # closed form: max of 4 arcsin(eps/2)/eps on (0, 2] is pi at eps = 2
     report = carleson_constant(circle4096)
@@ -168,17 +186,13 @@ def test_carleson_circle_pi(circle4096):
 
 
 def test_carleson_circle_estimate_is_pi_to_rounding(circle4096):
-    # portions summed shell by shell: 8.9e-16 off, where one running sum of
-    # 4096 weights per centre missed pi by 2.1e-13
-    assert abs(carleson_constant(circle4096).constant_estimate - np.pi) <= 2e-15
+    # the winning portion by math.fsum: 2.8e-16 off, where one running sum of
+    # 4096 weights missed pi by 6.8e-14 and a pairwise np.sum by 5.7e-16
+    assert abs(carleson_constant(circle4096).constant_estimate - np.pi) / np.pi <= 2.9e-16
 
 
-def test_carleson_peak_memory_and_diameter(circle4096):
-    # the diameter's 512 x 512 differences by row blocks: same maximum, and
+def test_carleson_peak_memory(circle4096):
     # the scan holds a few distance rows (the whole matrix took 6 MiB)
-    for curve in (circle4096, curve_from_name("ellipse:2,1", 4096)):
-        z = curve.nodes[:: curve.n_nodes // 512]
-        assert curve.approximate_diameter() == float(np.abs(z[:, None] - z[None, :]).max())
     carleson_constant(circle4096)
     tracemalloc.start()
     try:
@@ -197,75 +211,40 @@ def test_carleson_dominates_samples(circle1024):
             assert report.constant_estimate >= portion_length(circle1024, t, eps) / eps - 1e-12
 
 
-def test_carleson_ellipse_stable_under_refinement(ellipse4096):
-    grid = default_epsilon_grid(ellipse4096)
-    base = carleson_constant(ellipse4096, grid, t_subsample=256)
-    fine = carleson_constant(ellipse4096, refine_epsilon_grid(grid), t_subsample=512)
-    assert fine.constant_estimate >= base.constant_estimate - 1e-12
-    change = (fine.constant_estimate - base.constant_estimate) / base.constant_estimate
-    assert change < 0.02
+def test_carleson_ellipse_closed_form(ellipse4096):
+    report = carleson_constant(ellipse4096)
+    assert abs(report.constant_estimate - ELLIPSE_CARLESON) <= 1e-6
+    assert min(abs(report.argmax_point - 1j), abs(report.argmax_point + 1j)) <= 1e-2
+    assert abs(report.argmax_radius - 4.0 / np.sqrt(3.0)) <= 1e-3
 
 
-def _quicksort_carleson_scan(curve, eps, t_subsample):
-    """The scan with an unstable quicksort of each distance row.
-
-    A portion is the running sum of its shell sums, the weights between
-    consecutive radii, as ``carleson_constant`` adds them up.
-    """
-    best, best_t, best_eps = -np.inf, 0, eps[0]
-    for i in range(0, curve.n_nodes, max(1, curve.n_nodes // t_subsample)):
-        d = np.abs(curve.nodes - curve.nodes[i])
-        order = np.argsort(d, kind="quicksort")
-        starts = np.concatenate(([0], np.searchsorted(d[order], eps, side="left")))
-        shells = np.add.reduceat(np.append(curve.arc_weights[order], 0.0), starts)[:-1]
-        ratios = np.cumsum(shells * (np.diff(starts) > 0)) / eps
-        j = int(np.argmax(ratios))
-        if ratios[j] > best:
-            best, best_t, best_eps = float(ratios[j]), i, float(eps[j])
-    return best, complex(curve.nodes[best_t]), best_eps
+@pytest.mark.parametrize("n", [1024, 4096])
+def test_carleson_square_closed_form(n):
+    # from a side's midpoint the farthest corners are sqrt(5) away, and a disc
+    # just wider holds the whole perimeter 8
+    report = carleson_constant(make_square(n))
+    assert report.constant_estimate == 8.0 / np.sqrt(5.0)
+    assert report.argmax_radius == pytest.approx(np.sqrt(5.0), rel=1e-15)
+    assert report.argmax_point in (1, 1j, -1, -1j)
 
 
-@pytest.mark.parametrize("name", ["circle", "ellipse:2,1", "perturbed-circle:0.3,12", "square"])
-def test_carleson_stable_sort_matches_the_quicksort_scan(name):
-    curve = curve_from_name(name, 4096)
-    base = default_epsilon_grid(curve)
-    for grid, t_subsample in ((base, 256), (refine_epsilon_grid(base), 512)):
-        report = carleson_constant(curve, grid, t_subsample=t_subsample)
-        got = (report.constant_estimate, report.argmax_point, report.argmax_radius)
-        assert got == _quicksort_carleson_scan(curve, np.sort(grid), t_subsample)
-
-
-def test_carleson_rejects_empty_grid(circle1024):
-    with pytest.raises(ValueError):
-        carleson_constant(circle1024, np.array([]))
-
-
-def test_carleson_rejects_non_finite_radii(circle1024):
-    for grid in ([np.nan, 1.0], [np.inf], [0.5, -np.inf], [np.nan]):
-        with pytest.raises(ValueError, match="epsilon grid must be finite"):
-            carleson_constant(circle1024, np.array(grid))
-
-
-@pytest.mark.parametrize("name", ["circle", "ellipse:2,1", "perturbed-circle:0.3,12", "square"])
-@pytest.mark.parametrize("n", [512, 1000, 3000, 4096])
-def test_carleson_coarse_estimate_is_the_separate_coarse_scan(name, n):
-    # the coarse level reads every other sorted radius at the centres for
-    # t_subsample // 2; at n = 3000 and 512 centres the strides (5 and 11)
-    # do not nest, and at 3 or 1 centres the coarse level has node 0 alone
+@pytest.mark.parametrize("name, n", [("circle", 64), ("square", 64), ("ellipse:2,1", 128),
+                                     ("perturbed-circle:0.3,12", 256)])
+def test_carleson_is_the_brute_force_sup_over_every_radius(name, n):
+    # below 1024 nodes every node is a centre; portion(eps+) takes the nodes
+    # with d <= eps, at eps = lo and at every node distance d >= lo
     curve = curve_from_name(name, n)
-    base = default_epsilon_grid(curve)
-    fine = refine_epsilon_grid(base)
-    assert np.array_equal(fine[::2], base)
-    for grid, t_subsample in ((fine, 512), (base[::-1], 256), (base[:7], 3), (base[:1], 1)):
-        report = carleson_constant(curve, grid, t_subsample=t_subsample)
-        coarse = carleson_constant(curve, np.sort(grid)[::2], max(1, t_subsample // 2))
-        assert report.coarse_estimate == coarse.constant_estimate
-
-
-def test_carleson_rejects_t_subsample_below_one(circle1024):
-    for t_subsample in (0, -5):
-        with pytest.raises(ValueError, match="t_subsample must be at least 1"):
-            carleson_constant(circle1024, t_subsample=t_subsample)
+    report = carleson_constant(curve)
+    lo = 2.0 * curve.max_spacing()
+    best = 0.0
+    for z in curve.nodes:
+        d = np.abs(curve.nodes - z)
+        eps = np.append(d[d >= lo], lo)
+        best = max(best, ((d[None, :] <= eps[:, None]) @ curve.arc_weights / eps).max())
+    assert report.constant_estimate == pytest.approx(best, rel=1e-12, abs=0.0)
+    d = np.abs(curve.nodes - report.argmax_point)
+    at_argmax = curve.arc_weights[d <= report.argmax_radius].sum() / report.argmax_radius
+    assert at_argmax == pytest.approx(best, rel=1e-12, abs=0.0)
 
 
 def test_curve_csv_roundtrip(circle1024):
