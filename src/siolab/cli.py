@@ -1,7 +1,9 @@
 """Command-line front door: config parsing, experiment runs, report bundles.
 
 Subcommands: ``norm``, ``multiplier``, ``sio-check``, ``dichotomy``,
-``carleson``. Every run is reproducible: identical config and seed produce
+``carleson``. ``COMMAND_KEYS`` names the config keys each one reads; its
+flags, its config-file check and its ``provenance.config`` come from it.
+Every run is reproducible: identical config and seed produce
 byte-identical reports (sorted JSON keys, no wall-clock provenance).
 Exit codes: 0 success, 2 validation error, 3 numerical fault.
 """
@@ -43,6 +45,21 @@ EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_FAULT = 3
 
+# The config keys each command reads, and the keys every command takes. A
+# command's flags and the config-file keys it accepts are these, and its
+# provenance.config holds exactly its row and the command.
+COMMAND_KEYS = {
+    "norm": ("curve", "n_nodes", "exponent", "function", "seed"),
+    "multiplier": ("curve", "n_nodes", "p", "q", "symbol", "degree", "seed"),
+    "sio-check": ("curve", "n_nodes", "exponent", "trials", "seed", "export_curve"),
+    "dichotomy": ("curve", "n_nodes", "p", "q", "symbol", "sizes", "aspect", "degree", "seed"),
+    "carleson": ("curve", "n_nodes", "export_curve"),
+}
+COMMON_KEYS = ("out", "format", "seed")
+# multiplier reads no trials, yet takes and checks them, since the benchmark's
+# lab-mix passes --trials 24 (ROADMAP item 1); they stay out of its provenance
+UNREAD_KEYS = {"multiplier": ("trials",)}
+
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -64,15 +81,10 @@ class ExperimentConfig:
     export_curve: bool = False
 
     def canonical(self) -> dict:
-        """Experiment-defining fields only: where outputs go and how they are
-        formatted does not change what was computed."""
-        d = asdict(self)
-        d["sizes"] = list(self.sizes)
-        for presentation in ("out", "format", "export_curve"):
-            d.pop(presentation)
-        if self.command == "multiplier":  # accepts --trials and never reads it
-            d.pop("trials")
-        return dict(sorted(d.items()))
+        """The command and the keys it reads: where outputs go, how they are
+        formatted and what other commands read change nothing it computes."""
+        return {key: getattr(self, key)
+                for key in sorted(("command", *COMMAND_KEYS[self.command]))}
 
 
 @dataclass
@@ -143,7 +155,6 @@ def _provenance(cfg: ExperimentConfig, operations: list[str]) -> dict:
         "config_hash": hashlib.sha256(canonical.encode()).hexdigest(),
         "siolab_version": __version__,
         "numpy_version": np.__version__,
-        "seed": cfg.seed,
         "operations": operations,
     }
 
@@ -402,44 +413,27 @@ _RUNNERS = {
 }
 
 
+def _keys(command: str) -> dict:
+    """The keys a command takes, in order: the common ones, its row, its exception."""
+    return dict.fromkeys((*COMMON_KEYS, *COMMAND_KEYS[command], *UNREAD_KEYS.get(command, ())))
+
+
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", type=str, default=None, help="JSON config file")
-    common.add_argument("--out", type=str, default=None, help="output directory")
-    common.add_argument("--seed", type=int, default=None, help="random seed")
-    common.add_argument("--format", choices=["json", "csv"], default=None)
-    common.add_argument("--curve", type=str, default=None)
-    common.add_argument("--n", dest="n_nodes", type=int, default=None)
-    common.add_argument("--export-curve", action="store_true", default=None)
-
     parser = argparse.ArgumentParser(prog="siolab", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    sp = sub.add_parser("norm", parents=[common])
-    sp.add_argument("--exponent", type=str, default=None)
-    sp.add_argument("--function", type=str, default=None)
-
-    sp = sub.add_parser("multiplier", parents=[common])
-    sp.add_argument("--p", type=str, default=None)
-    sp.add_argument("--q", type=str, default=None)
-    sp.add_argument("--symbol", type=str, default=None)
-    sp.add_argument("--trials", type=int, default=None,
-                    help="accepted and ignored: the multiplier norm is solved, not searched")
-
-    sp = sub.add_parser("sio-check", parents=[common])
-    sp.add_argument("--exponent", type=str, default=None)
-    sp.add_argument("--trials", type=int, default=None)
-
-    sp = sub.add_parser("dichotomy", parents=[common])
-    sp.add_argument("--symbol", type=str, default=None)
-    sp.add_argument("--p", type=str, default=None)
-    sp.add_argument("--q", type=str, default=None)
-    sp.add_argument("--sizes", type=str, default=None, help="comma-separated section sizes")
-    sp.add_argument("--aspect", type=int, default=None)
-    sp.add_argument("--degree", type=int, default=None)
-
-    sp = sub.add_parser("carleson", parents=[common])
+    for command in COMMAND_KEYS:
+        sp = sub.add_parser(command)
+        sp.add_argument("--config", help="JSON config file")
+        for key in _keys(command):
+            flag = "--n" if key == "n_nodes" else "--" + key.replace("_", "-")
+            if key == "export_curve":
+                sp.add_argument(flag, dest=key, action="store_true", default=None)
+            elif key == "format":
+                sp.add_argument(flag, choices=["json", "csv"])
+            else:  # sizes come comma-separated and are read with the config
+                kind = type(getattr(ExperimentConfig, key))
+                sp.add_argument(flag, dest=key, type=int if kind is int else str)
     return parser
 
 
@@ -450,11 +444,11 @@ def config_from_args(args: argparse.Namespace) -> tuple[ExperimentConfig, str | 
         base = json.loads(Path(args.config).read_text())
         if not isinstance(base, dict):
             raise ValueError("config file must hold a JSON object")
-    overrides = {}
-    for key, value in vars(args).items():
-        if key == "config" or value is None:
-            continue
-        overrides[key] = value
+        unread = base.keys() - _keys(args.command)
+        if unread:
+            raise ValueError(f"config keys {sorted(unread)} are not read by {args.command}")
+    overrides = {key: value for key, value in vars(args).items()
+                 if key != "config" and value is not None}
     merged = {**base, **overrides}
     verdict_file = None
     sizes = merged.get("sizes")
@@ -463,9 +457,6 @@ def config_from_args(args: argparse.Namespace) -> tuple[ExperimentConfig, str | 
     elif isinstance(sizes, list):
         merged["sizes"] = tuple(sizes)
     valid = {f.name: type(f.default) for f in fields(ExperimentConfig)}
-    unknown = merged.keys() - valid
-    if unknown:
-        raise ValueError(f"unknown config keys {sorted(unknown)}")
     for key, value in merged.items():
         # exact types: a bool is not an int, and "4096" is not 4096
         ok = type(value) is valid[key]

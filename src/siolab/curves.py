@@ -38,6 +38,7 @@ __all__ = [
     "curve_from_name",
     "carleson_constant",
     "curve_to_csv",
+    "trig_table",
 ]
 
 
@@ -141,14 +142,27 @@ def make_parametric_curve(
         nodes = np.asarray(position(t), dtype=complex)
         deriv = np.asarray(derivative(t), dtype=complex)
         speed = np.abs(deriv)
+        ratio = speed.min() / speed.max()  # nan where the derivative is 0 everywhere
     if not np.all(np.isfinite(speed)):
         raise ValueError("derivative must be finite at every node")
-    if np.any(speed <= 1e-13 * speed.max()):
+    if not ratio > 1e-13:
         bad = np.flatnonzero(speed <= 1e-13 * speed.max())
-        raise ValueError(f"derivative vanishes at nodes {bad[:8].tolist()}")
+        raise ValueError(f"derivative speed min/max ratio {ratio:.3g} is at or below "
+                         f"the cut 1e-13, at nodes {bad[:8].tolist()}")
     weights = speed / n_nodes
     angles = np.angle(deriv)
     return JordanCurve(nodes, weights, angles)
+
+
+def trig_table(curve: JordanCurve, degree: int) -> np.ndarray:
+    """The (n, 2 degree + 1) table exp(i k theta_j), k = -degree..degree, at
+    the node angles theta_j. Its real part holds the angles k theta until
+    their sine and cosine take their places."""
+    table = np.empty((curve.n_nodes, 2 * degree + 1), dtype=complex)
+    np.multiply.outer(np.angle(curve.nodes), np.arange(-degree, degree + 1.0), out=table.real)
+    np.sin(table.real, out=table.imag)
+    np.cos(table.real, out=table.real)
+    return table
 
 
 def make_ellipse(a: float, b: float, n_nodes: int) -> JordanCurve:

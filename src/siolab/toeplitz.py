@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .curves import JordanCurve
+from .curves import JordanCurve, trig_table
 from .exponents import ExponentFunction, dominance_check
 
 __all__ = [
@@ -131,9 +131,7 @@ def symbol_from_coefficients(coefficients, curve: JordanCurve, name: str = "symb
     if c.size % 2 == 0:
         raise ValueError("coefficients must cover a symmetric mode range -K..K")
     degree = c.size // 2
-    phi = np.angle(curve.nodes)
-    k = np.arange(-degree, degree + 1)
-    values = np.exp(1j * np.outer(phi, k)) @ c
+    values = trig_table(curve, degree) @ c
     return Symbol(values, c, degree, name, exact_band=True)
 
 

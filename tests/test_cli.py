@@ -613,6 +613,95 @@ def test_config_rejects_malformed_values(tmp_path, capsys, command, config):
     assert not out.exists()
 
 
+# small runs of each command, for what its report records
+SMALL = {
+    "norm": ["--n", "512"],
+    "multiplier": ["--n", "512"],
+    "sio-check": ["--n", "256", "--trials", "2"],
+    "dichotomy": ["--n", "512", "--sizes", "16,32"],
+    "carleson": ["--n", "512"],
+}
+
+
+@pytest.mark.parametrize("command", list(cli.COMMAND_KEYS))
+def test_provenance_holds_the_keys_the_command_reads(tmp_path, command):
+    # every command wrote all 13 experiment keys, and a top-level seed besides
+    assert run([command, *SMALL[command], "--out", str(tmp_path)]) == EXIT_OK
+    provenance = json.loads((tmp_path / "report.json").read_text())["provenance"]
+    assert set(provenance["config"]) == {"command", *cli.COMMAND_KEYS[command]}
+    assert "seed" not in provenance
+
+
+UNREAD = [(command, key) for command in cli.COMMAND_KEYS
+          for key in (f.name for f in dataclasses.fields(cli.ExperimentConfig))
+          if key not in {*cli.COMMON_KEYS, *cli.COMMAND_KEYS[command],
+                         *cli.UNREAD_KEYS.get(command, ())}]
+
+
+@pytest.mark.parametrize("command, key", UNREAD, ids=[f"{c}-{k}" for c, k in UNREAD])
+def test_config_rejects_keys_the_command_does_not_read(tmp_path, capsys, command, key):
+    # norm took {"sizes": [16, 32]} without a word, and it changed the report bytes
+    value = {"command": command, "sizes": [16, 32]}.get(
+        key, getattr(cli.ExperimentConfig, key, None))
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({key: value}))
+    out = tmp_path / "out"
+    assert run([command, "--config", str(cfg), "--out", str(out)]) == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert "validation error" in err and repr(key) in err and command in err
+    assert not out.exists()
+
+
+def test_multiplier_takes_trials_it_does_not_read_and_its_degree(tmp_path):
+    # lab-mix passes --trials 24; the config-file key stays accepted with it
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"trials": 8, "n_nodes": 512}))
+    assert run(["multiplier", "--config", str(cfg), "--degree", "20",
+                "--out", str(tmp_path)]) == EXIT_OK
+    config = json.loads((tmp_path / "report.json").read_text())["provenance"]["config"]
+    assert config["degree"] == 20 and "trials" not in config
+
+
+def test_carleson_report_does_not_depend_on_the_seed(tmp_path):
+    # carleson draws nothing, yet its report held the seed twice
+    reports = []
+    for seed in ("1", "2"):
+        out = tmp_path / seed
+        assert run(["carleson", "--n", "512", "--seed", seed, "--out", str(out)]) == EXIT_OK
+        reports.append((out / "report.json").read_bytes())
+    assert reports[0] == reports[1]
+
+
+@pytest.mark.parametrize("command", ["norm", "multiplier", "dichotomy"])
+def test_export_curve_only_where_a_curve_is_written(tmp_path, capsys, command):
+    # these took --export-curve, exited 0 and wrote no curve.csv
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--n", "512", "--export-curve", "--out", str(tmp_path / "out")])
+    assert exc.value.code == 2
+    assert "--export-curve" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_eccentric_curve_refusal_names_the_speed_ratio(tmp_path, capsys):
+    # the speed is 2 pi at nodes 0 and 256, 1e14 times below its maximum; the
+    # refusal said the derivative vanished there
+    assert run(["carleson", "--curve", "ellipse:1e14,1", "--n", "512",
+                "--out", str(tmp_path / "out")]) == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert "min/max ratio 1e-14" in err and "1e-13" in err and "vanishes" not in err
+
+
+def test_csv_symbol_values_are_the_sums_of_their_coefficients(tmp_path):
+    coeffs = tmp_path / "coeffs.csv"
+    coeffs.write_text("-2,0.5,0.25\n0,1.0,0.0\n3,-1.5,2.0\n")
+    curve = curve_from_name("ellipse:2,1", 1000)
+    c = np.zeros(7, dtype=complex)
+    c[[1, 3, 6]] = [0.5 + 0.25j, 1.0, -1.5 + 2.0j]
+    theta = np.angle(curve.nodes)
+    values = cli._symbol(str(coeffs), curve, 300, np.random.default_rng(0)).values
+    assert np.array_equal(values, np.exp(1j * np.outer(theta, np.arange(-3, 4))) @ c)
+
+
 def test_symbol_coefficients_csv(tmp_path):
     coeffs = tmp_path / "coeffs.csv"
     coeffs.write_text("1,1.0,0.0\n")  # a(t) = t

@@ -9,6 +9,8 @@ from scipy.special import gammaln, gammasgn
 
 import siolab.toeplitz as toeplitz
 from siolab.cauchy import riesz_projections
+from siolab.corpus import random_trig_polynomial
+from siolab.curves import curve_from_name
 from siolab.exponents import exponent_constant
 from siolab.spaces import norm_value
 from siolab.toeplitz import (
@@ -71,6 +73,24 @@ def test_coefficient_symbols_take_the_node_angles(request, curve_name):
     c = np.array([0.5, 0.0, 1.0, 0.0, 0.5])  # 1 + cos(2 theta)
     values = symbol_from_coefficients(c, curve).values
     assert np.abs(values - (1.0 + np.cos(2.0 * theta))).max() < 1e-14
+
+
+@pytest.mark.parametrize("name", ["circle", "ellipse:2,1", "square", "perturbed-circle:0.3,12"])
+@pytest.mark.parametrize("n", [512, 1000, 4096])
+def test_symbols_and_the_corpus_read_one_trig_table(name, n):
+    # trig-random:d is bitwise the corpus polynomial from the same generator,
+    # and monomial:k bitwise the sum over exp(i k theta) that it read before
+    curve = curve_from_name(name, n)
+    for d in (1, 3, 8, 12):
+        symbol = symbol_from_preset(f"trig-random:{d}", curve, rng=np.random.default_rng(d))
+        assert np.array_equal(symbol.values,
+                              random_trig_polynomial(curve, np.random.default_rng(d), d))
+    theta = np.angle(curve.nodes)
+    for k in (-7, 0, 1, 40):
+        c = np.zeros(2 * abs(k) + 1, dtype=complex)
+        c[abs(k) + k] = 1.0
+        old = np.exp(1j * np.outer(theta, np.arange(-abs(k), abs(k) + 1))) @ c
+        assert np.array_equal(symbol_from_preset(f"monomial:{k}", curve).values, old)
 
 
 @pytest.mark.parametrize("s, K, bound", [(-0.25, 300, 1e-11), (-0.05, 2000, 1e-10)])
