@@ -41,10 +41,11 @@ evaluates that integral off the curve: for the rational functions of
 (the exterior poles and the polynomial make up P f, the interior poles
 Q f), and ``sio-check`` judges ``riesz_projections`` against them.
 ``adjoint_residuals`` certifies P and Q on a mode basis that S takes in
-blocks of ADJOINT_BLOCK modes. ``mode_basis``, ``apply_S`` and
-``conjugation_H`` write into an ``out`` array when given one, so the
-certificate holds the weighted basis and one block's workspace, in one
-allocation, and no other array the size of either.
+blocks of ADJOINT_BLOCK modes, pairing each result as it is made.
+``mode_basis``, ``apply_S`` and ``conjugation_H`` write into an ``out``
+array when given one, so the certificate holds the weighted basis and a
+workspace of two rows per block mode, in one allocation, and no other
+array the size of either.
 
 Two quantities are taken once per curve and kept in ``curve._memo``: the
 split's remainder spectrum C (off the circle) and the conjugation phase
@@ -78,16 +79,14 @@ KERNEL_ROWS = 512
 # the dense path.
 SPECTRUM_BYTES = 64 * 2**20
 # Basis modes per block of the mode-basis certificate, so the 32-mode basis
-# of sio-check takes 4 blocks. From warm in-process sio-check passes (one
-# BLAS thread), where W and the workspace in one allocation take no page
-# faults from 4 modes up: 8 modes beat 4 in 80 of 110 interleaved passes on
-# the circle at n = 4096 and 82 of 110 on ellipse:2,1 at n = 2048, and 16
-# beat 8 in 69 and 63 of 110. The certificate's traced peak is 3.3, 4.3 and
-# 6.4 MiB with 4, 8 and 16 modes on the circle (5.7 MiB with 8 when S and H
-# returned new arrays), and 51, 67 and 99 MiB on the ellipse at n = 65536,
-# where one sio-check took 1.01-1.13 s with 4 modes, 0.81-0.97 s with 8 and
-# 0.92-0.99 s with 16.
-ADJOINT_BLOCK = 8
+# of sio-check takes 2 blocks through a workspace of 32 rows. From warm
+# in-process sio-check passes (one BLAS thread), where W and the workspace
+# in one allocation take no page faults: 16 modes beat 8 in 80 of 110
+# interleaved passes on the circle at n = 4096 and 76 of 110 on ellipse:2,1
+# at n = 2048. The certificate's traced peak is 3.3 and 4.3 MiB with 8 and
+# 16 modes on the circle, 1.8 and 2.3 MiB on the ellipse, and 67 MiB with
+# 16 on the ellipse at n = 65536.
+ADJOINT_BLOCK = 16
 
 
 @dataclass(frozen=True)
@@ -298,7 +297,8 @@ def _split_S(curve: JordanCurve, F: np.ndarray, out: np.ndarray | None = None) -
     # C on the left of the product: 75 us against 84 us for rows @ C.T on 16
     # rows of 2048 nodes with m = 128 (one BLAS thread)
     smooth = (C @ spectrum[..., -modes % n].T).T
-    spectrum *= np.sign(np.fft.fftfreq(n))
+    # a complex sign vector: a real one takes a cast buffer the size of a row
+    spectrum *= np.sign(np.fft.fftfreq(n)).astype(complex)
     spectrum[..., modes % n] += (2.0 / 1j) * smooth
     return np.fft.ifft(spectrum, axis=-1, out=spectrum)
 
@@ -398,37 +398,22 @@ def centered_modes(basis_size: int) -> np.ndarray:
     return np.arange(-half, basis_size - half)
 
 
-def _apply_block(curve: JordanCurve, rows: np.ndarray) -> None:
-    """Fill the quarters of ``rows`` with B, SB, S^2 B and HSHB, from B in the first quarter.
-
-    Every result is written into ``rows``: HB goes to the second quarter, S
-    takes [B | HB] into the last two (SB, SHB) in one call, H turns SHB into
-    HSHB in place, and SB is copied to the second quarter before a second
-    call turns the third into S^2 B in place.
-    """
-    k = rows.shape[0] // 4
-    B, SB, SSB, HSHB = np.split(rows, 4)
-    conjugation_H(curve, B, out=SB)
-    apply_S(curve, rows[: 2 * k], out=rows[2 * k :])
-    conjugation_H(curve, HSHB, out=HSHB)
-    SB[...] = SSB
-    apply_S(curve, SSB, out=SSB)
-
-
 def adjoint_residuals(curve: JordanCurve, basis_size: int) -> AdjointResiduals:
     """Matrix-level residuals of P^2 = P, PQ = 0, P + Q = I, S* = -HSH, P* = HQH, Q* = HPH.
 
     Only four pairing matrices are formed: G = M(B), M(SB), M(S^2 B) and
     M(HSHB). The whole basis is held once, as the weighted conjugate basis
-    W = conj(B) w. The basis B goes in blocks of ADJOINT_BLOCK modes, each
-    taken from ``mode_basis`` of its own modes (bitwise the rows W was built
-    from), through one workspace of four times as many rows into which S
-    and H write (``_apply_block``): S takes the block's stack [B | HB] of
-    modes and conjugates, then its SB, and one ``operator_matrix`` call
-    pairs the block's B, SB, S^2 B and HSHB against W, which fills the
-    block's columns of all four matrices. The rest follow
-    by linearity, with H antilinear and H^2 = I: M(PB) = (G + M(SB))/2,
-    M(QB) = (G - M(SB))/2, M(S PB) = (M(SB) + M(S^2 B))/2,
+    W = conj(B) w. The basis B goes in blocks of ADJOINT_BLOCK modes through
+    a workspace of two rows per mode, into which S and H write, and each
+    result is paired against W (``operator_matrix``) as soon as it exists:
+    ``mode_basis`` of the block's own modes writes B (bitwise the rows W was
+    built from), whose pairing fills the block's columns of G; H writes HB
+    beside it, S takes [B | HB] in place to [SB | SHB], H turns SHB into
+    HSHB, and one pairing fills the block's columns of M(SB) and M(HSHB);
+    S then takes SB in place to S^2 B, whose pairing fills M(S^2 B). The
+    rest follow by linearity, with H antilinear and H^2 = I:
+    M(PB) = (G + M(SB))/2, M(QB) = (G - M(SB))/2,
+    M(S PB) = (M(SB) + M(S^2 B))/2,
     M(S QB) = (M(SB) - M(S^2 B))/2, M(HPH B) = (G + M(HSHB))/2 and
     M(HQH B) = (G - M(HSHB))/2. Matrix elements of the adjoints come for free
     from the pairing, (A*)_{ij} = conj(A_{ji}), so both sides of each identity
@@ -446,10 +431,10 @@ def adjoint_residuals(curve: JordanCurve, basis_size: int) -> AdjointResiduals:
         )
     modes = centered_modes(basis_size)
     # W and the workspace share one allocation: apart, they cost warm
-    # sio-check passes on the circle at n = 4096 1,072 (4-mode blocks) to
-    # 2,208 (8-mode) minor page faults each, and together none (getrusage
-    # around in-process passes)
-    space = np.empty((basis_size + 4 * min(ADJOINT_BLOCK, basis_size), curve.n_nodes),
+    # sio-check passes on the circle at n = 4096 about 1,390 minor page
+    # faults each, and together at most one (getrusage around in-process
+    # passes)
+    space = np.empty((basis_size + 2 * min(ADJOINT_BLOCK, basis_size), curve.n_nodes),
                      dtype=complex)
     W, workspace = np.split(space, [basis_size])
     mode_basis(curve, modes, out=W)
@@ -458,12 +443,16 @@ def adjoint_residuals(curve: JordanCurve, basis_size: int) -> AdjointResiduals:
     G, MS, MSS, MHSH = np.empty((4, basis_size, basis_size), dtype=complex)
     for s in range(0, basis_size, ADJOINT_BLOCK):
         k = min(ADJOINT_BLOCK, basis_size - s)
-        rows = workspace[: 4 * k]
-        mode_basis(curve, modes[s : s + k], out=rows[:k])
-        _apply_block(curve, rows)
-        paired = operator_matrix(W, rows)
-        for M, columns in zip((G, MS, MSS, MHSH), np.split(paired, 4, axis=1)):
-            M[:, s : s + k] = columns
+        rows = workspace[: 2 * k]
+        B, HB = rows[:k], rows[k:]
+        mode_basis(curve, modes[s : s + k], out=B)
+        G[:, s : s + k] = operator_matrix(W, B)
+        conjugation_H(curve, B, out=HB)
+        apply_S(curve, rows, out=rows)  # [SB | SHB]
+        conjugation_H(curve, HB, out=HB)  # HSHB
+        MS[:, s : s + k], MHSH[:, s : s + k] = np.hsplit(operator_matrix(W, rows), 2)
+        apply_S(curve, B, out=B)  # S^2 B
+        MSS[:, s : s + k] = operator_matrix(W, B)
 
     MP, MQ = 0.5 * (G + MS), 0.5 * (G - MS)
     MSP, MSQ = 0.5 * (MS + MSS), 0.5 * (MS - MSS)

@@ -418,6 +418,10 @@ def _keys(command: str) -> dict:
     return dict.fromkeys((*COMMON_KEYS, *COMMAND_KEYS[command], *UNREAD_KEYS.get(command, ())))
 
 
+def _sizes(text: str) -> tuple[int, ...]:
+    return tuple(int(x) for x in text.split(","))
+
+
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="siolab", description=__doc__)
@@ -431,7 +435,9 @@ def _build_parser() -> argparse.ArgumentParser:
                 sp.add_argument(flag, dest=key, action="store_true", default=None)
             elif key == "format":
                 sp.add_argument(flag, choices=["json", "csv"])
-            else:  # sizes come comma-separated and are read with the config
+            elif key == "sizes":  # comma-separated on the command line only
+                sp.add_argument(flag, type=_sizes)
+            else:
                 kind = type(getattr(ExperimentConfig, key))
                 sp.add_argument(flag, dest=key, type=int if kind is int else str)
     return parser
@@ -451,11 +457,8 @@ def config_from_args(args: argparse.Namespace) -> tuple[ExperimentConfig, str | 
                  if key != "config" and value is not None}
     merged = {**base, **overrides}
     verdict_file = None
-    sizes = merged.get("sizes")
-    if isinstance(sizes, str):
-        merged["sizes"] = tuple(int(x) for x in sizes.split(","))
-    elif isinstance(sizes, list):
-        merged["sizes"] = tuple(sizes)
+    if isinstance(merged.get("sizes"), list):
+        merged["sizes"] = tuple(merged["sizes"])
     valid = {f.name: type(f.default) for f in fields(ExperimentConfig)}
     for key, value in merged.items():
         # exact types: a bool is not an int, and "4096" is not 4096

@@ -133,8 +133,9 @@ def _closed_form_rows(v, pc: float, p_fin, w_fin):
     """Closed-form scale of each row of v under the constant exponent pc, and its modular there.
 
     v holds |f| in units of its max, one function per row of a 2-d array;
-    the scale is (sum v^pc w)^(1/pc), and the modular of v / scale is the
-    certificate. One scratch array the shape of v holds both sums' terms.
+    the scale is (sum v^pc w)^(1/pc), and the modular of v / scale under
+    p_fin (the exponent at each node, or pc itself) is the certificate. One
+    scratch array the shape of v holds both sums' terms.
     """
     terms = v ** pc
     terms *= w_fin
@@ -263,6 +264,9 @@ def norm_value(curve: JordanCurve, f, p: ExponentFunction) -> float | np.ndarray
     done = np.zeros(m, dtype=bool)
     pv = p.values
     if np.all(pv == pv[0]) and np.isfinite(pv[0]):
+        # the scalar power for the certificate too: at p = 2 it is a square,
+        # five times faster than the array power, and only rho can change
+        pc = float(pv[0])
         step = max(1, NORM_BLOCK // n)
         for s in range(0, m, step):
             a = np.abs(v[s : s + step]).astype(float, copy=False)
@@ -270,7 +274,7 @@ def norm_value(curve: JordanCurve, f, p: ExponentFunction) -> float | np.ndarray
             ok = (vmax > 0.0) & np.isfinite(vmax)
             a = a if ok.all() else a[ok]
             a /= vmax[ok, None]
-            scale, rho = _closed_form_rows(a, float(pv[0]), pv, curve.arc_weights)
+            scale, rho = _closed_form_rows(a, pc, pc, curve.arc_weights)
             with np.errstate(over="ignore"):
                 value = vmax[ok] * scale
             keep = (np.abs(rho - 1.0) <= CERTIFICATE_TOL) & (0.0 < value) & (value < np.inf)

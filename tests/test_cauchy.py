@@ -664,21 +664,23 @@ def _full_stack_pairings(curve, basis_size):
 @pytest.mark.parametrize("basis_size", [32, 20, 2])
 @pytest.mark.parametrize("name", ["circle", "ellipse:2,1", "perturbed-circle:0.1,5"])
 def test_streamed_certificate_pairs_as_the_full_stack(name, basis_size, n, monkeypatch):
-    # each block's pairing fills its columns of G, M(SB), M(S^2 B) and M(HSHB)
+    # each block's three pairings, of B, of [SB | HSHB] and of S^2 B, fill its
+    # columns of G, M(SB), M(HSHB) and M(S^2 B)
     curve = curve_from_name(name, n)
     paired = []
     pair = cauchy.operator_matrix
     monkeypatch.setattr(cauchy, "operator_matrix",
                         lambda *args: paired.append(pair(*args)) or paired[-1])
     rep = adjoint_residuals(curve, basis_size)
-    assert len(paired) == -(-basis_size // cauchy.ADJOINT_BLOCK)
-    streamed = [np.hstack(m) for m in zip(*(np.split(p, 4, axis=1) for p in paired))]
+    assert len(paired) == 3 * -(-basis_size // cauchy.ADJOINT_BLOCK)
+    SB, HSHB = zip(*(np.hsplit(p, 2) for p in paired[1::3]))
+    streamed = [np.hstack(m) for m in (paired[0::3], SB, paired[2::3], HSHB)]
     assert np.array_equal(rep.s_matrix, streamed[1])
     for got, full in zip(streamed, _full_stack_pairings(curve, basis_size)):
         assert got.shape == full.shape == (basis_size, basis_size)
-        # the circle's S is bitwise per row; the full stack's 2 x 2 products
-        # of a 2-mode basis take another BLAS kernel than the block's 2 x 8
-        if curve.is_unit_circle and basis_size > 2:
+        # the full stack's 2 x 2 products of a 2-mode basis take another BLAS
+        # kernel than the block's
+        if basis_size > 2:
             assert np.array_equal(got, full)
         else:
             assert np.abs(got - full).max() <= 1e-15 * np.abs(full).max()
@@ -686,9 +688,8 @@ def test_streamed_certificate_pairs_as_the_full_stack(name, basis_size, n, monke
 
 def test_certificate_peak_memory_on_the_sio_check_shape():
     # the sio-circle certificate: 32 modes on 4096 nodes, 2 MiB per 32-row
-    # array; the weighted basis and one 8-mode block's 32-row workspace, into
-    # which S and H write, are what it holds (4.3 MiB; 5.7 MiB when S and H
-    # returned new arrays, 20 MiB with the whole stacks)
+    # array; it holds the weighted basis W and a workspace of two rows per
+    # mode of one 16-mode block, into which S and H write (4.3 MiB)
     curve = make_unit_circle(4096)
     adjoint_residuals(curve, 32)
     tracemalloc.start()
@@ -698,7 +699,7 @@ def test_certificate_peak_memory_on_the_sio_check_shape():
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
-    assert peak <= 5.4 * 2**20
+    assert peak <= 4.74 * 2**20
 
 
 def test_adjoint_residuals_refuse_an_aliasing_mode_basis():

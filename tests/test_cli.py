@@ -341,7 +341,7 @@ def test_sio_check_takes_every_offcurve_target_in_one_call(tmp_path, monkeypatch
 
 
 def test_sio_check_builds_one_remainder_spectrum(tmp_path, monkeypatch, count_calls):
-    # 10 applications of S (2 per 8-mode block of the certificate, 1 stack of
+    # 6 applications of S (2 per 16-mode block of the certificate, 1 stack of
     # the rational corpus, 1 norm-ratio stack) share the curve's C: one
     # doubling, m = 64 and then 128, for the run
     applied = count_calls(monkeypatch, "_split_S")
@@ -349,7 +349,7 @@ def test_sio_check_builds_one_remainder_spectrum(tmp_path, monkeypatch, count_ca
     code = run(["sio-check", "--curve", "ellipse:2,1", "--n", "2048",
                 "--out", str(tmp_path / "sio")])
     assert code == EXIT_OK
-    assert applied == [(16, 2048), (8, 2048)] * 4 + [(4, 2048), (24, 2048)]
+    assert applied == [(32, 2048), (16, 2048)] * 2 + [(4, 2048), (24, 2048)]
     assert grids == [(64,), (128,)]
 
 
@@ -361,10 +361,11 @@ def test_sio_check_on_the_circle_takes_no_direct_offcurve_sum(tmp_path, monkeypa
     code = run(["sio-check", "--curve", "circle", "--n", "512", "--trials", "2",
                 "--out", str(tmp_path / "sio")])
     assert code == EXIT_OK
-    # the mode-basis certificate, per 8-mode block: S of [B | HB], then S of
-    # SB, then one pairing of B, SB, S^2 B and HSHB; then the corpus
-    assert applied == [(16, 512), (8, 512)] * 4 + [(4, 512)]
-    assert paired == [(32, 512)] * 4
+    # the mode-basis certificate, per 16-mode block: the pairing of B, S of
+    # [B | HB] and the pairing of [SB | HSHB], then S of SB and the pairing
+    # of S^2 B; then the corpus
+    assert applied == [(32, 512), (16, 512)] * 2 + [(4, 512)]
+    assert paired == [(16, 512), (32, 512), (16, 512)] * 2
 
 
 @pytest.mark.parametrize("curve, n, bound_mib",
@@ -602,8 +603,9 @@ def test_config_rejects_unknown_keys(tmp_path):
     ("norm", [16, 32]),
     ("norm", {"format": "xml"}),
     ("carleson", {"export_curve": "yes"}),
+    ("dichotomy", {"sizes": "16,32"}),
 ], ids=["n_nodes-str", "trials-str", "sizes-int", "seed-str", "n_nodes-float", "p-int",
-        "aspect-str", "top-level-list", "format-xml", "export_curve-str"])
+        "aspect-str", "top-level-list", "format-xml", "export_curve-str", "sizes-str"])
 def test_config_rejects_malformed_values(tmp_path, capsys, command, config):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(config))
