@@ -40,12 +40,11 @@ evaluates that integral off the curve: for the rational functions of
 ``corpus.rational_corpus`` both limits are known exactly from the residues
 (the exterior poles and the polynomial make up P f, the interior poles
 Q f), and ``sio-check`` judges ``riesz_projections`` against them.
-``adjoint_residuals`` certifies P and Q on a mode basis that S takes in
-blocks of ADJOINT_BLOCK modes, pairing each result as it is made.
-``mode_basis``, ``apply_S`` and ``conjugation_H`` write into an ``out``
-array when given one, so the certificate holds the weighted basis and a
-workspace of two rows per block mode, in one allocation, and no other
-array the size of either.
+``adjoint_residuals`` certifies P and Q on a mode basis that S takes
+whole, pairing each result as it is made. ``mode_basis``, ``apply_S`` and
+``conjugation_H`` write into an ``out`` array when given one, so the
+certificate holds the weighted basis and a workspace of the basis's size,
+in one allocation, and no other array the size of either.
 
 Two quantities are taken once per curve and kept in ``curve._memo``: the
 split's remainder spectrum C (off the circle) and the conjugation phase
@@ -78,15 +77,6 @@ KERNEL_ROWS = 512
 # (64 MiB: m = 2048); a curve whose remainder is not resolved within it takes
 # the dense path.
 SPECTRUM_BYTES = 64 * 2**20
-# Basis modes per block of the mode-basis certificate, so the 32-mode basis
-# of sio-check takes 2 blocks through a workspace of 32 rows. From warm
-# in-process sio-check passes (one BLAS thread), where W and the workspace
-# in one allocation take no page faults: 16 modes beat 8 in 80 of 110
-# interleaved passes on the circle at n = 4096 and 76 of 110 on ellipse:2,1
-# at n = 2048. The certificate's traced peak is 3.3 and 4.3 MiB with 8 and
-# 16 modes on the circle, 1.8 and 2.3 MiB on the ellipse, and 67 MiB with
-# 16 on the ellipse at n = 65536.
-ADJOINT_BLOCK = 16
 
 
 @dataclass(frozen=True)
@@ -362,29 +352,25 @@ def conjugation_H(curve: JordanCurve, f, out=None) -> np.ndarray:
     return np.multiply(memo["phase"], out, out=out)
 
 
-def mode_basis(curve: JordanCurve, modes, out=None) -> np.ndarray:
-    """Rows tau^k for k in ``modes``, normalized in the weighted pairing.
+def mode_basis(curve: JordanCurve, basis_size: int, out=None) -> np.ndarray:
+    """Rows tau^k for the centred modes k = -(basis_size // 2), ..., weighted-normalized.
 
-    tau^k is the product of |k| factors tau (k > 0) or 1/tau (k < 0), taken
-    in order, and is divided by its own weighted norm, so a row is bitwise
-    the same whatever other modes are asked for. The rows go to ``out`` when
-    one is given, a complex array of shape (len(modes), n).
+    Row basis_size // 2 holds mode 0. tau^k is the product of |k| factors
+    tau (k > 0, one chain upward from that row) or 1/tau (k < 0, one chain
+    downward), taken in order, and each row is divided by its own weighted
+    norm. The rows go to ``out`` when one is given, a complex array of shape
+    (basis_size, n).
     """
-    modes = np.asarray(modes, dtype=int)
     tau, w = curve.nodes, curve.arc_weights
-    rows: dict[int, list[int]] = {}
-    for r, k in enumerate(modes.tolist()):
-        rows.setdefault(k, []).append(r)
-    shape = (modes.size, tau.size)
+    shape = (basis_size, tau.size)
     B = np.empty(shape, dtype=complex) if _checked_out(shape, out) is None else out
-    for ks, step in ((range(0, modes.max(initial=0) + 1), tau),
-                     (range(-1, modes.min(initial=0) - 1, -1), 1.0 / tau)):
+    half = basis_size // 2
+    for rows, step in ((range(half, basis_size), tau), (range(half - 1, -1, -1), 1.0 / tau)):
         power = np.ones_like(tau)
-        for k in ks:
-            if k:
+        for r in rows:
+            if r != half:
                 power *= step
-            for r in rows.get(k, ()):
-                np.multiply(power, 1.0 / np.sqrt(np.vdot(power, power * w).real), out=B[r])
+            np.multiply(power, 1.0 / np.sqrt(np.vdot(power, power * w).real), out=B[r])
     return B
 
 
@@ -393,24 +379,17 @@ def operator_matrix(weighted: np.ndarray, applied: np.ndarray) -> np.ndarray:
     return weighted @ applied.T
 
 
-def centered_modes(basis_size: int) -> np.ndarray:
-    half = basis_size // 2
-    return np.arange(-half, basis_size - half)
-
-
 def adjoint_residuals(curve: JordanCurve, basis_size: int) -> AdjointResiduals:
     """Matrix-level residuals of P^2 = P, PQ = 0, P + Q = I, S* = -HSH, P* = HQH, Q* = HPH.
 
     Only four pairing matrices are formed: G = M(B), M(SB), M(S^2 B) and
-    M(HSHB). The whole basis is held once, as the weighted conjugate basis
-    W = conj(B) w. The basis B goes in blocks of ADJOINT_BLOCK modes through
-    a workspace of two rows per mode, into which S and H write, and each
-    result is paired against W (``operator_matrix``) as soon as it exists:
-    ``mode_basis`` of the block's own modes writes B (bitwise the rows W was
-    built from), whose pairing fills the block's columns of G; H writes HB
-    beside it, S takes [B | HB] in place to [SB | SHB], H turns SHB into
-    HSHB, and one pairing fills the block's columns of M(SB) and M(HSHB);
-    S then takes SB in place to S^2 B, whose pairing fills M(S^2 B). The
+    M(HSHB). The weighted conjugate basis W = conj(B) w is held beside one
+    workspace B of the basis's size, into which ``mode_basis``, S and H
+    write, and each result is paired against W (``operator_matrix``) as
+    soon as it exists: ``mode_basis`` writes B, paired into G; H, S and H
+    take it in place to HSHB, paired into M(HSHB); ``mode_basis`` writes B
+    again (bitwise the rows W was built from), S takes it in place to SB,
+    paired into M(SB), and S again to S^2 B, paired into M(S^2 B). The
     rest follow by linearity, with H antilinear and H^2 = I:
     M(PB) = (G + M(SB))/2, M(QB) = (G - M(SB))/2,
     M(S PB) = (M(SB) + M(S^2 B))/2,
@@ -429,30 +408,21 @@ def adjoint_residuals(curve: JordanCurve, basis_size: int) -> AdjointResiduals:
             f"a {basis_size}-mode certificate needs at least {needed} nodes, "
             f"got {curve.n_nodes}"
         )
-    modes = centered_modes(basis_size)
-    # W and the workspace share one allocation: apart, they cost warm
+    # W and the workspace B share one allocation: apart, they cost warm
     # sio-check passes on the circle at n = 4096 about 1,390 minor page
     # faults each, and together at most one (getrusage around in-process
     # passes)
-    space = np.empty((basis_size + 2 * min(ADJOINT_BLOCK, basis_size), curve.n_nodes),
-                     dtype=complex)
-    W, workspace = np.split(space, [basis_size])
-    mode_basis(curve, modes, out=W)
-    np.conjugate(W, out=W)
+    W, B = np.empty((2, basis_size, curve.n_nodes), dtype=complex)
+    mode_basis(curve, basis_size, out=B)
+    np.conjugate(B, out=W)
     W *= curve.arc_weights
-    G, MS, MSS, MHSH = np.empty((4, basis_size, basis_size), dtype=complex)
-    for s in range(0, basis_size, ADJOINT_BLOCK):
-        k = min(ADJOINT_BLOCK, basis_size - s)
-        rows = workspace[: 2 * k]
-        B, HB = rows[:k], rows[k:]
-        mode_basis(curve, modes[s : s + k], out=B)
-        G[:, s : s + k] = operator_matrix(W, B)
-        conjugation_H(curve, B, out=HB)
-        apply_S(curve, rows, out=rows)  # [SB | SHB]
-        conjugation_H(curve, HB, out=HB)  # HSHB
-        MS[:, s : s + k], MHSH[:, s : s + k] = np.hsplit(operator_matrix(W, rows), 2)
-        apply_S(curve, B, out=B)  # S^2 B
-        MSS[:, s : s + k] = operator_matrix(W, B)
+    G = operator_matrix(W, B)
+    conjugation_H(curve, B, out=B)
+    apply_S(curve, B, out=B)
+    MHSH = operator_matrix(W, conjugation_H(curve, B, out=B))
+    mode_basis(curve, basis_size, out=B)
+    MS = operator_matrix(W, apply_S(curve, B, out=B))
+    MSS = operator_matrix(W, apply_S(curve, B, out=B))
 
     MP, MQ = 0.5 * (G + MS), 0.5 * (G - MS)
     MSP, MSQ = 0.5 * (MS + MSS), 0.5 * (MS - MSS)

@@ -18,6 +18,7 @@ import io
 import json
 import math
 import sys
+import warnings
 from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 
@@ -159,10 +160,31 @@ def _provenance(cfg: ExperimentConfig, operations: list[str]) -> dict:
     }
 
 
+def _read_csv(path: str, n_rows: int | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Column 1 and the complex values re[, im] of the rows of a csv file.
+
+    A file with no rows or fewer than two columns is refused, and so is one
+    of other than ``n_rows`` rows when that is given (a per-node file).
+    """
+    with warnings.catch_warnings():  # numpy warns of an empty file, refused below
+        warnings.simplefilter("ignore", UserWarning)
+        rows = np.loadtxt(path, delimiter=",", ndmin=2)
+    what = "a csv" if n_rows is None else "a per-node csv"
+    if rows.shape[0] == 0 or rows.shape[1] < 2:
+        raise ValueError(f"{path}: {what} needs rows of at least two columns")
+    if n_rows is not None and rows.shape[0] != n_rows:
+        raise ValueError(f"{path}: {what} needs one row per curve node, {n_rows} rows; "
+                         f"got {rows.shape[0]}")
+    values = np.zeros(rows.shape[0], dtype=complex)
+    values.real = rows[:, 1]
+    if rows.shape[1] > 2:  # set apart: 1j * inf would read as nan + inf j
+        values.imag = rows[:, 2]
+    return rows[:, 0], values
+
+
 def _exponent(spec: str, curve):
     if spec.startswith("csv:"):
-        rows = np.loadtxt(spec[4:], delimiter=",", ndmin=2)
-        return exponent_from_values(rows[:, 1])
+        return exponent_from_values(_read_csv(spec[4:], curve.n_nodes)[1].real)
     return exponent_from_preset(spec, curve)
 
 
@@ -192,13 +214,7 @@ def _function(spec: str, curve, rng: np.random.Generator) -> np.ndarray:
         with np.errstate(invalid="ignore"):  # a nan pole is refused below
             values = 1.0 / offset
     elif head == "csv":
-        rows = np.loadtxt(args, delimiter=",", ndmin=2)
-        if rows.shape[0] != curve.n_nodes or rows.shape[1] < 2:
-            raise ValueError("a per-node csv needs one row j, re[, im] per curve node")
-        values = np.zeros(curve.n_nodes, dtype=complex)
-        values.real = rows[:, 1]
-        if rows.shape[1] > 2:  # set apart: 1j * inf would read as nan + inf j
-            values.imag = rows[:, 2]
+        values = _read_csv(args, curve.n_nodes)[1]
     else:
         raise ValueError(f"unknown function preset {spec!r}")
     if not np.all(np.isfinite(values)):
@@ -208,17 +224,15 @@ def _function(spec: str, curve, rng: np.random.Generator) -> np.ndarray:
 
 def _symbol(spec: str, curve, degree: int, rng: np.random.Generator):
     if spec.endswith(".csv"):
-        rows = np.loadtxt(spec, delimiter=",", ndmin=2)
-        if not np.all(np.isfinite(rows[:, 0]) & (rows[:, 0] == np.round(rows[:, 0]))):
+        k, values = _read_csv(spec)
+        if not np.all(np.isfinite(k) & (k == np.round(k))):
             raise ValueError(f"{spec}: the mode numbers k in column 1 must be integers")
-        ks = rows[:, 0].astype(int)
+        ks = k.astype(int)
         if np.unique(ks).size != ks.size:
             raise ValueError(f"{spec}: a mode number k is given more than once")
         K = int(np.abs(ks).max())
         coeff = np.zeros(2 * K + 1, dtype=complex)
-        coeff.real[ks + K] = rows[:, 1]
-        if rows.shape[1] > 2:  # set apart: 1j * inf would read as nan + inf j
-            coeff.imag[ks + K] = rows[:, 2]
+        coeff[ks + K] = values
         return symbol_from_coefficients(coeff, curve, name=Path(spec).name)
     return symbol_from_preset(spec, curve, degree=degree, rng=rng)
 

@@ -175,8 +175,9 @@ def log_holder_constant(
     refinement since the pair set only grows. A constant exponent (the
     H^p -> H^q case) has |p(t) - p(tau)| = 0 on every pair, so it returns
     ``LogHolderReport(bounds_ok, 0.0, p_minus, p_plus)`` without a
-    scan, which is what the scan gives. Rows are scanned SCAN_ROWS at a
-    time.
+    scan, which is what the scan gives. The scan takes every
+    ceil(n / max_nodes)-th node, so at most max_nodes nodes, SCAN_ROWS rows
+    at a time.
     """
     if p.n_nodes != curve.n_nodes:
         raise ValueError("exponent and curve node counts differ")
@@ -187,7 +188,7 @@ def log_holder_constant(
     if p.is_constant:
         return LogHolderReport(bool(bounds_ok), 0.0, p_minus, p_plus)
 
-    step = max(1, curve.n_nodes // max_nodes)
+    step = -(-curve.n_nodes // max_nodes)
     idx = np.arange(0, curve.n_nodes, step)
     z = curve.nodes[idx]
     pv = p.values[idx]

@@ -78,7 +78,7 @@ def _block_residuals(curve, a, N):
     for a symbol known to degree N, ``section``: the analytic block of
     PaP + Q equals ``finite_section``.
     """
-    B = mode_basis(curve, np.arange(-N, N + 1))
+    B = mode_basis(curve, 2 * N + 1)
     W = np.conj(B) * curve.arc_weights
     plus = np.arange(-N, N + 1) >= 0
     av = a.values

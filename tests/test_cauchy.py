@@ -421,9 +421,9 @@ def test_adjoint_identities_ellipse(ellipse4096):
 
 def _direct_certificate(curve, basis_size):
     """The mode-basis residuals by the direct formulas: S applied to PB and QB, 11 pairing matrices."""
-    from siolab.cauchy import centered_modes, mode_basis, operator_matrix
+    from siolab.cauchy import mode_basis, operator_matrix
 
-    B = mode_basis(curve, centered_modes(basis_size))
+    B = mode_basis(curve, basis_size)
     SB = apply_S(curve, B)
     PB, QB = 0.5 * (B + SB), 0.5 * (B - SB)
     PPB = 0.5 * (PB + apply_S(curve, PB))
@@ -459,9 +459,9 @@ def test_certificate_by_linearity_matches_the_direct_formulas(name):
 
 def test_adjoint_sum_is_identity_adjoint(circle1024):
     # P* + Q* = (P + Q)* = I*; equivalent to the pairing matrix of I
-    from siolab.cauchy import mode_basis, operator_matrix, centered_modes
+    from siolab.cauchy import mode_basis, operator_matrix
 
-    B = mode_basis(circle1024, centered_modes(16))
+    B = mode_basis(circle1024, 16)
     SB = apply_S(circle1024, B)
     PB, QB = 0.5 * (B + SB), 0.5 * (B - SB)
     W = np.conj(B) * circle1024.arc_weights
@@ -630,66 +630,57 @@ def test_split_unresolved_within_the_cap_takes_the_dense_path(monkeypatch):
 
 @pytest.mark.parametrize("name", ["circle", "ellipse:2,1", "perturbed-circle:0.1,5", "square"])
 def test_mode_basis_rows_do_not_depend_on_the_other_modes(name):
-    # each row is one chain of products: bitwise the same asked for alone, and
-    # within 1e-14 of the normalized power tau ** k
-    from siolab.cauchy import centered_modes, mode_basis
+    # each row is its own chain of products with its own norm: within 1e-14
+    # of the normalized power tau ** k of its centred mode
+    from siolab.cauchy import mode_basis
 
     curve = curve_from_name(name, 4096)
-    modes = centered_modes(32)
-    B = mode_basis(curve, modes)
+    B = mode_basis(curve, 32)
     out = np.empty_like(B)
-    assert mode_basis(curve, modes, out=out) is out
+    assert mode_basis(curve, 32, out=out) is out
     assert np.array_equal(out, B)
     with pytest.raises(ValueError, match="out must be"):
-        mode_basis(curve, modes, out=out[1:])
-    for r, k in enumerate(modes):
-        assert np.array_equal(B[r], mode_basis(curve, [k])[0])
+        mode_basis(curve, 32, out=out[1:])
+    for r, k in enumerate(range(-16, 16)):
         power = curve.nodes**k
         power /= np.sqrt(np.sum(np.abs(power) ** 2 * curve.arc_weights))
         assert np.abs(B[r] - power).max() <= 1e-14 * np.abs(power).max()
 
 
 def _full_stack_pairings(curve, basis_size):
-    """G, M(SB), M(S^2 B) and M(HSHB) with S applied to the whole basis at once."""
-    from siolab.cauchy import centered_modes, mode_basis, operator_matrix
+    """G, M(HSHB), M(SB) and M(S^2 B) with S applied to [B | HB] at once."""
+    from siolab.cauchy import mode_basis, operator_matrix
 
-    B = mode_basis(curve, centered_modes(basis_size))
+    B = mode_basis(curve, basis_size)
     SB, SHB = np.split(apply_S(curve, np.concatenate([B, conjugation_H(curve, B)])), 2)
     W = np.conj(B) * curve.arc_weights
     M = lambda X: operator_matrix(W, X)
-    return M(B), M(SB), M(apply_S(curve, SB)), M(conjugation_H(curve, SHB))
+    return M(B), M(conjugation_H(curve, SHB)), M(SB), M(apply_S(curve, SB))
 
 
 @pytest.mark.parametrize("n", [64, 4096])
 @pytest.mark.parametrize("basis_size", [32, 20, 2])
 @pytest.mark.parametrize("name", ["circle", "ellipse:2,1", "perturbed-circle:0.1,5"])
-def test_streamed_certificate_pairs_as_the_full_stack(name, basis_size, n, monkeypatch):
-    # each block's three pairings, of B, of [SB | HSHB] and of S^2 B, fill its
-    # columns of G, M(SB), M(HSHB) and M(S^2 B)
+def test_certificate_pairs_as_the_full_stack(name, basis_size, n, monkeypatch):
+    # the certificate's four pairings, G, M(HSHB), M(SB) and M(S^2 B), each of
+    # the whole basis, are bitwise those of S applied to [B | HB] at once
     curve = curve_from_name(name, n)
     paired = []
     pair = cauchy.operator_matrix
     monkeypatch.setattr(cauchy, "operator_matrix",
                         lambda *args: paired.append(pair(*args)) or paired[-1])
     rep = adjoint_residuals(curve, basis_size)
-    assert len(paired) == 3 * -(-basis_size // cauchy.ADJOINT_BLOCK)
-    SB, HSHB = zip(*(np.hsplit(p, 2) for p in paired[1::3]))
-    streamed = [np.hstack(m) for m in (paired[0::3], SB, paired[2::3], HSHB)]
-    assert np.array_equal(rep.s_matrix, streamed[1])
-    for got, full in zip(streamed, _full_stack_pairings(curve, basis_size)):
+    assert len(paired) == 4
+    assert np.array_equal(rep.s_matrix, paired[2])
+    for got, full in zip(paired, _full_stack_pairings(curve, basis_size)):
         assert got.shape == full.shape == (basis_size, basis_size)
-        # the full stack's 2 x 2 products of a 2-mode basis take another BLAS
-        # kernel than the block's
-        if basis_size > 2:
-            assert np.array_equal(got, full)
-        else:
-            assert np.abs(got - full).max() <= 1e-15 * np.abs(full).max()
+        assert np.array_equal(got, full)
 
 
 def test_certificate_peak_memory_on_the_sio_check_shape():
     # the sio-circle certificate: 32 modes on 4096 nodes, 2 MiB per 32-row
-    # array; it holds the weighted basis W and a workspace of two rows per
-    # mode of one 16-mode block, into which S and H write (4.3 MiB)
+    # array; it holds the weighted basis W and a basis-sized workspace B,
+    # into which S and H write (4.28 MiB)
     curve = make_unit_circle(4096)
     adjoint_residuals(curve, 32)
     tracemalloc.start()
@@ -699,7 +690,7 @@ def test_certificate_peak_memory_on_the_sio_check_shape():
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
-    assert peak <= 4.74 * 2**20
+    assert peak <= 4.71 * 2**20
 
 
 def test_adjoint_residuals_refuse_an_aliasing_mode_basis():

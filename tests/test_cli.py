@@ -341,7 +341,7 @@ def test_sio_check_takes_every_offcurve_target_in_one_call(tmp_path, monkeypatch
 
 
 def test_sio_check_builds_one_remainder_spectrum(tmp_path, monkeypatch, count_calls):
-    # 6 applications of S (2 per 16-mode block of the certificate, 1 stack of
+    # 5 applications of S (3 of the certificate's 32-mode basis, 1 stack of
     # the rational corpus, 1 norm-ratio stack) share the curve's C: one
     # doubling, m = 64 and then 128, for the run
     applied = count_calls(monkeypatch, "_split_S")
@@ -349,7 +349,7 @@ def test_sio_check_builds_one_remainder_spectrum(tmp_path, monkeypatch, count_ca
     code = run(["sio-check", "--curve", "ellipse:2,1", "--n", "2048",
                 "--out", str(tmp_path / "sio")])
     assert code == EXIT_OK
-    assert applied == [(32, 2048), (16, 2048)] * 2 + [(4, 2048), (24, 2048)]
+    assert applied == [(32, 2048)] * 3 + [(4, 2048), (24, 2048)]
     assert grids == [(64,), (128,)]
 
 
@@ -361,20 +361,20 @@ def test_sio_check_on_the_circle_takes_no_direct_offcurve_sum(tmp_path, monkeypa
     code = run(["sio-check", "--curve", "circle", "--n", "512", "--trials", "2",
                 "--out", str(tmp_path / "sio")])
     assert code == EXIT_OK
-    # the mode-basis certificate, per 16-mode block: the pairing of B, S of
-    # [B | HB] and the pairing of [SB | HSHB], then S of SB and the pairing
-    # of S^2 B; then the corpus
-    assert applied == [(32, 512), (16, 512)] * 2 + [(4, 512)]
-    assert paired == [(16, 512), (32, 512), (16, 512)] * 2
+    # the mode-basis certificate on its whole 32-mode basis: the pairing of B,
+    # S of HB and the pairing of HSHB, then S of B and of SB, each paired;
+    # then the corpus
+    assert applied == [(32, 512)] * 3 + [(4, 512)]
+    assert paired == [(32, 512)] * 4
 
 
 @pytest.mark.parametrize("curve, n, bound_mib",
                          [("circle", 4096, 5.75), ("ellipse:2,1", 2048, 3.3)])
 def test_sio_check_peak_memory_at_the_bench_shapes(tmp_path, curve, n, bound_mib):
-    # one whole invocation, report write included; it reads 4.8 and 2.8 MiB
-    # with S and H writing into the certificate's workspace and S into the
-    # trial polynomials, 6.0 and 3.4 MiB when each returned new arrays, and
-    # 20.2 and 7.5 MiB with the certificate's full-size stacks
+    # one whole invocation, report write included; it reads 4.74 and 2.75 MiB
+    # with S and H writing into the certificate's basis-sized workspace and S
+    # into the trial polynomials, 6.0 and 3.4 MiB when each returned new
+    # arrays, and 20.2 and 7.5 MiB with the certificate's full-size stacks
     args = ["sio-check", "--curve", curve, "--n", str(n), "--out", str(tmp_path / "sio")]
     assert run(args) == EXIT_OK  # first-call caches (the parser) stay out of the peak
     tracemalloc.start()
@@ -722,20 +722,60 @@ def test_symbol_coefficients_csv(tmp_path):
     ("0.5,1.0,0.0\n", "must be integers"),
     ("nan,1.0,0.0\n", "must be integers"),
     ("1,1.0,0.0\n1,2.0,0.0\n", "more than once"),
-], ids=["inf", "nan", "imag-inf", "half-k", "nan-k", "repeated-k"])
+    ("0\n1\n", "at least two columns"),
+    ("", "at least two columns"),
+], ids=["inf", "nan", "imag-inf", "half-k", "nan-k", "repeated-k", "one-column", "empty"])
 @pytest.mark.parametrize("command", ["dichotomy", "multiplier"])
 def test_symbol_coefficients_csv_rejects_bad_rows(tmp_path, capsys, command, rows, message):
     # an inf coefficient gave dichotomy sigma = nan and exit 0, and multiplier
-    # theorem_value inf; k = 0.5 was read as 0, and a repeated k overwrote
+    # theorem_value inf; k = 0.5 was read as 0, and a repeated k overwrote; one
+    # column raised an IndexError, and an empty file failed inside numpy
     coeffs = tmp_path / "coeffs.csv"
     coeffs.write_text(rows)
     out = tmp_path / "out"
     extra = ["--sizes", "16,32"] if command == "dichotomy" else ["--trials", "4"]
-    code = run([command, "--symbol", str(coeffs), "--p", "4", "--q", "2", *extra,
-                "--n", "512", "--out", str(out)])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = run([command, "--symbol", str(coeffs), "--p", "4", "--q", "2", *extra,
+                    "--n", "512", "--out", str(out)])
+    assert code == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert message in err and "coeffs.csv" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("rows, message", [
+    (["0", "1"], "at least two columns"),
+    ([], "at least two columns"),
+    ([f"{j},2.0" for j in range(511)], "512 rows; got 511"),
+    ([f"{j},{0.5 if j == 7 else 2.0}" for j in range(512)], "must lie in [1, inf]"),
+], ids=["one-column", "empty", "row-count", "below-one"])
+def test_exponent_csv_rejects_bad_files(tmp_path, capsys, rows, message):
+    # one column and an empty file raised an IndexError, and the empty file
+    # warned first
+    path = tmp_path / "p.csv"
+    path.write_text("".join(f"{row}\n" for row in rows))
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = run(["norm", "--n", "512", "--exponent", f"csv:{path}", "--out", str(out)])
     assert code == EXIT_VALIDATION
     assert message in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_exponent_csv_reads_as_the_preset(tmp_path):
+    # rows j, repr(2 + |sin theta_j|) give the norm of the 2+abs(sin) preset
+    theta = np.angle(curve_from_name("circle", 512).nodes)
+    path = tmp_path / "p.csv"
+    path.write_text("".join(f"{j},{float(2.0 + abs(np.sin(t)))!r}\n" for j, t in enumerate(theta)))
+    reports = []
+    for spec in (f"csv:{path}", "2+abs(sin)"):
+        out = tmp_path / f"out{len(reports)}"
+        assert run(["norm", "--n", "512", "--exponent", spec, "--function", "abs-cos",
+                    "--out", str(out)]) == EXIT_OK
+        reports.append(json.loads((out / "report.json").read_text())["results"])
+    assert reports[0] == reports[1]
 
 
 @pytest.mark.parametrize("command, argv", [

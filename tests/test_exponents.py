@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from siolab.curves import make_unit_circle
+from siolab.curves import JordanCurve, make_unit_circle
 from siolab.exponents import (
     LogHolderReport,
     conjugate_exponent_r,
@@ -111,6 +111,17 @@ def test_log_holder_step_fails(circle4096):
     rep = log_holder_constant(exponent_from_preset("step:2,3", circle4096), circle4096)
     # the jump shows up as band maxima growing linearly in the band index
     assert not rep.holds
+
+
+def test_log_holder_scan_takes_at_most_max_nodes():
+    # n = 8191 scans every 2nd node, as the explicit 4096-node curve does; a
+    # step of n // max_nodes = 1 scanned all 8191
+    c = make_unit_circle(8191)
+    p = exponent_from_preset("2+abs(sin)", c)
+    half = JordanCurve(c.nodes[::2], c.arc_weights[::2], c.tangent_angles[::2])
+    rep = log_holder_constant(p, c)
+    every_2nd = log_holder_constant(exponent_from_values(p.values[::2]), half)
+    assert (rep.constant_estimate, rep.holds) == (every_2nd.constant_estimate, every_2nd.holds)
 
 
 def test_log_holder_smooth_profile_stable():
