@@ -163,8 +163,10 @@ def _provenance(cfg: ExperimentConfig, operations: list[str]) -> dict:
 def _read_csv(path: str, n_rows: int | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Column 1 and the complex values re[, im] of the rows of a csv file.
 
-    A file with no rows or fewer than two columns is refused, and so is one
-    of other than ``n_rows`` rows when that is given (a per-node file).
+    A file with no rows or fewer than two columns is refused. When ``n_rows``
+    is given (a per-node file), so is one of other than ``n_rows`` rows, and
+    one whose column 1 does not read j = 0..n_rows-1 in order, naming the
+    first row that breaks it.
     """
     with warnings.catch_warnings():  # numpy warns of an empty file, refused below
         warnings.simplefilter("ignore", UserWarning)
@@ -172,9 +174,14 @@ def _read_csv(path: str, n_rows: int | None = None) -> tuple[np.ndarray, np.ndar
     what = "a csv" if n_rows is None else "a per-node csv"
     if rows.shape[0] == 0 or rows.shape[1] < 2:
         raise ValueError(f"{path}: {what} needs rows of at least two columns")
-    if n_rows is not None and rows.shape[0] != n_rows:
-        raise ValueError(f"{path}: {what} needs one row per curve node, {n_rows} rows; "
-                         f"got {rows.shape[0]}")
+    if n_rows is not None:
+        if rows.shape[0] != n_rows:
+            raise ValueError(f"{path}: {what} needs one row per curve node, {n_rows} rows; "
+                             f"got {rows.shape[0]}")
+        bad = np.flatnonzero(rows[:, 0] != np.arange(n_rows))
+        if bad.size:
+            raise ValueError(f"{path}: {what} needs j = 0..{n_rows - 1} in order in column 1; "
+                             f"row {bad[0] + 1} reads j = {rows[bad[0], 0]:g}")
     values = np.zeros(rows.shape[0], dtype=complex)
     values.real = rows[:, 1]
     if rows.shape[1] > 2:  # set apart: 1j * inf would read as nan + inf j
@@ -188,7 +195,7 @@ def _exponent(spec: str, curve):
     return exponent_from_preset(spec, curve)
 
 
-def _function(spec: str, curve, rng: np.random.Generator) -> np.ndarray:
+def _function(spec: str, curve, seed: int) -> np.ndarray:
     theta = np.angle(curve.nodes)
     head, _, args = spec.strip().partition(":")
     if head == "one":
@@ -202,7 +209,8 @@ def _function(spec: str, curve, rng: np.random.Generator) -> np.ndarray:
     elif head == "mode":
         values = np.exp(1j * int(args) * theta)
     elif head == "trig-random":
-        values = random_trig_polynomial(curve, rng, int(args) if args else 8)
+        values = random_trig_polynomial(curve, np.random.default_rng(seed),
+                                        int(args) if args else 8)
     elif head == "indicator":
         t0, t1 = (float(x) for x in args.split(","))
         values = ((theta >= t0) & (theta < t1)).astype(complex)
@@ -222,7 +230,7 @@ def _function(spec: str, curve, rng: np.random.Generator) -> np.ndarray:
     return values
 
 
-def _symbol(spec: str, curve, degree: int, rng: np.random.Generator):
+def _symbol(spec: str, curve, degree: int, seed: int):
     if spec.endswith(".csv"):
         k, values = _read_csv(spec)
         if not np.all(np.isfinite(k) & (k == np.round(k))):
@@ -234,14 +242,13 @@ def _symbol(spec: str, curve, degree: int, rng: np.random.Generator):
         coeff = np.zeros(2 * K + 1, dtype=complex)
         coeff[ks + K] = values
         return symbol_from_coefficients(coeff, curve, name=Path(spec).name)
-    return symbol_from_preset(spec, curve, degree=degree, rng=rng)
+    return symbol_from_preset(spec, curve, degree=degree, seed=seed)
 
 
 def run_norm(cfg: ExperimentConfig) -> tuple[ReportBundle, str | None]:
     curve = curve_from_name(cfg.curve, cfg.n_nodes)
     p = _exponent(cfg.exponent, curve)
-    rng = np.random.default_rng(cfg.seed)
-    f = _function(cfg.function, curve, rng)
+    f = _function(cfg.function, curve, cfg.seed)
     res = luxemburg_norm(curve, f, p)
     if res.value == np.inf:  # f is finite at every node, so its norm overflowed
         raise ValueError(f"the Luxemburg norm of {cfg.function!r} exceeds the float range "
@@ -273,8 +280,7 @@ def run_multiplier(cfg: ExperimentConfig) -> tuple[ReportBundle, str | None]:
     curve = curve_from_name(cfg.curve, cfg.n_nodes)
     p = _exponent(cfg.p, curve)
     q = _exponent(cfg.q, curve)
-    rng = np.random.default_rng(cfg.seed)
-    a = _symbol(cfg.symbol, curve, cfg.degree, rng).values
+    a = _symbol(cfg.symbol, curve, cfg.degree, cfg.seed).values
     bounds = multiplier_norm_lower(curve, a, p, q)
     theorem, lower, holder = bounds.theorem_value, bounds.lower_bound, bounds.holder_constant
     if not np.isfinite(theorem):
@@ -385,9 +391,8 @@ def run_dichotomy(cfg: ExperimentConfig) -> tuple[ReportBundle, str | None]:
         raise ValueError(f"finite sections exist only on the unit circle, not on {cfg.curve!r}")
     p = _exponent(cfg.p, curve)
     q = _exponent(cfg.q, curve)
-    rng = np.random.default_rng(cfg.seed)
     need = max(cfg.sizes) + cfg.aspect
-    a = _symbol(cfg.symbol, curve, max(cfg.degree, need), rng)
+    a = _symbol(cfg.symbol, curve, max(cfg.degree, need), cfg.seed)
     verdict = dichotomy_probe(a, p, q, cfg.sizes, aspect=cfg.aspect)
     record = verdict.as_record()
     results = {**record, "fault": verdict.fault,

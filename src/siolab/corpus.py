@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .curves import JordanCurve, trig_table
+from .curves import JordanCurve, trig_polynomial
 
 __all__ = [
     "random_trig_polynomial",
@@ -18,27 +18,36 @@ def random_trig_polynomial(curve: JordanCurve, rng: np.random.Generator,
     """Random complex trigonometric polynomial in the node angles.
 
     With ``count=None`` one polynomial, shape (n,); otherwise ``count`` of
-    them, one per row of a (count, n) array, from one table exp(i k theta),
-    k = -degree..degree, so row i is bitwise the (i+1)-th of ``count``
-    one-polynomial calls on the same generator. Each polynomial takes its
-    real then its imaginary coefficients from rng.
+    them, one per row of a (count, n) array, so row i is bitwise the (i+1)-th
+    of ``count`` one-polynomial calls on the same generator. Each polynomial
+    takes its real then its imaginary coefficients from rng, all before
+    ``trig_polynomial`` evaluates them.
     """
-    table = trig_table(curve, degree)
-    polys = np.empty((1 if count is None else count, curve.n_nodes), dtype=complex)
-    for row in polys:
-        row[:] = table @ (rng.standard_normal(2 * degree + 1)
-                          + 1j * rng.standard_normal(2 * degree + 1))
+    size = 2 * degree + 1
+    coefficients = np.empty((1 if count is None else count, size), dtype=complex)
+    for row in coefficients:
+        row[:] = rng.standard_normal(size) + 1j * rng.standard_normal(size)
+    polys = trig_polynomial(curve, coefficients)
     return polys[0] if count is None else polys
 
 
 def rational_function(curve: JordanCurve, poles, residues, poly_coeffs=()) -> np.ndarray:
-    """Sum of simple poles plus a polynomial part, sampled on the nodes."""
+    """Sum of simple poles plus a polynomial part, sampled on the nodes.
+
+    The polynomial sum_k c_k tau^k is taken by Horner's rule in the order of
+    numpy's ``polyval``, from c[-1] + 0 tau down, so its values are bitwise
+    that call's.
+    """
     tau = curve.nodes
     out = np.zeros_like(tau)
     for z0, c in zip(poles, residues):
         out = out + c / (tau - z0)
     if len(poly_coeffs):
-        out = out + np.polynomial.polynomial.polyval(tau, np.asarray(poly_coeffs, complex))
+        coeffs = np.asarray(poly_coeffs, complex)
+        acc = coeffs[-1] + tau * 0
+        for ck in coeffs[-2::-1]:
+            acc = ck + acc * tau
+        out = out + acc
     return out
 
 

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .curves import JordanCurve, trig_table
+from .curves import JordanCurve, trig_polynomial
 from .exponents import ExponentFunction, dominance_check
 
 __all__ = [
@@ -131,7 +131,7 @@ def symbol_from_coefficients(coefficients, curve: JordanCurve, name: str = "symb
     if c.size % 2 == 0:
         raise ValueError("coefficients must cover a symmetric mode range -K..K")
     degree = c.size // 2
-    values = trig_table(curve, degree) @ c
+    values = trig_polynomial(curve, c)
     return Symbol(values, c, degree, name, exact_band=True)
 
 
@@ -160,9 +160,10 @@ _SAMPLED_PRESETS = {
 
 
 def symbol_from_preset(spec: str, curve: JordanCurve, degree: int = 300,
-                       rng: np.random.Generator | None = None) -> Symbol:
+                       seed: int = 0) -> Symbol:
     """Symbol zoo: ``one``, ``monomial:k``, ``cos``, ``one-plus-cos2``,
-    ``singular:s``, ``trig-random:deg``."""
+    ``singular:s``, ``trig-random:deg``. Only ``trig-random`` draws: its real
+    then its imaginary coefficients from ``np.random.default_rng(seed)``."""
     spec = spec.strip()
     head, _, args = spec.partition(":")
     if head in _SAMPLED_PRESETS:
@@ -185,7 +186,7 @@ def symbol_from_preset(spec: str, curve: JordanCurve, degree: int = 300,
         return Symbol(values, coeff, degree, spec)
     if head == "trig-random":
         deg = int(args)
-        rng = np.random.default_rng(0) if rng is None else rng
+        rng = np.random.default_rng(seed)
         c = rng.standard_normal(2 * deg + 1) + 1j * rng.standard_normal(2 * deg + 1)
         return symbol_from_coefficients(c, curve, spec)
     raise ValueError(f"unknown symbol preset {spec!r}")

@@ -1,6 +1,9 @@
 import dataclasses
 import json
+import os
 import re
+import subprocess
+import sys
 import tracemalloc
 import warnings
 from pathlib import Path
@@ -486,7 +489,7 @@ def test_multiplier_holder_constant_on_infinity_sets(tmp_path, monkeypatch, p_sp
     # a finer cap grid narrows the bracket from both sides
     curve = curve_from_name("circle", 512)
     p, q = exponent_from_preset(p_spec, curve), exponent_from_preset(q_spec, curve)
-    a = symbol_from_preset("one-plus-cos2", curve, 300, np.random.default_rng(0)).values
+    a = symbol_from_preset("one-plus-cos2", curve, 300).values
     monkeypatch.setattr(spaces, "CAP_GRID", np.arange(257) / 256.0)
     fine = spaces.multiplier_norm_lower(curve, a, p, q)
     assert lower <= fine.lower_bound <= fine.upper_bound <= upper
@@ -700,7 +703,7 @@ def test_csv_symbol_values_are_the_sums_of_their_coefficients(tmp_path):
     c = np.zeros(7, dtype=complex)
     c[[1, 3, 6]] = [0.5 + 0.25j, 1.0, -1.5 + 2.0j]
     theta = np.angle(curve.nodes)
-    values = cli._symbol(str(coeffs), curve, 300, np.random.default_rng(0)).values
+    values = cli._symbol(str(coeffs), curve, 300, 0).values
     assert np.array_equal(values, np.exp(1j * np.outer(theta, np.arange(-3, 4))) @ c)
 
 
@@ -749,7 +752,9 @@ def test_symbol_coefficients_csv_rejects_bad_rows(tmp_path, capsys, command, row
     ([], "at least two columns"),
     ([f"{j},2.0" for j in range(511)], "512 rows; got 511"),
     ([f"{j},{0.5 if j == 7 else 2.0}" for j in range(512)], "must lie in [1, inf]"),
-], ids=["one-column", "empty", "row-count", "below-one"])
+    (["7,2.0"] * 512, "row 1 reads j = 7"),
+    ([f"{j ^ (j == 40 or j == 41)},2.0" for j in range(512)], "row 41 reads j = 41"),
+], ids=["one-column", "empty", "row-count", "below-one", "j-all-seven", "j-swapped"])
 def test_exponent_csv_rejects_bad_files(tmp_path, capsys, rows, message):
     # one column and an empty file raised an IndexError, and the empty file
     # warned first
@@ -761,6 +766,19 @@ def test_exponent_csv_rejects_bad_files(tmp_path, capsys, rows, message):
         code = run(["norm", "--n", "512", "--exponent", f"csv:{path}", "--out", str(out)])
     assert code == EXIT_VALIDATION
     assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_function_csv_refuses_a_column_j_out_of_order(tmp_path, capsys):
+    # the 64 rows all read j = 7; the file was read by row position, and
+    # norm gave the results of the file with j = 0..63
+    path = tmp_path / "f.csv"
+    path.write_text("".join(f"7,{1.0 + j / 64}\n" for j in range(64)))
+    out = tmp_path / "out"
+    assert run(["norm", "--n", "64", "--function", f"csv:{path}", "--out", str(out)]) \
+        == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert "f.csv" in err and "j = 0..63 in order" in err and "row 1 reads j = 7" in err
     assert not out.exists()
 
 
@@ -793,3 +811,26 @@ def test_oversized_inputs_are_validation_errors(tmp_path, capsys, command, argv)
     assert run([command, *argv, "--out", str(out)]) == EXIT_VALIDATION
     assert "validation error: Unable to allocate" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_commands_load_numpy_random_only_where_a_preset_draws(tmp_path):
+    # norm, multiplier and dichotomy made a generator they never drew from,
+    # and the rational corpus called numpy.polynomial: numpy.random alone held
+    # 1.6-1.8 MB resident in the benchmark's lab-mix process
+    script = """
+import sys
+import siolab.cli as cli
+out = sys.argv[1]
+for argv in (["norm", "--function", "abs-cos"], ["multiplier", "--symbol", "one-plus-cos2"],
+             ["dichotomy", "--symbol", "monomial:1"], ["carleson"]):
+    assert cli.main([*argv, "--n", "512", "--out", out]) == 0
+loaded = lambda: [m for m in ("numpy.random", "numpy.polynomial") if m in sys.modules]
+before = loaded()
+assert cli.main(["norm", "--function", "trig-random:3", "--n", "512", "--out", out]) == 0
+print(before, loaded())
+"""
+    src = Path(cli.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    proc = subprocess.run([sys.executable, "-c", script, str(tmp_path)], env=env,
+                          capture_output=True, text=True, timeout=120, check=True)
+    assert proc.stdout.splitlines()[-1] == "[] ['numpy.random']"

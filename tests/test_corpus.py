@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from siolab.cauchy import riesz_projections
-from siolab.corpus import random_trig_polynomial, rational_corpus
+from siolab.corpus import random_trig_polynomial, rational_corpus, rational_function
 from siolab.curves import curve_from_name, make_ellipse
 
 
@@ -26,6 +26,18 @@ def test_trig_polynomial_matches_a_fresh_table(name):
         k = np.arange(-d, d + 1)
         coeff = rng.standard_normal(k.size) + 1j * rng.standard_normal(k.size)
         assert np.array_equal(got, np.exp(1j * np.outer(theta, k)) @ coeff)
+
+
+def test_trig_polynomial_stack_over_node_blocks_keeps_the_draw_order():
+    # 24 rows of degree 12 at n = 4096, four node blocks of 1310 and a partial
+    # one: every coefficient is drawn first, row by row, real then imaginary
+    curve = curve_from_name("ellipse:2,1", 4096)
+    got = random_trig_polynomial(curve, np.random.default_rng(4), degree=12, count=24)
+    table = np.exp(1j * np.outer(np.angle(curve.nodes), np.arange(-12, 13)))
+    rng = np.random.default_rng(4)
+    for row in got:
+        coeff = rng.standard_normal(25) + 1j * rng.standard_normal(25)
+        assert np.array_equal(row, table @ coeff)
 
 
 def test_rational_corpus_on_a_curve_near_the_origin():
@@ -57,3 +69,14 @@ def test_rational_corpus_exact_P_part_is_the_circle_projection():
     kinds = {name.partition(":")[0]: (f, pf) for name, f, pf in corpus}
     assert np.array_equal(*kinds["pole-out"])  # P f = f
     assert not np.any(kinds["pole-in"][1])  # P f = 0
+
+
+@pytest.mark.parametrize("name", ["circle", "ellipse:2,1", "square", "perturbed-circle:0.3,12"])
+def test_polynomial_part_is_bitwise_numpy_polyval(name):
+    # Horner's rule in polyval's order replaced the numpy.polynomial call
+    curve = curve_from_name(name, 1024)
+    for coeffs in [(0.3, 0.1), (1.0 - 2.0j,), (0.5 - 0.2j, 1.5, -2.0 + 1.0j, 0.25)]:
+        expected = np.polynomial.polynomial.polyval(curve.nodes, np.asarray(coeffs, complex))
+        assert np.array_equal(rational_function(curve, [], [], coeffs), expected)
+        with_pole = rational_function(curve, [3.0], [1.0], coeffs)
+        assert np.array_equal(with_pole, 1.0 / (curve.nodes - 3.0) + expected)

@@ -8,6 +8,7 @@ from scipy.integrate import quad
 from scipy.special import ellipe
 
 from siolab.curves import (
+    TRIG_BLOCK,
     JordanCurve,
     carleson_constant,
     curve_from_name,
@@ -16,6 +17,7 @@ from siolab.curves import (
     make_parametric_curve,
     make_square,
     make_unit_circle,
+    trig_polynomial,
 )
 
 TWO_PI = 2.0 * np.pi
@@ -255,3 +257,30 @@ def test_curve_csv_roundtrip(circle1024):
     first = lines[1].split(",")
     assert float(first[1]) == pytest.approx(1.0)
     assert float(first[4]) == pytest.approx(np.pi / 2)
+
+
+def _full_trig_table(curve, degree):
+    """The whole (n, 2 degree + 1) table exp(i k theta_j), k = -degree..degree."""
+    table = np.empty((curve.n_nodes, 2 * degree + 1), dtype=complex)
+    np.multiply.outer(np.angle(curve.nodes), np.arange(-degree, degree + 1.0), out=table.real)
+    np.sin(table.real, out=table.imag)
+    np.cos(table.real, out=table.real)
+    return table
+
+
+@pytest.mark.parametrize("name", ["circle", "ellipse:2,1", "square", "perturbed-circle:0.3,12"])
+@pytest.mark.parametrize("degree, n", [(1, 65536), (12, 4096), (300, 1000)])
+def test_trig_polynomial_by_node_block_is_the_full_table_product(name, degree, n):
+    # several node blocks and a partial last one; the columns k < 0 taken as
+    # conjugates of k > 0 leave every value bitwise the full table's
+    rows_per_block = TRIG_BLOCK // (2 * degree + 1)
+    assert n > rows_per_block and n % rows_per_block != 0
+    curve = curve_from_name(name, n)
+    table = _full_trig_table(curve, degree)
+    rng = np.random.default_rng(degree)
+    c = rng.standard_normal((3, 2 * degree + 1)) + 1j * rng.standard_normal((3, 2 * degree + 1))
+    stack = trig_polynomial(curve, c)
+    assert stack.shape == (3, n)
+    for row, coeff in zip(stack, c):
+        assert np.array_equal(row, table @ coeff)
+    assert np.array_equal(trig_polynomial(curve, c[1]), table @ c[1])

@@ -1,5 +1,6 @@
 import os
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from scipy.special import gammaln, gammasgn
 import siolab.toeplitz as toeplitz
 from siolab.cauchy import riesz_projections
 from siolab.corpus import random_trig_polynomial
-from siolab.curves import curve_from_name
+from siolab.curves import curve_from_name, trig_polynomial
 from siolab.exponents import exponent_constant
 from siolab.spaces import norm_value
 from siolab.toeplitz import (
@@ -78,11 +79,13 @@ def test_coefficient_symbols_take_the_node_angles(request, curve_name):
 @pytest.mark.parametrize("name", ["circle", "ellipse:2,1", "square", "perturbed-circle:0.3,12"])
 @pytest.mark.parametrize("n", [512, 1000, 4096])
 def test_symbols_and_the_corpus_read_one_trig_table(name, n):
-    # trig-random:d is bitwise the corpus polynomial from the same generator,
-    # and monomial:k bitwise the sum over exp(i k theta) that it read before
+    # trig-random:d is bitwise the corpus polynomial drawn from the same seed,
+    # and both are trig_polynomial of its coefficients; monomial:k is bitwise
+    # the sum over exp(i k theta) that it read before
     curve = curve_from_name(name, n)
     for d in (1, 3, 8, 12):
-        symbol = symbol_from_preset(f"trig-random:{d}", curve, rng=np.random.default_rng(d))
+        symbol = symbol_from_preset(f"trig-random:{d}", curve, seed=d)
+        assert np.array_equal(symbol.values, trig_polynomial(curve, symbol.coefficients))
         assert np.array_equal(symbol.values,
                               random_trig_polynomial(curve, np.random.default_rng(d), d))
     theta = np.angle(curve.nodes)
@@ -91,6 +94,21 @@ def test_symbols_and_the_corpus_read_one_trig_table(name, n):
         c[abs(k) + k] = 1.0
         old = np.exp(1j * np.outer(theta, np.arange(-abs(k), abs(k) + 1))) @ c
         assert np.array_equal(symbol_from_preset(f"monomial:{k}", curve).values, old)
+
+
+def test_a_degree_300_symbol_never_holds_its_whole_trig_table():
+    # the (4096, 601) table exp(i k theta) took 37.7 MiB; a block of nodes at
+    # a time takes about 1 MiB
+    curve = curve_from_name("circle", 4096)
+    rng = np.random.default_rng(3)
+    c = rng.standard_normal(601) + 1j * rng.standard_normal(601)
+    tracemalloc.start()
+    try:
+        symbol_from_coefficients(c, curve)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
 
 
 @pytest.mark.parametrize("s, K, bound", [(-0.25, 300, 1e-11), (-0.05, 2000, 1e-10)])
@@ -137,8 +155,7 @@ def test_real_symbol_gives_hermitian_square_section(circle1024):
 
 
 def test_section_constant_diagonals(circle1024):
-    rng = np.random.default_rng(8)
-    a = symbol_from_preset("trig-random:6", circle1024, rng=rng)
+    a = symbol_from_preset("trig-random:6", circle1024, seed=8)
     M = finite_section(a, 9, 5, "T")
     for d in range(-4, 9):
         diag = np.diagonal(M, -d)
@@ -154,20 +171,18 @@ def test_section_degree_validation(circle1024):
 
 
 def test_companion_reflects_coefficients(circle1024):
-    rng = np.random.default_rng(9)
-    a = symbol_from_preset("trig-random:3", circle1024, rng=rng)
+    a = symbol_from_preset("trig-random:3", circle1024, seed=9)
     T = finite_section(a, 6, 6, "T")
     C = finite_section(a, 6, 6, "companion")
     assert np.abs(C - T.T).max() < 1e-15
 
 
 def test_section_is_real_exactly_when_its_coefficients_are(circle1024):
-    rng = np.random.default_rng(10)
     cases = {
         "monomial:1": symbol_from_preset("monomial:1", circle1024),
         "singular:-0.3": symbol_from_preset("singular:-0.3", circle1024, degree=40),
         "real array": symbol_from_coefficients(np.array([0.5, -1.0, 3.0, 0.25, 2.0]), circle1024),
-        "trig-random:3": symbol_from_preset("trig-random:3", circle1024, rng=rng),
+        "trig-random:3": symbol_from_preset("trig-random:3", circle1024, seed=10),
     }
     j_minus_k = np.subtract.outer(np.arange(19), np.arange(12))
     for name, a in cases.items():
@@ -220,8 +235,7 @@ def test_section_rejects_empty_shape(circle1024):
 # ------------------------------------------------------ sections against S
 
 def test_matrix_apply_consistency(circle1024):
-    rng = np.random.default_rng(10)
-    a = symbol_from_preset("trig-random:4", circle1024, rng=rng)
+    a = symbol_from_preset("trig-random:4", circle1024, seed=10)
     n = 8
     # T(a) f = P(a f) and the companion g -> Q(a g), with P and Q from S
     sec = finite_section(a, n, n, "T")
@@ -239,9 +253,11 @@ def test_matrix_apply_consistency(circle1024):
 
 
 def test_linearity_of_sections(circle1024):
+    # trig-random:4 and then trig-random:3 drawn from one generator
     rng = np.random.default_rng(12)
-    a = symbol_from_preset("trig-random:4", circle1024, rng=rng)
-    b = symbol_from_preset("trig-random:3", circle1024, rng=rng)
+    a, b = (symbol_from_coefficients(rng.standard_normal(2 * d + 1)
+                                     + 1j * rng.standard_normal(2 * d + 1), circle1024)
+            for d in (4, 3))
     alpha, beta = 1.7 - 0.3j, -0.4 + 2.2j
     combo = symbol_from_coefficients(
         alpha * a.coefficient_window(-8, 8) + beta * b.coefficient_window(-8, 8), circle1024
@@ -261,7 +277,7 @@ def test_linearity_of_sections(circle1024):
 def test_block_identities(request, block_residuals, curve_name, spec, N, tol):
     curve = request.getfixturevalue(curve_name)
     if curve.is_unit_circle:
-        a = symbol_from_preset(spec, curve, rng=np.random.default_rng(13))
+        a = symbol_from_preset(spec, curve, seed=13)
     else:
         # the trig polynomial 1 + 0.6 cos(theta) sampled on the ellipse nodes
         values = 1.0 + 0.6 * np.cos(np.angle(curve.nodes))
@@ -351,7 +367,7 @@ def test_dichotomy_on_real_sections_matches_the_complex_svd(circle1024, monkeypa
                symbol_from_preset("monomial:-2", circle1024),
                symbol_from_preset("singular:-0.3", circle1024, degree=520),
                symbol_from_preset("cos", circle1024),
-               symbol_from_preset("trig-random:3", circle1024, rng=np.random.default_rng(3)),
+               symbol_from_preset("trig-random:3", circle1024, seed=3),
                symbol_from_coefficients(np.array([0.5, -1.0, 3.0, 0.25, 2.0]), circle1024)]
     probes = [dichotomy_probe(a, p, q, sizes, aspect=8) for a in symbols]
     monkeypatch.setattr(toeplitz, "finite_section", _complex_section)
@@ -379,7 +395,7 @@ def test_dichotomy_on_two_threads_is_bitwise_the_serial_svd(circle1024, monkeypa
     symbols = [symbol_from_preset("monomial:1", circle1024),
                symbol_from_preset("monomial:-2", circle1024),
                symbol_from_preset("cos", circle1024),
-               symbol_from_preset("trig-random:5", circle1024, rng=np.random.default_rng(5))]
+               symbol_from_preset("trig-random:5", circle1024, seed=5)]
     assert symbols[-1].coefficients.imag.any()  # one complex section family
     started, thread = [], threading.Thread
     monkeypatch.setattr(threading, "Thread", lambda **kw: started.append(kw) or thread(**kw))
