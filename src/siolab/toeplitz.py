@@ -9,7 +9,8 @@ triviality of the companion kernel, which is what the probe measures.
 
 Every preset symbol carries exact Fourier coefficients, whatever the curve:
 the trigonometric polynomials their whole band, ``singular:s`` its closed
-form up to ``degree``. Node values are read at the node angles.
+form up to ``degree``. Node values are read at the node angles, and only
+when first asked for: the probe reads the coefficients alone.
 
 Sections are read-only views of one coefficient window, so building them
 copies nothing. The probe builds every section first and then takes the
@@ -21,9 +22,11 @@ bitwise those of one thread, on one CPU or many.
 
 from __future__ import annotations
 
+import functools
 import math
 import threading
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -59,7 +62,8 @@ def _finite_coefficients(coefficients, name: str) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Symbol:
-    """Multiplier symbol: node samples plus Fourier coefficients a_k, |k| <= degree.
+    """Multiplier symbol: Fourier coefficients a_k, |k| <= degree, and the
+    evaluator of its node samples, which ``values`` calls once, when first read.
 
     ``exact_band`` marks trigonometric polynomials whose coefficients vanish
     identically outside the stored band; only those admit finite sections of
@@ -67,14 +71,13 @@ class Symbol:
     the coefficients beyond ``degree`` are unknown, not zero.
     """
 
-    values: np.ndarray
+    node_values: Callable[[], np.ndarray]
     coefficients: np.ndarray
     degree: int
     name: str = "symbol"
     exact_band: bool = False
 
     def __post_init__(self):
-        object.__setattr__(self, "values", np.asarray(self.values, dtype=complex))
         c = _finite_coefficients(self.coefficients, self.name)
         object.__setattr__(self, "coefficients", c)
         if c.size != 2 * self.degree + 1:
@@ -90,9 +93,13 @@ class Symbol:
             ]
         return out
 
+    @functools.cached_property
+    def values(self) -> np.ndarray:
+        return np.asarray(self.node_values(), dtype=complex)
+
     @property
     def is_zero(self) -> bool:
-        return not self.coefficients.any() and not self.values.any()
+        return not self.coefficients.any()
 
 
 @dataclass(frozen=True)
@@ -105,7 +112,7 @@ class DichotomyVerdict:
     contradict the trivial-kernel-or-dense-image alternative.
     """
 
-    symbol_name: str
+    symbol: str
     sizes: tuple[int, ...]
     sigma_min_T: tuple[float, ...]
     sigma_min_companion: tuple[float, ...]
@@ -114,15 +121,6 @@ class DichotomyVerdict:
     verdict: str
     fault: bool
 
-    def as_record(self) -> dict:
-        return {
-            "symbol": self.symbol_name,
-            "sizes": list(self.sizes),
-            "sigma_min_T": list(self.sigma_min_T),
-            "sigma_min_companion": list(self.sigma_min_companion),
-            "verdict": self.verdict,
-        }
-
 
 def symbol_from_coefficients(coefficients, curve: JordanCurve, name: str = "symbol") -> Symbol:
     """Build a symbol from coefficients a_k, k = -K..K; its node values are
@@ -130,9 +128,8 @@ def symbol_from_coefficients(coefficients, curve: JordanCurve, name: str = "symb
     c = _finite_coefficients(coefficients, name)
     if c.size % 2 == 0:
         raise ValueError("coefficients must cover a symmetric mode range -K..K")
-    degree = c.size // 2
-    values = trig_polynomial(curve, c)
-    return Symbol(values, c, degree, name, exact_band=True)
+    return Symbol(functools.partial(trig_polynomial, curve, c), c, c.size // 2, name,
+                  exact_band=True)
 
 
 def singular_power_coefficients(s: float, degree: int) -> np.ndarray:
@@ -168,7 +165,8 @@ def symbol_from_preset(spec: str, curve: JordanCurve, degree: int = 300,
     head, _, args = spec.partition(":")
     if head in _SAMPLED_PRESETS:
         values, c = _SAMPLED_PRESETS[head]
-        return Symbol(values(np.angle(curve.nodes)), c, len(c) // 2, spec, exact_band=True)
+        return Symbol(lambda: values(np.angle(curve.nodes)), c, len(c) // 2, spec,
+                      exact_band=True)
     if head == "monomial":
         k = int(args)
         if abs(k) > degree:
@@ -179,11 +177,12 @@ def symbol_from_preset(spec: str, curve: JordanCurve, degree: int = 300,
         return symbol_from_coefficients(c, curve, spec)
     if head == "singular":
         s = float(args)
-        coeff = singular_power_coefficients(s, degree)
-        phi = np.angle(curve.nodes)
-        with np.errstate(divide="ignore"):
-            values = np.abs(np.exp(1j * phi) - 1.0) ** s
-        return Symbol(values, coeff, degree, spec)
+
+        def values():
+            with np.errstate(divide="ignore"):
+                return np.abs(np.exp(1j * np.angle(curve.nodes)) - 1.0) ** s
+
+        return Symbol(values, singular_power_coefficients(s, degree), degree, spec)
     if head == "trig-random":
         deg = int(args)
         rng = np.random.default_rng(seed)

@@ -14,6 +14,7 @@ import pytest
 import siolab.cauchy as cauchy
 import siolab.cli as cli
 import siolab.spaces as spaces
+import siolab.toeplitz as toeplitz
 from siolab.cli import EXIT_FAULT, EXIT_OK, EXIT_VALIDATION, main
 from siolab.curves import carleson_constant, curve_from_name, curve_to_csv
 from siolab.exponents import exponent_from_preset
@@ -28,8 +29,7 @@ def run(args):
     """main(args); every JSON file it leaves in its out directory must be strict JSON."""
     code = main(args)
     if "--out" in args:
-        out = Path(args[args.index("--out") + 1])
-        for path in (out.parent if out.suffix == ".json" else out).glob("*.json"):
+        for path in Path(args[args.index("--out") + 1]).glob("*.json"):
             json.loads(path.read_text(), parse_constant=_not_json)
     return code
 
@@ -81,6 +81,23 @@ def test_validation_errors_exit_2(tmp_path):
         out = tmp_path / f"bad{i}"
         assert run([*argv, "--n", "256", "--out", str(out)]) == EXIT_VALIDATION
         assert not (out / "report.json").exists()
+
+
+@pytest.mark.parametrize("command", list(cli.COMMAND_KEYS))
+def test_negative_seed_or_degree_is_a_validation_error(tmp_path, capsys, command):
+    # norm and dichotomy recorded "seed": -1 in provenance and exited 0; norm
+    # with trig-random and sio-check failed in numpy; multiplier --degree -1
+    # exited 0 with cos and failed with singular:s
+    argvs = [["--seed", "-1"], ["--config", str(tmp_path / "c.json")]]
+    (tmp_path / "c.json").write_text('{"seed": -7}')
+    if "degree" in cli.COMMAND_KEYS[command]:
+        argvs += [["--degree", "-1", "--symbol", "cos"], ["--degree", "-1"]]
+    for i, argv in enumerate(argvs):
+        out = tmp_path / f"bad{i}"
+        assert run([command, *argv, "--n", "256", "--out", str(out)]) == EXIT_VALIDATION
+        key = "degree" if "--degree" in argv else "seed"
+        assert f"config key '{key}' must be at least 0" in capsys.readouterr().err
+        assert not out.exists()
 
 
 @pytest.mark.parametrize("spec", ["const:inf", "const:nan", "pole:nan,0", "csv:inf", "csv:j"])
@@ -147,21 +164,27 @@ def test_multiplier_p_equals_q_gives_sup_norm(tmp_path):
 
 
 def test_dichotomy_verdict_schema_and_out_file(tmp_path):
+    # the verdict is report.json's results, the one file a json run writes;
+    # an --out ending in .json names a directory, as for every command
     target = tmp_path / "d" / "my_verdict.json"
     code = run(["dichotomy", "--symbol", "monomial:1", "--p", "4", "--q", "2",
                 "--sizes", "16,32", "--aspect", "8", "--n", "512",
                 "--out", str(target)])
     assert code == EXIT_OK
-    verdict = json.loads(target.read_text())
-    assert sorted(verdict) == ["sigma_min_T", "sigma_min_companion", "sizes", "symbol",
+    assert sorted(p.name for p in target.iterdir()) == ["report.json"]
+    verdict = json.loads((target / "report.json").read_text())["results"]
+    assert sorted(verdict) == ["fault", "kernel_dim_T", "kernel_dim_companion",
+                               "sigma_min_T", "sigma_min_companion", "sizes", "symbol",
                                "verdict"]
+    assert verdict["symbol"] == "monomial:1"
     assert verdict["verdict"] == "T-injective"
     assert verdict["sizes"] == [16, 32]
+    assert verdict["kernel_dim_T"] == [0, 0] and verdict["kernel_dim_companion"] == [1, 1]
 
 
 def test_dichotomy_fault_exit_code(tmp_path, monkeypatch):
     fake = DichotomyVerdict(
-        symbol_name="fake", sizes=(16,), sigma_min_T=(1e-9,), sigma_min_companion=(1e-9,),
+        symbol="fake", sizes=(16,), sigma_min_T=(1e-9,), sigma_min_companion=(1e-9,),
         kernel_dim_T=(1,), kernel_dim_companion=(1,), verdict="under-resolved", fault=True,
     )
     monkeypatch.setattr(cli, "dichotomy_probe", lambda *a, **k: fake)
@@ -169,7 +192,8 @@ def test_dichotomy_fault_exit_code(tmp_path, monkeypatch):
                 "--sizes", "16", "--n", "512", "--out", str(tmp_path / "f")])
     assert code == EXIT_FAULT
     # outputs still written for the post-mortem
-    assert (tmp_path / "f" / "verdict.json").exists()
+    results = json.loads((tmp_path / "f" / "report.json").read_text())["results"]
+    assert results["fault"] is True and results["symbol"] == "fake"
 
 
 def test_carleson_subcommand(tmp_path):
@@ -546,13 +570,13 @@ def test_plain_writes_non_finite_floats_as_strings():
     assert cli._plain(values) == ["inf", "-inf", "nan", 1.5, "-inf", {"re": "inf", "im": 0.25}]
 
 
-def test_json_out_path_without_verdict_file(tmp_path):
-    # only dichotomy writes verdict.json; other commands just use the parent directory
+def test_json_out_path_is_a_directory(tmp_path):
+    # an --out ending in .json wrote report.json beside it, in its parent
     out = tmp_path / "n" / "x.json"
     code = run(["norm", "--curve", "circle", "--n", "512", "--out", str(out)])
     assert code == EXIT_OK
-    assert (tmp_path / "n" / "report.json").exists()
-    assert not out.exists()
+    assert (out / "report.json").exists()
+    assert sorted(p.name for p in (tmp_path / "n").iterdir()) == ["x.json"]
 
 
 @pytest.mark.parametrize("command, same", [("multiplier", True), ("sio-check", False)])
@@ -707,6 +731,18 @@ def test_csv_symbol_values_are_the_sums_of_their_coefficients(tmp_path):
     assert np.array_equal(values, np.exp(1j * np.outer(theta, np.arange(-3, 4))) @ c)
 
 
+def test_dichotomy_reads_no_node_values(tmp_path, monkeypatch, count_calls):
+    # the probe reads coefficients alone; the 4096 node values of a degree-300
+    # symbol took 43 of the 72 ms of this run, and only multiplier reads them
+    shapes = count_calls(monkeypatch, "trig_polynomial", modules=(toeplitz,))
+    assert run(["dichotomy", "--symbol", "trig-random:300", "--p", "4", "--q", "2",
+                "--out", str(tmp_path / "d")]) == EXIT_OK
+    assert shapes == []
+    assert run(["multiplier", "--symbol", "trig-random:40", "--n", "512",
+                "--out", str(tmp_path / "m")]) == EXIT_OK
+    assert shapes == [(81,)]
+
+
 def test_symbol_coefficients_csv(tmp_path):
     coeffs = tmp_path / "coeffs.csv"
     coeffs.write_text("1,1.0,0.0\n")  # a(t) = t
@@ -714,8 +750,8 @@ def test_symbol_coefficients_csv(tmp_path):
     code = run(["dichotomy", "--symbol", str(coeffs), "--p", "4", "--q", "2",
                 "--sizes", "16,32", "--n", "512", "--out", str(out)])
     assert code == EXIT_OK
-    verdict = json.loads((out / "verdict.json").read_text())
-    assert verdict["verdict"] == "T-injective"
+    verdict = json.loads((out / "report.json").read_text())["results"]
+    assert verdict["verdict"] == "T-injective" and verdict["symbol"] == "coeffs.csv"
 
 
 @pytest.mark.parametrize("rows, message", [

@@ -33,7 +33,7 @@ def test_readme_lists_every_subcommand():
 
 @pytest.mark.parametrize("argv", COMMANDS, ids=[argv[0] for argv in COMMANDS])
 def test_readme_command_line_example_runs(tmp_path, monkeypatch, argv):
-    monkeypatch.chdir(tmp_path)  # the examples write out/ and verdict.json here
+    monkeypatch.chdir(tmp_path)  # the examples write out/ and dichotomy/ here
     assert main(argv) == EXIT_OK
 
 

@@ -8,6 +8,7 @@ from scipy.integrate import quad
 from scipy.linalg import toeplitz as scipy_toeplitz
 from scipy.special import gammaln, gammasgn
 
+import siolab.cli as cli
 import siolab.toeplitz as toeplitz
 from siolab.cauchy import riesz_projections
 from siolab.corpus import random_trig_polynomial
@@ -56,14 +57,14 @@ def test_symbol_rejects_nonfinite_coefficients(circle1024):
         with pytest.raises(ValueError, match="non-finite Fourier coefficients"):
             symbol_from_coefficients(np.array([1.0, bad, 0.5]), circle1024)
         with pytest.raises(ValueError, match="non-finite Fourier coefficients"):
-            Symbol(np.ones(1024), np.array([1.0, bad, 0.5]), 1)
+            Symbol(lambda: np.ones(1024), np.array([1.0, bad, 0.5]), 1)
     # values may be infinite: |t - 1|^s is at node 0, its coefficients are not
     a = symbol_from_preset("singular:-0.3", circle1024, degree=40)
     assert np.isinf(a.values[0]) and np.all(np.isfinite(a.coefficients))
 
 
 @pytest.mark.parametrize("curve_name", ["circle1024", "ellipse4096"])
-def test_coefficient_symbols_take_the_node_angles(request, curve_name):
+def test_coefficient_symbols_take_the_node_angles(request, tmp_path, curve_name):
     # the sampled presets read the node angles, and so must monomial:k and
     # trig-random; on the ellipse uniform angles were 0.34 off for monomial:1
     curve = request.getfixturevalue(curve_name)
@@ -74,6 +75,23 @@ def test_coefficient_symbols_take_the_node_angles(request, curve_name):
     c = np.array([0.5, 0.0, 1.0, 0.0, 0.5])  # 1 + cos(2 theta)
     values = symbol_from_coefficients(c, curve).values
     assert np.abs(values - (1.0 + np.cos(2.0 * theta))).max() < 1e-14
+    # the values are made when first read, bitwise what the symbol was built
+    # with when it made them at once: a closed form or trig_polynomial of a_k
+    with np.errstate(divide="ignore"):
+        closed = {"one": np.ones(curve.n_nodes), "cos": np.cos(theta),
+                  "one-plus-cos2": 1.0 + np.cos(theta) ** 2,
+                  "singular:-0.3": np.abs(np.exp(1j * theta) - 1.0) ** -0.3}
+    (tmp_path / "a.csv").write_text("-2,0.5,0.25\n0,1.0,0.0\n3,-1.5,2.0\n")
+    symbols = [symbol_from_preset(spec, curve, degree=40, seed=3) for spec in
+               [*closed, "monomial:0", "monomial:-2", "trig-random:12"]]
+    symbols.append(cli._symbol(str(tmp_path / "a.csv"), curve, 300, 0))
+    for a in symbols:
+        assert "values" not in vars(a)
+        eager = closed.get(a.name, None)
+        if eager is None:
+            eager = trig_polynomial(curve, a.coefficients)
+        assert a.values.dtype == complex and np.array_equal(a.values, eager), a.name
+        assert a.values is vars(a)["values"]
 
 
 @pytest.mark.parametrize("name", ["circle", "ellipse:2,1", "square", "perturbed-circle:0.3,12"])
@@ -280,8 +298,8 @@ def test_block_identities(request, block_residuals, curve_name, spec, N, tol):
         a = symbol_from_preset(spec, curve, seed=13)
     else:
         # the trig polynomial 1 + 0.6 cos(theta) sampled on the ellipse nodes
-        values = 1.0 + 0.6 * np.cos(np.angle(curve.nodes))
-        a = Symbol(values, [0.3, 1.0, 0.3], 1, spec, exact_band=True)
+        a = Symbol(lambda: 1.0 + 0.6 * np.cos(np.angle(curve.nodes)), [0.3, 1.0, 0.3], 1,
+                   spec, exact_band=True)
     res = block_residuals(curve, a, N)
     assert ("section" in res) == curve.is_unit_circle
     assert max(res.values()) < tol, res
@@ -445,14 +463,6 @@ def test_dichotomy_svd_error_reaches_the_caller(circle1024, monkeypatch, side):
     with pytest.raises(RuntimeError, match=f"{side} SVD failed"):
         dichotomy_probe(a, p, q, (16, 32, 64, 128))
     assert threading.active_count() == before
-
-
-def test_dichotomy_verdict_record_schema(circle1024):
-    a = symbol_from_preset("cos", circle1024)
-    v = dichotomy_probe(a, exponent_constant(4.0, 1024), exponent_constant(2.0, 1024),
-                        (16, 32), aspect=8)
-    rec = v.as_record()
-    assert sorted(rec) == ["sigma_min_T", "sigma_min_companion", "sizes", "symbol", "verdict"]
 
 
 # ----------------------------------------------------------------- norm bounds
