@@ -733,7 +733,7 @@ def test_csv_symbol_values_are_the_sums_of_their_coefficients(tmp_path):
 
 def test_dichotomy_reads_no_node_values(tmp_path, monkeypatch, count_calls):
     # the probe reads coefficients alone; the 4096 node values of a degree-300
-    # symbol took 43 of the 72 ms of this run, and only multiplier reads them
+    # symbol took more than half of this run's time, and only multiplier reads them
     shapes = count_calls(monkeypatch, "trig_polynomial", modules=(toeplitz,))
     assert run(["dichotomy", "--symbol", "trig-random:300", "--p", "4", "--q", "2",
                 "--out", str(tmp_path / "d")]) == EXIT_OK

@@ -87,9 +87,7 @@ def test_coefficient_symbols_take_the_node_angles(request, tmp_path, curve_name)
     symbols.append(cli._symbol(str(tmp_path / "a.csv"), curve, 300, 0))
     for a in symbols:
         assert "values" not in vars(a)
-        eager = closed.get(a.name, None)
-        if eager is None:
-            eager = trig_polynomial(curve, a.coefficients)
+        eager = closed[a.name] if a.name in closed else trig_polynomial(curve, a.coefficients)
         assert a.values.dtype == complex and np.array_equal(a.values, eager), a.name
         assert a.values is vars(a)["values"]
 
