@@ -200,11 +200,15 @@ def _exponent(spec: str, curve):
 
 def _function(spec: str, curve, seed: int) -> np.ndarray:
     theta = np.angle(curve.nodes)
-    head, _, args = spec.strip().partition(":")
+    head, sep, args = spec.strip().partition(":")
+    if sep and head in ("one", "abs-cos"):
+        raise ValueError(f"function preset {head!r} takes no argument, got {spec!r}")
     if head == "one":
         values = np.ones(curve.n_nodes, dtype=complex)
     elif head == "const":
         parts = [float(x) for x in args.split(",")]
+        if len(parts) > 2:
+            raise ValueError(f"function preset 'const' takes re[,im], got {spec!r}")
         value = parts[0] + 1j * (parts[1] if len(parts) > 1 else 0.0)
         values = np.full(curve.n_nodes, value, dtype=complex)
     elif head == "abs-cos":

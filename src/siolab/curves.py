@@ -253,12 +253,12 @@ def make_perturbed_circle(amp: float, freq: int, n_nodes: int) -> JordanCurve:
 
 def curve_from_name(spec: str, n_nodes: int) -> JordanCurve:
     """Build a zoo curve from a name like ``circle`` or ``ellipse:2,1``."""
-    head, _, args = spec.partition(":")
+    head, sep, args = spec.partition(":")
     head = head.strip().lower()
-    if head == "circle":
-        return make_unit_circle(n_nodes)
-    if head == "square":
-        return make_square(n_nodes)
+    if head in ("circle", "square"):
+        if sep:
+            raise ValueError(f"curve {head!r} takes no argument, got {spec!r}")
+        return make_unit_circle(n_nodes) if head == "circle" else make_square(n_nodes)
     if head == "ellipse":
         try:
             a, b = (float(x) for x in args.split(","))

@@ -109,7 +109,8 @@ class DichotomyVerdict:
     ``verdict`` is one of ``T-injective``, ``companion-injective``, ``both``,
     ``under-resolved``. ``fault`` fires only when both sides hold a
     persistent nontrivial numerical kernel with clean trends, which would
-    contradict the trivial-kernel-or-dense-image alternative.
+    contradict the trivial-kernel-or-dense-image alternative, and never for
+    an exact band of degree above the aspect, which the sections cut off.
     """
 
     symbol: str
@@ -162,15 +163,15 @@ def symbol_from_preset(spec: str, curve: JordanCurve, degree: int = 300,
     ``singular:s``, ``trig-random:deg``. Only ``trig-random`` draws: its real
     then its imaginary coefficients from ``np.random.default_rng(seed)``."""
     spec = spec.strip()
-    head, _, args = spec.partition(":")
+    head, sep, args = spec.partition(":")
     if head in _SAMPLED_PRESETS:
+        if sep:
+            raise ValueError(f"symbol preset {head!r} takes no argument, got {spec!r}")
         values, c = _SAMPLED_PRESETS[head]
         return Symbol(lambda: values(np.angle(curve.nodes)), c, len(c) // 2, spec,
                       exact_band=True)
     if head == "monomial":
         k = int(args)
-        if abs(k) > degree:
-            raise ValueError("monomial degree exceeds the coefficient budget")
         c = np.zeros(2 * abs(k) + 1, dtype=complex) if k else np.ones(1, dtype=complex)
         if k:
             c[abs(k) + k] = 1.0
@@ -279,7 +280,9 @@ def dichotomy_probe(
     operators and tracks the smallest singular value. A side counts as
     injective when sigma_min stays at or above SIGMA_FLOOR at every size
     with a nonincreasing-to-plateau trend. Both sides failing with persistent
-    kernels raises the fault flag; anything murkier is under-resolved.
+    kernels raises the fault flag, unless ``a`` is an exact band of degree
+    above the aspect: the band then runs off the foot of every section, which
+    has kernels the operator need not have. Anything murkier is under-resolved.
     The trend is read in the order given, so ``sizes`` must be strictly
     increasing, and ``aspect`` must be at least 1: a square or wide section
     can have a kernel that the operator does not.
@@ -299,10 +302,11 @@ def dichotomy_probe(
         raise ValueError("need at least one section size")
     if any(hi <= lo for lo, hi in zip(sizes, sizes[1:])):
         raise ValueError(f"section sizes must be strictly increasing, got {list(sizes)}")
-    if int(aspect) < 1:
+    aspect = int(aspect)
+    if aspect < 1:
         raise ValueError(f"aspect must be at least 1, got {aspect}")
 
-    shapes = [(n + int(aspect), n) for n in sizes]
+    shapes = [(n + aspect, n) for n in sizes]
     svals_t, svals_c = _singular_values_of_both(
         [finite_section(a, m, n, "T") for m, n in shapes],
         [finite_section(a, m, n, "companion") for m, n in shapes])
@@ -320,7 +324,8 @@ def dichotomy_probe(
     else:
         verdict = "under-resolved"
         fault = (
-            all(d >= 1 for d in dim_t)
+            not (a.exact_band and aspect < a.degree)
+            and all(d >= 1 for d in dim_t)
             and all(d >= 1 for d in dim_c)
             and _trend_is_clean(sig_t)
             and _trend_is_clean(sig_c)

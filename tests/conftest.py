@@ -3,8 +3,8 @@ import pytest
 from hypothesis import settings
 
 import siolab.cauchy as cauchy
-from siolab import make_ellipse, make_unit_circle
 from siolab.cauchy import apply_S, conjugation_H, mode_basis, operator_matrix
+from siolab.curves import make_ellipse, make_unit_circle
 from siolab.exponents import reciprocal
 from siolab.spaces import norm_value
 from siolab.toeplitz import finite_section

@@ -121,6 +121,21 @@ def test_norm_rejects_non_finite_or_malformed_functions(tmp_path, capsys, spec):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ["carleson", "--curve", "circle:3"], ["carleson", "--curve", "square:7"],
+    ["norm", "--function", "one:5"], ["norm", "--function", "abs-cos:9"],
+    ["norm", "--function", "const:1,2,3"], ["multiplier", "--symbol", "one:2"],
+    ["multiplier", "--symbol", "cos:7"], ["dichotomy", "--symbol", "one-plus-cos2:x"],
+], ids=lambda argv: argv[-1])
+def test_presets_refuse_an_argument_they_do_not_take(tmp_path, capsys, argv):
+    # each exited 0 and ignored the argument, or the third part of const,
+    # while provenance.config recorded the spec as typed
+    out = tmp_path / "out"
+    assert run([*argv, "--n", "256", "--out", str(out)]) == EXIT_VALIDATION
+    assert repr(argv[-1]) in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_norm_past_the_float_range_exits_2(tmp_path, capsys):
     # a finite function whose norm overflows: exit 2 and no warning, not inf
     out = tmp_path / "out"
@@ -194,6 +209,21 @@ def test_dichotomy_fault_exit_code(tmp_path, monkeypatch):
     # outputs still written for the post-mortem
     results = json.loads((tmp_path / "f" / "report.json").read_text())["results"]
     assert results["fault"] is True and results["symbol"] == "fake"
+
+
+@pytest.mark.parametrize("symbol, aspect, verdict", [
+    ("monomial:30", "8", "under-resolved"), ("monomial:-100", "8", "under-resolved"),
+    ("monomial:30", "30", "T-injective")])
+def test_dichotomy_band_beyond_the_aspect_is_no_fault(tmp_path, symbol, aspect, verdict):
+    # at aspect 8 the tall sections cut off the shift's band, so both sides
+    # showed kernels the operators do not have and the probe exited 3; from
+    # aspect 30 the sections hold T(tau^30)'s image
+    out = tmp_path / "d"
+    code = run(["dichotomy", "--symbol", symbol, "--sizes", "16,32", "--aspect", aspect,
+                "--n", "1024", "--out", str(out)])
+    assert code == EXIT_OK
+    results = json.loads((out / "report.json").read_text())["results"]
+    assert results["verdict"] == verdict and results["fault"] is False
 
 
 def test_carleson_subcommand(tmp_path):
@@ -689,6 +719,18 @@ def test_multiplier_takes_trials_it_does_not_read_and_its_degree(tmp_path):
                 "--out", str(tmp_path)]) == EXIT_OK
     config = json.loads((tmp_path / "report.json").read_text())["provenance"]["config"]
     assert config["degree"] == 20 and "trials" not in config
+
+
+def test_multiplier_takes_a_monomial_of_any_degree(tmp_path):
+    # monomial:400 exited 2 against the degree budget; |tau^k| = 1 at every
+    # node up to rounding, so the two reports agree to rounding
+    results = []
+    for k in (1, 400):
+        out = tmp_path / str(k)
+        assert run(["multiplier", "--symbol", f"monomial:{k}", "--n", "1024",
+                    "--out", str(out)]) == EXIT_OK
+        results.append(json.loads((out / "report.json").read_text())["results"])
+    assert results[1] == pytest.approx(results[0], rel=1e-14, abs=0.0)
 
 
 def test_carleson_report_does_not_depend_on_the_seed(tmp_path):

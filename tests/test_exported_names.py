@@ -1,10 +1,11 @@
-"""Every exported name has a caller in the library or the benchmark.
+"""Every exported name has a caller in the library or the benchmark, and
+one import path: its layer module.
 
 A name in a layer module's ``__all__`` that only tests use is public API
 without a user. The check reads the sources with ``ast``: a name counts as
 used when it appears as a name or an attribute anywhere in ``src/siolab``
 or in the non-test files of ``bench``. Import lists and ``__all__`` strings
-are not uses.
+are not uses. The package itself binds only ``__version__``.
 """
 
 import ast
@@ -40,3 +41,14 @@ def test_every_exported_name_has_a_caller_outside_the_tests():
     unused = sorted(f"{module}.{name}" for module, name in exported
                     if name not in used)
     assert unused == []
+
+
+def test_the_package_binds_only_its_version():
+    # it re-exported 40 layer names, a second import path for each
+    path = ROOT / "src" / "siolab" / "__init__.py"
+    body = ast.parse(path.read_text(), filename=str(path)).body
+    assert len(body) == 2, [ast.unparse(node) for node in body[2:]]
+    docstring, version = body
+    assert isinstance(docstring, ast.Expr) and isinstance(docstring.value.value, str)
+    assert isinstance(version, ast.Assign) and isinstance(version.value.value, str)
+    assert [ast.unparse(target) for target in version.targets] == ["__version__"]

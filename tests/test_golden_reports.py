@@ -5,9 +5,9 @@ The matrix is the benchmark's command lines and a few more that reach other
 paths (a variable exponent off the circle, an exit-3 square, every
 ``trig-random`` preset, a multiplier on infinity sets, a non-circle Carleson
 scan), plus each line of README's "Command line" block, each at seeds 0 and 7
-in json and csv. It runs in one fresh process with one BLAS thread: complex
-SVDs round differently under more threads, so report bytes are reproducible
-only at a fixed thread count.
+in json and csv. It runs in one fresh process with one BLAS thread, set through
+each of the benchmark's ``THREAD_VARS``: complex SVDs round differently under
+more threads, so report bytes are reproducible only at a fixed thread count.
 
 A change that moves report bytes on purpose regenerates the table with
 ``SIOLAB_REGENERATE_GOLDEN=1 python -m pytest tests/test_golden_reports.py``
@@ -25,6 +25,12 @@ from pathlib import Path
 import siolab.cli as cli
 
 from test_readme import COMMANDS as README_COMMANDS
+
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+if str(BENCH) not in sys.path:
+    sys.path.insert(0, str(BENCH))
+
+import run  # noqa: E402
 
 TABLE = Path(__file__).with_name("golden_reports.json")
 REGENERATE = "SIOLAB_REGENERATE_GOLDEN"
@@ -77,8 +83,7 @@ def _run_matrix() -> dict:
     argvs = [[*argv, "--seed", str(seed), "--format", fmt]
              for argv in MATRIX for seed in SEEDS for fmt in FORMATS]
     src = Path(cli.__file__).resolve().parents[1]
-    env = {**os.environ, "PYTHONPATH": str(src), "OMP_NUM_THREADS": "1",
-           "OPENBLAS_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
+    env = {**os.environ, "PYTHONPATH": str(src), **dict.fromkeys(run.THREAD_VARS, "1")}
     proc = subprocess.run([sys.executable, "-c", SCRIPT, json.dumps(argvs)], env=env,
                           capture_output=True, text=True, timeout=300, check=True)
     return json.loads(proc.stdout)
