@@ -4,8 +4,8 @@ has the sha256 recorded in ``golden_reports.json``.
 The matrix is the benchmark's command lines and a few more that reach other
 paths (a variable exponent off the circle, an exit-3 square, every
 ``trig-random`` preset, a multiplier on infinity sets, a non-circle Carleson
-scan), plus each line of README's "Command line" block, each at seeds 0 and 7
-in json and csv. It runs in one fresh process with one BLAS thread, set through
+scan, and at n = 512 every other preset form but the csv files), plus each
+line of README's "Command line" block, each at seeds 0 and 7 in json and csv. It runs in one fresh process with one BLAS thread, set through
 each of the benchmark's ``THREAD_VARS``: complex SVDs round differently under
 more threads, so report bytes are reproducible only at a fixed thread count.
 
@@ -49,6 +49,19 @@ MATRIX = [shlex.split(line) for line in (
     "dichotomy --symbol trig-random:3",
     "multiplier --n 512 --p step:3,inf --q step:2,inf --symbol one-plus-cos2",
     "carleson --curve ellipse:2,1",
+    "norm --n 512 --exponent logsmooth:3,1 --function abs-cos",
+    "norm --n 512 --exponent 1.5+2*abs(cos) --function abs-cos",
+    "norm --n 512 --exponent inf --function abs-cos",
+    "norm --n 512 --function one",
+    "norm --n 512 --function const:1,-2",
+    "norm --n 512 --function mode:3",
+    "norm --n 512 --function indicator:-1,2",
+    "norm --n 512 --function pole:0.5,0.5",
+    "multiplier --n 512 --symbol cos",
+    "multiplier --n 512 --symbol one",
+    "multiplier --n 512 --symbol monomial:-2",
+    "dichotomy --n 512 --symbol singular:-0.3 --sizes 16,32,64",
+    "dichotomy --n 512 --symbol monomial:-2 --sizes 16,32,64",
 )]
 MATRIX += [argv for argv in README_COMMANDS if argv not in MATRIX]
 
