@@ -30,7 +30,7 @@ import numpy as np
 from . import __version__
 from .cauchy import adjoint_residuals, apply_S, riesz_projections, s_path
 from .corpus import random_trig_polynomial, rational_corpus
-from .curves import carleson_constant, curve_from_name, curve_to_csv
+from .curves import carleson_constant, curve_from_name, curve_to_csv, read_preset
 from .exponents import exponent_from_preset, exponent_from_values, log_holder_constant
 from .spaces import (
     CERTIFICATE_TOL,
@@ -192,46 +192,42 @@ def _read_csv(path: str, n_rows: int | None = None) -> tuple[np.ndarray, np.ndar
     return rows[:, 0], values
 
 
+def _node_csv(kind: str, spec: str, curve) -> np.ndarray:
+    """The values of a ``csv:path`` exponent or function, one row per node."""
+    try:
+        return _read_csv(spec[4:], curve.n_nodes)[1]
+    except OSError as exc:  # numpy's message names the path alone, empty in 'csv:'
+        raise ValueError(f"{kind} preset {spec!r}: {exc}") from exc
+
+
 def _exponent(spec: str, curve):
     if spec.startswith("csv:"):
-        return exponent_from_values(_read_csv(spec[4:], curve.n_nodes)[1].real)
+        return exponent_from_values(_node_csv("exponent", spec, curve).real)
     return exponent_from_preset(spec, curve)
 
 
+# Builders of (curve, node angles, seed, *arguments) for the presets but csv.
+FUNCTION_PRESETS = {
+    "one": (lambda curve, theta, seed: np.ones(curve.n_nodes, dtype=complex), ""),
+    "const": (lambda curve, theta, seed, re, im=0.0:
+              np.full(curve.n_nodes, re + 1j * im, dtype=complex), "float[,float]"),
+    "abs-cos": (lambda curve, theta, seed: np.abs(np.cos(theta)).astype(complex), ""),
+    "mode": (lambda curve, theta, seed, k: np.exp(1j * k * theta), "int"),
+    "trig-random": (lambda curve, theta, seed, deg:
+                    random_trig_polynomial(curve, np.random.default_rng(seed), deg), "int"),
+    "indicator": (lambda curve, theta, seed, t0, t1:
+                  ((theta >= t0) & (theta < t1)).astype(complex), "float,float"),
+    "pole": (lambda curve, theta, seed, re, im: 1 / (curve.nodes - (re + 1j * im)), "float,float"),
+}
+
+
 def _function(spec: str, curve, seed: int) -> np.ndarray:
-    theta = np.angle(curve.nodes)
-    head, sep, args = spec.strip().partition(":")
-    if sep and head in ("one", "abs-cos"):
-        raise ValueError(f"function preset {head!r} takes no argument, got {spec!r}")
-    if head == "one":
-        values = np.ones(curve.n_nodes, dtype=complex)
-    elif head == "const":
-        parts = [float(x) for x in args.split(",")]
-        if len(parts) > 2:
-            raise ValueError(f"function preset 'const' takes re[,im], got {spec!r}")
-        value = parts[0] + 1j * (parts[1] if len(parts) > 1 else 0.0)
-        values = np.full(curve.n_nodes, value, dtype=complex)
-    elif head == "abs-cos":
-        values = np.abs(np.cos(theta)).astype(complex)
-    elif head == "mode":
-        values = np.exp(1j * int(args) * theta)
-    elif head == "trig-random":
-        values = random_trig_polynomial(curve, np.random.default_rng(seed),
-                                        int(args) if args else 8)
-    elif head == "indicator":
-        t0, t1 = (float(x) for x in args.split(","))
-        values = ((theta >= t0) & (theta < t1)).astype(complex)
-    elif head == "pole":
-        re, im = (float(x) for x in args.split(","))
-        offset = curve.nodes - (re + 1j * im)
-        if np.any(offset == 0.0):
-            raise ValueError(f"pole {spec!r} lies on a curve node")
-        with np.errstate(invalid="ignore"):  # a nan pole is refused below
-            values = 1.0 / offset
-    elif head == "csv":
-        values = _read_csv(args, curve.n_nodes)[1]
-    else:
-        raise ValueError(f"unknown function preset {spec!r}")
+    if spec.startswith("csv:"):
+        values = _node_csv("function", spec, curve)
+    else:  # a pole on a node or a nan pole is refused below
+        with np.errstate(divide="ignore", invalid="ignore"):
+            values = read_preset("function", FUNCTION_PRESETS, spec, curve,
+                                 np.angle(curve.nodes), seed)
     if not np.all(np.isfinite(values)):
         raise ValueError(f"function {spec!r} is not finite at every curve node")
     return values

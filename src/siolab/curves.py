@@ -39,6 +39,7 @@ __all__ = [
     "make_square",
     "make_perturbed_circle",
     "curve_from_name",
+    "read_preset",
     "carleson_constant",
     "curve_to_csv",
     "trig_polynomial",
@@ -251,30 +252,43 @@ def make_perturbed_circle(amp: float, freq: int, n_nodes: int) -> JordanCurve:
     return make_parametric_curve(position, derivative, n_nodes)
 
 
+def read_preset(kind: str, table: dict, spec: str, *context):
+    """Build the ``kind`` preset ``spec``, ``head[:a,b,...]``, by ``table[head]``:
+    a builder, called with ``context`` then the arguments, and their types, such
+    as ``"float[,float]"`` (a bracketed part is optional). Errors name the spec."""
+    forms = {h: f"{h}:{form}" if form else h for h, (_, form) in table.items()}
+    head, sep, text = spec.strip().partition(":")
+    if head not in table:
+        raise ValueError(f"{kind} preset {spec!r} does not read as one of "
+                         + ", ".join(map(repr, forms.values())))
+    builder, form = table[head]
+    names = form.replace("[", "").replace("]", "").split(",") if form else []
+    parts = text.split(",") if sep else []
+    try:
+        args = [{"float": float, "int": int}[name](part) for name, part in zip(names, parts)]
+    except ValueError:
+        args = None
+    if args is None or not len(names) - form.count("[") <= len(parts) <= len(names):
+        raise ValueError(f"{kind} preset {spec!r} does not read as {forms[head]!r}")
+    try:
+        return builder(*context, *args)
+    except ValueError as exc:
+        raise ValueError(f"{kind} preset {spec!r}: {exc}") from exc
+
+
+# Builders of (n_nodes, *arguments). Each looks its constructor up when called,
+# so a tracer that rebinds the module's names sees the call.
+CURVE_PRESETS = {
+    "circle": (lambda n: make_unit_circle(n), ""),
+    "square": (lambda n: make_square(n), ""),
+    "ellipse": (lambda n, a, b: make_ellipse(a, b, n), "float,float"),
+    "perturbed-circle": (lambda n, amp, freq: make_perturbed_circle(amp, freq, n), "float,int"),
+}
+
+
 def curve_from_name(spec: str, n_nodes: int) -> JordanCurve:
-    """Build a zoo curve from a name like ``circle`` or ``ellipse:2,1``."""
-    head, sep, args = spec.partition(":")
-    head = head.strip().lower()
-    if head in ("circle", "square"):
-        if sep:
-            raise ValueError(f"curve {head!r} takes no argument, got {spec!r}")
-        return make_unit_circle(n_nodes) if head == "circle" else make_square(n_nodes)
-    if head == "ellipse":
-        try:
-            a, b = (float(x) for x in args.split(","))
-        except ValueError as exc:
-            raise ValueError(f"ellipse spec needs 'ellipse:a,b', got {spec!r}") from exc
-        return make_ellipse(a, b, n_nodes)
-    if head == "perturbed-circle":
-        try:
-            amp_s, freq_s = args.split(",")
-            amp, freq = float(amp_s), int(freq_s)
-        except ValueError as exc:
-            raise ValueError(
-                f"perturbed-circle spec needs 'perturbed-circle:amp,freq', got {spec!r}"
-            ) from exc
-        return make_perturbed_circle(amp, freq, n_nodes)
-    raise ValueError(f"unknown curve {spec!r}")
+    """Build a zoo curve from a preset like ``circle`` or ``ellipse:2,1``."""
+    return read_preset("curve", CURVE_PRESETS, spec, n_nodes)
 
 
 def carleson_constant(curve: JordanCurve) -> CarlesonReport:

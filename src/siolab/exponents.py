@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .curves import JordanCurve
+from .curves import JordanCurve, read_preset
 
 __all__ = [
     "ExponentFunction",
@@ -77,22 +77,23 @@ def exponent_from_values(values) -> ExponentFunction:
     return ExponentFunction(np.asarray(values, dtype=float))
 
 
-_SIN_FORM = re.compile(
-    r"^\s*([0-9.]+)\s*\+\s*(?:([0-9.]+)\s*\*\s*)?abs\(\s*(sin|cos)\s*\)\s*$"
-)
+_NUMBER = r"([0-9]+\.?[0-9]*|\.[0-9]+)"
+_SIN_FORM = re.compile(rf"^\s*{_NUMBER}\s*\+\s*(?:{_NUMBER}\s*\*\s*)?abs\(\s*(sin|cos)\s*\)\s*$")
+
+
+EXPONENT_PRESETS = {
+    "step": (lambda theta, a, b: np.where(theta >= 0.0, a, b), "float,float"),
+    "logsmooth": (lambda theta, base, amp: base + amp / np.log(np.e + 1.0 / np.abs(theta)),
+                  "float,float"),
+}
 
 
 def exponent_from_preset(spec: str, curve: JordanCurve) -> ExponentFunction:
-    """Parse an exponent preset.
-
-    Accepted forms: a number, ``inf``, ``A+abs(sin)`` / ``A+B*abs(cos)``,
-    ``step:a,b`` (values on the upper/lower half plane of node angles), and
-    ``logsmooth:base,amp`` (base + amp / log(e + 1/|theta|)).
-    """
-    spec = spec.strip()
+    """Exponent from a number (``inf`` among them), ``A+abs(sin)`` or
+    ``A+B*abs(cos)``, or else a preset of ``EXPONENT_PRESETS``, whose builders
+    take the node angles: ``step:a,b`` (a on the upper and b on the lower half
+    plane) and ``logsmooth:base,amp`` (base + amp / log(e + 1/|theta|))."""
     theta = np.angle(curve.nodes)
-    if spec.lower() in ("inf", "infinity"):
-        return exponent_constant(np.inf, curve.n_nodes)
     try:
         value = float(spec)
     except ValueError:
@@ -101,20 +102,10 @@ def exponent_from_preset(spec: str, curve: JordanCurve) -> ExponentFunction:
         return exponent_constant(value, curve.n_nodes)
     m = _SIN_FORM.match(spec)
     if m:
-        base = float(m.group(1))
-        amp = float(m.group(2)) if m.group(2) else 1.0
         trig = np.sin(theta) if m.group(3) == "sin" else np.cos(theta)
-        return exponent_from_values(base + amp * np.abs(trig))
-    head, _, args = spec.partition(":")
-    if head == "step":
-        a, b = (float(x) for x in args.split(","))
-        return exponent_from_values(np.where(theta >= 0.0, a, b))
-    if head == "logsmooth":
-        base, amp = (float(x) for x in args.split(","))
-        with np.errstate(divide="ignore"):
-            vals = base + amp / np.log(np.e + 1.0 / np.abs(theta))
-        return exponent_from_values(vals)
-    raise ValueError(f"unknown exponent preset {spec!r}")
+        return exponent_from_values(float(m.group(1)) + float(m.group(2) or 1.0) * np.abs(trig))
+    with np.errstate(divide="ignore"):  # logsmooth's 1 / |theta| at theta = 0
+        return exponent_from_values(read_preset("exponent", EXPONENT_PRESETS, spec, theta))
 
 
 def essential_bounds(p: ExponentFunction) -> tuple[float, float]:

@@ -31,7 +31,7 @@ from typing import Callable
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .curves import JordanCurve, trig_polynomial
+from .curves import JordanCurve, read_preset, trig_polynomial
 from .exponents import ExponentFunction, dominance_check
 
 __all__ = [
@@ -149,47 +149,45 @@ def singular_power_coefficients(s: float, degree: int) -> np.ndarray:
     return np.concatenate([half[:0:-1], half]).astype(complex)
 
 
-# presets in closed form: values at the node angles and coefficients a_{-K..K}
-_SAMPLED_PRESETS = {
-    "one": (np.ones_like, (1.0,)),
-    "cos": (np.cos, (0.5, 0.0, 0.5)),
-    "one-plus-cos2": (lambda theta: 1.0 + np.cos(theta) ** 2, (0.25, 0.0, 1.5, 0.0, 0.25)),
+def _closed_form(values: Callable, coefficients: tuple) -> Callable:
+    return lambda curve, name, degree, seed: Symbol(
+        lambda: values(np.angle(curve.nodes)), coefficients, len(coefficients) // 2, name,
+        exact_band=True)
+
+
+def _singular(curve: JordanCurve, name: str, degree: int, seed: int, s: float) -> Symbol:
+    def values():
+        with np.errstate(divide="ignore"):
+            return np.abs(np.exp(1j * np.angle(curve.nodes)) - 1.0) ** s
+
+    return Symbol(values, singular_power_coefficients(s, degree), degree, name)
+
+
+def _trig_random(curve: JordanCurve, name: str, degree: int, seed: int, deg: int) -> Symbol:
+    rng = np.random.default_rng(seed)
+    c = rng.standard_normal(2 * deg + 1) + 1j * rng.standard_normal(2 * deg + 1)
+    return symbol_from_coefficients(c, curve, name)
+
+
+# Builders of (curve, name, degree, seed, *arguments): three in closed form
+# (values at the node angles, a_{-K..K}), and ``monomial:k``, a_k = 1 alone.
+SYMBOL_PRESETS = {
+    "one": (_closed_form(np.ones_like, (1.0,)), ""),
+    "cos": (_closed_form(np.cos, (0.5, 0.0, 0.5)), ""),
+    "one-plus-cos2": (_closed_form(lambda theta: 1.0 + np.cos(theta) ** 2,
+                                   (0.25, 0.0, 1.5, 0.0, 0.25)), ""),
+    "monomial": (lambda curve, name, degree, seed, k: symbol_from_coefficients(
+        np.eye(1, 2 * abs(k) + 1, abs(k) + k, dtype=complex)[0], curve, name), "int"),
+    "singular": (_singular, "float"),
+    "trig-random": (_trig_random, "int"),
 }
 
 
 def symbol_from_preset(spec: str, curve: JordanCurve, degree: int = 300,
                        seed: int = 0) -> Symbol:
-    """Symbol zoo: ``one``, ``monomial:k``, ``cos``, ``one-plus-cos2``,
-    ``singular:s``, ``trig-random:deg``. Only ``trig-random`` draws: its real
-    then its imaginary coefficients from ``np.random.default_rng(seed)``."""
-    spec = spec.strip()
-    head, sep, args = spec.partition(":")
-    if head in _SAMPLED_PRESETS:
-        if sep:
-            raise ValueError(f"symbol preset {head!r} takes no argument, got {spec!r}")
-        values, c = _SAMPLED_PRESETS[head]
-        return Symbol(lambda: values(np.angle(curve.nodes)), c, len(c) // 2, spec,
-                      exact_band=True)
-    if head == "monomial":
-        k = int(args)
-        c = np.zeros(2 * abs(k) + 1, dtype=complex) if k else np.ones(1, dtype=complex)
-        if k:
-            c[abs(k) + k] = 1.0
-        return symbol_from_coefficients(c, curve, spec)
-    if head == "singular":
-        s = float(args)
-
-        def values():
-            with np.errstate(divide="ignore"):
-                return np.abs(np.exp(1j * np.angle(curve.nodes)) - 1.0) ** s
-
-        return Symbol(values, singular_power_coefficients(s, degree), degree, spec)
-    if head == "trig-random":
-        deg = int(args)
-        rng = np.random.default_rng(seed)
-        c = rng.standard_normal(2 * deg + 1) + 1j * rng.standard_normal(2 * deg + 1)
-        return symbol_from_coefficients(c, curve, spec)
-    raise ValueError(f"unknown symbol preset {spec!r}")
+    """A symbol of ``SYMBOL_PRESETS``. Only ``trig-random`` draws: its real then
+    its imaginary coefficients from ``np.random.default_rng(seed)``."""
+    return read_preset("symbol", SYMBOL_PRESETS, spec, curve, spec.strip(), degree, seed)
 
 
 def finite_section(a: Symbol, m: int, n: int, which: str = "T") -> np.ndarray:

@@ -126,10 +126,21 @@ def test_norm_rejects_non_finite_or_malformed_functions(tmp_path, capsys, spec):
     ["norm", "--function", "one:5"], ["norm", "--function", "abs-cos:9"],
     ["norm", "--function", "const:1,2,3"], ["multiplier", "--symbol", "one:2"],
     ["multiplier", "--symbol", "cos:7"], ["dichotomy", "--symbol", "one-plus-cos2:x"],
+    ["norm", "--exponent", "step:2,3,4"], ["norm", "--function", "indicator:0,1,2"],
+    ["multiplier", "--symbol", "trig-random:3,4"], ["norm", "--function", "const:"],
+    pytest.param(["norm", "--function", "trig-random:-1"], id="function-trig-random:-1"),
+    pytest.param(["multiplier", "--symbol", "trig-random:-1"], id="symbol-trig-random:-1"),
+    pytest.param(["norm", "--exponent", "csv:"], id="exponent-csv:"),
+    pytest.param(["norm", "--function", "csv:"], id="function-csv:"),
+    ["multiplier", "--symbol", "singular:0.5"], ["norm", "--exponent", "1.2.3+abs(sin)"],
+    ["carleson", "--curve", "Circle"], ["norm", "--function", "trig-random"],
 ], ids=lambda argv: argv[-1])
 def test_presets_refuse_an_argument_they_do_not_take(tmp_path, capsys, argv):
-    # each exited 0 and ignored the argument, or the third part of const,
-    # while provenance.config recorded the spec as typed
+    # the first eight exited 0 and ignored the argument, or the third part of
+    # const, while provenance.config recorded the spec as typed; the next ten
+    # exited 2 with Python's or numpy's message alone ("too many values to
+    # unpack", "negative dimensions are not allowed", " not found."); the last
+    # two were read, as the circle and a degree-8 trig-random function
     out = tmp_path / "out"
     assert run([*argv, "--n", "256", "--out", str(out)]) == EXIT_VALIDATION
     assert repr(argv[-1]) in capsys.readouterr().err

@@ -1,6 +1,7 @@
 """The README's examples run: each line of its "Command line" block through
 ``cli.main``, and its Python "Quick example". Its config-key table and
-defaults are those of ``cli``."""
+defaults are those of ``cli``, and its preset lists name the heads of the
+parser tables."""
 
 import dataclasses
 import json
@@ -10,7 +11,10 @@ from pathlib import Path
 
 import pytest
 
-from siolab.cli import COMMAND_KEYS, COMMON_KEYS, EXIT_OK, ExperimentConfig, main
+from siolab.cli import COMMAND_KEYS, COMMON_KEYS, EXIT_OK, FUNCTION_PRESETS, ExperimentConfig, main
+from siolab.curves import CURVE_PRESETS
+from siolab.exponents import EXPONENT_PRESETS
+from siolab.toeplitz import SYMBOL_PRESETS
 
 README = (Path(__file__).resolve().parents[1] / "README.md").read_text()
 
@@ -52,6 +56,18 @@ def test_readme_config_key_table_is_the_cli_table():
         command, keys = (cell.strip() for cell in line.strip("|").split("|"))
         rows[command.strip("`")] = tuple(re.findall(r"`(\w+)`", keys))
     assert rows == {**COMMAND_KEYS, "every command": COMMON_KEYS}
+
+
+def test_readme_preset_lists_name_the_parser_tables():
+    # csv:path is read before the table, as are the number and A+B*abs(sin|cos)
+    # exponents, which name no head
+    section = re.search(r"^### Presets\n(.*?)^## ", README, re.MULTILINE | re.DOTALL)
+    assert section
+    named = {kind: set(re.findall(r"`([a-z][a-z0-9-]*)(?::[^`]*)?`", text))
+             for kind, text in re.findall(r"^\* (\w+): (.*?)(?=^\* |^$)", section.group(1),
+                                          re.MULTILINE | re.DOTALL)}
+    assert named == {"curves": set(CURVE_PRESETS), "exponents": {*EXPONENT_PRESETS, "csv"},
+                     "functions": {*FUNCTION_PRESETS, "csv"}, "symbols": set(SYMBOL_PRESETS)}
 
 
 def test_readme_config_defaults_are_the_cli_defaults():
