@@ -39,11 +39,7 @@ from .spaces import (
     norm_value,
     unit_ball_check,
 )
-from .toeplitz import (
-    dichotomy_probe,
-    symbol_from_coefficients,
-    symbol_from_preset,
-)
+from .toeplitz import Symbol, dichotomy_probe, symbol_from_preset
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -54,9 +50,9 @@ EXIT_FAULT = 3
 # provenance.config holds exactly its row and the command.
 COMMAND_KEYS = {
     "norm": ("curve", "n_nodes", "exponent", "function", "seed"),
-    "multiplier": ("curve", "n_nodes", "p", "q", "symbol", "degree", "seed"),
+    "multiplier": ("curve", "n_nodes", "p", "q", "symbol", "seed"),
     "sio-check": ("curve", "n_nodes", "exponent", "trials", "seed", "export_curve"),
-    "dichotomy": ("curve", "n_nodes", "p", "q", "symbol", "sizes", "aspect", "degree", "seed"),
+    "dichotomy": ("curve", "n_nodes", "p", "q", "symbol", "sizes", "aspect", "seed"),
     "carleson": ("curve", "n_nodes", "export_curve"),
 }
 COMMON_KEYS = ("out", "format", "seed")
@@ -78,7 +74,6 @@ class ExperimentConfig:
     sizes: tuple[int, ...] = (16, 32, 64, 128, 256)
     aspect: int = 8
     trials: int = 24
-    degree: int = 300
     seed: int = 0
     out: str = "out"
     format: str = "json"
@@ -233,7 +228,7 @@ def _function(spec: str, curve, seed: int) -> np.ndarray:
     return values
 
 
-def _symbol(spec: str, curve, degree: int, seed: int):
+def _symbol(spec: str, degree: int, seed: int) -> Symbol:
     if spec.endswith(".csv"):
         k, values = _read_csv(spec)
         if not np.all(np.isfinite(k) & (k == np.round(k))):
@@ -244,8 +239,8 @@ def _symbol(spec: str, curve, degree: int, seed: int):
         K = int(np.abs(ks).max())
         coeff = np.zeros(2 * K + 1, dtype=complex)
         coeff[ks + K] = values
-        return symbol_from_coefficients(coeff, curve, name=Path(spec).name)
-    return symbol_from_preset(spec, curve, degree=degree, seed=seed)
+        return Symbol(coeff, Path(spec).name)
+    return symbol_from_preset(spec, degree, seed)
 
 
 def run_norm(cfg: ExperimentConfig) -> tuple[ReportBundle, str | None]:
@@ -283,7 +278,7 @@ def run_multiplier(cfg: ExperimentConfig) -> tuple[ReportBundle, str | None]:
     curve = curve_from_name(cfg.curve, cfg.n_nodes)
     p = _exponent(cfg.p, curve)
     q = _exponent(cfg.q, curve)
-    a = _symbol(cfg.symbol, curve, cfg.degree, cfg.seed).values
+    a = _symbol(cfg.symbol, 0, cfg.seed).values(curve)
     bounds = multiplier_norm_lower(curve, a, p, q)
     theorem, lower, holder = bounds.theorem_value, bounds.lower_bound, bounds.holder_constant
     if not np.isfinite(theorem):
@@ -394,8 +389,7 @@ def run_dichotomy(cfg: ExperimentConfig) -> tuple[ReportBundle, str | None]:
         raise ValueError(f"finite sections exist only on the unit circle, not on {cfg.curve!r}")
     p = _exponent(cfg.p, curve)
     q = _exponent(cfg.q, curve)
-    need = max(cfg.sizes) + cfg.aspect
-    a = _symbol(cfg.symbol, curve, max(cfg.degree, need), cfg.seed)
+    a = _symbol(cfg.symbol, max(cfg.sizes) + cfg.aspect, cfg.seed)
     verdict = dichotomy_probe(a, p, q, cfg.sizes, aspect=cfg.aspect)
     results = asdict(verdict)
     rows = [
@@ -487,7 +481,7 @@ def config_from_args(args: argparse.Namespace) -> ExperimentConfig:
     if merged.get("format", "json") not in ("json", "csv"):
         raise ValueError(f"config key 'format' takes json or csv, got {merged['format']!r}")
     cfg = replace(ExperimentConfig(), **merged)
-    for key, least in (("trials", 1), ("seed", 0), ("degree", 0)):
+    for key, least in (("trials", 1), ("seed", 0)):
         if getattr(cfg, key) < least:
             raise ValueError(f"config key {key!r} must be at least {least}, "
                              f"got {getattr(cfg, key)}")

@@ -7,28 +7,31 @@ import numpy as np
 from .curves import JordanCurve, trig_polynomial
 
 __all__ = [
+    "random_trig_coefficients",
     "random_trig_polynomial",
     "rational_function",
     "rational_corpus",
 ]
 
 
-def random_trig_polynomial(curve: JordanCurve, rng: np.random.Generator,
-                           degree: int = 8, count: int | None = None) -> np.ndarray:
-    """Random complex trigonometric polynomial in the node angles.
-
-    With ``count=None`` one polynomial, shape (n,); otherwise ``count`` of
-    them, one per row of a (count, n) array, so row i is bitwise the (i+1)-th
-    of ``count`` one-polynomial calls on the same generator. Each polynomial
-    takes its real then its imaginary coefficients from rng, all before
-    ``trig_polynomial`` evaluates them.
-    """
+def random_trig_coefficients(rng: np.random.Generator, degree: int,
+                             count: int | None = None) -> np.ndarray:
+    """Coefficients c_k, k = -degree..degree, with real then imaginary parts
+    standard normal from rng: one vector, or ``count`` rows, row i bitwise the
+    (i+1)-th of ``count`` one-vector calls on the same generator."""
+    if degree < 0:
+        raise ValueError(f"a random trigonometric polynomial needs degree >= 0, got {degree}")
     size = 2 * degree + 1
     coefficients = np.empty((1 if count is None else count, size), dtype=complex)
     for row in coefficients:
         row[:] = rng.standard_normal(size) + 1j * rng.standard_normal(size)
-    polys = trig_polynomial(curve, coefficients)
-    return polys[0] if count is None else polys
+    return coefficients[0] if count is None else coefficients
+
+
+def random_trig_polynomial(curve: JordanCurve, rng: np.random.Generator,
+                           degree: int = 8, count: int | None = None) -> np.ndarray:
+    """``trig_polynomial`` of ``random_trig_coefficients``: shape (n,), or (count, n)."""
+    return trig_polynomial(curve, random_trig_coefficients(rng, degree, count))
 
 
 def rational_function(curve: JordanCurve, poles, residues, poly_coeffs=()) -> np.ndarray:

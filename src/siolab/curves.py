@@ -252,15 +252,16 @@ def make_perturbed_circle(amp: float, freq: int, n_nodes: int) -> JordanCurve:
     return make_parametric_curve(position, derivative, n_nodes)
 
 
-def read_preset(kind: str, table: dict, spec: str, *context):
+def read_preset(kind: str, table: dict, spec: str, *context, tried: tuple = ()):
     """Build the ``kind`` preset ``spec``, ``head[:a,b,...]``, by ``table[head]``:
     a builder, called with ``context`` then the arguments, and their types, such
-    as ``"float[,float]"`` (a bracketed part is optional). Errors name the spec."""
+    as ``"float[,float]"`` (a bracketed part is optional). Errors name the spec,
+    and an unknown head every form: ``tried``, the caller's, then the table's."""
     forms = {h: f"{h}:{form}" if form else h for h, (_, form) in table.items()}
     head, sep, text = spec.strip().partition(":")
     if head not in table:
         raise ValueError(f"{kind} preset {spec!r} does not read as one of "
-                         + ", ".join(map(repr, forms.values())))
+                         + ", ".join(map(repr, (*tried, *forms.values()))))
     builder, form = table[head]
     names = form.replace("[", "").replace("]", "").split(",") if form else []
     parts = text.split(",") if sep else []

@@ -105,7 +105,8 @@ def exponent_from_preset(spec: str, curve: JordanCurve) -> ExponentFunction:
         trig = np.sin(theta) if m.group(3) == "sin" else np.cos(theta)
         return exponent_from_values(float(m.group(1)) + float(m.group(2) or 1.0) * np.abs(trig))
     with np.errstate(divide="ignore"):  # logsmooth's 1 / |theta| at theta = 0
-        return exponent_from_values(read_preset("exponent", EXPONENT_PRESETS, spec, theta))
+        return exponent_from_values(read_preset("exponent", EXPONENT_PRESETS, spec, theta,
+                                                tried=("float", "A+[B*]abs(sin|cos)")))
 
 
 def essential_bounds(p: ExponentFunction) -> tuple[float, float]:
@@ -122,12 +123,14 @@ def reciprocal(values: np.ndarray) -> np.ndarray:
     return out
 
 
-def dominance_check(p: ExponentFunction, q: ExponentFunction) -> tuple[bool, np.ndarray]:
-    """True iff q <= p at every node; also returns the violating node indices."""
+def dominance_check(p: ExponentFunction, q: ExponentFunction) -> None:
+    """Refuse q > p at any node, naming how many nodes and the first of them."""
     if p.n_nodes != q.n_nodes:
         raise ValueError("exponents live on different node sets")
     viol = np.flatnonzero(q.values > p.values)
-    return viol.size == 0, viol
+    if viol.size:
+        raise ValueError(f"dominance q <= p fails: q > p at {viol.size} nodes, "
+                         f"first {viol[:8].tolist()}")
 
 
 def conjugate_exponent_r(p: ExponentFunction, q: ExponentFunction) -> ExponentFunction:
@@ -136,11 +139,7 @@ def conjugate_exponent_r(p: ExponentFunction, q: ExponentFunction) -> ExponentFu
     Conventions: r = inf where p = q (including both infinite) and r = q
     where p = inf with q finite. Requires q <= p everywhere.
     """
-    ok, viol = dominance_check(p, q)
-    if not ok:
-        raise ValueError(
-            f"no conjugate exponent: q > p at {viol.size} nodes, first {viol[:8].tolist()}"
-        )
+    dominance_check(p, q)
     inv = reciprocal(q.values) - reciprocal(p.values)
     r = np.full(p.n_nodes, np.inf)
     pos = inv > 0.0

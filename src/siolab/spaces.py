@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .curves import JordanCurve
-from .exponents import ExponentFunction, conjugate_exponent_r, dominance_check
+from .exponents import ExponentFunction, conjugate_exponent_r
 
 __all__ = [
     "NormResult",
@@ -363,16 +363,13 @@ def multiplier_norm_lower(curve: JordanCurve, a, p: ExponentFunction,
     :func:`multiplier_norm_via_theorem` and its Hoelder constant K come with
     the bounds.
     """
-    ok, viol = dominance_check(p, q)
-    if not ok:
-        raise ValueError(f"dominance q <= p fails at nodes {viol[:8].tolist()}")
+    theorem = multiplier_norm_via_theorem(curve, a, p, q)  # refuses q > p at any node
     av = np.abs(_node_values(curve, a))
     pv, qv, w = p.values, q.values, curve.arc_weights
     theta = np.ones(curve.n_nodes)  # q/p, and 1 where q = inf (there p = inf too)
     finite_q = np.isfinite(qv)
     theta[finite_q] = qv[finite_q] / pv[finite_q]
     holder = float(theta.max() + (1.0 - theta).max())
-    theorem = multiplier_norm_via_theorem(curve, a, p, q)
     live = np.isfinite(av) & (av > 0.0)
     if not live.any():
         return MultiplierBounds(0.0, 0.0, theorem, holder)

@@ -7,10 +7,11 @@ probe injectivity without the spurious kernels square truncations invent.
 Density of the image is never tested directly: it is equivalent to
 triviality of the companion kernel, which is what the probe measures.
 
-Every preset symbol carries exact Fourier coefficients, whatever the curve:
-the trigonometric polynomials their whole band, ``singular:s`` its closed
-form up to ``degree``. Node values are read at the node angles, and only
-when first asked for: the probe reads the coefficients alone.
+A symbol is its Fourier coefficients, and it holds no curve: the
+trigonometric polynomials carry their whole band, ``singular:s`` its closed
+form up to the degree asked for. ``Symbol.values(curve)`` samples it at the
+node angles of any curve, by its formula where it has one; the probe reads
+the coefficients alone.
 
 Sections are read-only views of one coefficient window, so building them
 copies nothing. The probe builds every section first and then takes the
@@ -22,7 +23,6 @@ bitwise those of one thread, on one CPU or many.
 
 from __future__ import annotations
 
-import functools
 import math
 import threading
 from dataclasses import dataclass
@@ -31,13 +31,13 @@ from typing import Callable
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
+from .corpus import random_trig_coefficients
 from .curves import JordanCurve, read_preset, trig_polynomial
 from .exponents import ExponentFunction, dominance_check
 
 __all__ = [
     "Symbol",
     "DichotomyVerdict",
-    "symbol_from_coefficients",
     "symbol_from_preset",
     "singular_power_coefficients",
     "finite_section",
@@ -51,37 +51,42 @@ KERNEL_THRESHOLD = 1e-8
 TREND_SLACK = 1.10
 
 
-def _finite_coefficients(coefficients, name: str) -> np.ndarray:
-    """Coefficients as a complex array; values may be infinite (``singular:s``
-    at its node), but the sections read the a_k, so those must be finite."""
-    c = np.asarray(coefficients, dtype=complex)
-    if not np.all(np.isfinite(c)):
-        raise ValueError(f"symbol {name!r} has non-finite Fourier coefficients")
-    return c
-
-
 @dataclass(frozen=True)
 class Symbol:
-    """Multiplier symbol: Fourier coefficients a_k, |k| <= degree, and the
-    evaluator of its node samples, which ``values`` calls once, when first read.
+    """Multiplier symbol: Fourier coefficients a_k, k = -degree..degree, and,
+    where it has one, the closed form ``formula`` of its values at angle theta.
 
     ``exact_band`` marks trigonometric polynomials whose coefficients vanish
     identically outside the stored band; only those admit finite sections of
     arbitrary size. Every preset but ``singular:s`` is one; for that symbol
-    the coefficients beyond ``degree`` are unknown, not zero.
+    the coefficients beyond ``degree`` are unknown, not zero. Values may be
+    infinite (``singular:s`` at theta = 0), but the sections read the a_k, so
+    those must be finite.
     """
 
-    node_values: Callable[[], np.ndarray]
     coefficients: np.ndarray
-    degree: int
     name: str = "symbol"
-    exact_band: bool = False
+    exact_band: bool = True
+    formula: Callable[[np.ndarray], np.ndarray] | None = None
 
     def __post_init__(self):
-        c = _finite_coefficients(self.coefficients, self.name)
+        c = np.asarray(self.coefficients, dtype=complex)
         object.__setattr__(self, "coefficients", c)
-        if c.size != 2 * self.degree + 1:
-            raise ValueError("coefficient array must have length 2*degree + 1")
+        if not np.all(np.isfinite(c)):
+            raise ValueError(f"symbol {self.name!r} has non-finite Fourier coefficients")
+        if c.ndim != 1 or c.size % 2 == 0:
+            raise ValueError("coefficients must cover a symmetric mode range -K..K")
+
+    @property
+    def degree(self) -> int:
+        return self.coefficients.size // 2
+
+    def values(self, curve: JordanCurve) -> np.ndarray:
+        """The node values on ``curve``: the formula at the node angles, or
+        else sum_k a_k exp(i k theta) there."""
+        if self.formula is None:
+            return trig_polynomial(curve, self.coefficients)
+        return np.asarray(self.formula(np.angle(curve.nodes)), dtype=complex)
 
     def coefficient_window(self, kmin: int, kmax: int) -> np.ndarray:
         """Coefficients for modes kmin..kmax, zero-padded outside the band."""
@@ -92,10 +97,6 @@ class Symbol:
                 lo + self.degree : hi + self.degree + 1
             ]
         return out
-
-    @functools.cached_property
-    def values(self) -> np.ndarray:
-        return np.asarray(self.node_values(), dtype=complex)
 
     @property
     def is_zero(self) -> bool:
@@ -123,16 +124,6 @@ class DichotomyVerdict:
     fault: bool
 
 
-def symbol_from_coefficients(coefficients, curve: JordanCurve, name: str = "symbol") -> Symbol:
-    """Build a symbol from coefficients a_k, k = -K..K; its node values are
-    synthesized at the node angles, as the sampled presets read them."""
-    c = _finite_coefficients(coefficients, name)
-    if c.size % 2 == 0:
-        raise ValueError("coefficients must cover a symmetric mode range -K..K")
-    return Symbol(functools.partial(trig_polynomial, curve, c), c, c.size // 2, name,
-                  exact_band=True)
-
-
 def singular_power_coefficients(s: float, degree: int) -> np.ndarray:
     """Fourier coefficients of |exp(i phi) - 1|^s = (2 sin(phi/2))^s, -1 < s < 0.
 
@@ -149,45 +140,35 @@ def singular_power_coefficients(s: float, degree: int) -> np.ndarray:
     return np.concatenate([half[:0:-1], half]).astype(complex)
 
 
-def _closed_form(values: Callable, coefficients: tuple) -> Callable:
-    return lambda curve, name, degree, seed: Symbol(
-        lambda: values(np.angle(curve.nodes)), coefficients, len(coefficients) // 2, name,
-        exact_band=True)
+def _singular(name: str, degree: int, seed: int, s: float) -> Symbol:
+    def formula(theta):
+        with np.errstate(divide="ignore"):  # infinite at theta = 0
+            return np.abs(np.exp(1j * theta) - 1.0) ** s
+
+    return Symbol(singular_power_coefficients(s, degree), name, False, formula)
 
 
-def _singular(curve: JordanCurve, name: str, degree: int, seed: int, s: float) -> Symbol:
-    def values():
-        with np.errstate(divide="ignore"):
-            return np.abs(np.exp(1j * np.angle(curve.nodes)) - 1.0) ** s
-
-    return Symbol(values, singular_power_coefficients(s, degree), degree, name)
-
-
-def _trig_random(curve: JordanCurve, name: str, degree: int, seed: int, deg: int) -> Symbol:
-    rng = np.random.default_rng(seed)
-    c = rng.standard_normal(2 * deg + 1) + 1j * rng.standard_normal(2 * deg + 1)
-    return symbol_from_coefficients(c, curve, name)
-
-
-# Builders of (curve, name, degree, seed, *arguments): three in closed form
-# (values at the node angles, a_{-K..K}), and ``monomial:k``, a_k = 1 alone.
+# Builders of (name, degree, seed, *arguments): three with a closed form of
+# their values, a_{-K..K}; ``monomial:k``, a_k = 1 alone; ``singular:s`` to
+# ``degree``; and ``trig-random:d``, drawn by the corpus from the seed.
 SYMBOL_PRESETS = {
-    "one": (_closed_form(np.ones_like, (1.0,)), ""),
-    "cos": (_closed_form(np.cos, (0.5, 0.0, 0.5)), ""),
-    "one-plus-cos2": (_closed_form(lambda theta: 1.0 + np.cos(theta) ** 2,
-                                   (0.25, 0.0, 1.5, 0.0, 0.25)), ""),
-    "monomial": (lambda curve, name, degree, seed, k: symbol_from_coefficients(
-        np.eye(1, 2 * abs(k) + 1, abs(k) + k, dtype=complex)[0], curve, name), "int"),
+    "one": (lambda name, degree, seed: Symbol([1.0], name, formula=np.ones_like), ""),
+    "cos": (lambda name, degree, seed: Symbol([0.5, 0.0, 0.5], name, formula=np.cos), ""),
+    "one-plus-cos2": (lambda name, degree, seed: Symbol(
+        [0.25, 0.0, 1.5, 0.0, 0.25], name, formula=lambda theta: 1.0 + np.cos(theta) ** 2), ""),
+    "monomial": (lambda name, degree, seed, k: Symbol(
+        np.eye(1, 2 * abs(k) + 1, abs(k) + k)[0], name), "int"),
     "singular": (_singular, "float"),
-    "trig-random": (_trig_random, "int"),
+    "trig-random": (lambda name, degree, seed, d: Symbol(
+        random_trig_coefficients(np.random.default_rng(seed), d), name), "int"),
 }
 
 
-def symbol_from_preset(spec: str, curve: JordanCurve, degree: int = 300,
-                       seed: int = 0) -> Symbol:
-    """A symbol of ``SYMBOL_PRESETS``. Only ``trig-random`` draws: its real then
-    its imaginary coefficients from ``np.random.default_rng(seed)``."""
-    return read_preset("symbol", SYMBOL_PRESETS, spec, curve, spec.strip(), degree, seed)
+def symbol_from_preset(spec: str, degree: int = 0, seed: int = 0) -> Symbol:
+    """A symbol of ``SYMBOL_PRESETS``. ``degree`` is how far the coefficients
+    of ``singular:s`` reach; every other band is exact. Only ``trig-random``
+    draws, from ``np.random.default_rng(seed)``."""
+    return read_preset("symbol", SYMBOL_PRESETS, spec, spec.strip(), degree, seed)
 
 
 def finite_section(a: Symbol, m: int, n: int, which: str = "T") -> np.ndarray:
@@ -292,9 +273,7 @@ def dichotomy_probe(
     """
     if a.is_zero:
         raise ValueError("zero symbol is excluded from the dichotomy probe")
-    ok, viol = dominance_check(p, q)
-    if not ok:
-        raise ValueError(f"dominance q <= p fails at nodes {viol[:8].tolist()}")
+    dominance_check(p, q)
     sizes = tuple(int(n) for n in sizes)
     if not sizes:
         raise ValueError("need at least one section size")

@@ -81,7 +81,7 @@ def _block_residuals(curve, a, N):
     B = mode_basis(curve, 2 * N + 1)
     W = np.conj(B) * curve.arc_weights
     plus = np.arange(-N, N + 1) >= 0
-    av = a.values
+    av = a.values(curve)
 
     def S(X):
         return apply_S(curve, X)

@@ -260,7 +260,7 @@ def test_criterion_09_dichotomy_probe(circle1024):
     ok = True
     details = []
     for spec in specs:
-        a = symbol_from_preset(spec, c, degree=270)
+        a = symbol_from_preset(spec, degree=270)
         v = dichotomy_probe(a, p, q, sizes, aspect=8)
         one_side = min(v.sigma_min_T) >= 1e-6 or min(v.sigma_min_companion) >= 1e-6
         ok &= one_side and not v.fault
@@ -277,6 +277,6 @@ def test_criterion_10_block_identities(circle4096, block_residuals):
     crit = _Criterion(10, "companion block identities at matrix level")
     worst = 0.0
     for spec in ("one", "cos", "one-plus-cos2", "trig-random:8"):
-        a = symbol_from_preset(spec, circle4096, seed=1010)
+        a = symbol_from_preset(spec, seed=1010)
         worst = max(worst, *block_residuals(circle4096, a, 64).values())
     crit.finish(worst < 1e-10, f"worst residual {worst:.2e} over trig symbols, N = 64")

@@ -86,17 +86,12 @@ def test_validation_errors_exit_2(tmp_path):
 @pytest.mark.parametrize("command", list(cli.COMMAND_KEYS))
 def test_negative_seed_or_degree_is_a_validation_error(tmp_path, capsys, command):
     # norm and dichotomy recorded "seed": -1 in provenance and exited 0; norm
-    # with trig-random and sio-check failed in numpy; multiplier --degree -1
-    # exited 0 with cos and failed with singular:s
-    argvs = [["--seed", "-1"], ["--config", str(tmp_path / "c.json")]]
+    # with trig-random and sio-check failed in numpy
     (tmp_path / "c.json").write_text('{"seed": -7}')
-    if "degree" in cli.COMMAND_KEYS[command]:
-        argvs += [["--degree", "-1", "--symbol", "cos"], ["--degree", "-1"]]
-    for i, argv in enumerate(argvs):
+    for i, argv in enumerate([["--seed", "-1"], ["--config", str(tmp_path / "c.json")]]):
         out = tmp_path / f"bad{i}"
         assert run([command, *argv, "--n", "256", "--out", str(out)]) == EXIT_VALIDATION
-        key = "degree" if "--degree" in argv else "seed"
-        assert f"config key '{key}' must be at least 0" in capsys.readouterr().err
+        assert "config key 'seed' must be at least 0" in capsys.readouterr().err
         assert not out.exists()
 
 
@@ -134,16 +129,24 @@ def test_norm_rejects_non_finite_or_malformed_functions(tmp_path, capsys, spec):
     pytest.param(["norm", "--function", "csv:"], id="function-csv:"),
     ["multiplier", "--symbol", "singular:0.5"], ["norm", "--exponent", "1.2.3+abs(sin)"],
     ["carleson", "--curve", "Circle"], ["norm", "--function", "trig-random"],
+    ["norm", "--exponent", "2.5x"],
 ], ids=lambda argv: argv[-1])
 def test_presets_refuse_an_argument_they_do_not_take(tmp_path, capsys, argv):
     # the first eight exited 0 and ignored the argument, or the third part of
     # const, while provenance.config recorded the spec as typed; the next ten
     # exited 2 with Python's or numpy's message alone ("too many values to
-    # unpack", "negative dimensions are not allowed", " not found."); the last
-    # two were read, as the circle and a degree-8 trig-random function
+    # unpack", "negative dimensions are not allowed", " not found."); the next
+    # two were read, as the circle and a degree-8 trig-random function; 2.5x
+    # was refused naming step and logsmooth alone, not the forms tried first
     out = tmp_path / "out"
     assert run([*argv, "--n", "256", "--out", str(out)]) == EXIT_VALIDATION
-    assert repr(argv[-1]) in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert repr(argv[-1]) in err
+    if argv[-1] == "trig-random:-1":
+        assert "needs degree >= 0, got -1" in err
+    if argv[-1] == "2.5x":
+        assert all(repr(form) in err for form in ("float", "A+[B*]abs(sin|cos)",
+                                                  "step:float,float", "logsmooth:float,float"))
     assert not out.exists()
 
 
@@ -554,7 +557,7 @@ def test_multiplier_holder_constant_on_infinity_sets(tmp_path, monkeypatch, p_sp
     # a finer cap grid narrows the bracket from both sides
     curve = curve_from_name("circle", 512)
     p, q = exponent_from_preset(p_spec, curve), exponent_from_preset(q_spec, curve)
-    a = symbol_from_preset("one-plus-cos2", curve, 300).values
+    a = symbol_from_preset("one-plus-cos2").values(curve)
     monkeypatch.setattr(spaces, "CAP_GRID", np.arange(257) / 256.0)
     fine = spaces.multiplier_norm_lower(curve, a, p, q)
     assert lower <= fine.lower_bound <= fine.upper_bound <= upper
@@ -702,8 +705,9 @@ def test_provenance_holds_the_keys_the_command_reads(tmp_path, command):
     assert "seed" not in provenance
 
 
+# degree, which changed no number, is read by no command now
 UNREAD = [(command, key) for command in cli.COMMAND_KEYS
-          for key in (f.name for f in dataclasses.fields(cli.ExperimentConfig))
+          for key in (*(f.name for f in dataclasses.fields(cli.ExperimentConfig)), "degree")
           if key not in {*cli.COMMON_KEYS, *cli.COMMAND_KEYS[command],
                          *cli.UNREAD_KEYS.get(command, ())}]
 
@@ -711,7 +715,7 @@ UNREAD = [(command, key) for command in cli.COMMAND_KEYS
 @pytest.mark.parametrize("command, key", UNREAD, ids=[f"{c}-{k}" for c, k in UNREAD])
 def test_config_rejects_keys_the_command_does_not_read(tmp_path, capsys, command, key):
     # norm took {"sizes": [16, 32]} without a word, and it changed the report bytes
-    value = {"command": command, "sizes": [16, 32]}.get(
+    value = {"command": command, "sizes": [16, 32], "degree": 20}.get(
         key, getattr(cli.ExperimentConfig, key, None))
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({key: value}))
@@ -719,17 +723,20 @@ def test_config_rejects_keys_the_command_does_not_read(tmp_path, capsys, command
     assert run([command, "--config", str(cfg), "--out", str(out)]) == EXIT_VALIDATION
     err = capsys.readouterr().err
     assert "validation error" in err and repr(key) in err and command in err
+    if key == "degree":
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--degree", "20", "--out", str(out)])
+        assert exc.value.code == EXIT_VALIDATION and "--degree" in capsys.readouterr().err
     assert not out.exists()
 
 
-def test_multiplier_takes_trials_it_does_not_read_and_its_degree(tmp_path):
+def test_multiplier_takes_trials_it_does_not_read(tmp_path):
     # lab-mix passes --trials 24; the config-file key stays accepted with it
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"trials": 8, "n_nodes": 512}))
-    assert run(["multiplier", "--config", str(cfg), "--degree", "20",
-                "--out", str(tmp_path)]) == EXIT_OK
+    assert run(["multiplier", "--config", str(cfg), "--out", str(tmp_path)]) == EXIT_OK
     config = json.loads((tmp_path / "report.json").read_text())["provenance"]["config"]
-    assert config["degree"] == 20 and "trials" not in config
+    assert "trials" not in config
 
 
 def test_multiplier_takes_a_monomial_of_any_degree(tmp_path):
@@ -780,7 +787,7 @@ def test_csv_symbol_values_are_the_sums_of_their_coefficients(tmp_path):
     c = np.zeros(7, dtype=complex)
     c[[1, 3, 6]] = [0.5 + 0.25j, 1.0, -1.5 + 2.0j]
     theta = np.angle(curve.nodes)
-    values = cli._symbol(str(coeffs), curve, 300, 0).values
+    values = cli._symbol(str(coeffs), 0, 0).values(curve)
     assert np.array_equal(values, np.exp(1j * np.outer(theta, np.arange(-3, 4))) @ c)
 
 

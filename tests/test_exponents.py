@@ -1,3 +1,6 @@
+import json
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -63,11 +66,15 @@ def test_dominance_check_lists_violations(circle1024):
     theta = np.angle(circle1024.nodes)
     p = exponent_from_values(np.maximum(2.0 + np.sin(theta), 1.0))
     q = exponent_constant(2.0, 1024)
-    ok, viol = dominance_check(p, q)
-    assert not ok
-    assert np.all(np.sin(theta[viol]) < 0)
-    ok2, viol2 = dominance_check(p, p)
-    assert ok2 and viol2.size == 0
+    # the one dominance refusal: it returned (ok, nodes) and three callers
+    # each raised their own message from them
+    with pytest.raises(ValueError, match="dominance q <= p fails") as exc:
+        dominance_check(p, q)
+    count, first = re.search(r"q > p at (\d+) nodes, first (\[.*\])", str(exc.value)).groups()
+    first = json.loads(first)
+    assert int(count) == np.count_nonzero(np.sin(theta) < 0) and len(first) == 8
+    assert np.all(np.sin(theta[first]) < 0)
+    assert dominance_check(p, p) is None
 
 
 @st.composite

@@ -427,7 +427,7 @@ def test_multiplier_lower_variable_within_allowance(circle1024):
 def test_multiplier_bracket_holds_the_exact_norm(curve_name, n, p_spec, q_spec, symbol, exact):
     curve = curve_from_name(curve_name, n)
     p, q = exponent_from_preset(p_spec, curve), exponent_from_preset(q_spec, curve)
-    a = symbol_from_preset(symbol, curve, 300, seed=0).values
+    a = symbol_from_preset(symbol, 300, seed=0).values(curve)
     bounds = multiplier_norm_lower(curve, a, p, q)
     assert bounds.lower_bound <= bounds.upper_bound <= bounds.lower_bound * (1.0 + 1e-10)
     assert bounds.lower_bound == pytest.approx(exact, abs=5e-8)
@@ -448,7 +448,7 @@ def test_multiplier_bracket_holds_the_exact_norm(curve_name, n, p_spec, q_spec, 
 def test_multiplier_lower_within_the_holder_constant(curve_name, n, p_spec, q_spec, symbol, K):
     curve = curve_from_name(curve_name, n)
     p, q = exponent_from_preset(p_spec, curve), exponent_from_preset(q_spec, curve)
-    a = symbol_from_preset(symbol, curve, 300, seed=0).values
+    a = symbol_from_preset(symbol, 300, seed=0).values(curve)
     bounds = multiplier_norm_lower(curve, a, p, q)
     assert bounds.holder_constant == pytest.approx(K, abs=1e-4)
     if p.is_constant and q.is_constant:

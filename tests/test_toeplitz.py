@@ -11,7 +11,7 @@ from scipy.special import gammaln, gammasgn
 import siolab.cli as cli
 import siolab.toeplitz as toeplitz
 from siolab.cauchy import riesz_projections
-from siolab.corpus import random_trig_polynomial
+from siolab.corpus import random_trig_coefficients, random_trig_polynomial
 from siolab.curves import curve_from_name, trig_polynomial
 from siolab.exponents import exponent_constant
 from siolab.spaces import norm_value
@@ -20,7 +20,6 @@ from siolab.toeplitz import (
     dichotomy_probe,
     finite_section,
     singular_power_coefficients,
-    symbol_from_coefficients,
     symbol_from_preset,
 )
 
@@ -34,9 +33,9 @@ def mode(curve, k):
 def test_symbol_coefficients_match_closed_forms(circle1024):
     # exact coefficients: the FFT of node samples left imaginary parts of 5e-17,
     # which made the cos sections complex
-    cos = symbol_from_preset("cos", circle1024)
+    cos = symbol_from_preset("cos")
     assert np.array_equal(cos.coefficient_window(-1, 1), [0.5, 0.0, 0.5])
-    oc2 = symbol_from_preset("one-plus-cos2", circle1024)
+    oc2 = symbol_from_preset("one-plus-cos2")
     assert np.array_equal(oc2.coefficient_window(-2, 2), [0.25, 0.0, 1.5, 0.0, 0.25])
     for a in (cos, oc2):
         assert finite_section(a, 12, 8, "T").dtype == np.float64
@@ -46,50 +45,56 @@ def test_symbol_coefficients_match_closed_forms(circle1024):
 @pytest.mark.parametrize("spec", ["one", "cos", "one-plus-cos2"])
 def test_sampled_presets_take_any_curve(ellipse4096, spec):
     # the value functions and the exact coefficients describe the same symbol
-    a = symbol_from_preset(spec, ellipse4096)
-    synthesized = symbol_from_coefficients(a.coefficients, ellipse4096).values
+    a = symbol_from_preset(spec)
+    synthesized = trig_polynomial(ellipse4096, a.coefficients)
     assert a.exact_band
-    assert np.abs(a.values - synthesized).max() < 1e-14
+    assert np.abs(a.values(ellipse4096) - synthesized).max() < 1e-14
 
 
 def test_symbol_rejects_nonfinite_coefficients(circle1024):
     for bad in (np.inf, np.nan, complex(1.0, -np.inf)):
         with pytest.raises(ValueError, match="non-finite Fourier coefficients"):
-            symbol_from_coefficients(np.array([1.0, bad, 0.5]), circle1024)
-        with pytest.raises(ValueError, match="non-finite Fourier coefficients"):
-            Symbol(lambda: np.ones(1024), np.array([1.0, bad, 0.5]), 1)
+            Symbol(np.array([1.0, bad, 0.5]))
+    for bad in ([1.0, 2.0], [[1.0]]):
+        with pytest.raises(ValueError, match="symmetric mode range"):
+            Symbol(bad)
     # values may be infinite: |t - 1|^s is at node 0, its coefficients are not
-    a = symbol_from_preset("singular:-0.3", circle1024, degree=40)
-    assert np.isinf(a.values[0]) and np.all(np.isfinite(a.coefficients))
+    a = symbol_from_preset("singular:-0.3", degree=40)
+    assert np.isinf(a.values(circle1024)[0]) and np.all(np.isfinite(a.coefficients))
+
+
+@pytest.fixture(scope="module")
+def coefficient_symbols(tmp_path_factory):
+    """One symbol of each kind, built once and sampled on every curve."""
+    csv = tmp_path_factory.mktemp("symbol") / "a.csv"
+    csv.write_text("-2,0.5,0.25\n0,1.0,0.0\n3,-1.5,2.0\n")
+    specs = ["one", "cos", "one-plus-cos2", "singular:-0.3", "monomial:0", "monomial:-2",
+             "trig-random:12"]
+    return [*(symbol_from_preset(spec, degree=40, seed=3) for spec in specs),
+            cli._symbol(str(csv), 0, 0)]
 
 
 @pytest.mark.parametrize("curve_name", ["circle1024", "ellipse4096"])
-def test_coefficient_symbols_take_the_node_angles(request, tmp_path, curve_name):
+def test_coefficient_symbols_take_the_node_angles(request, coefficient_symbols, curve_name):
     # the sampled presets read the node angles, and so must monomial:k and
     # trig-random; on the ellipse uniform angles were 0.34 off for monomial:1
     curve = request.getfixturevalue(curve_name)
     theta = np.angle(curve.nodes)
-    monomial = lambda k: symbol_from_preset(f"monomial:{k}", curve).values
+    monomial = lambda k: symbol_from_preset(f"monomial:{k}").values(curve)
     assert np.abs(monomial(1) - np.exp(1j * theta)).max() < 1e-15
     assert np.abs(monomial(-3) - np.exp(-3j * theta)).max() < 1e-14
     c = np.array([0.5, 0.0, 1.0, 0.0, 0.5])  # 1 + cos(2 theta)
-    values = symbol_from_coefficients(c, curve).values
-    assert np.abs(values - (1.0 + np.cos(2.0 * theta))).max() < 1e-14
-    # the values are made when first read, bitwise what the symbol was built
-    # with when it made them at once: a closed form or trig_polynomial of a_k
+    assert np.abs(Symbol(c).values(curve) - (1.0 + np.cos(2.0 * theta))).max() < 1e-14
+    # the same symbols on every curve: bitwise their closed form or
+    # trig_polynomial of their a_k at that curve's node angles
     with np.errstate(divide="ignore"):
         closed = {"one": np.ones(curve.n_nodes), "cos": np.cos(theta),
                   "one-plus-cos2": 1.0 + np.cos(theta) ** 2,
                   "singular:-0.3": np.abs(np.exp(1j * theta) - 1.0) ** -0.3}
-    (tmp_path / "a.csv").write_text("-2,0.5,0.25\n0,1.0,0.0\n3,-1.5,2.0\n")
-    symbols = [symbol_from_preset(spec, curve, degree=40, seed=3) for spec in
-               [*closed, "monomial:0", "monomial:-2", "trig-random:12"]]
-    symbols.append(cli._symbol(str(tmp_path / "a.csv"), curve, 300, 0))
-    for a in symbols:
-        assert "values" not in vars(a)
-        eager = closed[a.name] if a.name in closed else trig_polynomial(curve, a.coefficients)
-        assert a.values.dtype == complex and np.array_equal(a.values, eager), a.name
-        assert a.values is vars(a)["values"]
+    for a in coefficient_symbols:
+        want = closed[a.name] if a.name in closed else trig_polynomial(curve, a.coefficients)
+        values = a.values(curve)
+        assert values.dtype == complex and np.array_equal(values, want), a.name
 
 
 @pytest.mark.parametrize("name", ["circle", "ellipse:2,1", "square", "perturbed-circle:0.3,12"])
@@ -100,16 +105,16 @@ def test_symbols_and_the_corpus_read_one_trig_table(name, n):
     # the sum over exp(i k theta) that it read before
     curve = curve_from_name(name, n)
     for d in (1, 3, 8, 12):
-        symbol = symbol_from_preset(f"trig-random:{d}", curve, seed=d)
-        assert np.array_equal(symbol.values, trig_polynomial(curve, symbol.coefficients))
-        assert np.array_equal(symbol.values,
-                              random_trig_polynomial(curve, np.random.default_rng(d), d))
+        values = symbol_from_preset(f"trig-random:{d}", seed=d).values(curve)
+        assert np.array_equal(values, trig_polynomial(
+            curve, random_trig_coefficients(np.random.default_rng(d), d)))
+        assert np.array_equal(values, random_trig_polynomial(curve, np.random.default_rng(d), d))
     theta = np.angle(curve.nodes)
     for k in (-7, 0, 1, 40):
         c = np.zeros(2 * abs(k) + 1, dtype=complex)
         c[abs(k) + k] = 1.0
         old = np.exp(1j * np.outer(theta, np.arange(-abs(k), abs(k) + 1))) @ c
-        assert np.array_equal(symbol_from_preset(f"monomial:{k}", curve).values, old)
+        assert np.array_equal(symbol_from_preset(f"monomial:{k}").values(curve), old)
 
 
 def test_a_degree_300_symbol_never_holds_its_whole_trig_table():
@@ -117,10 +122,10 @@ def test_a_degree_300_symbol_never_holds_its_whole_trig_table():
     # a time takes about 1 MiB
     curve = curve_from_name("circle", 4096)
     rng = np.random.default_rng(3)
-    c = rng.standard_normal(601) + 1j * rng.standard_normal(601)
+    a = Symbol(rng.standard_normal(601) + 1j * rng.standard_normal(601))
     tracemalloc.start()
     try:
-        symbol_from_coefficients(c, curve)
+        a.values(curve)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -153,25 +158,25 @@ def test_singular_exponent_validation():
 # ------------------------------------------------------------------ sections
 
 def test_shift_section_is_subdiagonal(circle1024):
-    a = symbol_from_preset("monomial:1", circle1024)
+    a = symbol_from_preset("monomial:1")
     M = finite_section(a, 4, 4, "T")
     assert np.array_equal(M, np.diag(np.ones(3), -1))
 
 
 def test_tridiagonal_section(circle1024):
-    a = symbol_from_coefficients(np.array([1.0, 2.0, 1.0], dtype=complex), circle1024)
+    a = Symbol(np.array([1.0, 2.0, 1.0], dtype=complex))
     M = finite_section(a, 3, 3, "T").real
     assert np.array_equal(M, np.array([[2, 1, 0], [1, 2, 1], [0, 1, 2]]))
 
 
 def test_real_symbol_gives_hermitian_square_section(circle1024):
-    a = symbol_from_preset("singular:-0.25", circle1024, degree=64)
+    a = symbol_from_preset("singular:-0.25", degree=64)
     M = finite_section(a, 32, 32, "T")
     assert np.abs(M - M.conj().T).max() < 1e-14
 
 
 def test_section_constant_diagonals(circle1024):
-    a = symbol_from_preset("trig-random:6", circle1024, seed=8)
+    a = symbol_from_preset("trig-random:6", seed=8)
     M = finite_section(a, 9, 5, "T")
     for d in range(-4, 9):
         diag = np.diagonal(M, -d)
@@ -179,15 +184,15 @@ def test_section_constant_diagonals(circle1024):
 
 
 def test_section_degree_validation(circle1024):
-    a = symbol_from_preset("singular:-0.25", circle1024, degree=50)
+    a = symbol_from_preset("singular:-0.25", degree=50)
     with pytest.raises(ValueError, match="degree"):
         finite_section(a, 64, 64, "T")
-    trig = symbol_from_preset("monomial:2", circle1024)
+    trig = symbol_from_preset("monomial:2")
     finite_section(trig, 64, 64, "T")  # exact band: any size allowed
 
 
 def test_companion_reflects_coefficients(circle1024):
-    a = symbol_from_preset("trig-random:3", circle1024, seed=9)
+    a = symbol_from_preset("trig-random:3", seed=9)
     T = finite_section(a, 6, 6, "T")
     C = finite_section(a, 6, 6, "companion")
     assert np.abs(C - T.T).max() < 1e-15
@@ -195,10 +200,10 @@ def test_companion_reflects_coefficients(circle1024):
 
 def test_section_is_real_exactly_when_its_coefficients_are(circle1024):
     cases = {
-        "monomial:1": symbol_from_preset("monomial:1", circle1024),
-        "singular:-0.3": symbol_from_preset("singular:-0.3", circle1024, degree=40),
-        "real array": symbol_from_coefficients(np.array([0.5, -1.0, 3.0, 0.25, 2.0]), circle1024),
-        "trig-random:3": symbol_from_preset("trig-random:3", circle1024, seed=10),
+        "monomial:1": symbol_from_preset("monomial:1"),
+        "singular:-0.3": symbol_from_preset("singular:-0.3", degree=40),
+        "real array": Symbol(np.array([0.5, -1.0, 3.0, 0.25, 2.0])),
+        "trig-random:3": symbol_from_preset("trig-random:3", seed=10),
     }
     j_minus_k = np.subtract.outer(np.arange(19), np.arange(12))
     for name, a in cases.items():
@@ -219,14 +224,14 @@ def numerical_kernel(M):
 
 
 def test_kernel_of_square_shift(circle1024):
-    a = symbol_from_coefficients(np.array([0, 0, 1], dtype=complex), circle1024)
+    a = Symbol(np.array([0, 0, 1], dtype=complex))
     dim, sigma_min = numerical_kernel(finite_section(a, 8, 8, "T"))
     assert dim == 1
     assert sigma_min == pytest.approx(0.0, abs=1e-15)
 
 
 def test_tall_shift_has_orthonormal_columns(circle1024):
-    a = symbol_from_coefficients(np.array([0, 0, 1], dtype=complex), circle1024)
+    a = Symbol(np.array([0, 0, 1], dtype=complex))
     dim, sigma_min = numerical_kernel(finite_section(a, 9, 8, "T"))
     assert dim == 0
     assert sigma_min == pytest.approx(1.0, rel=1e-14)
@@ -242,7 +247,7 @@ def test_random_full_rank_matrix(rng):
 
 def test_section_rejects_empty_shape(circle1024):
     # no empty section reaches an SVD
-    a = symbol_from_preset("cos", circle1024)
+    a = symbol_from_preset("cos")
     for m, n in ((0, 3), (3, 0)):
         with pytest.raises(ValueError, match="positive"):
             finite_section(a, m, n, "T")
@@ -251,18 +256,18 @@ def test_section_rejects_empty_shape(circle1024):
 # ------------------------------------------------------ sections against S
 
 def test_matrix_apply_consistency(circle1024):
-    a = symbol_from_preset("trig-random:4", circle1024, seed=10)
-    n = 8
+    a = symbol_from_preset("trig-random:4", seed=10)
+    av, n = a.values(circle1024), 8
     # T(a) f = P(a f) and the companion g -> Q(a g), with P and Q from S
     sec = finite_section(a, n, n, "T")
     for col in range(n):
-        out = riesz_projections(circle1024, a.values * mode(circle1024, col))[0]
+        out = riesz_projections(circle1024, av * mode(circle1024, col))[0]
         spectrum = np.fft.fft(out) / out.size
         got = spectrum[:n]
         assert np.abs(got - sec[:, col]).max() < 1e-10
     csec = finite_section(a, n, n, "companion")
     for col in range(n):
-        out = riesz_projections(circle1024, a.values * mode(circle1024, -(col + 1)))[1]
+        out = riesz_projections(circle1024, av * mode(circle1024, -(col + 1)))[1]
         spectrum = np.fft.fft(out) / out.size
         got = spectrum[[-(row + 1) for row in range(n)]]
         assert np.abs(got - csec[:, col]).max() < 1e-10
@@ -271,13 +276,10 @@ def test_matrix_apply_consistency(circle1024):
 def test_linearity_of_sections(circle1024):
     # trig-random:4 and then trig-random:3 drawn from one generator
     rng = np.random.default_rng(12)
-    a, b = (symbol_from_coefficients(rng.standard_normal(2 * d + 1)
-                                     + 1j * rng.standard_normal(2 * d + 1), circle1024)
+    a, b = (Symbol(rng.standard_normal(2 * d + 1) + 1j * rng.standard_normal(2 * d + 1))
             for d in (4, 3))
     alpha, beta = 1.7 - 0.3j, -0.4 + 2.2j
-    combo = symbol_from_coefficients(
-        alpha * a.coefficient_window(-8, 8) + beta * b.coefficient_window(-8, 8), circle1024
-    )
+    combo = Symbol(alpha * a.coefficient_window(-8, 8) + beta * b.coefficient_window(-8, 8))
     lhs = finite_section(combo, 6, 6, "T")
     rhs = alpha * finite_section(a, 6, 6, "T") + beta * finite_section(b, 6, 6, "T")
     assert np.abs(lhs - rhs).max() < 1e-12
@@ -293,11 +295,10 @@ def test_linearity_of_sections(circle1024):
 def test_block_identities(request, block_residuals, curve_name, spec, N, tol):
     curve = request.getfixturevalue(curve_name)
     if curve.is_unit_circle:
-        a = symbol_from_preset(spec, curve, seed=13)
+        a = symbol_from_preset(spec, seed=13)
     else:
         # the trig polynomial 1 + 0.6 cos(theta) sampled on the ellipse nodes
-        a = Symbol(lambda: 1.0 + 0.6 * np.cos(np.angle(curve.nodes)), [0.3, 1.0, 0.3], 1,
-                   spec, exact_band=True)
+        a = Symbol([0.3, 1.0, 0.3], spec, formula=lambda theta: 1.0 + 0.6 * np.cos(theta))
     res = block_residuals(curve, a, N)
     assert ("section" in res) == curve.is_unit_circle
     assert max(res.values()) < tol, res
@@ -310,7 +311,7 @@ def test_dichotomy_winding_trends(circle1024):
     q = exponent_constant(2.0, 1024)
     sizes = (16, 32, 64)
     for k in range(-3, 4):
-        a = symbol_from_preset(f"monomial:{k}", circle1024)
+        a = symbol_from_preset(f"monomial:{k}")
         v = dichotomy_probe(a, p, q, sizes, aspect=8)
         assert v.kernel_dim_T == tuple([max(0, -k)] * 3)
         assert v.kernel_dim_companion == tuple([max(0, k)] * 3)
@@ -326,21 +327,21 @@ def test_dichotomy_winding_trends(circle1024):
 def test_dichotomy_real_sign_changing_symbol(circle1024):
     p = exponent_constant(4.0, 1024)
     q = exponent_constant(2.0, 1024)
-    a = symbol_from_preset("cos", circle1024)
+    a = symbol_from_preset("cos")
     v = dichotomy_probe(a, p, q, (16, 32, 64, 128), aspect=8)
     assert v.verdict in ("T-injective", "companion-injective", "both")
     assert not v.fault
 
 
 def test_dichotomy_rejects_zero_symbol(circle1024):
-    zero = symbol_from_coefficients(np.zeros(3, dtype=complex), circle1024)
+    zero = Symbol(np.zeros(3, dtype=complex))
     with pytest.raises(ValueError, match="zero symbol"):
         dichotomy_probe(zero, exponent_constant(4.0, 1024), exponent_constant(2.0, 1024),
                         (16, 32))
 
 
 def test_dichotomy_rejects_dominance_violation(circle1024):
-    a = symbol_from_preset("one", circle1024)
+    a = symbol_from_preset("one")
     with pytest.raises(ValueError, match="dominance"):
         dichotomy_probe(a, exponent_constant(2.0, 1024), exponent_constant(4.0, 1024),
                         (16, 32))
@@ -349,7 +350,7 @@ def test_dichotomy_rejects_dominance_violation(circle1024):
 def test_dichotomy_rejects_sections_that_are_not_tall(circle1024):
     # with aspect -3 the shift's wide sections have kernels and the probe
     # called it companion-injective; aspect 0 faulted with "persistent kernels"
-    a = symbol_from_preset("monomial:1", circle1024)
+    a = symbol_from_preset("monomial:1")
     p, q = exponent_constant(4.0, 1024), exponent_constant(2.0, 1024)
     for aspect in (-3, 0):
         with pytest.raises(ValueError, match="aspect must be at least 1"):
@@ -358,7 +359,7 @@ def test_dichotomy_rejects_sections_that_are_not_tall(circle1024):
 
 def test_dichotomy_rejects_sizes_out_of_order(circle1024):
     # read from 256 down, the rising sigma_min of cos looked under-resolved
-    a = symbol_from_preset("cos", circle1024)
+    a = symbol_from_preset("cos")
     p, q = exponent_constant(4.0, 1024), exponent_constant(2.0, 1024)
     assert dichotomy_probe(a, p, q, (16, 32, 64, 128, 256)).verdict == "both"
     for sizes in ((256, 128, 64, 32, 16), (16, 16, 32)):
@@ -379,12 +380,12 @@ def test_dichotomy_on_real_sections_matches_the_complex_svd(circle1024, monkeypa
     # runs the probe on complex sections built test-side
     p, q = exponent_constant(4.0, 1024), exponent_constant(2.0, 1024)
     sizes = (16, 32, 64, 128, 256, 512)
-    symbols = [symbol_from_preset("monomial:1", circle1024),
-               symbol_from_preset("monomial:-2", circle1024),
-               symbol_from_preset("singular:-0.3", circle1024, degree=520),
-               symbol_from_preset("cos", circle1024),
-               symbol_from_preset("trig-random:3", circle1024, seed=3),
-               symbol_from_coefficients(np.array([0.5, -1.0, 3.0, 0.25, 2.0]), circle1024)]
+    symbols = [symbol_from_preset("monomial:1"),
+               symbol_from_preset("monomial:-2"),
+               symbol_from_preset("singular:-0.3", degree=520),
+               symbol_from_preset("cos"),
+               symbol_from_preset("trig-random:3", seed=3),
+               Symbol(np.array([0.5, -1.0, 3.0, 0.25, 2.0]))]
     probes = [dichotomy_probe(a, p, q, sizes, aspect=8) for a in symbols]
     monkeypatch.setattr(toeplitz, "finite_section", _complex_section)
     for a, got in zip(symbols, probes):
@@ -408,10 +409,10 @@ def _serial_svals(sections_t, sections_c):
 def test_dichotomy_on_two_threads_is_bitwise_the_serial_svd(circle1024, monkeypatch):
     p, q = exponent_constant(4.0, 1024), exponent_constant(2.0, 1024)
     sizes, aspect, threshold = (16, 32, 64, 128, 256, 512), 8, toeplitz.KERNEL_THRESHOLD
-    symbols = [symbol_from_preset("monomial:1", circle1024),
-               symbol_from_preset("monomial:-2", circle1024),
-               symbol_from_preset("cos", circle1024),
-               symbol_from_preset("trig-random:5", circle1024, seed=5)]
+    symbols = [symbol_from_preset("monomial:1"),
+               symbol_from_preset("monomial:-2"),
+               symbol_from_preset("cos"),
+               symbol_from_preset("trig-random:5", seed=5)]
     assert symbols[-1].coefficients.imag.any()  # one complex section family
     started, thread = [], threading.Thread
     monkeypatch.setattr(threading, "Thread", lambda **kw: started.append(kw) or thread(**kw))
@@ -436,7 +437,7 @@ def test_dichotomy_on_two_threads_is_bitwise_the_serial_svd(circle1024, monkeypa
 def test_dichotomy_runs_where_os_has_no_sched_getaffinity(circle1024, monkeypatch):
     # macOS and Windows have no os.sched_getaffinity; the probe read it and died there
     p, q = exponent_constant(4.0, 1024), exponent_constant(2.0, 1024)
-    a = symbol_from_preset("monomial:1", circle1024)
+    a = symbol_from_preset("monomial:1")
     here = dichotomy_probe(a, p, q, (16, 32, 64))
     monkeypatch.delattr(os, "sched_getaffinity")
     assert dichotomy_probe(a, p, q, (16, 32, 64)) == here
@@ -447,7 +448,7 @@ def test_dichotomy_svd_error_reaches_the_caller(circle1024, monkeypatch, side):
     # the shift's companion section has its ones above the diagonal, its T
     # section below; fail on the 64-column section of one side only
     p, q = exponent_constant(4.0, 1024), exponent_constant(2.0, 1024)
-    a = symbol_from_preset("monomial:1", circle1024)
+    a = symbol_from_preset("monomial:1")
     svd = toeplitz._singular_values
 
     def failing(section):
@@ -467,22 +468,22 @@ def test_dichotomy_svd_error_reaches_the_caller(circle1024, monkeypatch, side):
 
 def test_section_norm_bounded_by_sup_for_p2(circle1024):
     # on the analytic side of L^2 the operator norm is at most max |a|
-    a = symbol_from_preset("one-plus-cos2", circle1024)
+    a = symbol_from_preset("one-plus-cos2")
     M = finite_section(a, 40, 32, "T")
     sigma_max = np.linalg.svd(M, compute_uv=False)[0]
-    assert sigma_max <= np.abs(a.values).max() * (1.0 + 1e-10)
+    assert sigma_max <= np.abs(a.values(circle1024)).max() * (1.0 + 1e-10)
 
 
 def test_apply_norm_bound_over_corpus(circle1024, rng):
     # || P(a f) ||_2 <= ||P|| ||a||_4 ||f||_4 with ||P|| = 1 on L^2
     p4 = exponent_constant(4.0, 1024)
     q2 = exponent_constant(2.0, 1024)
-    a = symbol_from_preset("one-plus-cos2", circle1024)
-    na = norm_value(circle1024, a.values, p4)
+    av = symbol_from_preset("one-plus-cos2").values(circle1024)
+    na = norm_value(circle1024, av, p4)
     for _ in range(10):
         coeff = rng.standard_normal(9) + 1j * rng.standard_normal(9)
         f = np.polynomial.polynomial.polyval(circle1024.nodes, coeff)
-        lhs = norm_value(circle1024, riesz_projections(circle1024, a.values * f)[0], q2)
+        lhs = norm_value(circle1024, riesz_projections(circle1024, av * f)[0], q2)
         assert lhs <= na * norm_value(circle1024, f, p4) * (1.0 + 1e-9)
 
 
@@ -490,7 +491,7 @@ def test_unbounded_symbol_bound_via_sections(circle1024, rng):
     # |exp(i phi) - 1|^(-1/4) lies in L^3 (not L^4); use the triple
     # 1/q = 1/4 + 1/3 and apply T(a) through the coefficient convolution
     s = -0.25
-    a = symbol_from_preset("singular:-0.25", circle1024, degree=220)
+    a = symbol_from_preset("singular:-0.25", degree=220)
     p = exponent_constant(4.0, 1024)
     q = exponent_constant(12.0 / 7.0, 1024)
     # ||a||_3 oracle by adaptive quadrature of the closed form
