@@ -324,30 +324,39 @@ def _residual_fault(path: str, residuals: dict[str, dict[str, float]]) -> str | 
     return f"{name} residual {value:.3g} exceeds the {path} threshold {threshold:g}"
 
 
-def run_sio_check(cfg: ExperimentConfig) -> tuple[ReportBundle, str | None]:
-    curve = curve_from_name(cfg.curve, cfg.n_nodes)
-    p = _exponent(cfg.exponent, curve)
-    rng = np.random.default_rng(cfg.seed)
-
-    adj = adjoint_residuals(curve, 32)
-    proj = {"P2_minus_P": adj.p2_minus_p, "PQ": adj.pq,
-            "P_plus_Q_minus_I": adj.p_plus_q_minus_i}
-    # the Plemelj limits P f and Q f of each rational function, known exactly
+def _plemelj_rows(curve, rng: np.random.Generator) -> list[dict]:
+    """The corpus's residuals against its Plemelj limits P f and Q f, known exactly."""
     names, functions, exact = zip(*rational_corpus(curve, rng, count=4))
     F, exact_p = np.stack(functions), np.stack(exact)
     pf, qf = riesz_projections(curve, F)
-    plemelj_rows = [{"item": name, "op": "riesz_projections",
-                     "residual_plus": plus, "residual_minus": minus}
-                    for name, plus, minus in zip(names, np.abs(pf - exact_p).max(axis=1),
-                                                 np.abs(qf - (F - exact_p)).max(axis=1))]
+    return [{"item": name, "op": "riesz_projections",
+             "residual_plus": plus, "residual_minus": minus}
+            for name, plus, minus in zip(names, np.abs(pf - exact_p).max(axis=1),
+                                         np.abs(qf - (F - exact_p)).max(axis=1))]
 
-    # the polynomials' norms, then S in place over the same stack, then theirs
-    polys = random_trig_polynomial(curve, rng, degree=12, count=cfg.trials)
+
+def _norm_ratio_rows(curve, rng: np.random.Generator, p, trials: int) -> list[dict]:
+    """The trial polynomials' norms, then S in place over the same stack, then theirs."""
+    polys = random_trig_polynomial(curve, rng, degree=12, count=trials)
     norms_f = norm_value(curve, polys, p).tolist()
     apply_S(curve, polys, out=polys)
     norms_sf = norm_value(curve, polys, p).tolist()
-    ratio_rows = [{"item": f"trig-{i}", "op": "norm_ratio", "ratio": ns / nf if nf > 0 else 0.0}
-                  for i, (nf, ns) in enumerate(zip(norms_f, norms_sf))]
+    return [{"item": f"trig-{i}", "op": "norm_ratio", "ratio": ns / nf if nf > 0 else 0.0}
+            for i, (nf, ns) in enumerate(zip(norms_f, norms_sf))]
+
+
+def run_sio_check(cfg: ExperimentConfig) -> tuple[ReportBundle, str | None]:
+    curve = curve_from_name(cfg.curve, cfg.n_nodes)
+    p = _exponent(cfg.exponent, curve)
+
+    # the certificate is the largest stage: it runs before numpy.random is
+    # loaded, and each later stage frees its arrays before the next one
+    adj = adjoint_residuals(curve, 32)
+    proj = {"P2_minus_P": adj.p2_minus_p, "PQ": adj.pq,
+            "P_plus_Q_minus_I": adj.p_plus_q_minus_i}
+    rng = np.random.default_rng(cfg.seed)
+    plemelj_rows = _plemelj_rows(curve, rng)
+    ratio_rows = _norm_ratio_rows(curve, rng, p, cfg.trials)
     lh = log_holder_constant(p, curve)
 
     results = {

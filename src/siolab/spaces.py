@@ -47,10 +47,13 @@ MODULAR_TOL = 1e-12
 CERTIFICATE_TOL = 1e-10
 MAX_STEPS = 64
 # Samples per block of rows of a stack's closed-form norms (``norm_value``),
-# which keeps a block's temporaries in cache: sio-check's 24 trial rows take
-# 1.1 ms at n = 4096 (two blocks), and at n = 65536 15.6 ms in blocks of
-# 2**16 samples against 25 ms in one block and 16 ms row by row.
-NORM_BLOCK = 2**16
+# which keeps a block's temporaries in cache. sio-check's 24 trial rows take
+# 1.15 ms at n = 4096 (three blocks) against 1.69 ms in blocks of 2**16 and
+# 1.32 ms in blocks of 2**14, and 0.61 ms at n = 2048 against 0.55 and 0.66
+# ms (one BLAS thread, 2-vCPU host); below 2**16 the sio-check benchmarks
+# peak 0.1-0.3 MB lower. At n = 65536 a block is one row at any of these
+# values: 15.6 ms against 25 ms in one block.
+NORM_BLOCK = 2**15
 # The multiplier's cap t = max |u| on the infinity set {p = inf} runs over
 # this grid (just 0 without an infinity set), and its upper certificate is
 # taken UPPER_SLACK above the root of the dual bound.

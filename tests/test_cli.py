@@ -349,9 +349,9 @@ def test_sio_check_faults_when_a_residual_exceeds_its_threshold(tmp_path, capsys
     assert max(res["adjoint_residuals"].values()) < threshold
 
     # the circle's n-node interpolant aliases the exterior pole's modes at
-    # |z| = 2 by about 2^(-n/2): the circle path resolves the corpus from n = 96
+    # |z| = 2 by about 2^(-n/2): the circle path resolves the corpus from n = 81
     capsys.readouterr()
-    for n, expected in ((64, EXIT_FAULT), (80, EXIT_FAULT), (96, EXIT_OK)):
+    for n, expected in ((64, EXIT_FAULT), (80, EXIT_FAULT), (81, EXIT_OK)):
         code = run(["sio-check", "--curve", "circle", "--n", str(n), "--trials", "2",
                     "--out", str(tmp_path / f"circle{n}")])
         assert code == expected, n
@@ -442,7 +442,7 @@ def test_sio_check_on_the_circle_takes_no_direct_offcurve_sum(tmp_path, monkeypa
 @pytest.mark.parametrize("curve, n, bound_mib",
                          [("circle", 4096, 5.75), ("ellipse:2,1", 2048, 3.3)])
 def test_sio_check_peak_memory_at_the_bench_shapes(tmp_path, curve, n, bound_mib):
-    # one whole invocation, report write included; it reads 4.74 and 2.75 MiB
+    # one whole invocation, report write included; it reads 4.50 and 2.74 MiB
     # with S and H writing into the certificate's basis-sized workspace and S
     # into the trial polynomials, 6.0 and 3.4 MiB when each returned new
     # arrays, and 20.2 and 7.5 MiB with the certificate's full-size stacks
@@ -930,3 +930,51 @@ print(before, loaded())
     proc = subprocess.run([sys.executable, "-c", script, str(tmp_path)], env=env,
                           capture_output=True, text=True, timeout=120, check=True)
     assert proc.stdout.splitlines()[-1] == "[] ['numpy.random']"
+
+
+def test_sio_check_loads_numpy_random_after_its_certificate(tmp_path):
+    # the certificate is sio-check's largest stage, so numpy.random's module
+    # pages load after it; a generator made first put them under its peak
+    script = """
+import sys
+import siolab.cli as cli
+certify, loaded = cli.adjoint_residuals, []
+def certified(*args):
+    adj = certify(*args)
+    loaded.append("numpy.random" in sys.modules)
+    return adj
+cli.adjoint_residuals = certified
+assert cli.main(["sio-check", "--curve", "circle", "--n", "4096", "--out", sys.argv[1]]) == 0
+print(loaded, "numpy.random" in sys.modules)
+"""
+    src = Path(cli.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    proc = subprocess.run([sys.executable, "-c", script, str(tmp_path)], env=env,
+                          capture_output=True, text=True, timeout=120, check=True)
+    assert proc.stdout.splitlines()[-1] == "[False] True"
+
+
+def test_sio_check_frees_the_corpus_before_the_trials(tmp_path, monkeypatch):
+    # the corpus's functions, exact limits and projections (about 1.5 MiB at
+    # n = 4096) stayed alive under the trial stack when one function held both
+    args = ["sio-check", "--curve", "circle", "--n", "4096", "--out", str(tmp_path / "sio")]
+    assert run(args) == EXIT_OK  # first-call caches (the parser) stay out of the sizes
+    certify, draw, traced = cli.adjoint_residuals, cli.random_trig_polynomial, {}
+
+    def certified(*args):
+        adj = certify(*args)
+        traced["certificate"] = tracemalloc.get_traced_memory()[0]
+        return adj
+
+    def drawn(*args, **kwargs):
+        traced["trials"] = tracemalloc.get_traced_memory()[0]
+        return draw(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "adjoint_residuals", certified)
+    monkeypatch.setattr(cli, "random_trig_polynomial", drawn)
+    tracemalloc.start()
+    try:
+        assert run(args) == EXIT_OK
+    finally:
+        tracemalloc.stop()
+    assert traced["trials"] - traced["certificate"] < 0.5 * 2**20

@@ -1,5 +1,6 @@
 import json
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,7 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from siolab.curves import JordanCurve, make_unit_circle
+import siolab.exponents as exponents
+from siolab.curves import JordanCurve, curve_from_name, make_unit_circle
 from siolab.exponents import (
     LogHolderReport,
     conjugate_exponent_r,
@@ -129,6 +131,32 @@ def test_log_holder_scan_takes_at_most_max_nodes():
     rep = log_holder_constant(p, c)
     every_2nd = log_holder_constant(exponent_from_values(p.values[::2]), half)
     assert (rep.constant_estimate, rep.holds) == (every_2nd.constant_estimate, every_2nd.holds)
+
+
+@pytest.mark.parametrize("name", ["circle", "ellipse:2,1"])
+def test_log_holder_report_does_not_depend_on_the_scan_block(monkeypatch, name):
+    # the estimate and the band maxima are maxima, which no block order changes
+    curve = curve_from_name(name, 1024)
+    for spec in ("step:2,3", "logsmooth:3,1", "2+abs(sin)"):
+        p = exponent_from_preset(spec, curve)
+        reports = []
+        for rows in (7, 32, 128):
+            monkeypatch.setattr(exponents, "SCAN_ROWS", rows)
+            reports.append(log_holder_constant(p, curve))
+        assert reports[0] == reports[1] == reports[2], spec
+
+
+def test_log_holder_scan_peak_memory(circle4096):
+    # 6.3 MiB in blocks of 32 rows; 24.6 MiB in blocks of 128
+    p = exponent_from_preset("2+abs(sin)", circle4096)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        log_holder_constant(p, circle4096)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
 
 
 def test_log_holder_smooth_profile_stable():
