@@ -132,23 +132,23 @@ def _modular_parts(curve, f, p):
     return v[fin], pv[fin], curve.arc_weights[fin], v[~fin]
 
 
-def _closed_form_rows(v, pc: float, p_fin, w_fin):
+def _closed_form_rows(v, pc: float, w):
     """Closed-form scale of each row of v under the constant exponent pc, and its modular there.
 
     v holds |f| in units of its max, one function per row of a 2-d array;
-    the scale is (sum v^pc w)^(1/pc), and the modular of v / scale under
-    p_fin (the exponent at each node, or pc itself) is the certificate. One
-    scratch array the shape of v holds both sums' terms.
+    the scale is (sum v^pc w)^(1/pc), and the modular of v / scale is the
+    certificate. Every power is the scalar power: at p = 2 it is a square,
+    five times faster than the array power, and a root by the array power
+    takes another routine, which can differ in the last bit. One scratch
+    array the shape of v holds both sums' terms.
     """
     terms = v ** pc
-    terms *= w_fin
-    # a root per row by the scalar power: the array power takes another
-    # routine, which can differ in the last bit
+    terms *= w
     scale = np.array([s ** (1.0 / pc) for s in np.sum(terms, axis=-1)])
     np.divide(v, scale[:, None], out=terms)
     with np.errstate(over="ignore"):
-        np.power(terms, p_fin, out=terms)
-    terms *= w_fin
+        np.power(terms, pc, out=terms)
+    terms *= w
     return scale, np.sum(terms, axis=-1)
 
 
@@ -224,7 +224,7 @@ def luxemburg_norm(curve: JordanCurve, f, p: ExponentFunction) -> NormResult:
     if v_fin.size == 0:
         return result(1.0)
     if v_inf.size == 0 and np.all(p_fin == p_fin[0]):
-        scale, rho = _closed_form_rows(v_fin[None], float(p_fin[0]), p_fin, w_fin)
+        scale, rho = _closed_form_rows(v_fin[None], float(p_fin[0]), w_fin)
         with np.errstate(over="ignore"):
             closed = NormResult(float(vmax * scale[0]), float(rho[0]), 0)
         if closed.certified:
@@ -267,8 +267,6 @@ def norm_value(curve: JordanCurve, f, p: ExponentFunction) -> float | np.ndarray
     done = np.zeros(m, dtype=bool)
     pv = p.values
     if np.all(pv == pv[0]) and np.isfinite(pv[0]):
-        # the scalar power for the certificate too: at p = 2 it is a square,
-        # five times faster than the array power, and only rho can change
         pc = float(pv[0])
         step = max(1, NORM_BLOCK // n)
         for s in range(0, m, step):
@@ -277,7 +275,7 @@ def norm_value(curve: JordanCurve, f, p: ExponentFunction) -> float | np.ndarray
             ok = (vmax > 0.0) & np.isfinite(vmax)
             a = a if ok.all() else a[ok]
             a /= vmax[ok, None]
-            scale, rho = _closed_form_rows(a, pc, pc, curve.arc_weights)
+            scale, rho = _closed_form_rows(a, pc, curve.arc_weights)
             with np.errstate(over="ignore"):
                 value = vmax[ok] * scale
             keep = (np.abs(rho - 1.0) <= CERTIFICATE_TOL) & (0.0 < value) & (value < np.inf)

@@ -1,11 +1,12 @@
 """Toeplitz operators on the circle Hardy basis and the dichotomy probe.
 
-T(a) compresses multiplication by a to the analytic side, f -> P(a f); its
-companion acts on the anti-analytic side, g -> Q(a g). Finite sections are
-rectangular truncations in the Fourier basis; tall sections (extra rows)
-probe injectivity without the spurious kernels square truncations invent.
-Density of the image is never tested directly: it is equivalent to
-triviality of the companion kernel, which is what the probe measures.
+T(a) compresses multiplication by a to the analytic side, f -> P(a f). Its
+companion g -> Q(a g) is, on the circle, T of the flipped symbol a~_k = a_{-k}
+(Boettcher and Silbermann, Analysis of Toeplitz Operators, 2006). Sections
+are rectangular truncations of T in the Fourier basis; tall ones probe
+injectivity without the spurious kernels square truncations invent. Density
+of the image is never tested directly: it is equivalent to triviality of the
+companion kernel, which is what the probe measures.
 
 A symbol is its Fourier coefficients, and it holds no curve: the
 trigonometric polynomials carry their whole band, ``singular:s`` its closed
@@ -15,8 +16,8 @@ the coefficients alone.
 
 Sections are read-only views of one coefficient window, so building them
 copies nothing. The probe builds every section first and then takes the
-singular values of the T sections on the calling thread while one worker
-thread takes the companion sections of the same shapes; LAPACK releases the
+singular values of a's sections on the calling thread while one worker
+thread takes the flipped symbol's, of the same shapes; LAPACK releases the
 GIL, and each SVD is the call a single thread would make, so the results are
 bitwise those of one thread, on one CPU or many.
 """
@@ -171,15 +172,13 @@ def symbol_from_preset(spec: str, degree: int = 0, seed: int = 0) -> Symbol:
     return read_preset("symbol", SYMBOL_PRESETS, spec, spec.strip(), degree, seed)
 
 
-def finite_section(a: Symbol, m: int, n: int, which: str = "T") -> np.ndarray:
-    """Rectangular m x n truncation of T(a) or of its companion.
+def finite_section(a: Symbol, m: int, n: int) -> np.ndarray:
+    """Rectangular m x n truncation of T(a): a_{j-k} on output modes 0..m-1
+    and input modes 0..n-1. The companion's is that of the flipped symbol.
 
-    T entries are a_{j-k} on output modes 0..m-1 and input modes 0..n-1;
-    the companion reads the reflected coefficients a_{k-j}, i.e. it acts on
-    the negative-frequency coefficients of the anti-analytic side. The
-    section is real (float64) when the coefficients it reads are real, so
-    its SVD runs in real arithmetic; otherwise it is complex. The section is
-    a read-only view of one length m + n - 1 coefficient window, not a copy:
+    The section is real (float64) when the coefficients it reads are real,
+    so its SVD runs in real arithmetic; otherwise it is complex. It is a
+    read-only view of one length m + n - 1 coefficient window, not a copy:
     copy it before writing to it.
     """
     if m <= 0 or n <= 0:
@@ -188,15 +187,9 @@ def finite_section(a: Symbol, m: int, n: int, which: str = "T") -> np.ndarray:
         raise ValueError(
             f"symbol coefficients reach degree {a.degree}, need {max(m, n) - 1}"
         )
-    # row j of T reads a_j, a_{j-1}, ..., a_{j-n+1} and row j of the companion
-    # a_{-j}, ..., a_{n-1-j}: each is the length-n slice at m-1-j of its window,
-    # so sliding views give the rows without an index matrix
-    if which == "T":
-        window = a.coefficient_window(-(n - 1), m - 1)[::-1]
-    elif which == "companion":
-        window = a.coefficient_window(-(m - 1), n - 1)
-    else:
-        raise ValueError("which must be 'T' or 'companion'")
+    # row j reads a_j, a_{j-1}, ..., a_{j-n+1}: the length-n slice at m-1-j of
+    # the reversed window, so sliding views give the rows without an index matrix
+    window = a.coefficient_window(-(n - 1), m - 1)[::-1]
     if not window.imag.any():
         window = window.real
     return sliding_window_view(window, n)[::-1]
@@ -208,13 +201,13 @@ def _singular_values(section: np.ndarray) -> np.ndarray:
     return np.linalg.svd(section, compute_uv=False)
 
 
-def _numerical_kernel(svals: np.ndarray, threshold: float) -> tuple[int, float]:
+def _numerical_kernel(svals: np.ndarray) -> tuple[int, float]:
     """(numerical kernel dimension, sigma_min) of a nonempty section from its
-    singular values, by relative threshold against sigma_max."""
+    singular values, by KERNEL_THRESHOLD relative to sigma_max."""
     smax = float(svals[0])
     if smax == 0.0:
         return svals.size, 0.0
-    return int(np.count_nonzero(svals < threshold * smax)), float(svals[-1])
+    return int(np.count_nonzero(svals < KERNEL_THRESHOLD * smax)), float(svals[-1])
 
 
 def _singular_values_of_both(sections_t: list, sections_c: list) -> tuple[list, list]:
@@ -266,10 +259,10 @@ def dichotomy_probe(
     increasing, and ``aspect`` must be at least 1: a square or wide section
     can have a kernel that the operator does not.
 
-    All 2 len(sizes) sections are built first, as read-only views. The T
-    sections' SVDs then run on the calling thread while one worker thread
-    runs the companion's, which have the same shapes. Each singular value
-    is bitwise what one thread computes.
+    All 2 len(sizes) sections are built first, as read-only views. The SVDs
+    of a's sections then run on the calling thread while one worker thread
+    runs the flipped symbol's, the companion's, of the same shapes. Each
+    singular value is bitwise what one thread computes.
     """
     if a.is_zero:
         raise ValueError("zero symbol is excluded from the dichotomy probe")
@@ -284,11 +277,12 @@ def dichotomy_probe(
         raise ValueError(f"aspect must be at least 1, got {aspect}")
 
     shapes = [(n + aspect, n) for n in sizes]
+    flipped = Symbol(a.coefficients[::-1], a.name, a.exact_band)
     svals_t, svals_c = _singular_values_of_both(
-        [finite_section(a, m, n, "T") for m, n in shapes],
-        [finite_section(a, m, n, "companion") for m, n in shapes])
-    dim_t, sig_t = zip(*(_numerical_kernel(sv, KERNEL_THRESHOLD) for sv in svals_t))
-    dim_c, sig_c = zip(*(_numerical_kernel(sv, KERNEL_THRESHOLD) for sv in svals_c))
+        [finite_section(a, m, n) for m, n in shapes],
+        [finite_section(flipped, m, n) for m, n in shapes])
+    dim_t, sig_t = zip(*(_numerical_kernel(sv) for sv in svals_t))
+    dim_c, sig_c = zip(*(_numerical_kernel(sv) for sv in svals_c))
     t_ok = min(sig_t) >= SIGMA_FLOOR and _trend_is_clean(sig_t)
     c_ok = min(sig_c) >= SIGMA_FLOOR and _trend_is_clean(sig_c)
     fault = False

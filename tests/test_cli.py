@@ -129,7 +129,8 @@ def test_norm_rejects_non_finite_or_malformed_functions(tmp_path, capsys, spec):
     pytest.param(["norm", "--function", "csv:"], id="function-csv:"),
     ["multiplier", "--symbol", "singular:0.5"], ["norm", "--exponent", "1.2.3+abs(sin)"],
     ["carleson", "--curve", "Circle"], ["norm", "--function", "trig-random"],
-    ["norm", "--exponent", "2.5x"],
+    ["norm", "--exponent", "2.5x"], ["carleson", "--curve", "ellipse:-1,1"],
+    ["carleson", "--curve", "perturbed-circle:1,3"],
 ], ids=lambda argv: argv[-1])
 def test_presets_refuse_an_argument_they_do_not_take(tmp_path, capsys, argv):
     # the first eight exited 0 and ignored the argument, or the third part of
@@ -137,7 +138,8 @@ def test_presets_refuse_an_argument_they_do_not_take(tmp_path, capsys, argv):
     # exited 2 with Python's or numpy's message alone ("too many values to
     # unpack", "negative dimensions are not allowed", " not found."); the next
     # two were read, as the circle and a degree-8 trig-random function; 2.5x
-    # was refused naming step and logsmooth alone, not the forms tried first
+    # was refused naming step and logsmooth alone, not the forms tried first;
+    # the last two take arguments out of their curve's range
     out = tmp_path / "out"
     assert run([*argv, "--n", "256", "--out", str(out)]) == EXIT_VALIDATION
     err = capsys.readouterr().err
@@ -349,9 +351,10 @@ def test_sio_check_faults_when_a_residual_exceeds_its_threshold(tmp_path, capsys
     assert max(res["adjoint_residuals"].values()) < threshold
 
     # the circle's n-node interpolant aliases the exterior pole's modes at
-    # |z| = 2 by about 2^(-n/2): the circle path resolves the corpus from n = 81
+    # |z| = 2 by about 2^(-n/2): the circle path resolves the corpus from n = 81;
+    # n = 80 reads 1.02e-12, too near the threshold to pin, n = 76 4.07e-12
     capsys.readouterr()
-    for n, expected in ((64, EXIT_FAULT), (80, EXIT_FAULT), (81, EXIT_OK)):
+    for n, expected in ((64, EXIT_FAULT), (76, EXIT_FAULT), (81, EXIT_OK)):
         code = run(["sio-check", "--curve", "circle", "--n", str(n), "--trials", "2",
                     "--out", str(tmp_path / f"circle{n}")])
         assert code == expected, n
@@ -563,7 +566,10 @@ def test_multiplier_holder_constant_on_infinity_sets(tmp_path, monkeypatch, p_sp
     assert lower <= fine.lower_bound <= fine.upper_bound <= upper
 
 
-@pytest.mark.parametrize("factor, code", [(0.99, EXIT_OK), (1.01, EXIT_FAULT)])
+# K theta bounds the multiplier norm exactly, and multiplier_norm_lower gives
+# back its rounding past it: any excess is a fault, however small
+@pytest.mark.parametrize("factor, code", [(0.99, EXIT_OK), (1.0, EXIT_OK),
+                                          (1.0 + 1e-12, EXIT_FAULT), (1.01, EXIT_FAULT)])
 def test_multiplier_judges_the_lower_bound_against_the_holder_constant(tmp_path, monkeypatch,
                                                                        capsys, factor, code):
     def inflated(*args, **kwargs):
@@ -655,6 +661,27 @@ def test_config_file_with_cli_override(tmp_path):
     assert report["provenance"]["config"]["exponent"] == "2"  # CLI wins
     assert report["provenance"]["config"]["n_nodes"] == 512  # file value kept
     assert report["results"]["value"] == pytest.approx(np.sqrt(2 * np.pi), rel=1e-9)
+
+
+def test_config_file_sizes_list_reaches_the_report(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"symbol": "monomial:1", "sizes": [16, 32]}))
+    out = tmp_path / "out"
+    assert run(["dichotomy", "--config", str(cfg), "--n", "512", "--out", str(out)]) == EXIT_OK
+    report = json.loads((out / "report.json").read_text())
+    assert report["results"]["sizes"] == report["provenance"]["config"]["sizes"] == [16, 32]
+    assert len(report["tables"]["sections"]) == 2
+
+
+def test_format_outside_json_and_csv_is_refused_once(tmp_path, capsys):
+    # the flag and the config key share one check, and its message
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"format": "xml"}))
+    out = tmp_path / "out"
+    for extra in (["--format", "xml"], ["--config", str(cfg)]):
+        assert run(["norm", "--n", "512", *extra, "--out", str(out)]) == EXIT_VALIDATION
+        assert "config key 'format' takes json or csv, got 'xml'" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_config_rejects_unknown_keys(tmp_path):
@@ -771,6 +798,15 @@ def test_export_curve_only_where_a_curve_is_written(tmp_path, capsys, command):
     assert not (tmp_path / "out").exists()
 
 
+def test_sio_check_exports_the_carleson_curve(tmp_path):
+    for command, extra in (("sio-check", ["--trials", "2"]), ("carleson", [])):
+        assert run([command, "--curve", "ellipse:2,1", "--n", "256", *extra, "--export-curve",
+                    "--out", str(tmp_path / command)]) == EXIT_OK
+    written = (tmp_path / "sio-check" / "curve.csv").read_text()
+    assert written == curve_to_csv(curve_from_name("ellipse:2,1", 256))
+    assert written == (tmp_path / "carleson" / "curve.csv").read_text()
+
+
 def test_eccentric_curve_refusal_names_the_speed_ratio(tmp_path, capsys):
     # the speed is 2 pi at nodes 0 and 256, 1e14 times below its maximum; the
     # refusal said the derivative vanished there
@@ -812,6 +848,16 @@ def test_symbol_coefficients_csv(tmp_path):
     assert code == EXIT_OK
     verdict = json.loads((out / "report.json").read_text())["results"]
     assert verdict["verdict"] == "T-injective" and verdict["symbol"] == "coeffs.csv"
+
+
+def test_multiplier_of_the_zero_symbol_is_zero(tmp_path):
+    zero = tmp_path / "zero.csv"
+    zero.write_text("0,0\n")
+    out = tmp_path / "out"
+    assert run(["multiplier", "--symbol", str(zero), "--n", "512", "--out", str(out)]) == EXIT_OK
+    results = json.loads((out / "report.json").read_text())["results"]
+    for key in ("theorem_value", "lower_bound", "upper_bound", "lower_over_theorem"):
+        assert results[key] == 0.0, key
 
 
 @pytest.mark.parametrize("rows, message", [

@@ -28,6 +28,11 @@ def mode(curve, k):
     return curve.nodes**k
 
 
+def flipped(a):
+    """The flipped symbol a~_k = a_{-k}, whose T sections are a's companion sections."""
+    return Symbol(a.coefficients[::-1], a.name, a.exact_band)
+
+
 # ------------------------------------------------------------------- symbols
 
 def test_symbol_coefficients_match_closed_forms(circle1024):
@@ -38,8 +43,8 @@ def test_symbol_coefficients_match_closed_forms(circle1024):
     oc2 = symbol_from_preset("one-plus-cos2")
     assert np.array_equal(oc2.coefficient_window(-2, 2), [0.25, 0.0, 1.5, 0.0, 0.25])
     for a in (cos, oc2):
-        assert finite_section(a, 12, 8, "T").dtype == np.float64
-        assert finite_section(a, 12, 8, "companion").dtype == np.float64
+        assert finite_section(a, 12, 8).dtype == np.float64
+        assert finite_section(flipped(a), 12, 8).dtype == np.float64
 
 
 @pytest.mark.parametrize("spec", ["one", "cos", "one-plus-cos2"])
@@ -159,25 +164,25 @@ def test_singular_exponent_validation():
 
 def test_shift_section_is_subdiagonal(circle1024):
     a = symbol_from_preset("monomial:1")
-    M = finite_section(a, 4, 4, "T")
+    M = finite_section(a, 4, 4)
     assert np.array_equal(M, np.diag(np.ones(3), -1))
 
 
 def test_tridiagonal_section(circle1024):
     a = Symbol(np.array([1.0, 2.0, 1.0], dtype=complex))
-    M = finite_section(a, 3, 3, "T").real
+    M = finite_section(a, 3, 3).real
     assert np.array_equal(M, np.array([[2, 1, 0], [1, 2, 1], [0, 1, 2]]))
 
 
 def test_real_symbol_gives_hermitian_square_section(circle1024):
     a = symbol_from_preset("singular:-0.25", degree=64)
-    M = finite_section(a, 32, 32, "T")
+    M = finite_section(a, 32, 32)
     assert np.abs(M - M.conj().T).max() < 1e-14
 
 
 def test_section_constant_diagonals(circle1024):
     a = symbol_from_preset("trig-random:6", seed=8)
-    M = finite_section(a, 9, 5, "T")
+    M = finite_section(a, 9, 5)
     for d in range(-4, 9):
         diag = np.diagonal(M, -d)
         assert np.abs(diag - diag[0]).max() < 1e-15
@@ -186,15 +191,15 @@ def test_section_constant_diagonals(circle1024):
 def test_section_degree_validation(circle1024):
     a = symbol_from_preset("singular:-0.25", degree=50)
     with pytest.raises(ValueError, match="degree"):
-        finite_section(a, 64, 64, "T")
+        finite_section(a, 64, 64)
     trig = symbol_from_preset("monomial:2")
-    finite_section(trig, 64, 64, "T")  # exact band: any size allowed
+    finite_section(trig, 64, 64)  # exact band: any size allowed
 
 
 def test_companion_reflects_coefficients(circle1024):
     a = symbol_from_preset("trig-random:3", seed=9)
-    T = finite_section(a, 6, 6, "T")
-    C = finite_section(a, 6, 6, "companion")
+    T = finite_section(a, 6, 6)
+    C = finite_section(flipped(a), 6, 6)
     assert np.abs(C - T.T).max() < 1e-15
 
 
@@ -210,8 +215,8 @@ def test_section_is_real_exactly_when_its_coefficients_are(circle1024):
         real = not a.coefficients.imag.any()
         assert real == (name != "trig-random:3")
         window = a.coefficient_window(-18, 18)
-        for which, sign in (("T", 1), ("companion", -1)):
-            M = finite_section(a, 19, 12, which)
+        for which, b, sign in (("T", a, 1), ("companion", flipped(a), -1)):
+            M = finite_section(b, 19, 12)
             assert M.dtype == (np.float64 if real else np.complex128), (name, which)
             promoted = window[sign * j_minus_k + 18]
             assert np.array_equal(M, promoted), (name, which)
@@ -220,19 +225,19 @@ def test_section_is_real_exactly_when_its_coefficients_are(circle1024):
 # ----------------------------------------------------------------- svd probes
 
 def numerical_kernel(M):
-    return toeplitz._numerical_kernel(toeplitz._singular_values(M), 1e-8)
+    return toeplitz._numerical_kernel(toeplitz._singular_values(M))
 
 
 def test_kernel_of_square_shift(circle1024):
     a = Symbol(np.array([0, 0, 1], dtype=complex))
-    dim, sigma_min = numerical_kernel(finite_section(a, 8, 8, "T"))
+    dim, sigma_min = numerical_kernel(finite_section(a, 8, 8))
     assert dim == 1
     assert sigma_min == pytest.approx(0.0, abs=1e-15)
 
 
 def test_tall_shift_has_orthonormal_columns(circle1024):
     a = Symbol(np.array([0, 0, 1], dtype=complex))
-    dim, sigma_min = numerical_kernel(finite_section(a, 9, 8, "T"))
+    dim, sigma_min = numerical_kernel(finite_section(a, 9, 8))
     assert dim == 0
     assert sigma_min == pytest.approx(1.0, rel=1e-14)
 
@@ -250,7 +255,7 @@ def test_section_rejects_empty_shape(circle1024):
     a = symbol_from_preset("cos")
     for m, n in ((0, 3), (3, 0)):
         with pytest.raises(ValueError, match="positive"):
-            finite_section(a, m, n, "T")
+            finite_section(a, m, n)
 
 
 # ------------------------------------------------------ sections against S
@@ -259,13 +264,13 @@ def test_matrix_apply_consistency(circle1024):
     a = symbol_from_preset("trig-random:4", seed=10)
     av, n = a.values(circle1024), 8
     # T(a) f = P(a f) and the companion g -> Q(a g), with P and Q from S
-    sec = finite_section(a, n, n, "T")
+    sec = finite_section(a, n, n)
     for col in range(n):
         out = riesz_projections(circle1024, av * mode(circle1024, col))[0]
         spectrum = np.fft.fft(out) / out.size
         got = spectrum[:n]
         assert np.abs(got - sec[:, col]).max() < 1e-10
-    csec = finite_section(a, n, n, "companion")
+    csec = finite_section(flipped(a), n, n)
     for col in range(n):
         out = riesz_projections(circle1024, av * mode(circle1024, -(col + 1)))[1]
         spectrum = np.fft.fft(out) / out.size
@@ -280,8 +285,8 @@ def test_linearity_of_sections(circle1024):
             for d in (4, 3))
     alpha, beta = 1.7 - 0.3j, -0.4 + 2.2j
     combo = Symbol(alpha * a.coefficient_window(-8, 8) + beta * b.coefficient_window(-8, 8))
-    lhs = finite_section(combo, 6, 6, "T")
-    rhs = alpha * finite_section(a, 6, 6, "T") + beta * finite_section(b, 6, 6, "T")
+    lhs = finite_section(combo, 6, 6)
+    rhs = alpha * finite_section(a, 6, 6) + beta * finite_section(b, 6, 6)
     assert np.abs(lhs - rhs).max() < 1e-12
 
 
@@ -367,12 +372,11 @@ def test_dichotomy_rejects_sizes_out_of_order(circle1024):
             dichotomy_probe(a, p, q, sizes)
 
 
-def _complex_section(a, m, n, which):
+def _complex_section(a, m, n):
     """Test-side finite section, always complex, from scipy's Toeplitz builder."""
-    sign = 1 if which == "T" else -1
     K = max(m, n)
     window = a.coefficient_window(-K, K)
-    return scipy_toeplitz(window[K + sign * np.arange(m)], window[K - sign * np.arange(n)])
+    return scipy_toeplitz(window[K + np.arange(m)], window[K - np.arange(n)])
 
 
 def test_dichotomy_on_real_sections_matches_the_complex_svd(circle1024, monkeypatch):
@@ -419,10 +423,10 @@ def test_dichotomy_on_two_threads_is_bitwise_the_serial_svd(circle1024, monkeypa
     probes = [dichotomy_probe(a, p, q, sizes, aspect=aspect) for a in symbols]
     assert len(started) == len(symbols)
     for a, got in zip(symbols, probes):
-        for which, sig, dim in (("T", got.sigma_min_T, got.kernel_dim_T),
-                                ("companion", got.sigma_min_companion,
-                                 got.kernel_dim_companion)):
-            svals = [np.linalg.svd(np.array(finite_section(a, n + aspect, n, which)),
+        for which, b, sig, dim in (("T", a, got.sigma_min_T, got.kernel_dim_T),
+                                   ("companion", flipped(a), got.sigma_min_companion,
+                                    got.kernel_dim_companion)):
+            svals = [np.linalg.svd(np.array(finite_section(b, n + aspect, n)),
                                    compute_uv=False) for n in sizes]
             assert sig == tuple(float(sv[-1]) for sv in svals), (a.name, which)
             assert dim == tuple(int(np.count_nonzero(sv < threshold * sv[0]))
@@ -469,7 +473,7 @@ def test_dichotomy_svd_error_reaches_the_caller(circle1024, monkeypatch, side):
 def test_section_norm_bounded_by_sup_for_p2(circle1024):
     # on the analytic side of L^2 the operator norm is at most max |a|
     a = symbol_from_preset("one-plus-cos2")
-    M = finite_section(a, 40, 32, "T")
+    M = finite_section(a, 40, 32)
     sigma_max = np.linalg.svd(M, compute_uv=False)[0]
     assert sigma_max <= np.abs(a.values(circle1024)).max() * (1.0 + 1e-10)
 
@@ -498,7 +502,7 @@ def test_unbounded_symbol_bound_via_sections(circle1024, rng):
     integral, _ = quad(lambda phi: (2 * np.sin(phi / 2)) ** (3 * s), 0, np.pi, points=[0])
     na3 = (2 * integral) ** (1.0 / 3.0)
     deg_f = 8
-    sec = finite_section(a, 200, deg_f + 1, "T")
+    sec = finite_section(a, 200, deg_f + 1)
     phi = np.angle(circle1024.nodes)
     for _ in range(5):
         coeff = rng.standard_normal(deg_f + 1) + 1j * rng.standard_normal(deg_f + 1)
