@@ -15,11 +15,16 @@ node angles of any curve, by its formula where it has one; the probe reads
 the coefficients alone.
 
 Sections are read-only views of one coefficient window, so building them
-copies nothing. The probe builds every section first and then takes the
-singular values of a's sections on the calling thread while one worker
-thread takes the flipped symbol's, of the same shapes; LAPACK releases the
-GIL, and each SVD is the call a single thread would make, so the results are
-bitwise those of one thread, on one CPU or many.
+copies nothing. When the coefficients a section reads sit on d0 + gZ with
+g > 1, it maps the input modes k = r (mod g) to the output modes
+j = r + d0 (mod g) alone: up to a permutation it is block diagonal, and its
+singular values are the union of its blocks' (Boettcher and Silbermann).
+``monomial:1`` has 1 x 1 blocks, ``cos`` (g = 2) two of about m/2 x n/2;
+a dense band (g = 1) is its own one block. The probe builds every section
+and block stack first and then takes the singular values of a's on the
+calling thread while one worker thread takes the flipped symbol's; LAPACK
+releases the GIL, and each SVD is the call a single thread would make, so
+the results are bitwise those of one thread, on one CPU or many.
 """
 
 from __future__ import annotations
@@ -179,7 +184,8 @@ def finite_section(a: Symbol, m: int, n: int) -> np.ndarray:
     The section is real (float64) when the coefficients it reads are real,
     so its SVD runs in real arithmetic; otherwise it is complex. It is a
     read-only view of one length m + n - 1 coefficient window, not a copy:
-    copy it before writing to it.
+    copy it before writing to it. The probe splits it by the lattice of the
+    window's nonzero offsets (module docstring).
     """
     if m <= 0 or n <= 0:
         raise ValueError("section shape must be positive")
@@ -195,10 +201,42 @@ def finite_section(a: Symbol, m: int, n: int) -> np.ndarray:
     return sliding_window_view(window, n)[::-1]
 
 
-def _singular_values(section: np.ndarray) -> np.ndarray:
-    """Singular values of one section, in descending order. The probe's SVD
-    worker thread calls this and nothing else."""
-    return np.linalg.svd(section, compute_uv=False)
+def _blocks(section: np.ndarray) -> list[np.ndarray]:
+    """The section itself when the nonzero offsets D of its diagonals
+    a_{1-n}..a_{m-1} have g = gcd(D - d0) = 1; else its blocks, columns
+    k = r and rows j = r + d0 (mod g), one (count, rows, columns) copy per
+    shape. A single offset makes each column a block; a block with no rows,
+    and an all-zero window, give no array."""
+    m, n = section.shape
+    offsets = np.flatnonzero(np.concatenate([section[0, :0:-1], section[:, 0]])) - (n - 1)
+    if offsets.size == 0:
+        return []
+    g = int(np.gcd.reduce(offsets - offsets[0])) or m + n
+    if g == 1:
+        return [section]
+    cols = np.arange(min(g, n))
+    rows = (cols + offsets[0]) % g
+    heights, widths = np.maximum(-((rows - m) // g), 0), -((cols - n) // g)
+    stacks = []
+    for h, w in sorted(set(zip(heights.tolist(), widths.tolist()))):
+        pick = (heights == h) & (widths == w)
+        if h:
+            stacks.append(section[rows[pick, None, None] + g * np.arange(h)[:, None],
+                                  cols[pick, None, None] + g * np.arange(w)])
+    return stacks
+
+
+def _singular_values(blocks: np.ndarray) -> np.ndarray:
+    """Singular values of one section or of each block of a stack, in
+    descending order. The probe's SVD worker thread calls this and nothing
+    else."""
+    return np.linalg.svd(blocks, compute_uv=False)
+
+
+def _union(svals: list[np.ndarray], size: int) -> np.ndarray:
+    """The size = min(m, n) singular values of a section, in descending order,
+    from those of its blocks: their union, padded with zeros."""
+    return np.sort(np.concatenate([np.zeros(size), *(sv.ravel() for sv in svals)]))[::-1][:size]
 
 
 def _numerical_kernel(svals: np.ndarray) -> tuple[int, float]:
@@ -210,23 +248,23 @@ def _numerical_kernel(svals: np.ndarray) -> tuple[int, float]:
     return int(np.count_nonzero(svals < KERNEL_THRESHOLD * smax)), float(svals[-1])
 
 
-def _singular_values_of_both(sections_t: list, sections_c: list) -> tuple[list, list]:
-    """Singular values of the T sections on this thread and, at the same
-    time, of the companion sections on one worker thread; on one CPU the two
-    share it. A worker's exception is raised here, after the worker has
-    ended."""
+def _singular_values_of_both(blocks_t: list, blocks_c: list) -> tuple[list, list]:
+    """Singular values of the blocks of each T section on this thread and, at
+    the same time, of each companion section's on one worker thread; on one
+    CPU the two share it. A worker's exception is raised here, after the
+    worker has ended."""
     svals_c, failure = [], []
 
     def companion_side():
         try:
-            svals_c.extend(_singular_values(s) for s in sections_c)
+            svals_c.extend([_singular_values(b) for b in blocks] for blocks in blocks_c)
         except BaseException as exc:  # handed to the caller, not lost in the thread
             failure.append(exc)
 
     worker = threading.Thread(target=companion_side, name="siolab-companion-svd")
     worker.start()
     try:
-        svals_t = [_singular_values(s) for s in sections_t]
+        svals_t = [[_singular_values(b) for b in blocks] for blocks in blocks_t]
     finally:
         worker.join()
     if failure:
@@ -259,10 +297,13 @@ def dichotomy_probe(
     increasing, and ``aspect`` must be at least 1: a square or wide section
     can have a kernel that the operator does not.
 
-    All 2 len(sizes) sections are built first, as read-only views. The SVDs
-    of a's sections then run on the calling thread while one worker thread
-    runs the flipped symbol's, the companion's, of the same shapes. Each
-    singular value is bitwise what one thread computes.
+    All 2 len(sizes) sections are built first, as read-only views, and split
+    by their support lattice into stacks of blocks, one batched SVD per shape
+    (``monomial:1``'s 520 x 512 section is 512 blocks of 1 x 1, ``cos``'s
+    two of 260 x 256, a g = 1 section one block, itself). a's SVDs run on the
+    calling thread while one worker runs the flipped symbol's, the
+    companion's. A section's singular values are its blocks', sorted and
+    padded with zeros to min(m, n); each is bitwise what one thread computes.
     """
     if a.is_zero:
         raise ValueError("zero symbol is excluded from the dichotomy probe")
@@ -279,10 +320,10 @@ def dichotomy_probe(
     shapes = [(n + aspect, n) for n in sizes]
     flipped = Symbol(a.coefficients[::-1], a.name, a.exact_band)
     svals_t, svals_c = _singular_values_of_both(
-        [finite_section(a, m, n) for m, n in shapes],
-        [finite_section(flipped, m, n) for m, n in shapes])
-    dim_t, sig_t = zip(*(_numerical_kernel(sv) for sv in svals_t))
-    dim_c, sig_c = zip(*(_numerical_kernel(sv) for sv in svals_c))
+        [_blocks(finite_section(a, m, n)) for m, n in shapes],
+        [_blocks(finite_section(flipped, m, n)) for m, n in shapes])
+    dim_t, sig_t = zip(*(_numerical_kernel(_union(sv, n)) for sv, n in zip(svals_t, sizes)))
+    dim_c, sig_c = zip(*(_numerical_kernel(_union(sv, n)) for sv, n in zip(svals_c, sizes)))
     t_ok = min(sig_t) >= SIGMA_FLOOR and _trend_is_clean(sig_t)
     c_ok = min(sig_c) >= SIGMA_FLOOR and _trend_is_clean(sig_c)
     fault = False

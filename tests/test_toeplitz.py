@@ -404,10 +404,10 @@ def test_dichotomy_on_real_sections_matches_the_complex_svd(circle1024, monkeypa
             assert diff <= tol, (a.name, side, diff, tol)
 
 
-def _serial_svals(sections_t, sections_c):
-    """Test-side reference: one thread, one np.linalg.svd per copied section."""
-    return ([np.linalg.svd(np.array(s), compute_uv=False) for s in sections_t],
-            [np.linalg.svd(np.array(s), compute_uv=False) for s in sections_c])
+def _serial_svals(blocks_t, blocks_c):
+    """Test-side reference: one thread, one np.linalg.svd per copied block stack."""
+    return ([[np.linalg.svd(np.array(b), compute_uv=False) for b in bs] for bs in blocks_t],
+            [[np.linalg.svd(np.array(b), compute_uv=False) for b in bs] for bs in blocks_c])
 
 
 def test_dichotomy_on_two_threads_is_bitwise_the_serial_svd(circle1024, monkeypatch):
@@ -428,7 +428,11 @@ def test_dichotomy_on_two_threads_is_bitwise_the_serial_svd(circle1024, monkeypa
                                     got.kernel_dim_companion)):
             svals = [np.linalg.svd(np.array(finite_section(b, n + aspect, n)),
                                    compute_uv=False) for n in sizes]
-            assert sig == tuple(float(sv[-1]) for sv in svals), (a.name, which)
+            full = tuple(float(sv[-1]) for sv in svals)
+            if a.name.startswith("trig-random"):  # gcd 1: the section itself, bitwise
+                assert sig == full, (a.name, which)
+            else:  # split into blocks: within rounding of sigma_max
+                assert np.allclose(sig, full, rtol=0, atol=1e-13 * svals[-1][0]), (a.name, which)
             assert dim == tuple(int(np.count_nonzero(sv < threshold * sv[0]))
                                 for sv in svals), (a.name, which)
     monkeypatch.setattr(toeplitz, "_singular_values_of_both", _serial_svals)
@@ -436,6 +440,83 @@ def test_dichotomy_on_two_threads_is_bitwise_the_serial_svd(circle1024, monkeypa
         assert got == dichotomy_probe(a, p, q, sizes, aspect=aspect), a.name
     assert [v.verdict for v in probes] == ["T-injective", "companion-injective",
                                            "both", "both"]  # trig-random:5 winds 0 times
+
+
+def _lacunary_symbols(rng, count):
+    """Seeded symbols with offsets in -4..4 on d0 + gZ, g = 1..5, alternately
+    real and complex."""
+    for i in range(count):
+        g = int(rng.integers(1, 6))
+        support = np.arange(int(rng.integers(-4, -4 + g)), 5, g)
+        offsets = support[rng.random(support.size) < 0.6]
+        offsets = offsets if offsets.size else support[:1]
+        c = np.zeros(9, dtype=complex)
+        c[offsets + 4] = rng.standard_normal(offsets.size)
+        if i % 2:
+            c[offsets + 4] += 1j * rng.standard_normal(offsets.size)
+        yield Symbol(c), offsets
+
+
+def test_block_split_gives_the_full_sections_singular_values():
+    # 100 symbols x 12 shapes; the worst measured error was 9.2e-15 of sigma_max
+    shapes = ((11, 3), (9, 8), (8, 8), (5, 5), (8, 9), (3, 11), (24, 16), (16, 24),
+              (1, 1), (1, 7), (7, 1), (12, 12))
+    gcd_one = 0
+    for a, offsets in _lacunary_symbols(np.random.default_rng(43), 100):
+        for m, n in shapes:
+            M = finite_section(a, m, n)
+            blocks = toeplitz._blocks(M)
+            got = toeplitz._union([toeplitz._singular_values(b) for b in blocks], min(m, n))
+            ref = np.linalg.svd(np.array(M), compute_uv=False)
+            assert got.shape == ref.shape, (a.coefficients, m, n)
+            assert toeplitz._numerical_kernel(got)[0] == toeplitz._numerical_kernel(ref)[0]
+            assert np.abs(got - ref).max() <= 1e-13 * ref[0], (a.coefficients, m, n)
+            seen = offsets[(offsets >= 1 - n) & (offsets <= m - 1)]
+            if seen.size and np.gcd.reduce(seen - seen[0]) == 1:
+                gcd_one += 1
+                assert len(blocks) == 1 and blocks[0] is M
+                assert np.array_equal(got, ref), (a.coefficients, m, n)
+    assert gcd_one > 100
+
+
+def test_all_zero_window_gives_zero_singular_values(circle1024):
+    # monomial:30 at aspect 8 reads no nonzero coefficient below n = 23
+    M = finite_section(symbol_from_preset("monomial:30"), 24, 16)
+    assert toeplitz._blocks(M) == []
+    assert np.array_equal(toeplitz._union([], 16), np.zeros(16))
+    p, q = exponent_constant(4.0, 1024), exponent_constant(2.0, 1024)
+    probe = dichotomy_probe(symbol_from_preset("monomial:30"), p, q, (8, 16), aspect=8)
+    assert probe.kernel_dim_T == (8, 16) and probe.sigma_min_T == (0.0, 0.0)
+
+
+def _received_shapes(monkeypatch, spec, sizes, aspect=8, seed=0):
+    """The arrays the probe's SVDs receive, and the sections it builds."""
+    received, sections = [], []
+    svd, section = toeplitz._singular_values, toeplitz.finite_section
+    monkeypatch.setattr(toeplitz, "_singular_values",
+                        lambda blocks: received.append(blocks) or svd(blocks))
+    monkeypatch.setattr(toeplitz, "finite_section",
+                        lambda *args: sections.append(section(*args)) or sections[-1])
+    p, q = exponent_constant(4.0, 1024), exponent_constant(2.0, 1024)
+    a = symbol_from_preset(spec, degree=max(sizes) + aspect, seed=seed)
+    dichotomy_probe(a, p, q, sizes, aspect=aspect)
+    return received, sections
+
+
+def test_cost_pins_for_the_block_split(circle1024, monkeypatch):
+    lab_mix_sizes = (16, 32, 64, 128, 256, 512)
+    received, _ = _received_shapes(monkeypatch, "monomial:1", lab_mix_sizes)
+    assert received and all(b.ndim == 3 and b.shape[1:] == (1, 1) for b in received)
+    for n in lab_mix_sizes:
+        received, _ = _received_shapes(monkeypatch, "cos", (n,))
+        tall, wide = -(-(n + 8) // 2), -(-n // 2)
+        assert all(b.ndim == 3 and b.shape[1] <= tall and b.shape[2] <= wide
+                   for b in received), (n, [b.shape for b in received])
+    received, sections = _received_shapes(monkeypatch, "trig-random:3", lab_mix_sizes)
+    assert len(received) == len(sections) == 12
+    for b in received:  # the read-only window view itself, not a copy
+        assert any(b is s and np.shares_memory(b, s) for s in sections)
+        assert not b.flags.writeable
 
 
 def test_dichotomy_runs_where_os_has_no_sched_getaffinity(circle1024, monkeypatch):
@@ -449,17 +530,20 @@ def test_dichotomy_runs_where_os_has_no_sched_getaffinity(circle1024, monkeypatc
 
 @pytest.mark.parametrize("side", ["companion", "T"])
 def test_dichotomy_svd_error_reaches_the_caller(circle1024, monkeypatch, side):
-    # the shift's companion section has its ones above the diagonal, its T
-    # section below; fail on the 64-column section of one side only
+    # the companion's SVDs run on the worker thread, T's on this one; the
+    # shift's sections are one stack of 1 x 1 blocks each, so fail on the
+    # third stack, the 64-column section's, of one side only
     p, q = exponent_constant(4.0, 1024), exponent_constant(2.0, 1024)
     a = symbol_from_preset("monomial:1")
-    svd = toeplitz._singular_values
+    svd, calls = toeplitz._singular_values, []
 
-    def failing(section):
-        is_companion = section[0, 1] == 1.0
-        if section.shape[1] == 64 and is_companion == (side == "companion"):
-            raise RuntimeError(f"{side} SVD failed")
-        return svd(section)
+    def failing(blocks):
+        on_worker = threading.current_thread().name == "siolab-companion-svd"
+        if on_worker == (side == "companion"):
+            calls.append(blocks.shape)
+            if len(calls) == 3:
+                raise RuntimeError(f"{side} SVD failed")
+        return svd(blocks)
 
     monkeypatch.setattr(toeplitz, "_singular_values", failing)
     before = threading.active_count()
