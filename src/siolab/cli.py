@@ -31,7 +31,7 @@ from . import __version__
 from .cauchy import adjoint_residuals, apply_S, riesz_projections, s_path
 from .corpus import random_trig_polynomial, rational_corpus
 from .curves import carleson_constant, curve_from_name, curve_to_csv, read_preset
-from .exponents import exponent_from_preset, exponent_from_values, log_holder_constant
+from .exponents import ExponentFunction, exponent_from_preset, log_holder_constant
 from .spaces import (
     CERTIFICATE_TOL,
     luxemburg_norm,
@@ -193,7 +193,7 @@ def _node_csv(kind: str, spec: str, curve) -> np.ndarray:
 
 def _exponent(spec: str, curve):
     if spec.startswith("csv:"):
-        return exponent_from_values(_node_csv("exponent", spec, curve).real)
+        return ExponentFunction(_node_csv("exponent", spec, curve).real)
     return exponent_from_preset(spec, curve)
 
 
@@ -504,7 +504,7 @@ def main(argv=None) -> int:
             print(f"numerical fault: {fault}", file=sys.stderr)
             return EXIT_FAULT
         return EXIT_OK
-    except (ValueError, OSError, KeyError, json.JSONDecodeError, MemoryError) as exc:
+    except (ValueError, OSError, KeyError, MemoryError) as exc:
         print(f"validation error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
 

@@ -19,7 +19,6 @@ __all__ = [
     "ExponentFunction",
     "LogHolderReport",
     "exponent_constant",
-    "exponent_from_values",
     "exponent_from_preset",
     "essential_bounds",
     "conjugate_exponent_r",
@@ -73,10 +72,6 @@ def exponent_constant(value: float, n_nodes: int) -> ExponentFunction:
     return ExponentFunction(np.full(n_nodes, float(value)))
 
 
-def exponent_from_values(values) -> ExponentFunction:
-    return ExponentFunction(np.asarray(values, dtype=float))
-
-
 _NUMBER = r"([0-9]+\.?[0-9]*|\.[0-9]+)"
 _SIN_FORM = re.compile(rf"^\s*{_NUMBER}\s*\+\s*(?:{_NUMBER}\s*\*\s*)?abs\(\s*(sin|cos)\s*\)\s*$")
 
@@ -103,10 +98,10 @@ def exponent_from_preset(spec: str, curve: JordanCurve) -> ExponentFunction:
     m = _SIN_FORM.match(spec)
     if m:
         trig = np.sin(theta) if m.group(3) == "sin" else np.cos(theta)
-        return exponent_from_values(float(m.group(1)) + float(m.group(2) or 1.0) * np.abs(trig))
+        return ExponentFunction(float(m.group(1)) + float(m.group(2) or 1.0) * np.abs(trig))
     with np.errstate(divide="ignore"):  # logsmooth's 1 / |theta| at theta = 0
-        return exponent_from_values(read_preset("exponent", EXPONENT_PRESETS, spec, theta,
-                                                tried=("float", "A+[B*]abs(sin|cos)")))
+        return ExponentFunction(read_preset("exponent", EXPONENT_PRESETS, spec, theta,
+                                            tried=("float", "A+[B*]abs(sin|cos)")))
 
 
 def essential_bounds(p: ExponentFunction) -> tuple[float, float]:

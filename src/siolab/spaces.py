@@ -223,7 +223,7 @@ def luxemburg_norm(curve: JordanCurve, f, p: ExponentFunction) -> NormResult:
     # closed forms: a pure sup part, or a constant finite exponent
     if v_fin.size == 0:
         return result(1.0)
-    if v_inf.size == 0 and np.all(p_fin == p_fin[0]):
+    if v_inf.size == 0 and p.is_constant:
         scale, rho = _closed_form_rows(v_fin[None], float(p_fin[0]), w_fin)
         with np.errstate(over="ignore"):
             closed = NormResult(float(vmax * scale[0]), float(rho[0]), 0)
@@ -265,9 +265,8 @@ def norm_value(curve: JordanCurve, f, p: ExponentFunction) -> float | np.ndarray
         raise ValueError("function and curve node counts differ")
     values = np.zeros(m)
     done = np.zeros(m, dtype=bool)
-    pv = p.values
-    if np.all(pv == pv[0]) and np.isfinite(pv[0]):
-        pc = float(pv[0])
+    if p.is_constant and np.isfinite(p.values[0]):
+        pc = float(p.values[0])
         step = max(1, NORM_BLOCK // n)
         for s in range(0, m, step):
             a = np.abs(v[s : s + step]).astype(float, copy=False)

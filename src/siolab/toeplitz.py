@@ -20,17 +20,15 @@ g > 1, it maps the input modes k = r (mod g) to the output modes
 j = r + d0 (mod g) alone: up to a permutation it is block diagonal, and its
 singular values are the union of its blocks' (Boettcher and Silbermann).
 ``monomial:1`` has 1 x 1 blocks, ``cos`` (g = 2) two of about m/2 x n/2;
-a dense band (g = 1) is its own one block. The probe builds every section
-and block stack first and then takes the singular values of a's on the
-calling thread while one worker thread takes the flipped symbol's; LAPACK
-releases the GIL, and each SVD is the call a single thread would make, so
-the results are bitwise those of one thread, on one CPU or many.
+a dense band (g = 1) is its own one block. The probe takes the sections
+one at a time on the calling thread, a's and then the flipped symbol's.
+Parallelism is BLAS's: a one-thread pin, which makes report bytes
+reproducible, runs the probe on one core.
 """
 
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass
 from typing import Callable
 
@@ -228,8 +226,7 @@ def _blocks(section: np.ndarray) -> list[np.ndarray]:
 
 def _singular_values(blocks: np.ndarray) -> np.ndarray:
     """Singular values of one section or of each block of a stack, in
-    descending order. The probe's SVD worker thread calls this and nothing
-    else."""
+    descending order. Every SVD of the probe is this call."""
     return np.linalg.svd(blocks, compute_uv=False)
 
 
@@ -246,30 +243,6 @@ def _numerical_kernel(svals: np.ndarray) -> tuple[int, float]:
     if smax == 0.0:
         return svals.size, 0.0
     return int(np.count_nonzero(svals < KERNEL_THRESHOLD * smax)), float(svals[-1])
-
-
-def _singular_values_of_both(blocks_t: list, blocks_c: list) -> tuple[list, list]:
-    """Singular values of the blocks of each T section on this thread and, at
-    the same time, of each companion section's on one worker thread; on one
-    CPU the two share it. A worker's exception is raised here, after the
-    worker has ended."""
-    svals_c, failure = [], []
-
-    def companion_side():
-        try:
-            svals_c.extend([_singular_values(b) for b in blocks] for blocks in blocks_c)
-        except BaseException as exc:  # handed to the caller, not lost in the thread
-            failure.append(exc)
-
-    worker = threading.Thread(target=companion_side, name="siolab-companion-svd")
-    worker.start()
-    try:
-        svals_t = [[_singular_values(b) for b in blocks] for blocks in blocks_t]
-    finally:
-        worker.join()
-    if failure:
-        raise failure[0]
-    return svals_t, svals_c
 
 
 def _trend_is_clean(seq: tuple[float, ...]) -> bool:
@@ -297,13 +270,13 @@ def dichotomy_probe(
     increasing, and ``aspect`` must be at least 1: a square or wide section
     can have a kernel that the operator does not.
 
-    All 2 len(sizes) sections are built first, as read-only views, and split
-    by their support lattice into stacks of blocks, one batched SVD per shape
-    (``monomial:1``'s 520 x 512 section is 512 blocks of 1 x 1, ``cos``'s
-    two of 260 x 256, a g = 1 section one block, itself). a's SVDs run on the
-    calling thread while one worker runs the flipped symbol's, the
-    companion's. A section's singular values are its blocks', sorted and
-    padded with zeros to min(m, n); each is bitwise what one thread computes.
+    Each section is a read-only view, split by its support lattice into
+    stacks of blocks, one batched SVD per shape (``monomial:1``'s 520 x 512
+    section is 512 blocks of 1 x 1, ``cos``'s two of 260 x 256, a g = 1
+    section one block, itself). a's sections go first, then the flipped
+    symbol's, the companion's, one at a time, so only one section's blocks
+    are alive. A section's singular values are its blocks', sorted and
+    padded with zeros to min(m, n).
     """
     if a.is_zero:
         raise ValueError("zero symbol is excluded from the dichotomy probe")
@@ -317,13 +290,13 @@ def dichotomy_probe(
     if aspect < 1:
         raise ValueError(f"aspect must be at least 1, got {aspect}")
 
-    shapes = [(n + aspect, n) for n in sizes]
-    flipped = Symbol(a.coefficients[::-1], a.name, a.exact_band)
-    svals_t, svals_c = _singular_values_of_both(
-        [_blocks(finite_section(a, m, n)) for m, n in shapes],
-        [_blocks(finite_section(flipped, m, n)) for m, n in shapes])
-    dim_t, sig_t = zip(*(_numerical_kernel(_union(sv, n)) for sv, n in zip(svals_t, sizes)))
-    dim_c, sig_c = zip(*(_numerical_kernel(_union(sv, n)) for sv, n in zip(svals_c, sizes)))
+    def kernels(b: Symbol):
+        for n in sizes:
+            svals = [_singular_values(stack) for stack in _blocks(finite_section(b, n + aspect, n))]
+            yield _numerical_kernel(_union(svals, n))
+
+    dim_t, sig_t = zip(*kernels(a))
+    dim_c, sig_c = zip(*kernels(Symbol(a.coefficients[::-1], a.name, a.exact_band)))
     t_ok = min(sig_t) >= SIGMA_FLOOR and _trend_is_clean(sig_t)
     c_ok = min(sig_c) >= SIGMA_FLOOR and _trend_is_clean(sig_c)
     fault = False

@@ -13,7 +13,7 @@ from scipy.special import ellipe
 from siolab.cauchy import adjoint_residuals, apply_S, riesz_projections
 from siolab.corpus import random_trig_polynomial, rational_corpus
 from siolab.curves import carleson_constant
-from siolab.exponents import exponent_constant, exponent_from_values
+from siolab.exponents import ExponentFunction, exponent_constant
 from siolab.spaces import (
     luxemburg_norm,
     multiplier_norm_lower,
@@ -109,8 +109,8 @@ def test_criterion_04_luxemburg_norm(circle1024):
     presets = [
         exponent_constant(2.0, n),
         exponent_constant(3.3, n),
-        exponent_from_values(2.0 + np.abs(np.sin(theta))),
-        exponent_from_values(np.where(np.arange(n) % 5 == 0, 1.2, 4.0)),
+        ExponentFunction(2.0 + np.abs(np.sin(theta))),
+        ExponentFunction(np.where(np.arange(n) % 5 == 0, 1.2, 4.0)),
     ]
     worst_fix = 0.0
     for i in range(100):
@@ -120,7 +120,7 @@ def test_criterion_04_luxemburg_norm(circle1024):
     ok &= worst_fix <= 1e-10
     detail.append(f"fixed-point defect {worst_fix:.1e}")
     # two-piece exponent against the scalar root oracle
-    p = exponent_from_values(np.where(np.arange(n) < n // 2, 2.0, 4.0))
+    p = ExponentFunction(np.where(np.arange(n) < n // 2, 2.0, 4.0))
     got = norm_value(c, np.ones(n), p)
     oracle = brentq(lambda lam: np.pi / lam**2 + np.pi / lam**4 - 1.0, 0.5, 10.0, xtol=1e-14)
     ok &= abs(got - oracle) <= 1e-8
@@ -138,7 +138,7 @@ def test_criterion_05_function_norm_axioms(circle512):
     presets = [
         exponent_constant(2.0, n),
         exponent_constant(4.5, n),
-        exponent_from_values(1.5 + np.abs(np.sin(theta))),
+        ExponentFunction(1.5 + np.abs(np.sin(theta))),
     ]
     violations = 0
     for trial in range(60):
@@ -178,14 +178,14 @@ def test_criterion_06_holder_inequality(circle512, holder_ratio):
         (exponent_constant(4.0, n), exponent_constant(4.0, n)),
         (exponent_constant(3.0, n), exponent_constant(6.0, n)),
         (exponent_constant(2.0, n), exponent_constant(np.inf, n)),
-        (exponent_from_values(2.0 + np.abs(np.sin(theta))),
-         exponent_from_values(3.0 + np.cos(theta))),
-        (exponent_constant(4.0, n), exponent_from_values(2.5 + np.abs(np.cos(theta)))),
+        (ExponentFunction(2.0 + np.abs(np.sin(theta))),
+         ExponentFunction(3.0 + np.cos(theta))),
+        (exponent_constant(4.0, n), ExponentFunction(2.5 + np.abs(np.cos(theta)))),
     ]
     worst = 0.0
     violations = 0
     for p, r in pairs:
-        q = exponent_from_values(1.0 / (1.0 / p.values + np.where(np.isinf(r.values), 0.0, 1.0 / r.values)))
+        q = ExponentFunction(1.0 / (1.0 / p.values + np.where(np.isinf(r.values), 0.0, 1.0 / r.values)))
         for _ in range(200):
             f = random_trig_polynomial(c, rng, degree=6)
             g = random_trig_polynomial(c, rng, degree=6)

@@ -11,13 +11,13 @@ from hypothesis.extra.numpy import arrays
 import siolab.exponents as exponents
 from siolab.curves import JordanCurve, curve_from_name, make_unit_circle
 from siolab.exponents import (
+    ExponentFunction,
     LogHolderReport,
     conjugate_exponent_r,
     dominance_check,
     essential_bounds,
     exponent_constant,
     exponent_from_preset,
-    exponent_from_values,
     log_holder_constant,
     reciprocal,
 )
@@ -25,7 +25,7 @@ from siolab.exponents import (
 
 def test_values_below_one_rejected():
     with pytest.raises(ValueError):
-        exponent_from_values([2.0, 0.9, 3.0])
+        ExponentFunction([2.0, 0.9, 3.0])
 
 
 def test_essential_bounds_constant():
@@ -43,7 +43,7 @@ def test_essential_bounds_sin_profile(circle4096):
 def test_essential_bounds_with_infinity():
     vals = np.full(32, 2.0)
     vals[5] = np.inf
-    p = exponent_from_values(vals)
+    p = ExponentFunction(vals)
     assert essential_bounds(p)[1] == np.inf
 
 
@@ -66,7 +66,7 @@ def test_conjugate_rejects_dominance_violation():
 
 def test_dominance_check_lists_violations(circle1024):
     theta = np.angle(circle1024.nodes)
-    p = exponent_from_values(np.maximum(2.0 + np.sin(theta), 1.0))
+    p = ExponentFunction(np.maximum(2.0 + np.sin(theta), 1.0))
     q = exponent_constant(2.0, 1024)
     # the one dominance refusal: it returned (ok, nodes) and three callers
     # each raised their own message from them
@@ -86,7 +86,7 @@ def dominated_pair(draw):
     bump = draw(arrays(np.float64, n, elements=st.floats(min_value=0.0, max_value=8.0)))
     inf_mask = draw(arrays(np.bool_, n))
     p = np.where(inf_mask, np.inf, q + bump)
-    return exponent_from_values(p), exponent_from_values(q)
+    return ExponentFunction(p), ExponentFunction(q)
 
 
 @settings(max_examples=60, deadline=None)
@@ -129,7 +129,7 @@ def test_log_holder_scan_takes_at_most_max_nodes():
     p = exponent_from_preset("2+abs(sin)", c)
     half = JordanCurve(c.nodes[::2], c.arc_weights[::2], c.tangent_angles[::2])
     rep = log_holder_constant(p, c)
-    every_2nd = log_holder_constant(exponent_from_values(p.values[::2]), half)
+    every_2nd = log_holder_constant(ExponentFunction(p.values[::2]), half)
     assert (rep.constant_estimate, rep.holds) == (every_2nd.constant_estimate, every_2nd.holds)
 
 
@@ -175,7 +175,7 @@ def test_log_holder_smooth_profile_stable():
 def test_log_holder_unbounded_exponent():
     vals = np.full(1024, 2.0)
     vals[3] = np.inf
-    rep = log_holder_constant(exponent_from_values(vals), make_unit_circle(1024))
+    rep = log_holder_constant(ExponentFunction(vals), make_unit_circle(1024))
     assert not rep.holds
     assert rep.constant_estimate == np.inf
 

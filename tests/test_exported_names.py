@@ -6,6 +6,9 @@ without a user. The check reads the sources with ``ast``: a name counts as
 used when it appears as a name or an attribute anywhere in ``src/siolab``
 or in the non-test files of ``bench``. Import lists and ``__all__`` strings
 are not uses. The package itself binds only ``__version__``.
+
+The library starts no thread or process of its own: parallelism is left to
+BLAS, and ``bench/spans.py`` keeps one span stack for one thread.
 """
 
 import ast
@@ -52,3 +55,18 @@ def test_the_package_binds_only_its_version():
     assert isinstance(docstring, ast.Expr) and isinstance(docstring.value.value, str)
     assert isinstance(version, ast.Assign) and isinstance(version.value.value, str)
     assert [ast.unparse(target) for target in version.targets] == ["__version__"]
+
+
+def test_no_module_imports_a_thread_or_process_pool():
+    banned = {"threading", "concurrent", "multiprocessing"}
+    found = []
+    for path in sorted((ROOT / "src" / "siolab").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                modules = [node.module or ""]
+            else:
+                continue
+            found += [f"{path.name}: {m}" for m in modules if m.split(".")[0] in banned]
+    assert found == []

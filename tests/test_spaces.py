@@ -12,9 +12,9 @@ from siolab.cli import ExperimentConfig, run_norm
 from siolab.corpus import random_trig_polynomial
 from siolab.curves import curve_from_name, make_unit_circle
 from siolab.exponents import (
+    ExponentFunction,
     exponent_constant,
     exponent_from_preset,
-    exponent_from_values,
 )
 from siolab.spaces import (
     luxemburg_norm,
@@ -46,7 +46,7 @@ def test_modular_against_refined_grid_oracle():
     def value(n):
         c = make_unit_circle(n)
         theta = np.angle(c.nodes)
-        p = exponent_from_values(2.0 + np.abs(np.sin(theta)))
+        p = ExponentFunction(2.0 + np.abs(np.sin(theta)))
         return modular(c, np.abs(np.cos(theta)), p)
 
     assert value(4096) == pytest.approx(value(65536), rel=1e-6)
@@ -87,7 +87,7 @@ def test_norm_infinite_exponent(circle512):
 def test_norm_two_piece_exponent_scalar_oracle(circle1024):
     # equal halves by node index: pi / lam^2 + pi / lam^4 = 1
     vals = np.where(np.arange(1024) < 512, 2.0, 4.0)
-    p = exponent_from_values(vals)
+    p = ExponentFunction(vals)
     res = luxemburg_norm(circle1024, np.ones(1024), p)
     oracle = brentq(lambda lam: np.pi / lam**2 + np.pi / lam**4 - 1.0, 0.5, 10.0,
                     xtol=1e-14)
@@ -102,8 +102,8 @@ def _fixed_point_corpus(curve):
     presets = [
         exponent_constant(2.0, 512),
         exponent_constant(3.7, 512),
-        exponent_from_values(2.0 + np.abs(np.sin(theta))),
-        exponent_from_values(np.where(np.arange(512) % 3 == 0, 1.5, 4.0)),
+        ExponentFunction(2.0 + np.abs(np.sin(theta))),
+        ExponentFunction(np.where(np.arange(512) % 3 == 0, 1.5, 4.0)),
     ]
     for i in range(100):
         f = rng.standard_normal(512) + 1j * rng.standard_normal(512)
@@ -138,7 +138,7 @@ def test_norm_homogeneous_from_1e_minus_300_to_1e300(circle512, which):
     theta = np.angle(circle512.nodes)
     with_inf = np.full(512, 2.0)
     with_inf[::8] = np.inf
-    p = exponent_from_values({
+    p = ExponentFunction({
         "2+abs(sin)": 2.0 + np.abs(np.sin(theta)),
         "two-piece": np.where(np.arange(512) < 256, 2.0, 4.0),
         "inf-nodes": with_inf,
@@ -180,7 +180,7 @@ def test_run_norm_on_the_benchmark_norm_command():
 def test_norm_with_infinity_nodes(circle512):
     vals = np.full(512, 2.0)
     vals[::8] = np.inf
-    p = exponent_from_values(vals)
+    p = ExponentFunction(vals)
     f = np.ones(512, dtype=complex) * 5.0
     res = luxemburg_norm(circle512, f, p)
     assert abs(res.modular_at_value - 1.0) <= 1e-10
@@ -335,12 +335,12 @@ def test_holder_randomized_ratio_bound(circle512, rng, holder_ratio):
     triples = [
         (exponent_constant(4.0, n), exponent_constant(4.0, n)),
         (exponent_constant(3.0, n), exponent_constant(6.0, n)),
-        (exponent_from_values(2.0 + np.abs(np.sin(theta))),
-         exponent_from_values(3.0 + np.cos(theta))),
+        (ExponentFunction(2.0 + np.abs(np.sin(theta))),
+         ExponentFunction(3.0 + np.cos(theta))),
     ]
     worst = 0.0
     for p, r in triples:
-        q = exponent_from_values(1.0 / (1.0 / p.values + 1.0 / r.values))
+        q = ExponentFunction(1.0 / (1.0 / p.values + 1.0 / r.values))
         for _ in range(60):
             k = np.arange(-6, 7)
             f = np.exp(1j * np.outer(theta, k)) @ (rng.standard_normal(13) + 1j * rng.standard_normal(13))
@@ -355,7 +355,7 @@ def test_holder_rejects_bad_triple(circle512, holder_ratio):
     with pytest.raises(ValueError, match="1/q"):
         holder_ratio(circle512, np.ones(n), np.ones(n), p, q, exponent_constant(3.0, n))
     # 1/r is off by 1e-10, far above the rounding of conjugate_exponent_r
-    r = exponent_from_values(np.full(n, 1.0 / (0.25 + 1e-10)))
+    r = ExponentFunction(np.full(n, 1.0 / (0.25 + 1e-10)))
     with pytest.raises(ValueError, match="1/q"):
         holder_ratio(circle512, np.ones(n), np.ones(n), p, q, r)
 
@@ -486,7 +486,7 @@ def _axiom_setup():
     exponents = [
         exponent_constant(2.0, 64),
         exponent_constant(5.0, 64),
-        exponent_from_values(1.5 + np.abs(np.sin(theta))),
+        ExponentFunction(1.5 + np.abs(np.sin(theta))),
     ]
     return curve, exponents
 
@@ -551,7 +551,7 @@ def test_axiom_fatou_truncations(circle512):
 def test_embedding_constant(circle512, rng):
     # q <= p nodewise implies ||f||_q <= (1 + |curve|) ||f||_p
     theta = np.angle(circle512.nodes)
-    p = exponent_from_values(3.0 + np.abs(np.sin(theta)))
+    p = ExponentFunction(3.0 + np.abs(np.sin(theta)))
     q = exponent_constant(2.0, 512)
     K = 1.0 + circle512.arc_weights.sum()
     for _ in range(25):

@@ -1,5 +1,4 @@
 import os
-import threading
 import tracemalloc
 
 import numpy as np
@@ -404,13 +403,7 @@ def test_dichotomy_on_real_sections_matches_the_complex_svd(circle1024, monkeypa
             assert diff <= tol, (a.name, side, diff, tol)
 
 
-def _serial_svals(blocks_t, blocks_c):
-    """Test-side reference: one thread, one np.linalg.svd per copied block stack."""
-    return ([[np.linalg.svd(np.array(b), compute_uv=False) for b in bs] for bs in blocks_t],
-            [[np.linalg.svd(np.array(b), compute_uv=False) for b in bs] for bs in blocks_c])
-
-
-def test_dichotomy_on_two_threads_is_bitwise_the_serial_svd(circle1024, monkeypatch):
+def test_dichotomy_matches_the_full_section_svd(circle1024):
     p, q = exponent_constant(4.0, 1024), exponent_constant(2.0, 1024)
     sizes, aspect, threshold = (16, 32, 64, 128, 256, 512), 8, toeplitz.KERNEL_THRESHOLD
     symbols = [symbol_from_preset("monomial:1"),
@@ -418,10 +411,7 @@ def test_dichotomy_on_two_threads_is_bitwise_the_serial_svd(circle1024, monkeypa
                symbol_from_preset("cos"),
                symbol_from_preset("trig-random:5", seed=5)]
     assert symbols[-1].coefficients.imag.any()  # one complex section family
-    started, thread = [], threading.Thread
-    monkeypatch.setattr(threading, "Thread", lambda **kw: started.append(kw) or thread(**kw))
     probes = [dichotomy_probe(a, p, q, sizes, aspect=aspect) for a in symbols]
-    assert len(started) == len(symbols)
     for a, got in zip(symbols, probes):
         for which, b, sig, dim in (("T", a, got.sigma_min_T, got.kernel_dim_T),
                                    ("companion", flipped(a), got.sigma_min_companion,
@@ -435,11 +425,22 @@ def test_dichotomy_on_two_threads_is_bitwise_the_serial_svd(circle1024, monkeypa
                 assert np.allclose(sig, full, rtol=0, atol=1e-13 * svals[-1][0]), (a.name, which)
             assert dim == tuple(int(np.count_nonzero(sv < threshold * sv[0]))
                                 for sv in svals), (a.name, which)
-    monkeypatch.setattr(toeplitz, "_singular_values_of_both", _serial_svals)
-    for a, got in zip(symbols, probes):
-        assert got == dichotomy_probe(a, p, q, sizes, aspect=aspect), a.name
     assert [v.verdict for v in probes] == ["T-injective", "companion-injective",
                                            "both", "both"]  # trig-random:5 winds 0 times
+
+
+def test_dichotomy_holds_one_section_at_a_time(circle1024):
+    # all twelve of cos's sections and block stacks alive at once traced 2.89 MiB
+    p, q = exponent_constant(4.0, 1024), exponent_constant(2.0, 1024)
+    a = symbol_from_preset("cos")
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        dichotomy_probe(a, p, q, (16, 32, 64, 128, 256, 512), aspect=8)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20
 
 
 def _lacunary_symbols(rng, count):
@@ -526,30 +527,6 @@ def test_dichotomy_runs_where_os_has_no_sched_getaffinity(circle1024, monkeypatc
     here = dichotomy_probe(a, p, q, (16, 32, 64))
     monkeypatch.delattr(os, "sched_getaffinity")
     assert dichotomy_probe(a, p, q, (16, 32, 64)) == here
-
-
-@pytest.mark.parametrize("side", ["companion", "T"])
-def test_dichotomy_svd_error_reaches_the_caller(circle1024, monkeypatch, side):
-    # the companion's SVDs run on the worker thread, T's on this one; the
-    # shift's sections are one stack of 1 x 1 blocks each, so fail on the
-    # third stack, the 64-column section's, of one side only
-    p, q = exponent_constant(4.0, 1024), exponent_constant(2.0, 1024)
-    a = symbol_from_preset("monomial:1")
-    svd, calls = toeplitz._singular_values, []
-
-    def failing(blocks):
-        on_worker = threading.current_thread().name == "siolab-companion-svd"
-        if on_worker == (side == "companion"):
-            calls.append(blocks.shape)
-            if len(calls) == 3:
-                raise RuntimeError(f"{side} SVD failed")
-        return svd(blocks)
-
-    monkeypatch.setattr(toeplitz, "_singular_values", failing)
-    before = threading.active_count()
-    with pytest.raises(RuntimeError, match=f"{side} SVD failed"):
-        dichotomy_probe(a, p, q, (16, 32, 64, 128))
-    assert threading.active_count() == before
 
 
 # ----------------------------------------------------------------- norm bounds

@@ -1,7 +1,7 @@
 """The benchmark's tracer sees the dichotomy probe as one nested call tree.
 
-``bench/spans.py`` records spans on one stack for one thread, so the probe's
-SVD worker thread must call no traced (public) siolab function. The traced
+``bench/spans.py`` records spans on one stack for one thread, so every
+traced (public) siolab function must run on the calling thread. The traced
 run must also write the bytes of an untraced one.
 """
 
