@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 
 import numpy as np
@@ -8,6 +9,7 @@ from scipy.integrate import quad
 from scipy.special import ellipe
 
 from siolab.curves import (
+    CARLESON_CENTRES,
     TRIG_BLOCK,
     JordanCurve,
     carleson_constant,
@@ -247,6 +249,69 @@ def test_carleson_is_the_brute_force_sup_over_every_radius(name, n):
     d = np.abs(curve.nodes - report.argmax_point)
     at_argmax = curve.arc_weights[d <= report.argmax_radius].sum() / report.argmax_radius
     assert at_argmax == pytest.approx(best, rel=1e-12, abs=0.0)
+
+
+def _carleson_by_argsort(curve):
+    """The general per-centre scan: argsort, gathered weights and their cumsum."""
+    n, z, w = curve.n_nodes, curve.nodes, curve.arc_weights
+    lo = 2.0 * curve.max_spacing()
+    best = -np.inf
+    for i in range(0, n, max(1, n // CARLESON_CENTRES)):
+        d = np.abs(z - z[i])
+        order = np.argsort(d, kind="stable")
+        ratios = np.cumsum(w[order]) / np.maximum(d[order], lo)
+        j = int(np.argmax(ratios))
+        if ratios[j] > best:
+            best, centre = ratios[j], i
+            inside, radius = w[order[: j + 1]], max(float(d[order[j]]), lo)
+    return math.fsum(inside) / radius, complex(z[centre]), radius
+
+
+def _scaled_rotated_circle(n):
+    # equal weights on a curve not flagged as the unit circle
+    circle = make_unit_circle(n)
+    turn = np.exp(0.7j)
+    return JordanCurve(3.0 * turn * circle.nodes, 3.0 * circle.arc_weights,
+                       np.angle(turn * circle.unit_tangents))
+
+
+@pytest.mark.parametrize("name, n", [
+    *(("circle", n) for n in (8, 9, 17, 1000, 1023, 4096, 4097)),
+    ("unflagged-circle", 1000),
+    ("ellipse:2,1", 1024),
+    ("square", 1024),
+    ("perturbed-circle:0.3,12", 1024),
+])
+def test_carleson_is_bitwise_the_argsort_scan(name, n):
+    # equal arc weights (circles, the square) share one running sum and sort
+    # only the distances; every report field must still be the general
+    # scan's, to the bit. The ellipse and the perturbed circle take that scan.
+    curve = _scaled_rotated_circle(n) if name == "unflagged-circle" else curve_from_name(name, n)
+    report = carleson_constant(curve)
+    fields = (report.constant_estimate, report.argmax_point, report.argmax_radius)
+    assert fields == _carleson_by_argsort(curve)
+
+
+def _argsort_calls(monkeypatch, curve):
+    calls = []
+    argsort = np.argsort
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return argsort(*args, **kwargs)
+
+    monkeypatch.setattr(np, "argsort", counting)
+    carleson_constant(curve)
+    monkeypatch.undo()
+    return len(calls)
+
+
+def test_carleson_sorts_no_indices_on_equal_weights(circle1024, monkeypatch):
+    assert _argsort_calls(monkeypatch, circle1024) == 0
+    assert _argsort_calls(monkeypatch, _scaled_rotated_circle(1024)) == 0
+    ellipse = curve_from_name("ellipse:2,1", 1024)
+    centres = len(range(0, 1024, 1024 // CARLESON_CENTRES))
+    assert _argsort_calls(monkeypatch, ellipse) == centres
 
 
 def test_curve_csv_roundtrip(circle1024):

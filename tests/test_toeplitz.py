@@ -1,4 +1,3 @@
-import os
 import tracemalloc
 
 import numpy as np
@@ -518,15 +517,6 @@ def test_cost_pins_for_the_block_split(circle1024, monkeypatch):
     for b in received:  # the read-only window view itself, not a copy
         assert any(b is s and np.shares_memory(b, s) for s in sections)
         assert not b.flags.writeable
-
-
-def test_dichotomy_runs_where_os_has_no_sched_getaffinity(circle1024, monkeypatch):
-    # macOS and Windows have no os.sched_getaffinity; the probe read it and died there
-    p, q = exponent_constant(4.0, 1024), exponent_constant(2.0, 1024)
-    a = symbol_from_preset("monomial:1")
-    here = dichotomy_probe(a, p, q, (16, 32, 64))
-    monkeypatch.delattr(os, "sched_getaffinity")
-    assert dichotomy_probe(a, p, q, (16, 32, 64)) == here
 
 
 # ----------------------------------------------------------------- norm bounds
