@@ -144,8 +144,9 @@ def conjugate_exponent_r(p: ExponentFunction, q: ExponentFunction) -> ExponentFu
 
 # Rows per block of the log-Hoelder pair scan, whose maxima do not depend on
 # the order of the blocks: 1 MiB per temporary at 4096 nodes. 2+abs(sin) on
-# the 4096-node circle traces 6.3 MiB and takes 262 ms, against 24.6 MiB and
-# 344 ms in blocks of 128 rows (one BLAS thread, 2-vCPU host).
+# the 4096-node circle traces 3.6 MiB and takes 72-100 ms, against 7.1 MiB
+# and 96-105 ms in blocks of 64 rows and 14.1 MiB and 113-119 ms in blocks of
+# 128 (fresh processes, one BLAS thread, 2-vCPU host).
 SCAN_ROWS = 32
 
 
@@ -164,7 +165,9 @@ def log_holder_constant(
     ``LogHolderReport(bounds_ok, 0.0, p_minus, p_plus)`` without a
     scan, which is what the scan gives. The scan takes every
     ceil(n / max_nodes)-th node, so at most max_nodes nodes, SCAN_ROWS rows
-    at a time.
+    at a time, and scans each unordered pair once: a block's rows meet the
+    nodes from its first row on, since the distance and |p(t) - p(tau)| are
+    bitwise symmetric. Logs are taken only at the pairs closer than 1/2.
     """
     if p.n_nodes != curve.n_nodes:
         raise ValueError("exponent and curve node counts differ")
@@ -176,25 +179,19 @@ def log_holder_constant(
         return LogHolderReport(bool(bounds_ok), 0.0, p_minus, p_plus)
 
     step = -(-curve.n_nodes // max_nodes)
-    idx = np.arange(0, curve.n_nodes, step)
-    z = curve.nodes[idx]
-    pv = p.values[idx]
+    z = curve.nodes[::step]
+    pv = p.values[::step]
 
-    best = 0.0
-    n_bands = 64
-    bands = np.zeros(n_bands)
-    for s in range(0, idx.size, SCAN_ROWS):
-        rows = slice(s, min(s + SCAN_ROWS, idx.size))
-        d = np.abs(z[rows, None] - z[None, :])
-        mask = (d > 0.0) & (d < 0.5)
-        if not mask.any():
-            continue
-        with np.errstate(divide="ignore", invalid="ignore"):
-            vals = np.where(mask, np.abs(pv[rows, None] - pv[None, :]) * (-np.log(d)), 0.0)
-        best = max(best, float(vals.max()))
-        band_idx = np.floor(-np.log2(d, where=mask, out=np.ones_like(d))).astype(int)
-        band_idx = np.clip(band_idx, 0, n_bands - 1)
-        np.maximum.at(bands, band_idx[mask], vals[mask])
+    bands = np.zeros(64)
+    for s in range(0, z.size, SCAN_ROWS):
+        rows = slice(s, s + SCAN_ROWS)
+        d = np.abs(z[rows, None] - z[None, s:])
+        near = (d > 0.0) & (d < 0.5)
+        d = d[near]
+        dp = np.abs(pv[rows, None] - pv[None, s:])[near]
+        band_idx = np.minimum(np.floor(-np.log2(d)).astype(int), bands.size - 1)
+        np.maximum.at(bands, band_idx, dp * (-np.log(d)))
+    best = float(bands.max())
 
     nonempty = np.flatnonzero(bands > 0.0)
     trend_ok = True

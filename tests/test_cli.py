@@ -227,6 +227,34 @@ def test_dichotomy_fault_exit_code(tmp_path, monkeypatch):
     assert results["fault"] is True and results["symbol"] == "fake"
 
 
+@pytest.mark.parametrize("symbol, fault", [("monomial:1", True), ("monomial:9", False)])
+def test_dichotomy_probe_evaluates_its_fault(tmp_path, monkeypatch, capsys, symbol, fault):
+    # the smallest singular value of every section's last block set to zero
+    # shows persistent kernels on both sides with clean trends, which the
+    # theorem excludes: the probe's own conjunction raises the fault;
+    # monomial:9's band runs past the aspect 8, and only the exact-band guard
+    # keeps it false
+    svd = toeplitz._singular_values
+
+    def with_a_zero(blocks):
+        svals = svd(blocks)
+        svals.flat[-1] = 0.0
+        return svals
+
+    monkeypatch.setattr(toeplitz, "_singular_values", with_a_zero)
+    out = tmp_path / "d"
+    code = run(["dichotomy", "--symbol", symbol, "--sizes", "16,32", "--aspect", "8",
+                "--n", "512", "--out", str(out)])
+    results = json.loads((out / "report.json").read_text())["results"]
+    assert results["verdict"] == "under-resolved"
+    assert min(results["kernel_dim_T"] + results["kernel_dim_companion"]) >= 1
+    assert results["sigma_min_T"] == results["sigma_min_companion"] == [0.0, 0.0]
+    assert results["fault"] is fault
+    assert code == (EXIT_FAULT if fault else EXIT_OK)
+    err = capsys.readouterr().err
+    assert ("both operators show persistent nontrivial kernels" in err) is fault
+
+
 @pytest.mark.parametrize("symbol, aspect, verdict", [
     ("monomial:30", "8", "under-resolved"), ("monomial:-100", "8", "under-resolved"),
     ("monomial:30", "30", "T-injective")])

@@ -146,8 +146,43 @@ def test_log_holder_report_does_not_depend_on_the_scan_block(monkeypatch, name):
         assert reports[0] == reports[1] == reports[2], spec
 
 
+def _all_pairs_report(p, curve):
+    """log_holder_constant's (constant_estimate, holds) from every ordered
+    pair of the scanned nodes, one full row of the n' x n' distances at a
+    time (the 8191-node circle's whole matrix would hold 256 MiB)."""
+    step = -(-curve.n_nodes // 4096)
+    z, pv = curve.nodes[::step], p.values[::step]
+    bands = np.zeros(64)
+    for t, pt in zip(z, pv):
+        d = np.abs(t - z)
+        near = (d > 0.0) & (d < 0.5)
+        band = np.minimum(np.floor(-np.log2(d[near])).astype(int), 63)
+        np.maximum.at(bands, band, np.abs(pt - pv[near]) * -np.log(d[near]))
+    nonempty = np.flatnonzero(bands)
+    tail = nonempty[nonempty.size // 2 :]
+    rising = nonempty.size >= 4 and (np.polyfit(tail, bands[tail], 1)[0]
+                                     > 0.05 * max(1.0, np.median(bands[nonempty])))
+    return float(bands.max()), bool(p.values.min() > 1.0 and not rising)
+
+
+@pytest.mark.parametrize("name, n", [
+    *((name, n) for name in ("circle", "square", "ellipse:2,1", "perturbed-circle:0.1,5")
+      for n in (8, 9, 100, 512) if not (name == "square" and n % 4)),
+    ("circle", 8191)])
+def test_log_holder_scan_matches_all_pairs(name, n):
+    # the scan meets each unordered pair once, from the block of its first
+    # node; a scan that missed the pairs within a block, or those past it,
+    # reads a smaller estimate or other band maxima (the square needs n
+    # divisible by 4)
+    curve = curve_from_name(name, n)
+    for spec in ("step:2,3", "step:3,2", "logsmooth:3,1", "2+abs(sin)", "1.5+2*abs(cos)"):
+        p = exponent_from_preset(spec, curve)
+        rep = log_holder_constant(p, curve)
+        assert (rep.constant_estimate, rep.holds) == _all_pairs_report(p, curve), spec
+
+
 def test_log_holder_scan_peak_memory(circle4096):
-    # 6.3 MiB in blocks of 32 rows; 24.6 MiB in blocks of 128
+    # 3.6 MiB in blocks of 32 rows; 14.1 MiB in blocks of 128
     p = exponent_from_preset("2+abs(sin)", circle4096)
     tracemalloc.start()
     try:
