@@ -3,6 +3,10 @@
 Subcommands: ``norm``, ``multiplier``, ``sio-check``, ``dichotomy``,
 ``carleson``. ``COMMAND_KEYS`` names the config keys each one reads; its
 flags, its config-file check and its ``provenance.config`` come from it.
+Each ``run_<command>(cfg, curve)`` computes from the curve that ``main``
+builds and returns its results, tables, operations, extra files and fault;
+``main`` adds ``curve.csv`` under ``export_curve``, the provenance and the
+``ReportBundle``, and writes it.
 Every run is reproducible at a fixed BLAS thread count: identical config and
 seed produce byte-identical reports (sorted JSON keys, no wall-clock
 provenance). Complex SVDs round differently under other thread counts:
@@ -93,36 +97,24 @@ class ReportBundle:
     provenance: dict
     extra_files: dict[str, str]
 
-    def payload(self) -> dict:
-        return {
-            "results": _plain(self.results),
-            "tables": _plain(self.tables),
-            "provenance": _plain(self.provenance),
-        }
-
     def write(self, out_dir: str | Path, fmt: str) -> list[Path]:
+        """Write report.json, then each table as csv under fmt csv, then the extra files."""
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
-        paths = []
-        report = out / "report.json"
-        report.write_text(json.dumps(self.payload(), sort_keys=True, indent=2,
-                                     allow_nan=False) + "\n")
-        paths.append(report)
+        payload = {"results": self.results, "tables": self.tables, "provenance": self.provenance}
+        files = {"report.json": json.dumps(_plain(payload), sort_keys=True, indent=2,
+                                           allow_nan=False) + "\n"}
         if fmt == "csv":
             for name, rows in sorted(self.tables.items()):
-                path = out / f"{name}.csv"
                 buf = io.StringIO()
                 writer = csv_module.DictWriter(buf, fieldnames=sorted(rows[0]))
                 writer.writeheader()
-                for row in rows:
-                    writer.writerow(_plain(row))
-                path.write_text(buf.getvalue())
-                paths.append(path)
-        for name, text in sorted(self.extra_files.items()):
-            path = out / name
-            path.write_text(text)
-            paths.append(path)
-        return paths
+                writer.writerows(_plain(rows))
+                files[f"{name}.csv"] = buf.getvalue()
+        files.update(sorted(self.extra_files.items()))
+        for name, text in files.items():
+            (out / name).write_text(text)
+        return [out / name for name in files]
 
 
 def _plain(obj):
@@ -239,8 +231,7 @@ def _symbol(spec: str, degree: int, seed: int) -> Symbol:
     return symbol_from_preset(spec, degree, seed)
 
 
-def run_norm(cfg: ExperimentConfig) -> tuple[ReportBundle, str | None]:
-    curve = curve_from_name(cfg.curve, cfg.n_nodes)
+def run_norm(cfg: ExperimentConfig, curve) -> tuple:
     p = _exponent(cfg.exponent, curve)
     f = _function(cfg.function, curve, cfg.seed)
     res = luxemburg_norm(curve, f, p)
@@ -261,17 +252,14 @@ def run_norm(cfg: ExperimentConfig) -> tuple[ReportBundle, str | None]:
     table = [{"item": cfg.function, "op": "luxemburg_norm", "value": res.value,
               "modular_at_value": res.modular_at_value,
               "iterations": res.bisection_iterations}]
-    bundle = ReportBundle(results, {"norms": table},
-                          _provenance(cfg, ["luxemburg_norm", "unit_ball_check"]), {})
     fault = None if ball.consistent else "unit-ball equivalence violated numerically"
     if not res.certified:
         fault = (f"Luxemburg norm not certified: modular {res.modular_at_value:.12g} "
                  f"at value {res.value:.6g} is not within {CERTIFICATE_TOL:g} of 1")
-    return bundle, fault
+    return results, {"norms": table}, ["luxemburg_norm", "unit_ball_check"], {}, fault
 
 
-def run_multiplier(cfg: ExperimentConfig) -> tuple[ReportBundle, str | None]:
-    curve = curve_from_name(cfg.curve, cfg.n_nodes)
+def run_multiplier(cfg: ExperimentConfig, curve) -> tuple:
     p = _exponent(cfg.p, curve)
     q = _exponent(cfg.q, curve)
     a = _symbol(cfg.symbol, 0, cfg.seed).values(curve)
@@ -286,19 +274,14 @@ def run_multiplier(cfg: ExperimentConfig) -> tuple[ReportBundle, str | None]:
         "lower_over_theorem": lower / theorem if theorem > 0 else 0.0,
         "equivalence_allowance": holder,
     }
-    bundle = ReportBundle(
-        results,
-        {"multiplier": [{"op": "multiplier_norm", **results}]},
-        _provenance(cfg, ["multiplier_norm_via_theorem", "multiplier_norm_lower"]),
-        {},
-    )
     fault = None
     if lower > theorem * holder:
         fault = "lower bound exceeds the theorem value times the Hoelder constant K"
     elif bounds.upper_bound < lower * (1.0 - 2.0 * CERTIFICATE_TOL):
         # the lower bound rests on two norms, each certified to CERTIFICATE_TOL
         fault = "upper bound of the multiplier norm lies below its lower bound"
-    return bundle, fault
+    return (results, {"multiplier": [{"op": "multiplier_norm", **results}]},
+            ["multiplier_norm_via_theorem", "multiplier_norm_lower"], {}, fault)
 
 
 # Largest projection, adjoint or rational-oracle residual each realization of S
@@ -341,8 +324,7 @@ def _norm_ratio_rows(curve, rng: np.random.Generator, p, trials: int) -> list[di
             for i, (nf, ns) in enumerate(zip(norms_f, norms_sf))]
 
 
-def run_sio_check(cfg: ExperimentConfig) -> tuple[ReportBundle, str | None]:
-    curve = curve_from_name(cfg.curve, cfg.n_nodes)
+def run_sio_check(cfg: ExperimentConfig, curve) -> tuple:
     p = _exponent(cfg.exponent, curve)
 
     # the certificate is the largest stage: it runs before numpy.random is
@@ -373,23 +355,15 @@ def run_sio_check(cfg: ExperimentConfig) -> tuple[ReportBundle, str | None]:
         for row in adj.s_matrix:
             buf.write(",".join(repr(complex(z)) for z in row) + "\n")
         extra["s_matrix.csv"] = buf.getvalue()
-    if cfg.export_curve:
-        extra["curve.csv"] = curve_to_csv(curve)
-    bundle = ReportBundle(
-        results,
-        {"plemelj": plemelj_rows, "norm_ratios": ratio_rows},
-        _provenance(cfg, ["adjoint_residuals", "riesz_projections", "apply_S",
-                          "luxemburg_norm", "log_holder_constant"]),
-        extra,
-    )
     fault = _residual_fault(s_path(curve), {
         "projection": proj, "adjoint": results["adjoint_residuals"],
         "rational": {"P": results["plemelj_max_plus"], "Q": results["plemelj_max_minus"]}})
-    return bundle, fault
+    return (results, {"plemelj": plemelj_rows, "norm_ratios": ratio_rows},
+            ["adjoint_residuals", "riesz_projections", "apply_S", "luxemburg_norm",
+             "log_holder_constant"], extra, fault)
 
 
-def run_dichotomy(cfg: ExperimentConfig) -> tuple[ReportBundle, str | None]:
-    curve = curve_from_name(cfg.curve, cfg.n_nodes)
+def run_dichotomy(cfg: ExperimentConfig, curve) -> tuple:
     if not curve.is_unit_circle:
         raise ValueError(f"finite sections exist only on the unit circle, not on {cfg.curve!r}")
     p = _exponent(cfg.p, curve)
@@ -404,20 +378,14 @@ def run_dichotomy(cfg: ExperimentConfig) -> tuple[ReportBundle, str | None]:
                                      verdict.sigma_min_companion, verdict.kernel_dim_T,
                                      verdict.kernel_dim_companion)
     ]
-    bundle = ReportBundle(results, {"sections": rows},
-                          _provenance(cfg, ["dichotomy_probe"]), {})
     fault = "both operators show persistent nontrivial kernels" if verdict.fault else None
-    return bundle, fault
+    return results, {"sections": rows}, ["dichotomy_probe"], {}, fault
 
 
-def run_carleson(cfg: ExperimentConfig) -> tuple[ReportBundle, str | None]:
-    curve = curve_from_name(cfg.curve, cfg.n_nodes)
+def run_carleson(cfg: ExperimentConfig, curve) -> tuple:
     results = asdict(carleson_constant(curve))
     rows = [{"op": "carleson_constant", "estimate": results["constant_estimate"]}]
-    extra = {"curve.csv": curve_to_csv(curve)} if cfg.export_curve else {}
-    bundle = ReportBundle(results, {"carleson": rows},
-                          _provenance(cfg, ["carleson_constant"]), extra)
-    return bundle, None
+    return results, {"carleson": rows}, ["carleson_constant"], {}, None
 
 
 _RUNNERS = {
@@ -496,9 +464,12 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         cfg = config_from_args(args)
-        bundle, fault = _RUNNERS[cfg.command](cfg)
-        paths = bundle.write(cfg.out, cfg.format)
-        for path in paths:
+        curve = curve_from_name(cfg.curve, cfg.n_nodes)
+        results, tables, operations, extra, fault = _RUNNERS[cfg.command](cfg, curve)
+        if cfg.export_curve:
+            extra["curve.csv"] = curve_to_csv(curve)
+        bundle = ReportBundle(results, tables, _provenance(cfg, operations), extra)
+        for path in bundle.write(cfg.out, cfg.format):
             print(path)
         if fault:
             print(f"numerical fault: {fault}", file=sys.stderr)

@@ -24,7 +24,6 @@ __all__ = [
     "conjugate_exponent_r",
     "dominance_check",
     "log_holder_constant",
-    "reciprocal",
 ]
 
 
@@ -109,15 +108,6 @@ def essential_bounds(p: ExponentFunction) -> tuple[float, float]:
     return float(p.values.min()), float(p.values.max())
 
 
-def reciprocal(values: np.ndarray) -> np.ndarray:
-    """1/p with the convention 1/inf = 0."""
-    v = np.asarray(values, dtype=float)
-    out = np.zeros_like(v)
-    finite = np.isfinite(v)
-    out[finite] = 1.0 / v[finite]
-    return out
-
-
 def dominance_check(p: ExponentFunction, q: ExponentFunction) -> None:
     """Refuse q > p at any node, naming how many nodes and the first of them."""
     if p.n_nodes != q.n_nodes:
@@ -135,7 +125,7 @@ def conjugate_exponent_r(p: ExponentFunction, q: ExponentFunction) -> ExponentFu
     where p = inf with q finite. Requires q <= p everywhere.
     """
     dominance_check(p, q)
-    inv = reciprocal(q.values) - reciprocal(p.values)
+    inv = 1.0 / q.values - 1.0 / p.values  # 1/inf = 0
     r = np.full(p.n_nodes, np.inf)
     pos = inv > 0.0
     r[pos] = 1.0 / inv[pos]

@@ -5,7 +5,6 @@ from hypothesis import settings
 import siolab.cauchy as cauchy
 from siolab.cauchy import apply_S, conjugation_H, mode_basis, operator_matrix
 from siolab.curves import make_ellipse, make_unit_circle
-from siolab.exponents import reciprocal
 from siolab.spaces import norm_value
 from siolab.toeplitz import finite_section
 
@@ -54,7 +53,7 @@ def _holder_ratio(curve, f, g, p, q, r):
     The fault is a nonzero product fg with ||f||_p ||g||_r = 0 (ratio inf).
     Raises ValueError unless 1/q = 1/p + 1/r within 1e-12 at every node.
     """
-    gap = np.abs(reciprocal(q.values) - reciprocal(p.values) - reciprocal(r.values))
+    gap = np.abs(1.0 / q.values - 1.0 / p.values - 1.0 / r.values)
     if gap.max() > 1e-12:
         raise ValueError(f"triple violates 1/q = 1/p + 1/r by {gap.max():.3g}")
     f, g = np.asarray(f, dtype=complex), np.asarray(g, dtype=complex)

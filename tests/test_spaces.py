@@ -9,6 +9,7 @@ from scipy.optimize import brentq
 
 import siolab.spaces as spaces
 from siolab.cli import ExperimentConfig, run_norm
+from siolab.curves import curve_from_name
 from siolab.corpus import random_trig_polynomial
 from siolab.curves import curve_from_name, make_unit_circle
 from siolab.exponents import (
@@ -171,10 +172,10 @@ def test_run_norm_on_the_benchmark_norm_command():
     # the lab-mix norm command: circle, n = 4096, 2+abs(sin), abs-cos
     cfg = ExperimentConfig(command="norm", curve="circle", n_nodes=4096,
                            exponent="2+abs(sin)", function="abs-cos")
-    bundle, fault = run_norm(cfg)
+    results, _, _, _, fault = run_norm(cfg, curve_from_name(cfg.curve, cfg.n_nodes))
     assert fault is None
-    assert abs(bundle.results["modular_at_value"] - 1.0) <= 1e-14
-    assert 0 < bundle.results["iterations"] <= 8
+    assert abs(results["modular_at_value"] - 1.0) <= 1e-14
+    assert 0 < results["iterations"] <= 8
 
 
 def test_norm_with_infinity_nodes(circle512):
