@@ -41,10 +41,14 @@ evaluates that integral off the curve: for the rational functions of
 (the exterior poles and the polynomial make up P f, the interior poles
 Q f), and ``sio-check`` judges ``riesz_projections`` against them.
 ``adjoint_residuals`` certifies P and Q on a mode basis that S takes
-whole, pairing each result as it is made. ``mode_basis``, ``apply_S`` and
-``conjugation_H`` write into an ``out`` array when given one, so the
-certificate holds the weighted basis and a workspace of the basis's size,
-in one allocation, and no other array the size of either.
+whole, in the Fourier domain: by Parseval a spectrum pairs against the
+inverse FFT of the weighted basis, so S runs there as ``_spectral_S``, the
+map between the split's two FFTs, and the certificate takes four FFT
+batches where three applications of S take six. ``mode_basis``,
+``conjugation_H`` and the FFTs write into an ``out`` array and the map
+works in place, so the certificate holds the weighted basis and a
+workspace of the basis's size, in one allocation, and no other array the
+size of either; ``apply_S`` takes an ``out`` array too.
 
 Two quantities are taken once per curve and kept in ``curve._memo``: the
 split's remainder spectrum C (off the circle) and the conjugation phase
@@ -246,10 +250,11 @@ def s_path(curve: JordanCurve) -> str:
     return "dense" if _remainder_spectrum(curve) is None else "split"
 
 
-def _split_S(curve: JordanCurve, F: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """S by the kernel split; spectral on curves with a resolved remainder spectrum.
+def _spectral_S(curve: JordanCurve, spectrum: np.ndarray) -> np.ndarray:
+    """fft(S f) from fft(f), in place on one spectrum or a stack of them, one per row.
 
-    In the node parameter sigma = 2 pi t,
+    On the ``circle`` and ``split`` paths this is S between the forward and
+    the inverse FFT of the kernel split. In the node parameter sigma = 2 pi t,
 
         tau'(s) / (tau(s) - tau(s0)) = (1/2) cot((s - s0)/2) + R(s0, s),
 
@@ -262,11 +267,11 @@ def _split_S(curve: JordanCurve, F: np.ndarray, out: np.ndarray | None = None) -
     grid) / m^2 (``_remainder_spectrum``). Its trapezoid sum over the n nodes,
     (1/n) sum_j R(s0, s_j) f_j, is sum_k e^{i k s0} sum_l c_kl fhat_{-l} / n,
     so with fhat = fft(f) the smooth part adds (2/i) C fhat_{-l} to modes k
-    mod n of the cot part's spectrum, and one inverse FFT gives S f at all
-    nodes: O(n log n + m^2) per function, and one linear operator per curve
-    (Kress, Linear Integral Equations, ch. 13; Helsing and Ojala, J. Comput.
-    Phys. 227, 2008; Trefethen and Weideman, SIAM Review 56, 2014). At m = n
-    the sum is the trapezoid rule on every row.
+    mod n of the cot part's spectrum: O(m^2) per function on top of the two
+    FFTs, and one linear operator per curve (Kress, Linear Integral
+    Equations, ch. 13; Helsing and Ojala, J. Comput. Phys. 227, 2008;
+    Trefethen and Weideman, SIAM Review 56, 2014). At m = n the sum is the
+    trapezoid rule on every row.
 
     m is a property of the curve: 128 on ``ellipse:2,1``, 256 on
     ``perturbed-circle:0.1,5``, and on ``perturbed-circle:0.3,12`` m = n up
@@ -277,20 +282,21 @@ def _split_S(curve: JordanCurve, F: np.ndarray, out: np.ndarray | None = None) -
     takes about the time and memory at n = 2047 that it takes at n = 2048.
     Measured for S f = f, f = 1/(tau - 2.3) on the 2:1 ellipse: error
     2.9e-3 at n = 64, 1.3e-6 at n = 128, 2.9e-13 at n = 256 and 3.8e-14 at
-    n = 2048. F is one function or a stack of them, one per row; the FFTs
-    run along the last axis, into ``out`` when one is given.
+    n = 2048. On the ``dense`` path the map is fft o ``_quadrature_S`` o ifft.
     """
     n = curve.n_nodes
     C = _remainder_spectrum(curve)
+    if C is None:
+        np.fft.ifft(spectrum, axis=-1, out=spectrum)
+        return np.fft.fft(_quadrature_S(curve, spectrum, out=spectrum), axis=-1, out=spectrum)
     modes = np.fft.fftfreq(C.shape[0], 1.0 / C.shape[0]).astype(int)
-    spectrum = np.fft.fft(F, axis=-1, out=out)
     # C on the left of the product: 75 us against 84 us for rows @ C.T on 16
     # rows of 2048 nodes with m = 128 (one BLAS thread)
     smooth = (C @ spectrum[..., -modes % n].T).T
     # a complex sign vector: a real one takes a cast buffer the size of a row
     spectrum *= np.sign(np.fft.fftfreq(n)).astype(complex)
     spectrum[..., modes % n] += (2.0 / 1j) * smooth
-    return np.fft.ifft(spectrum, axis=-1, out=spectrum)
+    return spectrum
 
 
 def _checked_out(shape: tuple[int, ...], out) -> np.ndarray | None:
@@ -308,9 +314,10 @@ def apply_S(curve: JordanCurve, f, out=None) -> np.ndarray:
     ``f`` has shape (n,) or, for a stack of functions, (m, n) with one
     function per row, as every layer lays out a stack; a stack is taken in
     one pass. The result goes to ``out`` when one is given, a complex array
-    of f's shape that may be f itself or a view of it (a block of rows, say);
-    the split (``circle`` and ``split``) then takes its forward FFT into
-    ``out`` and finishes there.
+    of f's shape that may be f itself or a view of it (a block of rows, say).
+    The split (``circle`` and ``split``) is a forward FFT, the spectral map
+    ``_spectral_S`` in place and an inverse FFT, all into ``out`` when one
+    is given.
     """
     f = np.asarray(f, dtype=complex)
     if f.shape[-1:] != (curve.n_nodes,):
@@ -319,7 +326,8 @@ def apply_S(curve: JordanCurve, f, out=None) -> np.ndarray:
     out = _checked_out(f.shape, out)
     if s_path(curve) == "dense":
         return _quadrature_S(curve, f, out)
-    return _split_S(curve, f, out)
+    spectrum = _spectral_S(curve, np.fft.fft(f, axis=-1, out=out))
+    return np.fft.ifft(spectrum, axis=-1, out=spectrum)
 
 
 def riesz_projections(curve: JordanCurve, f) -> tuple[np.ndarray, np.ndarray]:
@@ -383,20 +391,27 @@ def adjoint_residuals(curve: JordanCurve, basis_size: int) -> AdjointResiduals:
     """Matrix-level residuals of P^2 = P, PQ = 0, P + Q = I, S* = -HSH, P* = HQH, Q* = HPH.
 
     Only four pairing matrices are formed: G = M(B), M(SB), M(S^2 B) and
-    M(HSHB). The weighted conjugate basis W = conj(B) w is held beside one
-    workspace B of the basis's size, into which ``mode_basis``, S and H
-    write, and each result is paired against W (``operator_matrix``) as
-    soon as it exists: ``mode_basis`` writes B, paired into G; H, S and H
-    take it in place to HSHB, paired into M(HSHB); ``mode_basis`` writes B
-    again (bitwise the rows W was built from), S takes it in place to SB,
-    paired into M(SB), and S again to S^2 B, paired into M(S^2 B). The
-    rest follow by linearity, with H antilinear and H^2 = I:
+    M(HSHB), with M(X) = W X^T (``operator_matrix``) and W = conj(B) w. By
+    Parseval, W ifft(Y)^T = ifft(W) Y^T, so a spectrum Y pairs against
+    ifft(W) and S runs as its spectral map (``_spectral_S``), with no
+    inverse FFT after it. W is held beside one workspace B of the basis's
+    size, in one allocation. ``mode_basis`` writes B, paired into G; then
+    W <- ifft(W) and B <- fft(B), the map takes B to the spectrum of SB,
+    paired into M(SB), and again to that of S^2 B, paired into M(S^2 B).
+    ``mode_basis`` writes B again (both arrays are busy; a third costs
+    2 MiB at 32 modes on 4096 nodes); W <- ifft(B dtau) and B <- fft(HB),
+    and after the map the pairing is the conjugate of M(HSHB), since
+    M(HSHB)_{ij} = <phase conj(S H b_j), b_i> and conj(phase) w = dtau.
+    That is four FFT batches of the basis's size on the ``circle`` and
+    ``split`` paths, where three applications of S take six; on the dense
+    path the map adds an inverse and a forward FFT around the quadrature.
+    The rest follow by linearity, with H antilinear and H^2 = I:
     M(PB) = (G + M(SB))/2, M(QB) = (G - M(SB))/2,
-    M(S PB) = (M(SB) + M(S^2 B))/2,
-    M(S QB) = (M(SB) - M(S^2 B))/2, M(HPH B) = (G + M(HSHB))/2 and
-    M(HQH B) = (G - M(HSHB))/2. Matrix elements of the adjoints come for free
-    from the pairing, (A*)_{ij} = conj(A_{ji}), so both sides of each identity
-    are assembled from forward applications only.
+    M(S PB) = (M(SB) + M(S^2 B))/2, M(S QB) = (M(SB) - M(S^2 B))/2,
+    M(HPH B) = (G + M(HSHB))/2 and M(HQH B) = (G - M(HSHB))/2. Matrix
+    elements of the adjoints come for free from the pairing,
+    (A*)_{ij} = conj(A_{ji}), so both sides of each identity are assembled
+    from forward applications only.
 
     On every path the curve needs MIN_QUADRATURE_NODES nodes and at least two
     per basis mode: on fewer the modes alias (on the 16-node circle the 32
@@ -417,12 +432,17 @@ def adjoint_residuals(curve: JordanCurve, basis_size: int) -> AdjointResiduals:
     np.conjugate(B, out=W)
     W *= curve.arc_weights
     G = operator_matrix(W, B)
-    conjugation_H(curve, B, out=B)
-    apply_S(curve, B, out=B)
-    MHSH = operator_matrix(W, conjugation_H(curve, B, out=B))
+    # Parseval, W ifft(Y)^T = ifft(W) Y^T: a spectrum pairs against ifft(W)
+    np.fft.ifft(W, axis=-1, out=W)
+    spectrum = _spectral_S(curve, np.fft.fft(B, axis=-1, out=B))
+    MS = operator_matrix(W, spectrum)
+    MSS = operator_matrix(W, _spectral_S(curve, spectrum))
+    # <phase conj(S H b_j), b_i> is the conjugate of the pairing of S H b_j
+    # against b_i conj(phase) w = b_i dtau
     mode_basis(curve, basis_size, out=B)
-    MS = operator_matrix(W, apply_S(curve, B, out=B))
-    MSS = operator_matrix(W, apply_S(curve, B, out=B))
+    np.fft.ifft(np.multiply(B, curve.complex_measure, out=W), axis=-1, out=W)
+    spectrum = _spectral_S(curve, np.fft.fft(conjugation_H(curve, B, out=B), axis=-1, out=B))
+    MHSH = operator_matrix(W, spectrum).conj()
 
     MP, MQ = 0.5 * (G + MS), 0.5 * (G - MS)
     MSP, MSQ = 0.5 * (MS + MSS), 0.5 * (MS - MSS)

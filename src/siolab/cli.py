@@ -359,7 +359,7 @@ def run_sio_check(cfg: ExperimentConfig, curve) -> tuple:
         "projection": proj, "adjoint": results["adjoint_residuals"],
         "rational": {"P": results["plemelj_max_plus"], "Q": results["plemelj_max_minus"]}})
     return (results, {"plemelj": plemelj_rows, "norm_ratios": ratio_rows},
-            ["adjoint_residuals", "riesz_projections", "apply_S", "luxemburg_norm",
+            ["adjoint_residuals", "riesz_projections", "apply_S", "norm_value",
              "log_holder_constant"], extra, fault)
 
 

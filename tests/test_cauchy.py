@@ -13,7 +13,7 @@ import siolab.cauchy as cauchy
 import siolab.cli as cli
 from siolab.cauchy import (
     _quadrature_S,
-    _split_S,
+    _spectral_S,
     adjoint_residuals,
     apply_S,
     conjugation_H,
@@ -73,7 +73,7 @@ def test_quadrature_backend_matches_circle_multiplier(circle8192):
     # the circle runs the split with its exact remainder, C = [[i/2]]
     assert s_path(circle8192) == "circle"
     exact = apply_S(circle8192, f)
-    split = _split_S(circle8192, f)
+    split = np.fft.ifft(_spectral_S(circle8192, np.fft.fft(f)))
     assert np.array_equal(exact, split)
 
 
@@ -648,39 +648,81 @@ def test_mode_basis_rows_do_not_depend_on_the_other_modes(name):
 
 
 def _full_stack_pairings(curve, basis_size):
-    """G, M(HSHB), M(SB) and M(S^2 B) with S applied to [B | HB] at once."""
+    """G, M(SB), M(S^2 B) and M(HSHB), in node space with S applied to [B | HB] at once."""
     from siolab.cauchy import mode_basis, operator_matrix
 
     B = mode_basis(curve, basis_size)
     SB, SHB = np.split(apply_S(curve, np.concatenate([B, conjugation_H(curve, B)])), 2)
     W = np.conj(B) * curve.arc_weights
     M = lambda X: operator_matrix(W, X)
-    return M(B), M(conjugation_H(curve, SHB)), M(SB), M(apply_S(curve, SB))
+    return M(B), M(SB), M(apply_S(curve, SB)), M(conjugation_H(curve, SHB))
 
 
-@pytest.mark.parametrize("n", [64, 4096])
-@pytest.mark.parametrize("basis_size", [32, 20, 2])
-@pytest.mark.parametrize("name", ["circle", "ellipse:2,1", "perturbed-circle:0.1,5"])
-def test_certificate_pairs_as_the_full_stack(name, basis_size, n, monkeypatch):
-    # the certificate's four pairings, G, M(HSHB), M(SB) and M(S^2 B), each of
-    # the whole basis, are bitwise those of S applied to [B | HB] at once
-    curve = curve_from_name(name, n)
+# the certificate pairs S's spectra in the Fourier domain: its pairings differ
+# from the node-space ones by rounding, at most 1.14e-15 over the cases below
+PAIRING_TOLERANCE = 1e-14
+
+
+def _assert_pairs_as_the_full_stack(curve, basis_size, monkeypatch):
+    # G is paired in node space, bitwise the reference's; M(SB) and M(S^2 B)
+    # pair spectra against ifft(W), and the fourth pairing is conj M(HSHB)
     paired = []
     pair = cauchy.operator_matrix
     monkeypatch.setattr(cauchy, "operator_matrix",
                         lambda *args: paired.append(pair(*args)) or paired[-1])
     rep = adjoint_residuals(curve, basis_size)
     assert len(paired) == 4
-    assert np.array_equal(rep.s_matrix, paired[2])
-    for got, full in zip(paired, _full_stack_pairings(curve, basis_size)):
+    assert np.array_equal(rep.s_matrix, paired[1])
+    paired[3] = paired[3].conj()
+    G, *rest = _full_stack_pairings(curve, basis_size)
+    assert np.array_equal(paired[0], G)
+    for got, full in zip(paired[1:], rest):
         assert got.shape == full.shape == (basis_size, basis_size)
-        assert np.array_equal(got, full)
+        assert np.abs(got - full).max() <= PAIRING_TOLERANCE
+
+
+@pytest.mark.parametrize("n", [64, 4096])
+@pytest.mark.parametrize("basis_size", [32, 20, 2])
+@pytest.mark.parametrize("name", ["circle", "ellipse:2,1", "perturbed-circle:0.1,5"])
+def test_certificate_pairs_as_the_full_stack(name, basis_size, n, monkeypatch):
+    _assert_pairs_as_the_full_stack(curve_from_name(name, n), basis_size, monkeypatch)
+
+
+@pytest.mark.parametrize("basis_size", [32, 20, 2])
+@pytest.mark.parametrize("name, n", [("square", 256), ("ellipse:2,1", 2047)])
+def test_certificate_pairs_as_the_full_stack_dense_and_folded(name, n, basis_size, monkeypatch):
+    # the dense path's map, fft o quadrature o ifft, and an odd n whose grid
+    # is folded from the node spectrum
+    _assert_pairs_as_the_full_stack(curve_from_name(name, n), basis_size, monkeypatch)
+
+
+def test_certificate_runs_four_transform_batches(monkeypatch):
+    # three applications of S in node space take an FFT pair each, six
+    # batches of 32 rows; paired in the Fourier domain the certificate takes four
+    paired = []
+    pair = cauchy.operator_matrix
+    monkeypatch.setattr(cauchy, "operator_matrix",
+                        lambda W, X: paired.append(W.shape) or pair(W, X))
+    for name, n, path in [("circle", 4096, "circle"), ("ellipse:2,1", 2048, "split")]:
+        curve = curve_from_name(name, n)
+        assert s_path(curve) == path
+        transforms = []
+        with monkeypatch.context() as m:
+            for fn in ("fft", "ifft"):
+                original = getattr(np.fft, fn)
+                m.setattr(np.fft, fn, lambda a, *args, _f=original, **kw:
+                          transforms.append(np.shape(a)) or _f(a, *args, **kw))
+            del paired[:]
+            adjoint_residuals(curve, 32)
+        batches = [shape for shape in transforms if len(shape) == 2]
+        assert batches == [(32, n)] * 4, name
+        assert paired == [(32, n)] * 4, name
 
 
 def test_certificate_peak_memory_on_the_sio_check_shape():
     # the sio-circle certificate: 32 modes on 4096 nodes, 2 MiB per 32-row
     # array; it holds the weighted basis W and a basis-sized workspace B,
-    # into which S and H write (4.28 MiB)
+    # which the FFTs, S's spectral map and H overwrite in place (4.30 MiB)
     curve = make_unit_circle(4096)
     adjoint_residuals(curve, 32)
     tracemalloc.start()

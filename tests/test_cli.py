@@ -443,10 +443,10 @@ def test_sio_check_takes_every_offcurve_target_in_one_call(tmp_path, monkeypatch
 
 
 def test_sio_check_builds_one_remainder_spectrum(tmp_path, monkeypatch, count_calls):
-    # 5 applications of S (3 of the certificate's 32-mode basis, 1 stack of
-    # the rational corpus, 1 norm-ratio stack) share the curve's C: one
-    # doubling, m = 64 and then 128, for the run
-    applied = count_calls(monkeypatch, "_split_S")
+    # 5 applications of S's spectral map (3 in the certificate's 32-mode
+    # basis, 1 stack of the rational corpus, 1 norm-ratio stack) share the
+    # curve's C: one doubling, m = 64 and then 128, for the run
+    applied = count_calls(monkeypatch, "_spectral_S")
     grids = count_calls(monkeypatch, "_remainder_coefficients")
     code = run(["sio-check", "--curve", "ellipse:2,1", "--n", "2048",
                 "--out", str(tmp_path / "sio")])
@@ -463,10 +463,9 @@ def test_sio_check_on_the_circle_takes_no_direct_offcurve_sum(tmp_path, monkeypa
     code = run(["sio-check", "--curve", "circle", "--n", "512", "--trials", "2",
                 "--out", str(tmp_path / "sio")])
     assert code == EXIT_OK
-    # the mode-basis certificate on its whole 32-mode basis: the pairing of B,
-    # S of HB and the pairing of HSHB, then S of B and of SB, each paired;
-    # then the corpus
-    assert applied == [(32, 512)] * 3 + [(4, 512)]
+    # the mode-basis certificate pairs its whole 32-mode basis four times and
+    # applies S by its spectral map, not by apply_S; then the corpus
+    assert applied == [(4, 512)]
     assert paired == [(32, 512)] * 4
 
 
@@ -496,6 +495,21 @@ def test_norm_command_takes_one_norm_and_one_unit_ball_norm(tmp_path, monkeypatc
                 "--out", str(tmp_path / "norm")])
     assert code == EXIT_OK
     assert norms == [(512,)] * 2
+
+
+def test_sio_check_names_the_norm_call_it_makes(tmp_path, monkeypatch, count_calls):
+    # at a constant exponent norm_value takes the closed form and never
+    # reaches luxemburg_norm, so the provenance names norm_value
+    norms = count_calls(monkeypatch, "luxemburg_norm", (spaces, cli))
+    values = count_calls(monkeypatch, "norm_value", (spaces, cli))
+    out = tmp_path / "sio"
+    code = run(["sio-check", "--curve", "circle", "--n", "512", "--trials", "2",
+                "--out", str(out)])
+    assert code == EXIT_OK
+    assert norms == [] and values == [(2, 512)] * 2
+    operations = json.loads((out / "report.json").read_text())["provenance"]["operations"]
+    assert operations == ["adjoint_residuals", "riesz_projections", "apply_S", "norm_value",
+                          "log_holder_constant"]
 
 
 def test_multiplier_command_takes_the_theorem_once(tmp_path, monkeypatch, count_calls):

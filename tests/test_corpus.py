@@ -2,8 +2,19 @@ import numpy as np
 import pytest
 
 from siolab.cauchy import riesz_projections
-from siolab.corpus import random_trig_polynomial, rational_corpus, rational_function
+from siolab.corpus import (
+    random_trig_coefficients,
+    random_trig_polynomial,
+    rational_corpus,
+    rational_function,
+)
 from siolab.curves import curve_from_name, make_ellipse
+
+
+# A stack of polynomials is one product per node block, whose sums round
+# otherwise than one polynomial's matrix-vector product: at most 1.6 eps
+# sum |c_k| apart over the stacks of tests/test_curves.py and these
+ROUNDING = 16 * np.finfo(float).eps
 
 
 def test_trig_polynomial_count_matches_one_at_a_time():
@@ -11,8 +22,13 @@ def test_trig_polynomial_count_matches_one_at_a_time():
     stacked = random_trig_polynomial(curve, np.random.default_rng(8), degree=5, count=4)
     rng = np.random.default_rng(8)
     singles = [random_trig_polynomial(curve, rng, degree=5) for _ in range(4)]
+    rng = np.random.default_rng(8)
+    drawn = [random_trig_coefficients(rng, 5) for _ in range(4)]
+    # the draw order is exact; the values agree to rounding
+    assert np.array_equal(random_trig_coefficients(np.random.default_rng(8), 5, count=4), drawn)
     assert stacked.shape == (4, 256)
-    assert np.array_equal(stacked, singles)
+    for row, single, coeff in zip(stacked, singles, drawn):
+        assert np.abs(row - single).max() <= ROUNDING * np.abs(coeff).sum()
 
 
 @pytest.mark.parametrize("name", ["circle", "ellipse:2,1"])
@@ -33,11 +49,13 @@ def test_trig_polynomial_stack_over_node_blocks_keeps_the_draw_order():
     # one: every coefficient is drawn first, row by row, real then imaginary
     curve = curve_from_name("ellipse:2,1", 4096)
     got = random_trig_polynomial(curve, np.random.default_rng(4), degree=12, count=24)
+    stack = random_trig_coefficients(np.random.default_rng(4), 12, count=24)
     table = np.exp(1j * np.outer(np.angle(curve.nodes), np.arange(-12, 13)))
     rng = np.random.default_rng(4)
-    for row in got:
+    for row, drawn in zip(got, stack):
         coeff = rng.standard_normal(25) + 1j * rng.standard_normal(25)
-        assert np.array_equal(row, table @ coeff)
+        assert np.array_equal(drawn, coeff)
+        assert np.abs(row - table @ coeff).max() <= ROUNDING * np.abs(coeff).sum()
 
 
 def test_rational_corpus_on_a_curve_near_the_origin():

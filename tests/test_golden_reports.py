@@ -10,8 +10,10 @@ each of the benchmark's ``THREAD_VARS``: complex SVDs round differently under
 more threads, so report bytes are reproducible only at a fixed thread count.
 
 A change that moves report bytes on purpose regenerates the table with
-``SIOLAB_REGENERATE_GOLDEN=1 python -m pytest tests/test_golden_reports.py``
-and says in its change notes which entries changed and why. So does a numpy
+``SIOLAB_REGENERATE_GOLDEN=1 python -m pytest -s tests/test_golden_reports.py``,
+which prints each entry whose digests moved against the committed table
+before it overwrites it, and says in its change notes which entries changed
+and why. So does a numpy
 or siolab version bump, since ``provenance`` records both.
 """
 
@@ -104,11 +106,15 @@ def _run_matrix() -> dict:
 
 def test_every_report_file_has_its_recorded_digest():
     table = _run_matrix()
-    if os.environ.get(REGENERATE):
-        TABLE.write_text(json.dumps(table, sort_keys=True, indent=1) + "\n")
     golden = json.loads(TABLE.read_text())
     changed = sorted(key for key in golden.keys() | table.keys()
                      if golden.get(key) != table.get(key))
+    if os.environ.get(REGENERATE):
+        # name what moved before the table is overwritten
+        for key in changed:
+            print(f"moved: {key}")
+        TABLE.write_text(json.dumps(table, sort_keys=True, indent=1) + "\n")
+        return
     assert not changed, (
         f"{len(changed)} entries differ from {TABLE.name}, first {changed[:5]}; if the "
         f"bytes change on purpose, regenerate the table with {REGENERATE}=1")
